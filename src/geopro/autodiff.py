@@ -2,9 +2,9 @@
 
 Operations record themselves on the active ``Tape`` whenever any operand
 requires gradients; ``Tape.backward`` then walks the recording in reverse
-and accumulates ``.grad`` on every participating tensor.  The op set is
-deliberately small and every gradient rule lives next to its forward
-formula so it can be audited line by line.
+and accumulates ``.grad`` on every leaf tensor, one that no op produced.
+The op set is deliberately small and every gradient rule lives next to
+its forward formula so it can be audited line by line.
 """
 
 from __future__ import annotations
@@ -143,10 +143,13 @@ class Tape:
                 self._tracked[id(t)] = t
 
     def backward(self, loss: Tensor) -> None:
-        """Populate .grad = d(loss)/d(tensor) on every tracked tensor.
+        """Populate .grad = d(loss)/d(leaf) on every leaf of the tape.
 
-        Tensors recorded on this tape but unreachable from the loss end
-        up with zero gradients.
+        A leaf is a tracked tensor that no recorded op produced, such as
+        a parameter.  Leaves unreachable from the loss end up with zero
+        gradients.  Only leaves keep ``.grad``: each node is dropped as
+        soon as its backward has run and its output's ``.grad`` is reset
+        to None, so the recording's memory is released during the walk.
         """
         if self._spent:
             raise StateError("backward already ran on this tape")
@@ -158,17 +161,27 @@ class Tape:
             raise ContractError("loss was not produced on this tape")
         self._spent = True
 
-        for t in self._tracked.values():
-            t.grad = np.zeros_like(t.data)
+        produced = {id(node.output) for node in self._nodes}
+        for key, t in self._tracked.items():
+            if key not in produced:
+                t.grad = np.zeros_like(t.data)
+        self._tracked = {}
         loss.grad = np.ones_like(loss.data)
 
-        for node in reversed(self._nodes):
+        nodes = self._nodes
+        while nodes:
+            node = nodes.pop()
             gout = node.output.grad
-            grads = node.backward_fn(gout)
-            for t, g in zip(node.inputs, grads):
+            if gout is None:
+                continue
+            node.output.grad = None
+            for t, g in zip(node.inputs, node.backward_fn(gout)):
                 if g is None or not t.requires_grad:
                     continue
-                t.grad += g.reshape(t.data.shape)
+                g = g.reshape(t.data.shape)
+                # never in place: a first contribution may be a view of
+                # another tensor's gradient
+                t.grad = g if t.grad is None else t.grad + g
 
 
 _TAPE_STACK: list[Tape] = []
@@ -384,13 +397,13 @@ def index_add_rows(src, indices, num_rows: int) -> Tensor:
 # nonlinearities
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _sigmoid(x):
+    """Logistic function as 0.5 * (1 + tanh(x / 2)): one branch-free pass
+    that neither overflows nor yields subnormals for any finite input."""
+    y = np.tanh(0.5 * x)
+    y += 1.0
+    y *= 0.5
+    return y
 
 
 def sigmoid(a) -> Tensor:

@@ -14,20 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import _sigmoid
 from .errors import ConstructionError, ContractError, DomainError
 
 _EDGE_TOL = 1e-12
 _HOLDS_TOL = 1e-9
-
-
-def _sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out if out.ndim else float(out)
 
 
 def log_sigmoid(x):

@@ -79,7 +79,11 @@ def init_mlp(rng, width_in, width_hidden, width_out, out_activation="none", out_
 
 
 def mlp_forward(params, x):
-    hidden = ad.silu(ad.add(ad.matmul(x, params.w1), params.b1))
+    return _mlp_head(params, ad.silu(ad.add(ad.matmul(x, params.w1), params.b1)))
+
+
+def _mlp_head(params, hidden):
+    """The second layer and output activation, given the hidden layer."""
     out = ad.add(ad.matmul(hidden, params.w2), params.b2)
     if params.out_activation == "silu":
         out = ad.silu(out)
@@ -206,13 +210,36 @@ class GraphState:
         return 0 if self.edge_attrs is None else self.edge_attrs.shape[2]
 
 
-def _edge_indices(n):
-    src, dst = np.where(~np.eye(n, dtype=bool))
-    return src, dst
+def _pair_mlp(params, feats, edge_in):
+    """An edge MLP over every ordered pair (i, j), as (N*N, out) rows.
+
+    The pair input is ``[h_i, h_j, e_ij]``, so its product with ``w1``
+    splits into ``h_i @ w1[:d]`` broadcast over j, ``h_j @ w1[d:2d]``
+    broadcast over i, and ``e_ij @ w1[2d:]``: the node terms cost N rows
+    of matmul instead of N^2.
+    """
+    n, d = feats.shape
+    hidden = params.w1.shape[1]
+
+    def w1_rows(start, stop):
+        return ad.gather_rows(params.w1, np.arange(start, stop))
+
+    from_i = ad.reshape(ad.matmul(feats, w1_rows(0, d)), (n, 1, hidden))
+    from_j = ad.reshape(ad.add(ad.matmul(feats, w1_rows(d, 2 * d)), params.b1), (1, n, hidden))
+    from_nodes = ad.reshape(ad.add(from_i, from_j), (n * n, hidden))
+    from_edge = ad.matmul(edge_in, w1_rows(2 * d, params.width_in))
+    return _mlp_head(params, ad.silu(ad.add(from_nodes, from_edge)))
 
 
 def egcl_forward(state, params):
-    """One message-passing layer; returns the updated graph state."""
+    """One message-passing layer; returns the updated graph state.
+
+    Pairs are laid out densely as (N, N, .) arrays.  The diagonal pairs
+    (i, i) are computed along with the rest: their attention gate is
+    zeroed, and their difference vector is exactly zero, so they add
+    nothing to either update.  Their squared distance is set to 1 so
+    that ``sqrt`` never sees a zero, whose gradient would be NaN.
+    """
     n = state.node_count
     d = state.feats.shape[1]
     if d != params.feat_width:
@@ -224,27 +251,22 @@ def egcl_forward(state, params):
             "state edge attributes have width %d, layer expects %d"
             % (state.attr_width, params.attr_width)
         )
-    src, dst = _edge_indices(n)
-    h_i = ad.gather_rows(state.feats, src)
-    h_j = ad.gather_rows(state.feats, dst)
-    x_i = ad.gather_rows(state.coords, src)
-    x_j = ad.gather_rows(state.coords, dst)
-    diff = ad.sub(x_i, x_j)
-    sq_dist = ad.tsum(ad.square(diff), axis=1, keepdims=True)
-    pieces = [h_i, h_j, sq_dist]
+    eye = np.eye(n)
+    diff = ad.sub(ad.reshape(state.coords, (n, 1, 3)), ad.reshape(state.coords, (1, n, 3)))
+    sq_dist = ad.add(ad.tsum(ad.square(diff), axis=2, keepdims=True), eye[:, :, None])
+    edge_in = ad.reshape(sq_dist, (n * n, 1))
     if state.edge_attrs is not None:
         flat_attrs = ad.reshape(state.edge_attrs, (n * n, params.attr_width))
-        pieces.append(ad.gather_rows(flat_attrs, src * n + dst))
-    pair_input = ad.concat(pieces, axis=1)
+        edge_in = ad.concat([edge_in, flat_attrs], axis=1)
 
-    messages = mlp_forward(params.message_mlp, pair_input)
-    attention = mlp_forward(params.attention_mlp, messages)
-    gathered = ad.index_add_rows(ad.mul(attention, messages), src, n)
+    messages = _pair_mlp(params.message_mlp, state.feats, edge_in)
+    gate = ad.mul(mlp_forward(params.attention_mlp, messages), (1.0 - eye).reshape(n * n, 1))
+    gathered = ad.tsum(ad.reshape(ad.mul(gate, messages), (n, n, params.message_width)), axis=1)
     new_feats = mlp_forward(params.feature_mlp, ad.concat([state.feats, gathered], axis=1))
 
-    dist = ad.sqrt(sq_dist)
-    weight = ad.div(mlp_forward(params.coord_mlp, pair_input), ad.add(dist, 1.0))
-    new_coords = ad.add(state.coords, ad.index_add_rows(ad.mul(diff, weight), src, n))
+    coord_out = ad.reshape(_pair_mlp(params.coord_mlp, state.feats, edge_in), (n, n, 1))
+    weight = ad.div(coord_out, ad.add(ad.sqrt(sq_dist), 1.0))
+    new_coords = ad.add(state.coords, ad.tsum(ad.mul(diff, weight), axis=1))
     return GraphState(new_coords, new_feats, state.edge_attrs)
 
 

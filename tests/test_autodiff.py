@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -86,6 +87,70 @@ def test_unreachable_tensor_gets_zero_grad():
         ad.square(y)  # recorded but not feeding the loss
         tape.backward(loss)
     assert np.array_equal(y.grad, [0.0])
+
+
+def test_tensor_used_twice_gets_both_gradients():
+    x = ad.Tensor([1.0, -2.0, 0.5], requires_grad=True)
+    with ad.Tape() as tape:
+        y = ad.mul(x, x)  # a leaf used twice by one op
+        loss = ad.add(ad.tsum(ad.mul(y, 3.0)), ad.tsum(ad.mul(y, y)))  # y used three times
+        tape.backward(loss)
+    # dL/dy = 3 + 2y and dy/dx = 2x
+    expected = (3.0 + 2.0 * x.data ** 2) * 2.0 * x.data
+    assert np.allclose(x.grad, expected, rtol=1e-15, atol=0)
+
+
+def test_backward_releases_intermediates():
+    rng = np.random.default_rng(5)
+    x = ad.Tensor(rng.normal(size=(300, 40)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(40, 300)), requires_grad=True)
+    with ad.Tape() as tape:
+        big = ad.matmul(x, w)
+        loss = ad.tsum(ad.square(big))
+        tape.backward(loss)
+    assert big.grad is None and loss.grad is None
+    assert len(tape) == 0
+    alive = weakref.ref(big.data)
+    del big
+    assert alive() is None  # only the caller held it once backward was done
+
+
+def test_leaf_gradients_are_exact_and_independent():
+    rng = np.random.default_rng(6)
+    a = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    m = ad.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    w = rng.normal(size=(3, 2))
+    with ad.Tape() as tape:
+        loss = ad.tsum(ad.mul(ad.matmul(ad.add(a, b), m), w))
+        tape.backward(loss)
+    assert np.allclose(a.grad, w @ m.data.T, rtol=1e-15, atol=1e-15)
+    assert np.array_equal(a.grad, b.grad)
+    assert np.allclose(m.grad, (a.data + b.data).T @ w, rtol=1e-15, atol=1e-15)
+    # add hands both operands the same upstream array; each leaf must own its copy
+    a.grad[0, 0] += 1.0
+    assert not np.array_equal(a.grad, b.grad)
+
+
+def test_sigmoid_and_silu_exact_and_quiet_on_wide_range():
+    x = np.linspace(-1000.0, 1000.0, 200001)
+    with np.errstate(all="raise"):
+        a = ad.Tensor(x, requires_grad=True)
+        with ad.Tape() as tape:
+            s = ad.sigmoid(a)
+            y = ad.silu(a)
+            tape.backward(ad.add(ad.tsum(s), ad.tsum(y)))
+    # the two-branch formula in extended precision
+    xl = x.astype(np.longdouble)
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(xl))
+    exact = np.where(xl >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    assert np.max(np.abs(s.data - exact)) <= 1e-15
+    assert np.max(np.abs(y.data - xl * exact) / np.maximum(1.0, np.abs(xl))) <= 1e-15
+    tiny = np.finfo(np.float64).tiny
+    for out in (s.data, y.data, a.grad):
+        assert np.all(np.isfinite(out))
+        assert not np.any((out != 0.0) & (np.abs(out) < tiny))
 
 
 def test_mlp_gradients_match_finite_differences():
