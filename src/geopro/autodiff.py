@@ -4,7 +4,9 @@ Operations record themselves on the active ``Tape`` whenever any operand
 requires gradients; ``Tape.backward`` then walks the recording in reverse
 and accumulates ``.grad`` on every leaf tensor, one that no op produced.
 The op set is deliberately small and every gradient rule lives next to
-its forward formula so it can be audited line by line.
+its forward formula so it can be audited line by line.  ``record_op`` is
+the one hook through which ops reach the tape, so a module can add a
+fused op with its own hand-written backward.
 """
 
 from __future__ import annotations
@@ -195,7 +197,16 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(out_data: np.ndarray, inputs: tuple, backward_fn: Callable, opname: str) -> Tensor:
+def record_op(out_data: np.ndarray, inputs: tuple, backward_fn: Callable, opname: str) -> Tensor:
+    """Wrap an op's output as a Tensor and record the op on the active tape.
+
+    Every op in this module, and any fused op written elsewhere, goes
+    through here.  ``backward_fn(g)`` receives d(loss)/d(output) and
+    returns one gradient per entry of ``inputs``, in order, each shaped
+    like that input or None where it has none.  The op is recorded only
+    when a tape is active and some input requires gradients; the output
+    is checked for non-finite values when debug checks are on.
+    """
     out = Tensor(_check_finite(out_data, opname))
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
@@ -234,7 +245,7 @@ def add(a, b) -> Tensor:
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _make(a.data + b.data, (a, b), bwd, "add")
+    return record_op(a.data + b.data, (a, b), bwd, "add")
 
 
 def sub(a, b) -> Tensor:
@@ -244,7 +255,7 @@ def sub(a, b) -> Tensor:
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return _make(a.data - b.data, (a, b), bwd, "sub")
+    return record_op(a.data - b.data, (a, b), bwd, "sub")
 
 
 def mul(a, b) -> Tensor:
@@ -254,7 +265,7 @@ def mul(a, b) -> Tensor:
     def bwd(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return _make(a.data * b.data, (a, b), bwd, "mul")
+    return record_op(a.data * b.data, (a, b), bwd, "mul")
 
 
 def div(a, b) -> Tensor:
@@ -266,7 +277,7 @@ def div(a, b) -> Tensor:
         gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
         return ga, gb
 
-    return _make(a.data / b.data, (a, b), bwd, "div")
+    return record_op(a.data / b.data, (a, b), bwd, "div")
 
 
 def neg(a) -> Tensor:
@@ -275,7 +286,7 @@ def neg(a) -> Tensor:
     def bwd(g):
         return (-g,)
 
-    return _make(-a.data, (a,), bwd, "neg")
+    return record_op(-a.data, (a,), bwd, "neg")
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +308,7 @@ def matmul(a, b) -> Tensor:
         gb = np.swapaxes(a.data, -1, -2) @ g
         return ga, gb
 
-    return _make(a.data @ b.data, (a, b), bwd, "matmul")
+    return record_op(a.data @ b.data, (a, b), bwd, "matmul")
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +323,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd, "sum")
+    return record_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd, "sum")
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -324,7 +335,7 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy() / count,)
 
-    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd, "mean")
+    return record_op(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd, "mean")
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -337,7 +348,7 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     def bwd(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _make(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), bwd, "concat")
+    return record_op(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), bwd, "concat")
 
 
 def reshape(a, shape) -> Tensor:
@@ -346,7 +357,7 @@ def reshape(a, shape) -> Tensor:
     def bwd(g):
         return (g.reshape(a.shape),)
 
-    return _make(a.data.reshape(shape), (a,), bwd, "reshape")
+    return record_op(a.data.reshape(shape), (a,), bwd, "reshape")
 
 
 def transpose(a, axes) -> Tensor:
@@ -356,7 +367,7 @@ def transpose(a, axes) -> Tensor:
     def bwd(g):
         return (g.transpose(inverse),)
 
-    return _make(a.data.transpose(axes), (a,), bwd, "transpose")
+    return record_op(a.data.transpose(axes), (a,), bwd, "transpose")
 
 
 def gather_rows(a, indices) -> Tensor:
@@ -373,7 +384,7 @@ def gather_rows(a, indices) -> Tensor:
         np.add.at(ga, idx, g)
         return (ga,)
 
-    return _make(a.data[idx], (a,), bwd, "gather_rows")
+    return record_op(a.data[idx], (a,), bwd, "gather_rows")
 
 
 def index_add_rows(src, indices, num_rows: int) -> Tensor:
@@ -390,17 +401,18 @@ def index_add_rows(src, indices, num_rows: int) -> Tensor:
     def bwd(g):
         return (g[idx],)
 
-    return _make(out_data, (src,), bwd, "index_add_rows")
+    return record_op(out_data, (src,), bwd, "index_add_rows")
 
 
 # ---------------------------------------------------------------------------
 # nonlinearities
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
     """Logistic function as 0.5 * (1 + tanh(x / 2)): one branch-free pass
-    that neither overflows nor yields subnormals for any finite input."""
-    y = np.tanh(0.5 * x)
+    that neither overflows nor yields subnormals for any finite input.
+    Written into ``out`` when given."""
+    y = np.tanh(np.multiply(x, 0.5, out=out), out=out)
     y += 1.0
     y *= 0.5
     return y
@@ -413,7 +425,7 @@ def sigmoid(a) -> Tensor:
     def bwd(g):
         return (g * y * (1.0 - y),)
 
-    return _make(y, (a,), bwd, "sigmoid")
+    return record_op(y, (a,), bwd, "sigmoid")
 
 
 def silu(a) -> Tensor:
@@ -424,7 +436,7 @@ def silu(a) -> Tensor:
     def bwd(g):
         return (g * (s + a.data * s * (1.0 - s)),)
 
-    return _make(a.data * s, (a,), bwd, "silu")
+    return record_op(a.data * s, (a,), bwd, "silu")
 
 
 def exp(a) -> Tensor:
@@ -434,7 +446,7 @@ def exp(a) -> Tensor:
     def bwd(g):
         return (g * y,)
 
-    return _make(y, (a,), bwd, "exp")
+    return record_op(y, (a,), bwd, "exp")
 
 
 def log(a) -> Tensor:
@@ -443,7 +455,7 @@ def log(a) -> Tensor:
     def bwd(g):
         return (g / a.data,)
 
-    return _make(np.log(a.data), (a,), bwd, "log")
+    return record_op(np.log(a.data), (a,), bwd, "log")
 
 
 def sqrt(a) -> Tensor:
@@ -453,7 +465,7 @@ def sqrt(a) -> Tensor:
     def bwd(g):
         return (g / (2.0 * y),)
 
-    return _make(y, (a,), bwd, "sqrt")
+    return record_op(y, (a,), bwd, "sqrt")
 
 
 def square(a) -> Tensor:
@@ -462,7 +474,7 @@ def square(a) -> Tensor:
     def bwd(g):
         return (g * 2.0 * a.data,)
 
-    return _make(a.data * a.data, (a,), bwd, "square")
+    return record_op(a.data * a.data, (a,), bwd, "square")
 
 
 def softmax(a) -> Tensor:
@@ -476,7 +488,7 @@ def softmax(a) -> Tensor:
         dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
-    return _make(y, (a,), bwd, "softmax")
+    return record_op(y, (a,), bwd, "softmax")
 
 
 def log_softmax(a) -> Tensor:
@@ -491,7 +503,7 @@ def log_softmax(a) -> Tensor:
     def bwd(g):
         return (g - sm * g.sum(axis=-1, keepdims=True),)
 
-    return _make(y, (a,), bwd, "log_softmax")
+    return record_op(y, (a,), bwd, "log_softmax")
 
 
 def norm_last(a, keepdims: bool = False) -> Tensor:
@@ -506,7 +518,7 @@ def norm_last(a, keepdims: bool = False) -> Tensor:
         return (g * a.data / safe,)
 
     out = n if keepdims else n.squeeze(-1)
-    return _make(out, (a,), bwd, "norm_last")
+    return record_op(out, (a,), bwd, "norm_last")
 
 
 # ---------------------------------------------------------------------------

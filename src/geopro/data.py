@@ -76,16 +76,25 @@ class ProteinRecord:
         return cls(record_id, encode_sequence(residues), np.asarray(ca_coords))
 
 
+def _pdb_field(field, kind, what, lineno):
+    try:
+        return kind(field)
+    except ValueError:
+        raise DataError("line %d: bad %s field %r" % (lineno, what, field)) from None
+
+
 def parse_pdb_ca(text, chain, record_id=None):
     """Extract the CA trace of one chain from fixed-column PDB content.
 
     Keeps ATOM records named CA with a blank or 'A' alternate-location
     flag, orders residues by (residue number, insertion code), and skips
     residues whose 3-letter name is unknown, warning about the gap each
-    leaves behind.
+    leaves behind.  A kept line whose residue number or coordinates do not
+    parse, or whose coordinates are not finite, raises ``DataError`` with
+    its line number.
     """
     found = {}
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.startswith("ATOM"):
             continue
         if len(line) < 54 or line[12:16].strip() != "CA":
@@ -94,7 +103,7 @@ def parse_pdb_ca(text, chain, record_id=None):
             continue
         if line[16] not in (" ", "A"):
             continue
-        key = (int(line[22:26]), line[26])
+        key = (_pdb_field(line[22:26], int, "residue number", lineno), line[26])
         if key in found:
             continue
         res_name = line[17:20].strip()
@@ -105,7 +114,12 @@ def parse_pdb_ca(text, chain, record_id=None):
                 "a gap in the chain" % (res_name, key[0], key[1].strip(), chain)
             )
             continue
-        coords = (float(line[30:38]), float(line[38:46]), float(line[46:54]))
+        coords = tuple(
+            _pdb_field(line[start:start + 8], float, "coordinate", lineno)
+            for start in (30, 38, 46)
+        )
+        if not all(np.isfinite(coords)):
+            raise DataError("line %d: non-finite coordinate in %r" % (lineno, line[30:54]))
         found[key] = (one, coords)
     if not found:
         raise DataError("no CA atoms found for chain %r" % chain)

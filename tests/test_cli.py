@@ -174,6 +174,20 @@ def test_prepare_respects_allow_list(tmp_path):
     assert sorted(p[0] for p in pairs) == ["syn000", "syn003"]
 
 
+def test_prepare_bad_pdb_field_exits_two(tmp_path, capsys):
+    ds = make_dataset(tmp_path, n=2)
+    path = os.path.join(ds, "syn001.pdb")
+    lines = open(path).read().splitlines()
+    lines[1] = lines[1][:22] + "   X" + lines[1][26:]
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+    allow = tmp_path / "allow.txt"
+    allow.write_text("syn000\nsyn001\n")
+    assert cli.run(["prepare", "--pdb-dir", ds, "--allow-list", str(allow),
+                    "--out", str(tmp_path / "prep"), "--min-len", "2"]) == 2
+    assert "line 2: bad residue number" in capsys.readouterr().err
+
+
 def test_motif_extraction_golden(tmp_path):
     aln = tmp_path / "aln.fasta"
     aln.write_text(">ref\nACD-EF\n>h1\nACDYEF\n>h2\nACW-EF\n")

@@ -94,6 +94,25 @@ def test_parse_empty_chain_is_an_error():
         data.parse_pdb_ca(SINGLE_LINE, "Q")
 
 
+@pytest.mark.parametrize(
+    "columns, value, what",
+    [((22, 26), "   X", "residue number"), ((38, 46), "  12.0ab", "coordinate")],
+)
+def test_parse_bad_field_names_its_line(columns, value, what):
+    good = _ca_line(1, "ALA", "A", 1, 0.0, 0.0, 0.0)
+    bad = _ca_line(2, "GLY", "A", 2, 3.8, 0.0, 0.0)
+    bad = bad[:columns[0]] + value + bad[columns[1]:]
+    with pytest.raises(DataError, match="line 3: bad %s" % what):
+        data.parse_pdb_ca("\n".join([good, "REMARK", bad]), "A")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_non_finite_coordinate_is_an_error(value):
+    line = SINGLE_LINE[:30] + "%8s" % value + SINGLE_LINE[38:]
+    with pytest.raises(DataError, match="line 1: non-finite"):
+        data.parse_pdb_ca(line, "A")
+
+
 def test_pdb_round_trip():
     rng = np.random.default_rng(0)
     coords = _chain_coords(6) + np.round(rng.normal(scale=0.1, size=(6, 3)), 3)

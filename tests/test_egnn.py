@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,15 @@ def _random_state(rng, n, d, attr_width=0, scale=2.0):
     if attr_width:
         attrs = ad.Tensor(rng.normal(size=(n, n, attr_width)))
     return egnn.GraphState(coords, feats, attrs)
+
+
+def test_empty_graph():
+    rng = np.random.default_rng(1)
+    model = egnn.init_egnn(rng, depth=2, feat_width=4, message_width=6)
+    state = _random_state(rng, 0, 4)
+    out = egnn.egnn_forward(state, model)
+    assert out.coords.shape == (0, 3) and out.feats.shape == (0, 4)
+    assert egnn.equivariance_check(model, state, trials=2, rng=rng) == 0.0
 
 
 def test_single_node_has_no_edges():
@@ -160,25 +171,32 @@ def _edge_list_forward(state, params):
     return egnn.GraphState(new_coords, new_feats, state.edge_attrs)
 
 
-def _layer_outputs_and_grads(forward, layer, coords, feats, attrs, probe):
+def _layer_outputs_and_grads(forward, layer, coords, feats, attrs, probe, attrs_grad=False):
     x = ad.Tensor(coords, requires_grad=True)
     h = ad.Tensor(feats, requires_grad=True)
+    e = None if attrs is None else ad.Tensor(attrs, requires_grad=attrs_grad)
     params = [t for _, t in layer.named_tensors("layer")]
     with ad.Tape() as tape:
-        out = forward(egnn.GraphState(x, h, attrs), layer)
+        out = forward(egnn.GraphState(x, h, e), layer)
         loss = ad.add(
             ad.tsum(ad.mul(out.coords, probe[0])), ad.tsum(ad.mul(out.feats, probe[1]))
         )
         tape.backward(loss)
     grads = [x.grad, h.grad] + [p.grad for p in params]
+    if attrs_grad:
+        grads.append(e.grad)
     return out, grads
 
 
+def _max_abs(a):
+    return np.max(np.abs(a), initial=0.0)
+
+
 def _rel_dev(got, want):
-    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), np.finfo(float).tiny)
+    return _max_abs(got - want) / max(_max_abs(want), np.finfo(float).tiny)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
 @pytest.mark.parametrize("seqsep", [False, True])
 def test_dense_layer_matches_edge_list_reference(n, seqsep):
     rng = np.random.default_rng(10 + n)
@@ -195,12 +213,77 @@ def test_dense_layer_matches_edge_list_reference(n, seqsep):
     ref, ref_grads = _layer_outputs_and_grads(
         _edge_list_forward, layer, coords, feats, attrs, probe
     )
-    assert np.max(np.abs(dense.coords.data - ref.coords.data)) < 1e-12
-    assert np.max(np.abs(dense.feats.data - ref.feats.data)) < 1e-12
+    assert dense.coords.shape == (n, 3) and dense.feats.shape == (n, 4)
+    assert _max_abs(dense.coords.data - ref.coords.data) < 1e-12
+    assert _max_abs(dense.feats.data - ref.feats.data) < 1e-12
     assert len(dense_grads) == 2 + 16
     for got, want in zip(dense_grads, ref_grads):
         assert got.shape == want.shape
         assert _rel_dev(got, want) < 1e-10
+
+
+@pytest.mark.parametrize("seqsep", [False, True])
+def test_blocked_layer_matches_edge_list_reference(seqsep):
+    # n=100 at width 32 walks the pair grid in blocks of 40, 40 and 20 rows
+    n, width = 100, 32
+    rows, blocks = egnn._row_blocks(n, width)
+    assert len(blocks) >= 3 and blocks[-1][1] - blocks[-1][0] < rows
+    rng = np.random.default_rng(20)
+    attrs = egnn.sequence_separation_attrs(n) if seqsep else None
+    attr_width = 0 if attrs is None else attrs.shape[2]
+    layer = egnn.init_egcl(rng, feat_width=width, message_width=width, attr_width=attr_width)
+    coords = rng.normal(scale=4.0, size=(n, 3))
+    feats = rng.normal(size=(n, width))
+    probe = (rng.normal(size=(n, 3)), rng.normal(size=(n, width)))
+
+    results = [
+        _layer_outputs_and_grads(forward, layer, coords, feats, attrs, probe, seqsep)
+        for forward in (egnn.egcl_forward, _edge_list_forward)
+    ]
+    (dense, dense_grads), (ref, ref_grads) = results
+    assert np.max(np.abs(dense.coords.data - ref.coords.data)) < 1e-12
+    assert np.max(np.abs(dense.feats.data - ref.feats.data)) < 1e-12
+    assert len(dense_grads) == 2 + 16 + int(seqsep)
+    for got, want in zip(dense_grads, ref_grads):
+        assert got.shape == want.shape
+        assert _rel_dev(got, want) < 1e-10
+
+
+def test_layer_outputs_identical_with_and_without_tape():
+    rng = np.random.default_rng(21)
+    n = 60
+    layer = egnn.init_egcl(rng, feat_width=32, message_width=32, attr_width=7)
+    coords = rng.normal(scale=3.0, size=(n, 3))
+    feats = rng.normal(size=(n, 32))
+    attrs = egnn.sequence_separation_attrs(n)
+    plain = egnn.egcl_forward(egnn.GraphState(coords, feats, attrs), layer)
+    with ad.Tape() as tape:
+        state = egnn.GraphState(
+            ad.Tensor(coords, requires_grad=True), ad.Tensor(feats, requires_grad=True),
+            ad.Tensor(attrs, requires_grad=True),
+        )
+        taped = egnn.egcl_forward(state, layer)
+    assert len(tape) > 0
+    assert np.array_equal(plain.coords.data, taped.coords.data)
+    assert np.array_equal(plain.feats.data, taped.feats.data)
+
+
+def test_layer_memory_stays_below_a_few_pair_arrays():
+    # The fused pair kernels keep nothing of size N^2 between forward and
+    # backward; one (N, N, H) float64 array is the unit of the bound.
+    n, width = 200, 32
+    rng = np.random.default_rng(22)
+    layer = egnn.init_egcl(rng, feat_width=width, message_width=width)
+    coords = rng.normal(scale=5.0, size=(n, 3))
+    feats = rng.normal(size=(n, width))
+    probe = (rng.normal(size=(n, 3)), rng.normal(size=(n, width)))
+    tracemalloc.start()
+    try:
+        _layer_outputs_and_grads(egnn.egcl_forward, layer, coords, feats, None, probe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * n * width * 8
 
 
 def test_layer_gradients_finite_at_zero_diagonal_distance():
@@ -269,6 +352,32 @@ def test_width_contracts():
         )
     with pytest.raises(ContractError):
         egnn.EgnnModel(layers=[layer], feat_width=5)
+
+
+def _layer_with(rng, message_activation, coord_activation):
+    return egnn.EgclParams(
+        message_mlp=egnn.init_mlp(rng, 9, 6, 6, message_activation),
+        attention_mlp=egnn.init_mlp(rng, 6, 6, 1, "sigmoid"),
+        feature_mlp=egnn.init_mlp(rng, 10, 6, 4),
+        coord_mlp=egnn.init_mlp(rng, 9, 6, 1, coord_activation),
+        feat_width=4,
+        message_width=6,
+    )
+
+
+def test_message_output_activation_must_be_silu():
+    rng = np.random.default_rng(23)
+    _layer_with(rng, "silu", "none")
+    for activation in ("none", "sigmoid"):
+        with pytest.raises(ContractError, match="message output activation"):
+            _layer_with(rng, activation, "none")
+
+
+def test_coordinate_output_activation_must_be_none():
+    rng = np.random.default_rng(24)
+    for activation in ("silu", "sigmoid"):
+        with pytest.raises(ContractError, match="coordinate output activation"):
+            _layer_with(rng, "silu", activation)
 
 
 def test_sequence_separation_buckets():
