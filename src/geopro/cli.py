@@ -16,15 +16,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import autodiff as ad
 from . import bound as bd
+from . import checks as ck
 from . import data as dt
-from . import egnn as eg
 from . import metrics as mx
 from . import pipeline as pl
 from . import seqmodel as sm
 from .errors import ConfigError, DataError, GeoproError
-from .geometry import apply_rigid, random_rigid
 
 log = logging.getLogger(__name__)
 
@@ -101,7 +99,11 @@ def parse_positions_file(text):
 
 
 def write_dataset(out_dir, examples, splits=None):
-    """Write (record, motif) pairs as PDB + FASTA + motif table files."""
+    """Write (record, motif) pairs as PDB + FASTA + motif table files.
+
+    A motif may be None; ``motifs.csv`` is written only when some
+    example has one.
+    """
     os.makedirs(out_dir, exist_ok=True)
     fasta = []
     motif_rows = ["id,positions"]
@@ -110,11 +112,15 @@ def write_dataset(out_dir, examples, splits=None):
             os.path.join(out_dir, "%s.pdb" % record.record_id), dt.emit_pdb_ca(record)
         )
         fasta.append(">%s\n%s" % (record.record_id, record.residue_string))
-        motif_rows.append(
-            "%s,%s" % (record.record_id, _format_positions(motif.positions))
-        )
+        if motif is not None:
+            motif_rows.append(
+                "%s,%s" % (record.record_id, _format_positions(motif.positions))
+            )
     _write_text_atomic(os.path.join(out_dir, "sequences.fasta"), "\n".join(fasta) + "\n")
-    _write_text_atomic(os.path.join(out_dir, "motifs.csv"), "\n".join(motif_rows) + "\n")
+    if len(motif_rows) > 1:
+        _write_text_atomic(
+            os.path.join(out_dir, "motifs.csv"), "\n".join(motif_rows) + "\n"
+        )
     if splits is not None:
         train, valid, test = splits
         _write_text_atomic(
@@ -231,24 +237,12 @@ def _cmd_prepare(args):
         text = _read_text(os.path.join(args.pdb_dir, "%s.pdb" % rec_id))
         records.append(dt.parse_pdb_ca(text, chain=args.chain, record_id=rec_id))
     train, valid, test = dt.filter_and_split(records, args.min_len, seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    fasta = []
-    for record in train + valid + test:
-        _write_text_atomic(
-            os.path.join(args.out, "%s.pdb" % record.record_id),
-            dt.emit_pdb_ca(record),
-        )
-        fasta.append(">%s\n%s" % (record.record_id, record.residue_string))
-    _write_text_atomic(
-        os.path.join(args.out, "sequences.fasta"), "\n".join(fasta) + "\n"
-    )
-    _write_text_atomic(
-        os.path.join(args.out, "splits.csv"),
-        dt.format_split_manifest(train, valid, test),
-    )
+    kept = train + valid + test
+    write_dataset(args.out, [(record, None) for record in kept],
+                  splits=(train, valid, test))
     print(
         "prepared %d records (%d train / %d valid / %d test) into %s"
-        % (len(fasta), len(train), len(valid), len(test), args.out)
+        % (len(kept), len(train), len(valid), len(test), args.out)
     )
     return EXIT_OK
 
@@ -349,15 +343,9 @@ def _cmd_eval(args):
             _read_text(os.path.join(args.candidates, "%s.pdb" % cand_id)),
             chain="A", record_id=cand_id,
         ).ca_coords
-        candidates.append((cand_id, pl.DesignCandidate(
-            sequence=sm.encode_sequence(letters),
-            coords=coords,
-            token_probs=np.ones(len(letters)),
-            seed=0,
-            model_version="file",
-        )))
-    targets = {cid: record for cid, _ in candidates}
-    motifs = {cid: motif for cid, _ in candidates}
+        candidates.append((cand_id, sm.encode_sequence(letters), coords))
+    targets = {cid: record for cid, _, _ in candidates}
+    motifs = {cid: motif for cid, _, _ in candidates}
     plddt_text = _read_text(args.plddt) if args.plddt else None
     report = mx.evaluate_candidates(candidates, targets, motifs, plddt_text)
     _write_text_atomic(args.out, mx.report_csv(report))
@@ -384,20 +372,12 @@ def _cmd_export_emb(args):
 
 def _cmd_bound_demo(args):
     rng = np.random.default_rng(args.seed)
-    holds = 0
-    violations = 0
-    worst_slack = math.inf
-    for _ in range(args.instances):
-        inst = bd.random_instance(rng)
-        objective, upper, ok, slack = bd.verify_bound(
-            inst, appendix_sign=args.appendix_sign
-        )
-        holds += int(ok)
-        violations += int(not ok)
-        worst_slack = min(worst_slack, slack)
+    excess, violations = ck.bound_excess(
+        rng, args.instances, appendix_sign=args.appendix_sign
+    )
     mode = "appendix sign" if args.appendix_sign else "statement sign"
     print("%s: inequality holds on %d/%d instances (min slack %.3e)"
-          % (mode, holds, args.instances, worst_slack))
+          % (mode, args.instances - violations, args.instances, -excess))
     if args.appendix_sign:
         print("violations: %d/%d" % (violations, args.instances))
     inst = bd.two_cluster_coincident_instance()
@@ -408,120 +388,32 @@ def _cmd_bound_demo(args):
 
 
 # ---------------------------------------------------------------------------
-# property суite
-
-
-def _suite_equivariance(rng):
-    worst = 0.0
-    for _ in range(10):
-        n = int(rng.integers(2, 12))
-        width = int(rng.choice([4, 8]))
-        model = eg.init_egnn(rng, depth=int(rng.integers(1, 3)), feat_width=width)
-        state = eg.GraphState(
-            ad.Tensor(rng.normal(scale=4.0, size=(n, 3))),
-            ad.Tensor(rng.normal(size=(n, width))),
-        )
-        worst = max(worst, eg.equivariance_check(model, state, trials=2, rng=rng))
-    return worst < 1e-8, "max deviation %.3e" % worst
-
-
-def _suite_invariance(rng):
-    worst = 0.0
-    for trial in range(10):
-        examples = pl.generate_synthetic_dataset(1, int(rng.integers(6, 12)),
-                                                 0.34, seed=int(rng.integers(1 << 30)))
-        record, motif = examples[0]
-        config = pl.TrainingConfig(
-            width=8, egnn_depth=1, enc_depth=1, dec_depth=1, n_heads=2,
-            seed=trial, max_len=64,
-        )
-        model = pl.build_model(config)
-        tokens = sm.corrupt_sequence(record.sequence, motif.position_set())
-        start = pl.init_backbone_coords(motif, record.length, config.radius, rng)
-        transform = random_rigid(rng, reflect=bool(trial % 2))
-        c1, _, lg1 = pl.forward_with_coords(tokens, start, motif.position_set(), model)
-        c2, _, lg2 = pl.forward_with_coords(
-            tokens, apply_rigid(transform, start), motif.position_set(), model
-        )
-        l1 = pl.backbone_loss(c1, record.ca_coords, motif).item()
-        l2 = pl.backbone_loss(
-            c2, apply_rigid(transform, record.ca_coords), motif
-        ).item()
-        worst = max(worst, float(np.abs(lg1.data - lg2.data).max()), abs(l1 - l2))
-    return worst < 1e-8, "max deviation %.3e" % worst
-
-
-def _suite_gradient(rng):
-    examples = pl.generate_synthetic_dataset(1, 5, 0.4, seed=int(rng.integers(1 << 30)))
-    record, motif = examples[0]
-    config = pl.TrainingConfig(
-        width=4, egnn_depth=1, enc_depth=1, dec_depth=1, n_heads=2,
-        seed=int(rng.integers(1 << 30)), max_len=8,
-    )
-    model = pl.build_model(config)
-    params = [t for _, t in model.named_parameters()]
-
-    def build_loss():
-        _, _, total = pl.example_losses(
-            record, motif, model, np.random.default_rng(123)
-        )
-        return total
-
-    with ad.Tape() as tape:
-        loss = build_loss()
-        tape.backward(loss)
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-                for p in params]
-
-    worst = 0.0
-    h = 1e-5
-    for param, grad in zip(params, analytic):
-        flat = param.data.reshape(-1)
-        numeric = np.zeros(flat.size)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = build_loss().item()
-            flat[i] = orig - h
-            fm = build_loss().item()
-            flat[i] = orig
-            numeric[i] = (fp - fm) / (2.0 * h)
-        scale = max(np.abs(grad).max(initial=0.0), np.abs(numeric).max(initial=0.0),
-                    1e-8)
-        worst = max(worst, float(np.abs(grad.reshape(-1) - numeric).max() / scale))
-    return worst < 1e-3, "worst relative error %.3e" % worst
-
-
-def _suite_theorem(rng):
-    worst_slack = math.inf
-    for _ in range(200):
-        inst = bd.random_instance(rng)
-        _, _, ok, slack = bd.verify_bound(inst)
-        if not ok:
-            return False, "inequality violated (slack %.3e)" % slack
-        worst_slack = min(worst_slack, slack)
-    inst = bd.two_cluster_coincident_instance()
-    objective = bd.denoising_objective(inst)
-    upper = bd.upper_bound(inst)
-    if abs(objective - (-0.82002)) > 1e-4 or abs(upper - (-0.75661)) > 1e-4:
-        return False, "worked case off: %.5f / %.5f" % (objective, upper)
-    return True, "200 instances hold (min slack %.3e)" % worst_slack
+# property checks
 
 
 def _cmd_check(args):
+    """The acceptance criteria's property checks with fewer trials."""
     rng = np.random.default_rng(args.seed)
-    suites = (
-        ("equivariance", _suite_equivariance),
-        ("gradient", _suite_gradient),
-        ("invariance", _suite_invariance),
-        ("theorem", _suite_theorem),
+    equivariance = ck.equivariance(rng, 10)
+    gradient = ck.pipeline_gradient(
+        int(rng.integers(1 << 30)), int(rng.integers(1 << 30)), 123
     )
-    failed = False
-    for name, suite in suites:
-        ok, detail = suite(rng)
+    invariance = ck.invariance(rng, 10)
+    excess, violations = ck.bound_excess(rng, 200)
+    objective, upper = ck.worked_case()
+    worked_off = max(abs(objective - ck.PAPER_WORKED_CASE[0]),
+                     abs(upper - ck.PAPER_WORKED_CASE[1]))
+    results = (
+        ("equivariance", equivariance < 1e-8, "max deviation %.3e" % equivariance),
+        ("gradient", gradient < 1e-3, "worst relative error %.3e" % gradient),
+        ("invariance", invariance < 1e-8, "max deviation %.3e" % invariance),
+        ("theorem", violations == 0 and worked_off <= 1e-4,
+         "%d/200 violations (worst objective-bound %.3e), worked case %.5f/%.5f"
+         % (violations, excess, objective, upper)),
+    )
+    for name, ok, detail in results:
         print("%s %s (%s)" % ("PASS" if ok else "FAIL", name, detail))
-        failed = failed or not ok
-    return EXIT_SUITE if failed else EXIT_OK
+    return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_SUITE
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +423,6 @@ def _cmd_check(args):
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed; all randomness derives from it")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap (execution is currently single-threaded)")
 
 
 def _add_config_flags(parser):
@@ -616,7 +506,7 @@ def build_parser():
     _add_common(p)
     p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("check", help="run the property suites")
+    p = sub.add_parser("check", help="run the property checks")
     _add_common(p)
     p.set_defaults(handler=_cmd_check)
 
@@ -664,9 +554,6 @@ def run(argv):
         return EXIT_USAGE
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads is not None and args.threads < 1:
-        print("--threads must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.handler(args)
     except GeoproError as exc:

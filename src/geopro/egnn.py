@@ -500,8 +500,10 @@ def _coord_step(state, coord_mlp):
             d_diff = weight[:, :, None] * g_rows[:, None, :]
             denom = dist + 1.0
             d_coef = d_weight / denom
-            # weight = coef / (sqrt(d²) + 1), differentiated in d²
-            d_sq_dist = -d_coef * coef / (denom * 2.0 * dist)
+            # weight = coef / (sqrt(d²) + 1), differentiated in d²; where two
+            # distinct nodes share a point, d² = 0 and d_coef = 0: the term is 0
+            d_sq_dist = -d_coef * coef
+            np.divide(d_sq_dist, denom * 2.0 * dist, out=d_sq_dist, where=dist > 0.0)
             d_coef = d_coef.reshape(-1, 1)
             g_w2 += v1.T @ d_coef
             g_b2 += d_coef.sum(axis=0)

@@ -120,7 +120,7 @@ def parse_plddt_csv(text):
 
 
 def evaluate_candidates(candidates, targets, motifs, plddt_text=None):
-    """Score (id, candidate) pairs against their targets.
+    """Score (id, sequence, coords) candidates against their targets.
 
     ``targets`` and ``motifs`` map candidate ids to the reference record
     and the conditioning motif.  A confidence CSV, when given, joins by
@@ -128,7 +128,7 @@ def evaluate_candidates(candidates, targets, motifs, plddt_text=None):
     """
     plddt = parse_plddt_csv(plddt_text) if plddt_text is not None else {}
     rows = []
-    for cand_id, candidate in candidates:
+    for cand_id, sequence, coords in candidates:
         if cand_id not in targets:
             raise DataError("no target for candidate id %r" % cand_id)
         if cand_id not in motifs:
@@ -136,20 +136,20 @@ def evaluate_candidates(candidates, targets, motifs, plddt_text=None):
         record = targets[cand_id]
         motif = motifs[cand_id]
         length = record.length
-        if candidate.sequence.shape[0] != length:
+        if sequence.shape[0] != length:
             raise DataError(
                 "candidate %r length %d does not match target length %d"
-                % (cand_id, candidate.sequence.shape[0], length)
+                % (cand_id, sequence.shape[0], length)
             )
         flexible = np.setdiff1d(np.arange(length), motif.positions)
         rows.append(
             EvalRow(
                 row_id=cand_id,
-                aar_all=aar(candidate.sequence, record.sequence, range(length)),
-                aar_nonmotif=aar(candidate.sequence, record.sequence, flexible),
-                rmsd_superposed=superposed_rmsd(candidate.coords, record.ca_coords),
-                rmsd_anchored=coordinate_rmsd(candidate.coords, record.ca_coords),
-                tm=tm_score(candidate.coords, record.ca_coords, length),
+                aar_all=aar(sequence, record.sequence, range(length)),
+                aar_nonmotif=aar(sequence, record.sequence, flexible),
+                rmsd_superposed=superposed_rmsd(coords, record.ca_coords),
+                rmsd_anchored=coordinate_rmsd(coords, record.ca_coords),
+                tm=tm_score(coords, record.ca_coords, length),
                 plddt=plddt.get(cand_id),
             )
         )
@@ -201,45 +201,33 @@ def _fmt(value):
     return "%.10g" % value
 
 
-def report_csv(report):
-    """One CSV row per candidate, then mean and median summary rows."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("id",) + METRIC_COLUMNS)
+def _report_rows(report):
+    """Header, then one row per candidate, then mean and median rows."""
+    rows = [("id",) + METRIC_COLUMNS]
     for row in report.rows:
-        writer.writerow([row.row_id] + [_fmt(row.values()[c]) for c in METRIC_COLUMNS])
+        rows.append([row.row_id] + [_fmt(row.values()[c]) for c in METRIC_COLUMNS])
     summary = report.summary()
     for stat, pick in (("mean", 0), ("median", 1)):
-        writer.writerow(
+        rows.append(
             [stat]
             + [_fmt(summary[c][pick]) if c in summary else "" for c in METRIC_COLUMNS]
         )
+    return rows
+
+
+def report_csv(report):
+    """One CSV row per candidate, then mean and median summary rows."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(_report_rows(report))
     return out.getvalue()
 
 
 def report_text(report):
     """Fixed-width table for terminals."""
-    header = ("id",) + METRIC_COLUMNS
-    lines = []
-    body = [
-        [row.row_id] + [_fmt(row.values()[c]) for c in METRIC_COLUMNS]
-        for row in report.rows
-    ]
-    summary = report.summary()
-    for stat, pick in (("mean", 0), ("median", 1)):
-        body.append(
-            [stat]
-            + [_fmt(summary[c][pick]) if c in summary else "" for c in METRIC_COLUMNS]
-        )
-    widths = [
-        max(len(header[i]), max((len(r[i]) for r in body), default=0))
-        for i in range(len(header))
-    ]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for r in body:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
-    return "\n".join(lines) + "\n"
+    rows = _report_rows(report)
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    rows.insert(1, ["-" * w for w in widths])
+    return "".join("  ".join(v.ljust(w) for v, w in zip(r, widths)) + "\n" for r in rows)
 
 
 def export_embeddings(named_features):

@@ -10,15 +10,12 @@ import time
 
 import numpy as np
 
-from geopro import autodiff as ad
-from geopro import bound as bd
+from geopro import checks as ck
 from geopro import data as dt
-from geopro import egnn as eg
 from geopro import geometry as geo
 from geopro import pipeline as pl
 from geopro import seqmodel as sm
 
-from gradcheck import check_grads
 from oracles_geometry import grid_min_rmsd
 from test_autodiff import _op_cases
 
@@ -32,24 +29,7 @@ def _finish(capsys, number, name, ok, detail):
 
 def test_criterion_01_equivariance(capsys):
     start = time.monotonic()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for trial in range(100):
-        n = int(rng.integers(2, 21))
-        width = int(rng.choice([4, 8, 16, 32]))
-        depth = int(rng.integers(1, 4))
-        attr_width = 2 if trial % 5 == 0 else 0
-        model = eg.init_egnn(rng, depth=depth, feat_width=width,
-                             attr_width=attr_width)
-        edge = None
-        if attr_width:
-            edge = ad.Tensor(rng.normal(size=(n, n, attr_width)))
-        state = eg.GraphState(
-            ad.Tensor(rng.normal(scale=5.0, size=(n, 3))),
-            ad.Tensor(rng.normal(size=(n, width))),
-            edge,
-        )
-        worst = max(worst, eg.equivariance_check(model, state, trials=1, rng=rng))
+    worst = ck.equivariance(np.random.default_rng(101), 100)
     elapsed = time.monotonic() - start
     ok = worst < 1e-8 and elapsed < 30.0
     _finish(capsys, 1, "egnn equivariance under rigid motions and reflections", ok,
@@ -58,39 +38,7 @@ def test_criterion_01_equivariance(capsys):
 
 def test_criterion_02_end_to_end_invariance(capsys):
     start = time.monotonic()
-    rng = np.random.default_rng(202)
-    worst = 0.0
-    for trial in range(50):
-        length = int(rng.integers(6, 16))
-        examples = pl.generate_synthetic_dataset(
-            1, length, 0.34, seed=int(rng.integers(1 << 31))
-        )
-        record, motif = examples[0]
-        config = pl.TrainingConfig(
-            width=int(rng.choice([8, 16])),
-            egnn_depth=int(rng.integers(1, 3)),
-            enc_depth=1, dec_depth=1, n_heads=2, seed=trial, max_len=64,
-        )
-        model = pl.build_model(config)
-        tokens = sm.corrupt_sequence(record.sequence, motif.position_set())
-        x0 = pl.init_backbone_coords(motif, record.length, config.radius, rng)
-        transform = geo.random_rigid(rng, reflect=bool(trial % 2))
-        c1, _, lg1 = pl.forward_with_coords(
-            tokens, x0, motif.position_set(), model)
-        c2, _, lg2 = pl.forward_with_coords(
-            tokens, geo.apply_rigid(transform, x0), motif.position_set(), model)
-        target = record.ca_coords
-        mpos = motif.position_set()
-        t1 = pl.total_loss(
-            pl.backbone_loss(c1, target, motif),
-            sm.sequence_loss(lg1, record.sequence, mpos),
-            config.alpha, config.beta).item()
-        t2 = pl.total_loss(
-            pl.backbone_loss(c2, geo.apply_rigid(transform, target), motif),
-            sm.sequence_loss(lg2, record.sequence, mpos),
-            config.alpha, config.beta).item()
-        worst = max(worst, abs(t1 - t2),
-                    float(np.abs(lg1.data - lg2.data).max()))
+    worst = ck.invariance(np.random.default_rng(202), 50)
     elapsed = time.monotonic() - start
     ok = worst < 1e-8 and elapsed < 60.0
     _finish(capsys, 2, "loss and logits invariant to rigid moves of motif and target",
@@ -102,22 +50,10 @@ def test_criterion_03_gradients(capsys):
     rng = np.random.default_rng(303)
     worst_op, worst_name = 0.0, "-"
     for name, (params, build) in _op_cases(rng).items():
-        err = check_grads(build, params)
+        err = ck.check_grads(build, params)
         if err > worst_op:
             worst_op, worst_name = err, name
-    examples = pl.generate_synthetic_dataset(1, 6, 0.34, seed=404)
-    record, motif = examples[0]
-    config = pl.TrainingConfig(width=4, egnn_depth=1, enc_depth=1,
-                               dec_depth=1, n_heads=2, seed=5, max_len=8)
-    model = pl.build_model(config)
-    params = [t for _, t in model.named_parameters()]
-
-    def build_loss():
-        _, _, total = pl.example_losses(
-            record, motif, model, np.random.default_rng(99))
-        return total
-
-    pipeline_err = check_grads(build_loss, params)
+    pipeline_err = ck.pipeline_gradient(404, 5, 99)
     elapsed = time.monotonic() - start
     ok = worst_op < 1e-4 and pipeline_err < 1e-3 and elapsed < 120.0
     _finish(capsys, 3, "analytic gradients match finite differences", ok,
@@ -180,23 +116,12 @@ def test_criterion_05_initialization_geometry(capsys):
 
 def test_criterion_06_clustering_bound(capsys):
     start = time.monotonic()
-    rng = np.random.default_rng(606)
-    worst_excess = -math.inf
-    for _ in range(1000):
-        inst = bd.random_instance(rng)
-        objective, upper, _, _ = bd.verify_bound(inst)
-        worst_excess = max(worst_excess, objective - upper)
-    inst = bd.two_cluster_coincident_instance()
-    objective = bd.denoising_objective(inst)
-    upper = bd.upper_bound(inst)
-    worked_ok = (abs(objective - (-0.82002)) <= 1e-4
-                 and abs(upper - (-0.75661)) <= 1e-4)
-    flip_rng = np.random.default_rng(606)
-    violations = 0
-    for _ in range(1000):
-        inst = bd.random_instance(flip_rng)
-        _, _, holds, _ = bd.verify_bound(inst, appendix_sign=True)
-        violations += int(not holds)
+    worst_excess, _ = ck.bound_excess(np.random.default_rng(606), 1000)
+    objective, upper = ck.worked_case()
+    worked_ok = (abs(objective - ck.PAPER_WORKED_CASE[0]) <= 1e-4
+                 and abs(upper - ck.PAPER_WORKED_CASE[1]) <= 1e-4)
+    _, violations = ck.bound_excess(np.random.default_rng(606), 1000,
+                                    appendix_sign=True)
     elapsed = time.monotonic() - start
     ok = (worst_excess <= 1e-9 and worked_ok and violations > 0
           and elapsed < 30.0)

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from geopro import autodiff as ad
+from geopro.checks import check_grads
 from geopro.errors import ConfigError, ContractError, DimensionError, NumericError, StateError
-
-from gradcheck import check_grads, rel_err
 
 
 def test_matmul_identity():

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from geopro import checks
 from geopro import cli
 from geopro import data as dt
 from geopro import metrics as mx
@@ -77,11 +78,6 @@ def test_design_without_checkpoint_is_usage_error(capsys):
 def test_bad_flag_value_is_usage_error():
     assert cli.run(["synth", "--n", "three", "--length", "10",
                     "--motif-frac", "0.3", "--out", "x"]) == 1
-
-
-def test_threads_must_be_positive(capsys):
-    assert cli.run(["bound-demo", "--instances", "1", "--threads", "0"]) == 1
-    assert "--threads" in capsys.readouterr().err
 
 
 def test_missing_input_file_is_data_error(tmp_path, capsys):
@@ -172,6 +168,8 @@ def test_prepare_respects_allow_list(tmp_path):
     assert sorted(manifest) == ["syn000", "syn003"]
     pairs = dt.parse_fasta(open(os.path.join(out, "sequences.fasta")).read())
     assert sorted(p[0] for p in pairs) == ["syn000", "syn003"]
+    assert sorted(os.listdir(out)) == [
+        "sequences.fasta", "splits.csv", "syn000.pdb", "syn003.pdb"]
 
 
 def test_prepare_bad_pdb_field_exits_two(tmp_path, capsys):
@@ -371,3 +369,11 @@ def test_check_suite_passes(capsys):
     assert "FAIL" not in out
     for name in ("equivariance", "gradient", "invariance", "theorem"):
         assert name in out
+
+
+def test_check_failure_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "pipeline_gradient", lambda *seeds: 1e-2)
+    assert cli.run(["check", "--seed", "4"]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL gradient" in out
+    assert out.count("PASS") == 3

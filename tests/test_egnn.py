@@ -5,10 +5,9 @@ import pytest
 
 from geopro import autodiff as ad
 from geopro import egnn
+from geopro.checks import check_grads
 from geopro.errors import ContractError
 from geopro.geometry import apply_rigid, random_rigid
-
-from gradcheck import check_grads
 
 
 def _random_state(rng, n, d, attr_width=0, scale=2.0):
@@ -298,6 +297,32 @@ def test_layer_gradients_finite_at_zero_diagonal_distance():
             egnn.sequence_separation_attrs(5), probe,
         )
     assert all(np.all(np.isfinite(g)) for g in grads)
+
+
+def test_layer_gradients_finite_for_coincident_nodes():
+    # Two distinct nodes at one point have d² = 0 off the diagonal too.
+    rng = np.random.default_rng(13)
+    layer = egnn.init_egcl(rng, feat_width=8, message_width=8)
+    coords = rng.normal(size=(4, 3))
+    coords[1] = coords[0]
+    feats = rng.normal(size=(4, 8))
+    probe = (rng.normal(size=(4, 3)), rng.normal(size=(4, 8)))
+    with np.errstate(divide="raise", invalid="raise"):
+        _, grads = _layer_outputs_and_grads(
+            egnn.egcl_forward, layer, coords, feats, None, probe
+        )
+    assert all(np.all(np.isfinite(g)) for g in grads)
+
+    nearby = coords.copy()
+    nearby[1] += [0.05, -0.03, 0.02]
+    x = ad.Tensor(nearby, requires_grad=True)
+
+    def build_loss():
+        out = egnn.egcl_forward(egnn.GraphState(x, ad.Tensor(feats)), layer)
+        return ad.add(ad.tsum(ad.mul(out.coords, probe[0])),
+                      ad.tsum(ad.mul(out.feats, probe[1])))
+
+    assert check_grads(build_loss, [x]) < 1e-4
 
 
 def test_permutation_equivariance():

@@ -11,19 +11,12 @@ from geopro import metrics as mx
 from geopro.data import ProteinRecord
 from geopro.errors import ContractError, DataError, ParseError
 from geopro.geometry import apply_rigid, random_rigid
-from geopro.pipeline import DesignCandidate, Motif
+from geopro.pipeline import Motif
 from geopro.seqmodel import encode_sequence
 
 
-def make_candidate(sequence, coords):
-    sequence = np.asarray(sequence)
-    return DesignCandidate(
-        sequence=sequence,
-        coords=np.asarray(coords, dtype=np.float64),
-        token_probs=np.full(sequence.shape[0], 0.5),
-        seed=0,
-        model_version="test",
-    )
+def make_candidate(cand_id, sequence, coords):
+    return cand_id, np.asarray(sequence), np.asarray(coords, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +68,12 @@ def toy_setup():
     record = ProteinRecord("t", TARGET_SEQ, TARGET_COORDS)
     motif = Motif([1], [TARGET_SEQ[1]], TARGET_COORDS[[1]])
     candidates = [
-        ("c1", make_candidate(TARGET_SEQ, TARGET_COORDS)),
-        ("c2", make_candidate(TARGET_SEQ, TARGET_COORDS + np.array([2.0, 0.0, 0.0]))),
-        ("c3", make_candidate([5, 1, 2, 3], TARGET_COORDS)),
+        make_candidate("c1", TARGET_SEQ, TARGET_COORDS),
+        make_candidate("c2", TARGET_SEQ, TARGET_COORDS + np.array([2.0, 0.0, 0.0])),
+        make_candidate("c3", [5, 1, 2, 3], TARGET_COORDS),
     ]
-    targets = {cid: record for cid, _ in candidates}
-    motifs = {cid: motif for cid, _ in candidates}
+    targets = {cid: record for cid, _, _ in candidates}
+    motifs = {cid: motif for cid, _, _ in candidates}
     return candidates, targets, motifs
 
 
@@ -134,7 +127,7 @@ def test_evaluate_errors_and_order_invariance():
     with pytest.raises(DataError):
         mx.evaluate_candidates(candidates, targets, {})
 
-    short = [("c1", make_candidate([0, 1], np.zeros((2, 3))))]
+    short = [make_candidate("c1", [0, 1], np.zeros((2, 3)))]
     with pytest.raises(DataError):
         mx.evaluate_candidates(short, targets, motifs)
 
@@ -143,12 +136,12 @@ def test_superposed_metrics_invariant_under_rigid_motion():
     rng = np.random.default_rng(8)
     record = ProteinRecord("t", TARGET_SEQ, TARGET_COORDS)
     motif = Motif([1], [TARGET_SEQ[1]], TARGET_COORDS[[1]])
-    base = make_candidate(TARGET_SEQ, TARGET_COORDS + rng.normal(size=(4, 3)))
+    base = make_candidate("c", TARGET_SEQ, TARGET_COORDS + rng.normal(size=(4, 3)))
     for _ in range(10):
         transform = random_rigid(rng)
-        moved = make_candidate(TARGET_SEQ, apply_rigid(transform, base.coords))
+        moved = make_candidate("c", TARGET_SEQ, apply_rigid(transform, base[2]))
         reports = [
-            mx.evaluate_candidates([("c", cand)], {"c": record}, {"c": motif})
+            mx.evaluate_candidates([cand], {"c": record}, {"c": motif})
             for cand in (base, moved)
         ]
         r0, r1 = (rep.rows[0] for rep in reports)

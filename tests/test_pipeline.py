@@ -9,6 +9,7 @@ import pytest
 
 from geopro import autodiff as ad
 from geopro import pipeline as pl
+from geopro.checks import check_grads
 from geopro.data import ProteinRecord
 from geopro.errors import (
     ConfigError,
@@ -20,8 +21,6 @@ from geopro.errors import (
 )
 from geopro.geometry import apply_rigid, random_rigid
 from geopro.seqmodel import corrupt_sequence, encode_context
-
-from gradcheck import check_grads
 
 
 def tiny_config(**kw):

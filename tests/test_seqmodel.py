@@ -3,9 +3,8 @@ import pytest
 
 from geopro import autodiff as ad
 from geopro import seqmodel as sm
+from geopro.checks import check_grads
 from geopro.errors import ConfigError, ContractError, DataError
-
-from gradcheck import check_grads
 
 
 def test_vocabulary_is_bijective():
