@@ -59,41 +59,9 @@ class Tensor:
             raise ContractError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # arithmetic sugar; the module-level functions do the real work
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class _TapeNode:
@@ -439,25 +407,6 @@ def silu(a) -> Tensor:
     return record_op(a.data * s, (a,), bwd, "silu")
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.exp(a.data)
-
-    def bwd(g):
-        return (g * y,)
-
-    return record_op(y, (a,), bwd, "exp")
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bwd(g):
-        return (g / a.data,)
-
-    return record_op(np.log(a.data), (a,), bwd, "log")
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     y = np.sqrt(a.data)
@@ -504,21 +453,6 @@ def log_softmax(a) -> Tensor:
         return (g - sm * g.sum(axis=-1, keepdims=True),)
 
     return record_op(y, (a,), bwd, "log_softmax")
-
-
-def norm_last(a, keepdims: bool = False) -> Tensor:
-    """Euclidean norm over the last axis; zero vectors get zero gradient."""
-    a = as_tensor(a)
-    n = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
-
-    def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, -1)
-        safe = np.where(n == 0.0, 1.0, n)
-        return (g * a.data / safe,)
-
-    out = n if keepdims else n.squeeze(-1)
-    return record_op(out, (a,), bwd, "norm_last")
 
 
 # ---------------------------------------------------------------------------

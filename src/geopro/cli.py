@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from . import autodiff as ad
 from . import bound as bd
 from . import checks as ck
 from . import data as dt
@@ -531,11 +532,14 @@ def build_parser():
 
 
 def _configure_logging():
+    """Log level from ``GEOPRO_LOG``; ``debug`` also checks every op
+    output for NaN/Inf, and any other level turns that check off."""
     raw = os.environ.get("GEOPRO_LOG", "warn").lower()
     level = _LOG_LEVELS.get(raw)
     if level is None:
         print("unknown GEOPRO_LOG value %r; using 'warn'" % raw, file=sys.stderr)
         level = logging.WARNING
+    ad.set_debug_checks(level == logging.DEBUG)
     logging.basicConfig(
         level=level, stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",

@@ -14,7 +14,7 @@ checkpointing, Chen et al. 2016).  Memory therefore grows with N·H, not
 N²·H.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,25 +23,18 @@ from . import autodiff as ad
 from .errors import ContractError, DimensionError
 from .geometry import apply_rigid, random_rigid
 
-_ACTIVATIONS = ("none", "silu", "sigmoid")
-
 
 @dataclass
 class MlpParams:
-    """Weights of a two-layer perceptron with a smooth hidden activation."""
+    """Weights of a two-layer perceptron with a silu hidden layer and a
+    linear output."""
 
     w1: ad.Tensor
     b1: ad.Tensor
     w2: ad.Tensor
     b2: ad.Tensor
-    out_activation: str = "none"
 
     def __post_init__(self):
-        if self.out_activation not in _ACTIVATIONS:
-            raise ContractError(
-                "unknown output activation %r, expected one of %s"
-                % (self.out_activation, (_ACTIVATIONS,))
-            )
         if self.w1.data.ndim != 2 or self.w2.data.ndim != 2:
             raise DimensionError("mlp weights must be 2-D matrices")
         if self.b1.shape != (self.w1.shape[1],) or self.b2.shape != (self.w2.shape[1],):
@@ -62,13 +55,19 @@ class MlpParams:
     def tensors(self):
         return [self.w1, self.b1, self.w2, self.b2]
 
+    def named_tensors(self, prefix):
+        return [
+            ("%s.%s" % (prefix, name), tensor)
+            for name, tensor in zip(("w1", "b1", "w2", "b2"), self.tensors())
+        ]
+
 
 def glorot_uniform(rng, width_in, width_out, scale=1.0):
     bound = scale * np.sqrt(6.0 / (width_in + width_out))
     return rng.uniform(-bound, bound, size=(width_in, width_out))
 
 
-def init_mlp(rng, width_in, width_hidden, width_out, out_activation="none", out_scale=1.0):
+def init_mlp(rng, width_in, width_hidden, width_out, out_scale=1.0):
     """Fresh two-layer MLP with uniform fan-balanced weights, zero biases.
 
     ``out_scale`` shrinks the second-layer weights; used to keep early
@@ -82,18 +81,12 @@ def init_mlp(rng, width_in, width_hidden, width_out, out_activation="none", out_
             requires_grad=True,
         ),
         b2=ad.Tensor(np.zeros(width_out), requires_grad=True),
-        out_activation=out_activation,
     )
 
 
 def mlp_forward(params, x):
     hidden = ad.silu(ad.add(ad.matmul(x, params.w1), params.b1))
-    out = ad.add(ad.matmul(hidden, params.w2), params.b2)
-    if params.out_activation == "silu":
-        out = ad.silu(out)
-    elif params.out_activation == "sigmoid":
-        out = ad.sigmoid(out)
-    return out
+    return ad.add(ad.matmul(hidden, params.w2), params.b2)
 
 
 @dataclass
@@ -102,10 +95,11 @@ class EgclParams:
 
     ``message_mlp`` maps the pair input (both node features, squared
     distance, optional edge attributes) to a message; ``attention_mlp``
-    gates each message through a sigmoid; ``feature_mlp`` maps a node's
+    maps each message to its gate; ``feature_mlp`` maps a node's
     features plus its aggregated messages back to the feature width; and
     ``coord_mlp`` produces the scalar weight on each pair difference
-    vector in the coordinate update.
+    vector in the coordinate update.  The output activations of the pair
+    MLPs are fixed by ``_gated_messages`` and ``_coord_step``.
     """
 
     message_mlp: MlpParams
@@ -131,17 +125,6 @@ class EgclParams:
         for got, want, what in checks:
             if got != want:
                 raise ContractError("%s width is %d, expected %d" % (what, got, want))
-        # the fused pair kernels hardcode these output activations
-        for mlp, want, what in (
-            (self.message_mlp, "silu", "message"),
-            (self.attention_mlp, "sigmoid", "attention"),
-            (self.coord_mlp, "none", "coordinate"),
-        ):
-            if mlp.out_activation != want:
-                raise ContractError(
-                    "%s output activation is %r, expected %r"
-                    % (what, mlp.out_activation, want)
-                )
 
     def named_tensors(self, prefix):
         out = []
@@ -151,8 +134,7 @@ class EgclParams:
             ("feature", self.feature_mlp),
             ("coord", self.coord_mlp),
         ):
-            for t_name, tensor in zip(("w1", "b1", "w2", "b2"), mlp.tensors()):
-                out.append(("%s.%s.%s" % (prefix, mlp_name, t_name), tensor))
+            out += mlp.named_tensors("%s.%s" % (prefix, mlp_name))
         return out
 
 
@@ -376,10 +358,12 @@ def _node_grads(state, first, g_coords, g_attrs):
 def _gated_messages(state, message_mlp, attention_mlp):
     """sum_j gate_ij * m_ij for every node i, as one tape node, (N, M).
 
-    m_ij is ``message_mlp`` of the pair input and gate_ij is
-    ``attention_mlp`` of m_ij; the diagonal's gate is zero.  The pairs are
-    walked one block of receiving rows at a time and nothing of size N²
-    is kept: the backward pass computes each block again.
+    m_ij = silu(``message_mlp`` of the pair input) and gate_ij =
+    sigmoid(``attention_mlp`` of m_ij); the diagonal's gate is zero.  These
+    output activations belong to the layer, since ``mlp_forward`` ends
+    linearly.  The pairs are walked one block of receiving rows at a time
+    and nothing of size N² is kept: the backward pass computes each block
+    again.
     """
     coords, feats, attrs = _pair_arrays(state)
     n = coords.shape[0]
@@ -460,7 +444,8 @@ def _gated_messages(state, message_mlp, attention_mlp):
 
 def _coord_step(state, coord_mlp):
     """sum_j (x_i - x_j) * c_ij / (d_ij + 1) for every node i, as one tape
-    node, (N, 3), where c_ij is ``coord_mlp`` of the pair input.
+    node, (N, 3), where c_ij is ``coord_mlp`` of the pair input, with no
+    output activation.
 
     Walked one block of receiving rows at a time like ``_gated_messages``,
     and computed again block by block in the backward pass.
@@ -564,8 +549,8 @@ def init_egcl(rng, feat_width, message_width, attr_width=0, hidden=None):
     hidden = message_width if hidden is None else hidden
     pair_width = 2 * feat_width + 1 + attr_width
     return EgclParams(
-        message_mlp=init_mlp(rng, pair_width, hidden, message_width, "silu"),
-        attention_mlp=init_mlp(rng, message_width, hidden, 1, "sigmoid"),
+        message_mlp=init_mlp(rng, pair_width, hidden, message_width),
+        attention_mlp=init_mlp(rng, message_width, hidden, 1),
         feature_mlp=init_mlp(rng, feat_width + message_width, hidden, feat_width),
         coord_mlp=init_mlp(rng, pair_width, hidden, 1, out_scale=0.01),
         feat_width=feat_width,

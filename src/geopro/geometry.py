@@ -60,15 +60,6 @@ class RigidTransform:
         if min(abs(det - 1.0), abs(det + 1.0)) > _ORTHO_TOL:
             raise ContractError("rotation matrix determinant must be +1 or -1")
 
-    @property
-    def is_proper(self):
-        """True for a pure rotation, False when a reflection is included."""
-        return np.linalg.det(self.rotation) > 0.0
-
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3), np.zeros(3))
-
 
 def sample_sphere_point(center, radius, omega1, omega2):
     """Point on the sphere of the given radius around ``center``.
@@ -140,15 +131,6 @@ def apply_rigid(transform, pts):
     return arr @ transform.rotation.T + transform.translation
 
 
-def rotation_angle(rotation):
-    """Rotation angle in radians recovered from the matrix trace."""
-    rotation = np.asarray(rotation, dtype=np.float64)
-    if rotation.shape != (3, 3):
-        raise DimensionError("rotation must be 3x3, got shape %s" % (rotation.shape,))
-    cos_theta = (np.trace(rotation) - 1.0) / 2.0
-    return float(np.arccos(np.clip(cos_theta, -1.0, 1.0)))
-
-
 def kabsch(mobile, target):
     """Optimal rigid superposition of ``mobile`` onto ``target``.
 
@@ -215,14 +197,11 @@ def tm_d0(l_target):
     return float(max(0.5, 1.24 * np.cbrt(l_target - 15.0) - 1.8))
 
 
-def tm_score(mobile, target, l_target, refine=False):
+def tm_score(mobile, target, l_target):
     """Length-normalized structure similarity in (0, 1].
 
     Superposes ``mobile`` onto ``target`` once and averages
-    1 / (1 + (d_i / d0)^2) over all positions.  With ``refine=True`` the
-    superposition is recomputed on the positions currently closer than
-    2*d0, repeating until the selected set stops changing, and the best
-    score seen is returned.
+    1 / (1 + (d_i / d0)^2) over all positions.
     """
     p = _as_points(mobile, "mobile")
     q = _as_points(target, "target")
@@ -234,22 +213,4 @@ def tm_score(mobile, target, l_target, refine=False):
     d0 = tm_d0(l_target)
     transform, _ = kabsch(p, q)
     dists = np.linalg.norm(apply_rigid(transform, p) - q, axis=1)
-    score = float(np.mean(1.0 / (1.0 + (dists / d0) ** 2)))
-    if not refine:
-        return score
-    best = score
-    selected = dists < 2.0 * d0
-    seen = set()
-    while selected.sum() >= 3:
-        key = selected.tobytes()
-        if key in seen:
-            break
-        seen.add(key)
-        try:
-            sub_transform, _ = kabsch(p[selected], q[selected])
-        except DegeneracyError:
-            break
-        dists = np.linalg.norm(apply_rigid(sub_transform, p) - q, axis=1)
-        best = max(best, float(np.mean(1.0 / (1.0 + (dists / d0) ** 2))))
-        selected = dists < 2.0 * d0
-    return best
+    return float(np.mean(1.0 / (1.0 + (dists / d0) ** 2)))

@@ -125,12 +125,6 @@ def motif_from_record(record, positions):
     )
 
 
-_INT_FIELDS = {
-    "batch_size", "warmup_steps", "epochs", "seed", "egnn_depth", "width",
-    "top_k", "enc_depth", "dec_depth", "n_heads", "max_len",
-}
-_FLOAT_FIELDS = {"alpha", "beta", "base_lr", "radius"}
-_STR_FIELDS = {"feature_select", "edge_attrs"}
 _ARCH_FIELDS = (
     "width", "egnn_depth", "enc_depth", "dec_depth", "n_heads", "max_len",
     "feature_select", "edge_attrs",
@@ -194,6 +188,10 @@ class TrainingConfig:
         return zlib.crc32(canon.encode("utf-8"))
 
 
+# key -> int, float or str, from the annotations of TrainingConfig
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainingConfig)}
+
+
 def parse_config_text(text):
     """Parse 'key = value' lines; blank lines and '#' comments allowed."""
     out = {}
@@ -223,7 +221,7 @@ def build_config(file_text=None, overrides=None, profile=None):
             values.setdefault(key, val)
     if overrides:
         for key, val in overrides.items():
-            if key not in _INT_FIELDS | _FLOAT_FIELDS | _STR_FIELDS:
+            if key not in _FIELD_TYPES:
                 raise ConfigError("unknown config key %r" % key)
             values[key] = val
     return TrainingConfig(**values)
@@ -238,16 +236,12 @@ def format_config(config):
 
 
 def _convert_config_value(key, raw):
+    if key not in _FIELD_TYPES:
+        raise ConfigError("unknown config key %r" % key)
     try:
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _FLOAT_FIELDS:
-            return float(raw)
-        if key in _STR_FIELDS:
-            return raw
+        return _FIELD_TYPES[key](raw)
     except ValueError:
         raise ConfigError("bad value %r for config key %r" % (raw, key)) from None
-    raise ConfigError("unknown config key %r" % key)
 
 
 @dataclass
@@ -535,7 +529,11 @@ def evaluate_loss(dataset, model):
 
 @dataclass
 class DesignCandidate:
-    """One sampled sequence with its predicted coordinates."""
+    """One sampled sequence with its predicted coordinates.
+
+    ``seed`` is the base seed of the ``design`` call; the candidate's
+    position in the returned list selects its stream.
+    """
 
     sequence: np.ndarray
     coords: np.ndarray
@@ -555,11 +553,14 @@ class DesignCandidate:
 def design(motif, length, n_candidates, k, model, seed, pin_motif=True):
     """Sample candidate designs conditioned on the motif.
 
-    Each candidate gets its own generator seeded ``seed + index``, a
-    fresh spherical initialization, one forward pass, and independent
-    per-position draws from the renormalized top-k of each flexible
-    logit row.  Motif residues are copied verbatim; ``pin_motif`` also
-    copies the motif coordinates over the predicted ones.
+    Candidate ``index`` gets its own generator,
+    ``substream(seed, "design-<index>")``, so that it depends only on
+    (seed, index) and never repeats a candidate of another seed.  Each
+    candidate then gets a fresh spherical initialization, one forward
+    pass, and independent per-position draws from the renormalized top-k
+    of each flexible logit row.  Motif residues are copied verbatim;
+    ``pin_motif`` also copies the motif coordinates over the predicted
+    ones.
     """
     if length < motif.span:
         raise ContractError(
@@ -570,7 +571,7 @@ def design(motif, length, n_candidates, k, model, seed, pin_motif=True):
     flexible = np.setdiff1d(np.arange(length), motif.positions)
     out = []
     for index in range(n_candidates):
-        rng = np.random.default_rng(seed + index)
+        rng = substream(seed, "design-%d" % index)
         start = init_backbone_coords(motif, length, model.config.radius, rng)
         coords, _, logits = forward_with_coords(
             tokens, start, motif.position_set(), model
@@ -589,7 +590,7 @@ def design(motif, length, n_candidates, k, model, seed, pin_motif=True):
                 sequence=sequence,
                 coords=final_coords,
                 token_probs=probs[np.arange(length), sequence],
-                seed=seed + index,
+                seed=seed,
                 model_version=model.version,
             )
         )

@@ -12,43 +12,26 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .egnn import glorot_uniform
+from .egnn import MlpParams, glorot_uniform, init_mlp, mlp_forward
 from .errors import ConfigError, ContractError, DataError, DimensionError
 
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
-MASK_TOKEN = "<mask>"
-PAD_TOKEN = "<pad>"
-TOKENS = tuple(AMINO_ACIDS) + (MASK_TOKEN, PAD_TOKEN)
 MASK = 20
 PAD = 21
 VOCAB_SIZE = 22
 RESIDUE_COUNT = 20
 
-_TOKEN_TO_INDEX = {tok: i for i, tok in enumerate(TOKENS)}
+_RESIDUE_TO_INDEX = {ch: i for i, ch in enumerate(AMINO_ACIDS)}
 _LN_EPS = 1e-5
 _KEY_BIAS = -1e9
-
-
-def token_index(token):
-    """Index of a token string; raises for anything outside the vocabulary."""
-    try:
-        return _TOKEN_TO_INDEX[token]
-    except KeyError:
-        raise DataError("unknown token %r" % (token,)) from None
-
-
-def index_token(index):
-    if not 0 <= index < VOCAB_SIZE:
-        raise ContractError("token index %d outside [0, %d)" % (index, VOCAB_SIZE))
-    return TOKENS[index]
 
 
 def encode_sequence(residues):
     """Residue string to an int token array."""
     out = np.empty(len(residues), dtype=np.int64)
     for i, ch in enumerate(residues):
-        idx = _TOKEN_TO_INDEX.get(ch)
-        if idx is None or idx >= RESIDUE_COUNT:
+        idx = _RESIDUE_TO_INDEX.get(ch)
+        if idx is None:
             raise DataError("unknown residue character %r at position %d" % (ch, i))
         out[i] = idx
     return out
@@ -123,23 +106,11 @@ class AttentionParams:
 
 
 @dataclass
-class FeedForwardParams:
-    w1: ad.Tensor
-    b1: ad.Tensor
-    w2: ad.Tensor
-    b2: ad.Tensor
-
-    def named_tensors(self, prefix):
-        pairs = (("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2))
-        return [("%s.%s" % (prefix, n), t) for n, t in pairs]
-
-
-@dataclass
 class TransformerBlock:
     ln1: LayerNormParams
     attention: AttentionParams
     ln2: LayerNormParams
-    feedforward: FeedForwardParams
+    feedforward: MlpParams
 
     def named_tensors(self, prefix):
         out = self.ln1.named_tensors(prefix + ".ln1")
@@ -236,21 +207,12 @@ def _init_attention(rng, width, n_heads):
     return AttentionParams(w(), b(), w(), w(), b(), w(), b(), n_heads=n_heads)
 
 
-def _init_feedforward(rng, width, hidden):
-    return FeedForwardParams(
-        w1=ad.Tensor(glorot_uniform(rng, width, hidden), requires_grad=True),
-        b1=ad.Tensor(np.zeros(hidden), requires_grad=True),
-        w2=ad.Tensor(glorot_uniform(rng, hidden, width), requires_grad=True),
-        b2=ad.Tensor(np.zeros(width), requires_grad=True),
-    )
-
-
 def _init_block(rng, width, n_heads):
     return TransformerBlock(
         ln1=_init_layer_norm(width),
         attention=_init_attention(rng, width, n_heads),
         ln2=_init_layer_norm(width),
-        feedforward=_init_feedforward(rng, width, 2 * width),
+        feedforward=init_mlp(rng, width, 2 * width, width),
     )
 
 
@@ -318,14 +280,9 @@ def attention_forward(x, params, key_bias=None):
     return ad.add(ad.matmul(merged, params.wo), params.bo)
 
 
-def feedforward_forward(x, params):
-    hidden = ad.silu(ad.add(ad.matmul(x, params.w1), params.b1))
-    return ad.add(ad.matmul(hidden, params.w2), params.b2)
-
-
 def block_forward(x, block, key_bias=None):
     x = ad.add(x, attention_forward(layer_norm(x, block.ln1), block.attention, key_bias))
-    return ad.add(x, feedforward_forward(layer_norm(x, block.ln2), block.feedforward))
+    return ad.add(x, mlp_forward(block.feedforward, layer_norm(x, block.ln2)))
 
 
 def encode_context(tokens, encoder):

@@ -1,4 +1,5 @@
-"""Brute-force superposition oracle used by the geometry tests.
+"""Brute-force superposition oracle and rotation angle used by the
+geometry tests.
 
 Independent of the package under test: rotations come from a
 deterministic low-discrepancy quaternion grid, and the best RMSD over
@@ -68,3 +69,9 @@ def grid_min_rmsd(p, q, n=1_000_000):
     trace_terms = np.einsum("rab,ba->r", rots, cross)
     sq = const - (2.0 / count) * trace_terms
     return float(np.sqrt(max(0.0, float(sq.min()))))
+
+
+def rotation_angle(rotation):
+    """Rotation angle in radians recovered from the matrix trace."""
+    cos_theta = (np.trace(rotation) - 1.0) / 2.0
+    return float(np.arccos(np.clip(cos_theta, -1.0, 1.0)))

@@ -38,9 +38,9 @@ def test_shape_mismatch_names_both_shapes():
 def test_checked_mode_flags_nonfinite():
     ad.set_debug_checks(True)
     try:
-        with np.errstate(divide="ignore"):
+        with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError):
-                ad.log(ad.Tensor([0.0]))
+                ad.sqrt(ad.Tensor([-1.0]))
     finally:
         ad.set_debug_checks(False)
 
@@ -206,14 +206,10 @@ def _op_cases(rng):
             ad.index_add_rows(a, np.array([0, 1, 0, 1]), 2)))),
         "sigmoid": ([a], lambda: ad.tsum(ad.mul(ad.sigmoid(a), w))),
         "silu": ([a], lambda: ad.tsum(ad.mul(ad.silu(a), w))),
-        "exp": ([a], lambda: ad.tsum(ad.mul(ad.exp(a), w))),
-        "log": ([pos], lambda: ad.tsum(ad.square(ad.log(pos)))),
         "sqrt": ([pos], lambda: ad.tsum(ad.square(ad.sqrt(pos)))),
         "square": ([a], lambda: ad.tsum(ad.mul(ad.square(a), w))),
         "softmax": ([a], lambda: ad.tsum(ad.mul(ad.softmax(a), w))),
         "log_softmax": ([a], lambda: ad.tsum(ad.mul(ad.log_softmax(a), w))),
-        "norm_last": ([a], lambda: ad.tsum(ad.square(ad.norm_last(a)))),
-        "norm_last_keepdims": ([a], lambda: ad.tsum(ad.square(ad.norm_last(a, keepdims=True)))),
     }
     return cases
 

@@ -10,12 +10,14 @@ import warnings
 import numpy as np
 import pytest
 
+from geopro import autodiff as ad
 from geopro import checks
 from geopro import cli
 from geopro import data as dt
 from geopro import metrics as mx
 from geopro import pipeline as pl
 from geopro import seqmodel as sm
+from geopro.errors import NumericError
 
 TINY_CONFIG = """\
 width = 8
@@ -91,6 +93,21 @@ def test_unknown_log_level_warns(monkeypatch, capsys):
     monkeypatch.setenv("GEOPRO_LOG", "chatty")
     assert cli.run(["bound-demo", "--instances", "1"]) == 0
     assert "GEOPRO_LOG" in capsys.readouterr().err
+
+
+def test_debug_log_level_checks_every_op(monkeypatch):
+    try:
+        for level, checked in (("debug", True), ("info", False)):
+            monkeypatch.setenv("GEOPRO_LOG", level)
+            assert cli.run(["bound-demo", "--instances", "1"]) == 0
+            with np.errstate(invalid="ignore"):
+                if checked:
+                    with pytest.raises(NumericError):
+                        ad.sqrt(ad.Tensor([-1.0]))
+                else:
+                    assert np.isnan(ad.sqrt(ad.Tensor([-1.0])).data).all()
+    finally:
+        ad.set_debug_checks(False)
 
 
 # ---------------------------------------------------------------------------

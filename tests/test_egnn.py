@@ -122,8 +122,8 @@ def test_equivariance_check_catches_position_leak():
         diff = ad.sub(x_i, x_j)
         sq_dist = ad.tsum(ad.square(diff), axis=1, keepdims=True)
         pair_input = ad.concat([h_i, h_j, sq_dist], axis=1)
-        messages = egnn.mlp_forward(params.message_mlp, pair_input)
-        attention = egnn.mlp_forward(params.attention_mlp, messages)
+        messages = ad.silu(egnn.mlp_forward(params.message_mlp, pair_input))
+        attention = ad.sigmoid(egnn.mlp_forward(params.attention_mlp, messages))
         gathered = ad.index_add_rows(ad.mul(attention, messages), src, n)
         new_feats = egnn.mlp_forward(
             params.feature_mlp, ad.concat([state.feats, gathered], axis=1)
@@ -158,8 +158,8 @@ def _edge_list_forward(state, params):
         flat_attrs = ad.reshape(state.edge_attrs, (n * n, params.attr_width))
         pieces.append(ad.gather_rows(flat_attrs, src * n + dst))
     pair_input = ad.concat(pieces, axis=1)
-    messages = egnn.mlp_forward(params.message_mlp, pair_input)
-    attention = egnn.mlp_forward(params.attention_mlp, messages)
+    messages = ad.silu(egnn.mlp_forward(params.message_mlp, pair_input))
+    attention = ad.sigmoid(egnn.mlp_forward(params.attention_mlp, messages))
     gathered = ad.index_add_rows(ad.mul(attention, messages), src, n)
     new_feats = egnn.mlp_forward(
         params.feature_mlp, ad.concat([state.feats, gathered], axis=1)
@@ -368,8 +368,8 @@ def test_width_contracts():
         egnn.egcl_forward(_random_state(rng, 3, 4, attr_width=2), layer)
     with pytest.raises(ContractError):
         egnn.EgclParams(
-            message_mlp=egnn.init_mlp(rng, 9, 6, 6, "silu"),
-            attention_mlp=egnn.init_mlp(rng, 6, 6, 1, "none"),
+            message_mlp=egnn.init_mlp(rng, 9, 6, 6),
+            attention_mlp=egnn.init_mlp(rng, 6, 6, 2),
             feature_mlp=egnn.init_mlp(rng, 10, 6, 4),
             coord_mlp=egnn.init_mlp(rng, 9, 6, 1),
             feat_width=4,
@@ -377,32 +377,6 @@ def test_width_contracts():
         )
     with pytest.raises(ContractError):
         egnn.EgnnModel(layers=[layer], feat_width=5)
-
-
-def _layer_with(rng, message_activation, coord_activation):
-    return egnn.EgclParams(
-        message_mlp=egnn.init_mlp(rng, 9, 6, 6, message_activation),
-        attention_mlp=egnn.init_mlp(rng, 6, 6, 1, "sigmoid"),
-        feature_mlp=egnn.init_mlp(rng, 10, 6, 4),
-        coord_mlp=egnn.init_mlp(rng, 9, 6, 1, coord_activation),
-        feat_width=4,
-        message_width=6,
-    )
-
-
-def test_message_output_activation_must_be_silu():
-    rng = np.random.default_rng(23)
-    _layer_with(rng, "silu", "none")
-    for activation in ("none", "sigmoid"):
-        with pytest.raises(ContractError, match="message output activation"):
-            _layer_with(rng, activation, "none")
-
-
-def test_coordinate_output_activation_must_be_none():
-    rng = np.random.default_rng(24)
-    for activation in ("silu", "sigmoid"):
-        with pytest.raises(ContractError, match="coordinate output activation"):
-            _layer_with(rng, "silu", activation)
 
 
 def test_sequence_separation_buckets():

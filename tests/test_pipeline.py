@@ -1,5 +1,6 @@
 """Tests for the joint model: init, losses, training, design, and I/O."""
 
+import dataclasses
 import math
 import os
 import warnings
@@ -345,6 +346,41 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
         assert np.array_equal(tensor.data, trained[name].data)
 
 
+def _mlp_shapes(prefix, width_in, hidden, width_out):
+    return [
+        (prefix + ".w1", (width_in, hidden)), (prefix + ".b1", (hidden,)),
+        (prefix + ".w2", (hidden, width_out)), (prefix + ".b2", (width_out,)),
+    ]
+
+
+def _block_shapes(prefix):
+    return [
+        (prefix + ".ln1.gamma", (8,)), (prefix + ".ln1.beta", (8,)),
+        (prefix + ".attention.wq", (8, 8)), (prefix + ".attention.bq", (8,)),
+        (prefix + ".attention.wk", (8, 8)),
+        (prefix + ".attention.wv", (8, 8)), (prefix + ".attention.bv", (8,)),
+        (prefix + ".attention.wo", (8, 8)), (prefix + ".attention.bo", (8,)),
+        (prefix + ".ln2.gamma", (8,)), (prefix + ".ln2.beta", (8,)),
+    ] + _mlp_shapes(prefix + ".feedforward", 8, 16, 8)
+
+
+def test_parameter_names_and_shapes_are_pinned():
+    # checkpoints are keyed by these names: a rename orphans old files
+    model = pl.build_model(tiny_config(edge_attrs="seqsep"))
+    expected = (
+        [("encoder.token_emb", (22, 8)), ("encoder.pos_emb", (64, 8))]
+        + _block_shapes("encoder.block0")
+        + _mlp_shapes("egnn.layer0.message", 24, 8, 8)
+        + _mlp_shapes("egnn.layer0.attention", 8, 8, 1)
+        + _mlp_shapes("egnn.layer0.feature", 16, 8, 8)
+        + _mlp_shapes("egnn.layer0.coord", 24, 8, 1)
+        + [("decoder.in_w", (8, 8)), ("decoder.in_b", (8,)), ("decoder.mask_emb", (8,))]
+        + _block_shapes("decoder.block0")
+        + [("decoder.head_w", (8, 20)), ("decoder.head_b", (20,))]
+    )
+    assert [(n, t.shape) for n, t in model.named_parameters()] == expected
+
+
 def test_checkpoint_rejects_corruption_and_mismatch(tmp_path):
     cfg = tiny_config(seed=12)
     model = pl.build_model(cfg)
@@ -399,6 +435,21 @@ def test_config_file_profile_override_precedence():
         pl.build_config(overrides={"bogus_knob": 3})
     with pytest.raises(ConfigError):
         pl.build_config(profile="unknown-protein")
+
+
+def test_config_with_every_field_changed_round_trips():
+    changed = pl.TrainingConfig(
+        alpha=0.25, beta=0.5, batch_size=3, base_lr=2.5e-4, warmup_steps=7,
+        epochs=5, seed=11, feature_select="inverted", egnn_depth=3, width=12,
+        top_k=5, enc_depth=3, dec_depth=1, n_heads=3, max_len=100, radius=4.5,
+        edge_attrs="seqsep",
+    )
+    for f in dataclasses.fields(pl.TrainingConfig):
+        assert getattr(changed, f.name) != f.default, f.name
+    again = pl.build_config(file_text=pl.format_config(changed))
+    assert again == changed
+    for f in dataclasses.fields(pl.TrainingConfig):
+        assert type(getattr(again, f.name)) is f.type, f.name
 
 
 def test_config_validation_errors():
@@ -522,7 +573,7 @@ def test_design_preserves_motif_and_varies_elsewhere():
         assert np.array_equal(cand.coords[motif.positions], motif.coords)
         assert cand.sequence[flexible].max() < 20
         assert np.all(cand.token_probs > 0.0) and np.all(cand.token_probs <= 1.0)
-    assert candidates[0].seed == 500 and candidates[9].seed == 509
+    assert all(cand.seed == 500 for cand in candidates)
 
     differing = sum(
         1
@@ -538,6 +589,20 @@ def test_design_preserves_motif_and_varies_elsewhere():
     assert np.array_equal(
         unpinned[0].sequence[motif.positions], motif.residues
     )
+
+
+def test_design_streams_of_neighbouring_seeds_differ():
+    # with one stream per seed + index, candidate 1 of seed 7 was
+    # candidate 0 of seed 8, bit for bit
+    data = pl.generate_synthetic_dataset(1, 12, 0.3, seed=33)
+    _, motif = data[0]
+    model = pl.build_model(tiny_config(seed=34))
+    pair = pl.design(motif, 12, 2, 3, model, seed=7)
+    (next_seed,) = pl.design(motif, 12, 1, 3, model, seed=8)
+    assert not np.array_equal(pair[1].coords, next_seed.coords)
+    (first,) = pl.design(motif, 12, 1, 3, model, seed=7)
+    assert np.array_equal(first.coords, pair[0].coords)
+    assert np.array_equal(first.sequence, pair[0].sequence)
 
 
 def test_design_rejects_short_length():

@@ -8,21 +8,15 @@ from geopro.errors import ConfigError, ContractError, DataError
 
 
 def test_vocabulary_is_bijective():
-    assert len(sm.TOKENS) == sm.VOCAB_SIZE == 22
-    assert len(set(sm.TOKENS)) == 22
-    for i, tok in enumerate(sm.TOKENS):
-        assert sm.token_index(tok) == i
-        assert sm.index_token(i) == tok
-    assert sm.token_index(sm.MASK_TOKEN) == sm.MASK == 20
-    assert sm.token_index(sm.PAD_TOKEN) == sm.PAD == 21
-    seq = "ACDEFGHIKLMNPQRSTVWY"
+    assert len(set(sm.AMINO_ACIDS)) == sm.RESIDUE_COUNT == 20
+    assert (sm.MASK, sm.PAD, sm.VOCAB_SIZE) == (20, 21, 22)
+    seq = sm.AMINO_ACIDS
+    assert np.array_equal(sm.encode_sequence(seq), np.arange(20))
     assert sm.decode_sequence(sm.encode_sequence(seq)) == seq
     with pytest.raises(DataError):
         sm.encode_sequence("ABC")
-    with pytest.raises(DataError):
-        sm.token_index("Z")
     with pytest.raises(ContractError):
-        sm.index_token(22)
+        sm.decode_sequence([sm.MASK])
 
 
 def test_corrupt_sequence_cases():
