@@ -463,7 +463,7 @@ class AdamState:
     """Per-parameter first/second moment accumulators for Adam."""
 
     def __init__(self, params: Sequence[Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, base_lr: float = 1e-3):
+                 beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -471,26 +471,20 @@ class AdamState:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.base_lr = base_lr
 
 
-def adam_step(state: AdamState, params: Sequence[Tensor], lr: float) -> None:
-    """One bias-corrected Adam update; zeroes grads and bumps the counter."""
-    params = list(params)
+def adam_step(state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of the state's parameters; zeroes
+    their grads and bumps the counter."""
     if lr < 0:
         raise ContractError(f"learning rate must be >= 0, got {lr}")
-    if len(params) != len(state.params):
-        raise StateError("parameter list does not match optimizer state")
-    for p, sp in zip(params, state.params):
-        if p is not sp:
-            raise StateError("parameter identity does not match optimizer state")
-        if p.grad is None:
-            raise StateError("adam_step called with missing gradients; run backward first")
+    if any(p.grad is None for p in state.params):
+        raise StateError("adam_step called with missing gradients; run backward first")
 
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    for i, p in enumerate(params):
+    for i, p in enumerate(state.params):
         g = p.grad
         state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
         state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)

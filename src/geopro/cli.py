@@ -2,12 +2,14 @@
 
 Datasets on disk are a directory of CA-only PDB files plus
 ``sequences.fasta``, ``motifs.csv`` (``id,positions`` with ';'-joined
-indices), and optionally ``splits.csv``.  Every command draws its
-randomness from ``--seed`` through named substreams, and every output
-file is written atomically.
+indices), and optionally ``splits.csv``.  Every command that draws
+random numbers draws them from one seed through named substreams
+(``train``: the config key ``seed``), and every output file is written
+atomically.
 """
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
@@ -193,36 +195,32 @@ def _split_examples(examples, splits):
 # model plumbing
 
 
-def _config_from_args(args, require_file=False, sidecar=None):
-    file_text = None
-    if getattr(args, "config", None):
-        file_text = _read_text(args.config)
-    elif sidecar and os.path.exists(sidecar):
-        file_text = _read_text(sidecar)
-    elif require_file:
-        raise ConfigError(
-            "no config available: pass --config or keep the checkpoint's "
-            "sidecar file"
-        )
-    overrides = {}
-    for flag, key in (
-        ("seed", "seed"), ("alpha", "alpha"), ("beta", "beta"),
-        ("topk", "top_k"), ("radius", "radius"),
-        ("feature_select", "feature_select"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
+def _config_from_args(args, fallback_path=None):
+    """Config from ``--config`` (else ``fallback_path``), then ``--profile``,
+    then the flags the user typed.
+
+    Every ``args`` attribute named after a ``TrainingConfig`` field is a
+    config flag; the parser leaves it None unless the flag was given.
+    """
+    path = args.config or fallback_path
+    overrides = {
+        f.name: getattr(args, f.name) for f in dataclasses.fields(pl.TrainingConfig)
+        if getattr(args, f.name, None) is not None
+    }
     return pl.build_config(
-        file_text=file_text, overrides=overrides,
+        file_text=_read_text(path) if path else None, overrides=overrides,
         profile=getattr(args, "profile", None),
     )
 
 
 def _load_model(args):
     sidecar = "%s.config" % args.checkpoint
-    config = _config_from_args(args, require_file=True, sidecar=sidecar)
-    model = pl.build_model(config)
+    if not args.config and not os.path.exists(sidecar):
+        raise ConfigError(
+            "no config available: pass --config or keep the checkpoint's "
+            "sidecar file"
+        )
+    model = pl.build_model(_config_from_args(args, sidecar))
     pl.load_checkpoint(args.checkpoint, model)
     return model
 
@@ -308,7 +306,7 @@ def _cmd_design(args):
     length = args.length if args.length is not None else record.length
     candidates = pl.design(
         motif, length, args.n, model.config.top_k, model,
-        seed=model.config.seed, pin_motif=args.pin_motif,
+        seed=args.stream_seed, pin_motif=args.pin_motif,
     )
     os.makedirs(args.out, exist_ok=True)
     fasta = []
@@ -363,7 +361,7 @@ def _cmd_export_emb(args):
         if rec_id not in examples:
             raise DataError("record %r not in %s" % (rec_id, args.data))
         record, motif = examples[rec_id]
-        rng = pl.substream(model.config.seed, "export-%s" % rec_id)
+        rng = pl.substream(args.stream_seed, "export-%s" % rec_id)
         _, feats, _ = pl.forward_joint(record, motif, model, rng)
         blocks.append((rec_id, feats.data))
     _write_text_atomic(args.out, mx.export_embeddings(blocks))
@@ -421,24 +419,49 @@ def _cmd_check(args):
 # parser wiring
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0,
+def _seed(text):
+    """Type of every ``--seed``: numpy seeds are non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            "seed must be a non-negative integer, got %r" % text
+        )
+    return value
+
+
+def _add_seed(parser):
+    parser.add_argument("--seed", type=_seed, default=0,
                         help="base seed; all randomness derives from it")
 
 
-def _add_config_flags(parser):
+def _add_stream_seed(parser):
+    # Not the config key ``seed``: that one seeds the initial weights,
+    # which the checkpoint overwrites.
+    parser.add_argument("--seed", dest="stream_seed", metavar="SEED", type=_seed,
+                        default=0, help="seed of the sampling streams")
+
+
+# Flags that override config keys; each dest is the key it overrides.
+_CONFIG_FLAGS = {
+    "--profile": dict(choices=sorted(pl.PROFILES), help="named loss-weight preset"),
+    "--alpha": dict(type=float, help="backbone loss weight"),
+    "--beta": dict(type=float, help="sequence loss weight"),
+    "--topk": dict(dest="top_k", type=int, help="sampling pool size"),
+    "--radius": dict(type=float, help="initialization sphere radius"),
+    "--feature-select": dict(choices=("as_printed", "inverted"),
+                             help="decoder input selection mode"),
+    "--seed": dict(type=_seed, help="seed of the initial weights, example order "
+                                  "and initial coordinates"),
+}
+
+
+def _add_config_flags(parser, *flags):
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--profile", choices=sorted(pl.PROFILES),
-                        help="named loss-weight preset")
-    parser.add_argument("--alpha", type=float, help="backbone loss weight")
-    parser.add_argument("--beta", type=float, help="sequence loss weight")
-    parser.add_argument("--topk", type=int, default=None,
-                        help="sampling pool size (default 3)")
-    parser.add_argument("--radius", type=float, default=None,
-                        help="initialization sphere radius (default 3.75)")
-    parser.add_argument("--feature-select", dest="feature_select",
-                        choices=("as_printed", "inverted"), default=None,
-                        help="decoder input selection mode")
+    for flag in flags:
+        parser.add_argument(flag, **_CONFIG_FLAGS[flag])
 
 
 def build_parser():
@@ -454,7 +477,7 @@ def build_parser():
     p.add_argument("--chain", default="A")
     p.add_argument("--min-len", type=int, default=0)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(handler=_cmd_prepare)
 
     p = sub.add_parser("motif", help="aligned FASTA + threshold -> motif positions")
@@ -463,7 +486,6 @@ def build_parser():
     p.add_argument("--lambda", dest="conservation", type=float, required=True,
                    help="column conservation threshold in (0, 1]")
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(handler=_cmd_motif)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -471,7 +493,7 @@ def build_parser():
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--motif-frac", type=float, required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("train", help="train a model on a dataset directory")
@@ -480,8 +502,8 @@ def build_parser():
     p.add_argument("--curve", help="loss curve CSV path")
     p.add_argument("--motif-file",
                    help="shared motif positions when motifs.csv is absent")
-    _add_config_flags(p)
-    _add_common(p)
+    _add_config_flags(p, "--profile", "--alpha", "--beta", "--topk", "--radius",
+                      "--feature-select", "--seed")
     p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("design", help="sample candidates from a checkpoint")
@@ -494,8 +516,8 @@ def build_parser():
     p.add_argument("--pin-motif", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="copy motif coordinates over predictions in outputs")
-    _add_config_flags(p)
-    _add_common(p)
+    _add_config_flags(p, "--topk", "--radius")
+    _add_stream_seed(p)
     p.set_defaults(handler=_cmd_design)
 
     p = sub.add_parser("eval", help="score candidates against their target")
@@ -504,18 +526,17 @@ def build_parser():
     p.add_argument("--candidates", required=True, help="design output directory")
     p.add_argument("--plddt", help="optional id,plddt CSV to join")
     p.add_argument("--out", required=True, help="report CSV path")
-    _add_common(p)
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("check", help="run the property checks")
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("bound-demo", help="random-instance sweep of the bound")
     p.add_argument("--instances", type=int, default=200)
     p.add_argument("--appendix-sign", action="store_true",
                    help="flip the sigmoid argument inside the bound")
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(handler=_cmd_bound_demo)
 
     p = sub.add_parser("export-emb", help="dump per-position features to CSV")
@@ -524,8 +545,8 @@ def build_parser():
     p.add_argument("--record-id", action="append", default=None,
                    help="record to export (repeatable; default: all)")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    _add_common(p)
+    _add_config_flags(p, "--radius")
+    _add_stream_seed(p)
     p.set_defaults(handler=_cmd_export_emb)
 
     return parser
@@ -540,10 +561,10 @@ def _configure_logging():
         print("unknown GEOPRO_LOG value %r; using 'warn'" % raw, file=sys.stderr)
         level = logging.WARNING
     ad.set_debug_checks(level == logging.DEBUG)
-    logging.basicConfig(
-        level=level, stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # basicConfig adds the handler only once per process; the level is set
+    # on every run.
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(level)
 
 
 def run(argv):

@@ -154,6 +154,9 @@ class TrainingConfig:
     edge_attrs: str = "none"
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "base_lr", "radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError("loss weights must be non-negative")
         if self.alpha == 0 and self.beta == 0:
@@ -166,6 +169,8 @@ class TrainingConfig:
             raise ConfigError("warmup_steps must be at least 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.feature_select not in ("as_printed", "inverted"):
             raise ConfigError(
                 "feature_select must be 'as_printed' or 'inverted', got %r"
@@ -175,8 +180,15 @@ class TrainingConfig:
             raise ConfigError(
                 "edge_attrs must be one of %s, got %r" % (EDGE_ATTR_MODES, self.edge_attrs)
             )
-        if self.egnn_depth < 0 or self.width < 1:
-            raise ConfigError("egnn_depth must be >= 0 and width >= 1")
+        if self.egnn_depth < 0 or self.enc_depth < 0 or self.dec_depth < 0:
+            raise ConfigError("egnn_depth, enc_depth and dec_depth must be >= 0")
+        if self.width < 1 or self.n_heads < 1 or self.width % self.n_heads != 0:
+            raise ConfigError(
+                "width must be a positive multiple of n_heads >= 1, got width %d "
+                "and n_heads %d" % (self.width, self.n_heads)
+            )
+        if self.max_len < 1:
+            raise ConfigError("max_len must be at least 1")
         if not 1 <= self.top_k <= RESIDUE_COUNT:
             raise ConfigError("top_k must be in [1, %d]" % RESIDUE_COUNT)
         if self.radius <= 0:
@@ -370,17 +382,16 @@ def total_loss(backbone_term, sequence_term, alpha, beta):
 # forward passes
 
 
-def forward_with_coords(corrupted_tokens, start_coords, motif_positions, model):
-    """Forward pass from already-initialized coordinates.
+def refine_and_decode(features, start_coords, motif_positions, model):
+    """EGNN refinement and decoding of already-encoded features.
 
     Returns (revised coords, revised features, residue logits).  Taking
     the realized starting coordinates as an argument lets callers apply
     group actions to them directly.
     """
-    features = encode_context(corrupted_tokens, model.encoder)
     attrs = None
     if model.config.edge_attrs == "seqsep":
-        attrs = ad.Tensor(sequence_separation_attrs(len(corrupted_tokens)))
+        attrs = ad.Tensor(sequence_separation_attrs(features.shape[0]))
     state = GraphState(ad.as_tensor(start_coords), features, attrs)
     out = egnn_forward(state, model.egnn)
     selected = gsd_feature_select(
@@ -388,6 +399,12 @@ def forward_with_coords(corrupted_tokens, start_coords, motif_positions, model):
     )
     logits = decode_logits(selected, model.decoder)
     return out.coords, out.feats, logits
+
+
+def forward_with_coords(corrupted_tokens, start_coords, motif_positions, model):
+    """Encode the corrupted tokens, then ``refine_and_decode``."""
+    features = encode_context(corrupted_tokens, model.encoder)
+    return refine_and_decode(features, start_coords, motif_positions, model)
 
 
 def forward_joint(record, motif, model, rng):
@@ -457,7 +474,7 @@ def train(train_set, config, model, valid_set=None, checkpoint_path=None):
     if not train_set:
         raise ContractError("training set is empty")
     params = [t for _, t in model.named_parameters()]
-    adam = ad.AdamState(params, base_lr=config.base_lr)
+    adam = ad.AdamState(params)
     steps_per_epoch = math.ceil(len(train_set) / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
     history = []
@@ -494,7 +511,7 @@ def train(train_set, config, model, valid_set=None, checkpoint_path=None):
                 )), 1.0 / len(totals))
                 tape.backward(mean)
             step += 1
-            ad.adam_step(adam, params, lr_of(step))
+            ad.adam_step(adam, lr_of(step))
         n = len(train_set)
         stats = EpochStats(
             epoch=epoch,
@@ -557,8 +574,9 @@ def design(motif, length, n_candidates, k, model, seed, pin_motif=True):
     ``substream(seed, "design-<index>")``, so that it depends only on
     (seed, index) and never repeats a candidate of another seed.  Each
     candidate then gets a fresh spherical initialization, one forward
-    pass, and independent per-position draws from the renormalized top-k
-    of each flexible logit row.  Motif residues are copied verbatim;
+    pass of the coordinate stack and decoder over the once-encoded masked
+    sequence, and independent per-position draws from the renormalized
+    top-k of each flexible logit row.  Motif residues are copied verbatim;
     ``pin_motif`` also copies the motif coordinates over the predicted
     ones.
     """
@@ -569,12 +587,13 @@ def design(motif, length, n_candidates, k, model, seed, pin_motif=True):
     tokens = np.full(length, MASK, dtype=np.int64)
     tokens[motif.positions] = motif.residues
     flexible = np.setdiff1d(np.arange(length), motif.positions)
+    features = encode_context(tokens, model.encoder)
     out = []
     for index in range(n_candidates):
         rng = substream(seed, "design-%d" % index)
         start = init_backbone_coords(motif, length, model.config.radius, rng)
-        coords, _, logits = forward_with_coords(
-            tokens, start, motif.position_set(), model
+        coords, _, logits = refine_and_decode(
+            features, start, motif.position_set(), model
         )
         row_logits = logits.data
         probs = np.exp(row_logits - row_logits.max(axis=1, keepdims=True))

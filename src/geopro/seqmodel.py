@@ -92,6 +92,8 @@ class AttentionParams:
 
     def __post_init__(self):
         width = self.wq.shape[0]
+        if self.n_heads < 1:
+            raise ConfigError("n_heads must be at least 1, got %d" % self.n_heads)
         if width % self.n_heads != 0:
             raise ConfigError(
                 "feature width %d not divisible by %d heads" % (width, self.n_heads)
@@ -217,8 +219,6 @@ def _init_block(rng, width, n_heads):
 
 
 def init_context_encoder(rng, width, depth=2, n_heads=4, max_len=512):
-    if width % n_heads != 0:
-        raise ConfigError("width %d not divisible by %d heads" % (width, n_heads))
     return ContextEncoder(
         token_emb=ad.Tensor(rng.normal(scale=0.1, size=(VOCAB_SIZE, width)), requires_grad=True),
         pos_emb=ad.Tensor(rng.normal(scale=0.1, size=(max_len, width)), requires_grad=True),
@@ -228,8 +228,6 @@ def init_context_encoder(rng, width, depth=2, n_heads=4, max_len=512):
 
 
 def init_gsd_decoder(rng, width, depth=2, n_heads=4):
-    if width % n_heads != 0:
-        raise ConfigError("width %d not divisible by %d heads" % (width, n_heads))
     return GsdDecoder(
         in_w=ad.Tensor(glorot_uniform(rng, width, width), requires_grad=True),
         in_b=ad.Tensor(np.zeros(width), requires_grad=True),

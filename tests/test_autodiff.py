@@ -263,7 +263,7 @@ def test_adam_first_step_moves_by_lr():
     p = ad.Tensor([1.0], requires_grad=True)
     p.grad = np.array([1.0])
     state = ad.AdamState([p], eps=1e-12)
-    ad.adam_step(state, [p], lr=0.01)
+    ad.adam_step(state, lr=0.01)
     # first step: m_hat = g, sqrt(v_hat) = |g|, so the update is ~lr
     assert abs(p.data[0] - (1.0 - 0.01)) < 1e-10
     assert state.step_count == 1
@@ -274,7 +274,7 @@ def test_adam_zero_grad_keeps_params():
     p = ad.Tensor([2.5, -1.0], requires_grad=True)
     p.grad = np.zeros(2)
     state = ad.AdamState([p])
-    ad.adam_step(state, [p], lr=0.1)
+    ad.adam_step(state, lr=0.1)
     assert np.array_equal(p.data, [2.5, -1.0])
     assert state.step_count == 1
 
@@ -292,7 +292,7 @@ def test_adam_matches_scalar_recurrence():
     state = ad.AdamState([p], beta1=b1, beta2=b2, eps=eps)
     for _ in range(2):
         p.grad = np.array([g])
-        ad.adam_step(state, [p], lr=lr)
+        ad.adam_step(state, lr=lr)
     assert abs(p.data[0] - ref_p) < 1e-12
 
 
@@ -300,7 +300,7 @@ def test_adam_missing_grad_is_state_error():
     p = ad.Tensor([1.0], requires_grad=True)
     state = ad.AdamState([p])
     with pytest.raises(StateError):
-        ad.adam_step(state, [p], lr=0.1)
+        ad.adam_step(state, lr=0.1)
 
 
 def test_lr_schedule_endpoints_and_midpoint():

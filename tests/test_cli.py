@@ -4,6 +4,8 @@ Commands run in-process through ``cli.run`` so exit codes, printed
 output, and produced files can all be checked directly.
 """
 
+import argparse
+import logging
 import os
 import warnings
 
@@ -108,6 +110,69 @@ def test_debug_log_level_checks_every_op(monkeypatch):
                     assert np.isnan(ad.sqrt(ad.Tensor([-1.0])).data).all()
     finally:
         ad.set_debug_checks(False)
+
+
+def test_log_level_follows_every_run(monkeypatch):
+    root = logging.getLogger()
+    saved = root.level
+    try:
+        for name, level in (("warn", logging.WARNING), ("debug", logging.DEBUG)):
+            monkeypatch.setenv("GEOPRO_LOG", name)
+            assert cli.run(["bound-demo", "--instances", "1"]) == 0
+            assert root.level == level, name
+    finally:
+        root.setLevel(saved)
+        ad.set_debug_checks(False)
+
+
+# Every flag of every subcommand, named by its first option string.
+PINNED_FLAGS = {
+    "prepare": {"--pdb-dir", "--allow-list", "--chain", "--min-len", "--out", "--seed"},
+    "motif": {"--alignment", "--reference", "--lambda", "--out"},
+    "synth": {"--n", "--length", "--motif-frac", "--out", "--seed"},
+    "train": {"--data", "--out", "--curve", "--motif-file", "--config", "--profile",
+              "--alpha", "--beta", "--topk", "--radius", "--feature-select", "--seed"},
+    "design": {"--checkpoint", "--data", "--record-id", "--n", "--length", "--out",
+               "--pin-motif", "--config", "--topk", "--radius", "--seed"},
+    "eval": {"--data", "--record-id", "--candidates", "--plddt", "--out"},
+    "check": {"--seed"},
+    "bound-demo": {"--instances", "--appendix-sign", "--seed"},
+    "export-emb": {"--checkpoint", "--data", "--record-id", "--out", "--config",
+                   "--radius", "--seed"},
+}
+
+
+def test_subcommand_flags_are_pinned():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: {a.option_strings[0] for a in p._actions
+               if a.option_strings and a.option_strings[0] != "-h"}
+        for name, p in sub.choices.items()
+    }
+    assert flags == PINNED_FLAGS
+    assert sum(len(v) for v in flags.values()) == 54
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "--checkpoint", "c", "--data", "d", "--record-id", "r", "--out", "o",
+     "--alpha", "5"],
+    ["export-emb", "--checkpoint", "c", "--data", "d", "--out", "o", "--topk", "2"],
+    ["eval", "--data", "d", "--record-id", "r", "--candidates", "c", "--out", "o",
+     "--seed", "1"],
+])
+def test_removed_flag_is_usage_error(argv, capsys):
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: %s" % " ".join(argv[-2:]) in err
+    assert "usage" in err
+
+
+@pytest.mark.parametrize("command", ["prepare", "synth", "train", "design", "check",
+                                     "bound-demo", "export-emb"])
+def test_negative_seed_is_usage_error(command, capsys):
+    assert cli.run([command, "--seed", "-1"]) == 1
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +308,38 @@ def test_train_writes_checkpoint_sidecar_and_curve(trained):
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) > 0
+
+
+def test_config_file_seed_is_honoured(trained, tmp_path):
+    _, ds, _ = trained
+
+    def train(name, extra, *flags):
+        ck = str(tmp_path / name)
+        assert run_quiet(["train", "--data", ds, "--out", ck,
+                          "--config", write_config(tmp_path, extra), *flags]) == 0
+        with open(ck, "rb") as handle:
+            return handle.read()
+
+    from_file = train("file.ckpt", "seed = 5\n")
+    assert from_file == train("flag.ckpt", "", "--seed", "5")
+    assert from_file == train("both.ckpt", "seed = 0\n", "--seed", "5")
+    assert from_file != train("zero.ckpt", "seed = 0\n")
+    with open(str(tmp_path / "file.ckpt.config")) as handle:
+        assert pl.build_config(file_text=handle.read()).seed == 5
+
+
+@pytest.mark.parametrize("line", [
+    "n_heads = 0", "n_heads = 3", "max_len = -1", "enc_depth = -1", "dec_depth = -1",
+    "base_lr = inf", "alpha = nan", "beta = nan", "radius = inf", "seed = -1",
+])
+def test_bad_config_value_exits_two(trained, tmp_path, capsys, line):
+    _, ds, _ = trained
+    assert run_quiet(["train", "--data", ds, "--out", str(tmp_path / "m.ckpt"),
+                      "--config", write_config(tmp_path, line + "\n")]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and line.split()[0] in err
+    assert "Traceback" not in err
+    assert not os.path.exists(str(tmp_path / "m.ckpt"))
 
 
 def test_train_honors_split_manifest(tmp_path):

@@ -605,6 +605,27 @@ def test_design_streams_of_neighbouring_seeds_differ():
     assert np.array_equal(first.sequence, pair[0].sequence)
 
 
+def test_design_encodes_once_and_matches_the_full_forward(monkeypatch):
+    data = pl.generate_synthetic_dataset(1, 12, 0.3, seed=33)
+    _, motif = data[0]
+    model = pl.build_model(tiny_config(seed=34, edge_attrs="seqsep"))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return encode_context(*args)
+
+    monkeypatch.setattr(pl, "encode_context", counted)
+    candidates = pl.design(motif, 12, 3, 3, model, seed=7, pin_motif=False)
+    assert len(calls) == 1
+    tokens = calls[0][0]
+    for index, cand in enumerate(candidates):
+        rng = pl.substream(7, "design-%d" % index)
+        start = pl.init_backbone_coords(motif, 12, model.config.radius, rng)
+        coords, _, _ = pl.forward_with_coords(tokens, start, motif.position_set(), model)
+        assert np.array_equal(cand.coords, coords.data)
+
+
 def test_design_rejects_short_length():
     motif = pl.Motif([0, 8], [1, 2], np.zeros((2, 3)))
     model = pl.build_model(tiny_config())

@@ -61,6 +61,15 @@ def test_encode_context_ignores_padding():
     assert np.max(np.abs(with_pad.data[:5] - plain.data)) < 1e-12
 
 
+def test_head_count_must_be_positive_and_divide_width():
+    rng = np.random.default_rng(0)
+    for n_heads in (0, 3):
+        with pytest.raises(ConfigError, match="heads"):
+            sm.init_context_encoder(rng, width=8, depth=1, n_heads=n_heads)
+        with pytest.raises(ConfigError, match="heads"):
+            sm.init_gsd_decoder(rng, width=8, depth=1, n_heads=n_heads)
+
+
 def test_feature_select_modes():
     rng = np.random.default_rng(2)
     feats = ad.Tensor(rng.normal(size=(4, 6)))
