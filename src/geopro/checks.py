@@ -93,7 +93,7 @@ def equivariance(rng, models):
                              attr_width=attr_width)
         edge = None
         if attr_width:
-            edge = ad.Tensor(rng.normal(size=(n, n, attr_width)))
+            edge = rng.normal(size=(n, n, attr_width))
         state = eg.GraphState(
             ad.Tensor(rng.normal(scale=5.0, size=(n, 3))),
             ad.Tensor(rng.normal(size=(n, width))),

@@ -5,7 +5,7 @@ Datasets on disk are a directory of CA-only PDB files plus
 indices), and optionally ``splits.csv``.  Every command that draws
 random numbers draws them from one seed through named substreams
 (``train``: the config key ``seed``), and every output file is written
-atomically.
+atomically by ``pipeline.write_atomic``.
 """
 
 import argparse
@@ -65,13 +65,6 @@ def _read_text(path):
         raise DataError("cannot read %s: %s" % (path, exc)) from None
 
 
-def _write_text_atomic(path, text):
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
-
-
 def _format_positions(positions):
     return ";".join(str(int(p)) for p in positions)
 
@@ -111,7 +104,7 @@ def write_dataset(out_dir, examples, splits=None):
     fasta = []
     motif_rows = ["id,positions"]
     for record, motif in examples:
-        _write_text_atomic(
+        pl.write_atomic(
             os.path.join(out_dir, "%s.pdb" % record.record_id), dt.emit_pdb_ca(record)
         )
         fasta.append(">%s\n%s" % (record.record_id, record.residue_string))
@@ -119,14 +112,14 @@ def write_dataset(out_dir, examples, splits=None):
             motif_rows.append(
                 "%s,%s" % (record.record_id, _format_positions(motif.positions))
             )
-    _write_text_atomic(os.path.join(out_dir, "sequences.fasta"), "\n".join(fasta) + "\n")
+    pl.write_atomic(os.path.join(out_dir, "sequences.fasta"), "\n".join(fasta) + "\n")
     if len(motif_rows) > 1:
-        _write_text_atomic(
+        pl.write_atomic(
             os.path.join(out_dir, "motifs.csv"), "\n".join(motif_rows) + "\n"
         )
     if splits is not None:
         train, valid, test = splits
-        _write_text_atomic(
+        pl.write_atomic(
             os.path.join(out_dir, "splits.csv"),
             dt.format_split_manifest(train, valid, test),
         )
@@ -250,7 +243,7 @@ def _cmd_motif(args):
     aln = dt.parse_alignment(_read_text(args.alignment), args.reference)
     positions = dt.extract_motif(aln, args.conservation)
     body = "".join("%d\n" % p for p in positions)
-    _write_text_atomic(args.out, body)
+    pl.write_atomic(args.out, body)
     print("%d conserved positions -> %s" % (len(positions), args.out))
     return EXIT_OK
 
@@ -280,7 +273,7 @@ def _cmd_train(args):
     )
     if not valid_set:
         pl.save_checkpoint(args.out, model)
-    _write_text_atomic("%s.config" % args.out, pl.format_config(config))
+    pl.write_atomic("%s.config" % args.out, pl.format_config(config))
     curve_path = args.curve or "%s.curve.csv" % args.out
     rows = ["epoch,train_total,train_backbone,train_sequence,valid_total"]
     for h in history:
@@ -288,7 +281,7 @@ def _cmd_train(args):
         rows.append("%d,%.10g,%.10g,%.10g,%s" % (
             h.epoch, h.train_total, h.train_backbone, h.train_sequence, valid_cell,
         ))
-    _write_text_atomic(curve_path, "\n".join(rows) + "\n")
+    pl.write_atomic(curve_path, "\n".join(rows) + "\n")
     if history:
         print("trained %d epochs; final train loss %.6g; checkpoint %s"
               % (len(history), history[-1].train_total, args.out))
@@ -317,10 +310,10 @@ def _cmd_design(args):
             sm.decode_sequence(cand.sequence),
         ))
         cand_record = dt.ProteinRecord(cand_id, cand.sequence, cand.coords)
-        _write_text_atomic(
+        pl.write_atomic(
             os.path.join(args.out, "%s.pdb" % cand_id), dt.emit_pdb_ca(cand_record)
         )
-    _write_text_atomic(
+    pl.write_atomic(
         os.path.join(args.out, "candidates.fasta"), "\n".join(fasta) + "\n"
     )
     print("wrote %d candidates for %s to %s" % (args.n, args.record_id, args.out))
@@ -343,11 +336,9 @@ def _cmd_eval(args):
             chain="A", record_id=cand_id,
         ).ca_coords
         candidates.append((cand_id, sm.encode_sequence(letters), coords))
-    targets = {cid: record for cid, _, _ in candidates}
-    motifs = {cid: motif for cid, _, _ in candidates}
     plddt_text = _read_text(args.plddt) if args.plddt else None
-    report = mx.evaluate_candidates(candidates, targets, motifs, plddt_text)
-    _write_text_atomic(args.out, mx.report_csv(report))
+    report = mx.evaluate_candidates(candidates, record, motif, plddt_text)
+    pl.write_atomic(args.out, mx.report_csv(report))
     print(mx.report_text(report), end="")
     return EXIT_OK
 
@@ -364,7 +355,7 @@ def _cmd_export_emb(args):
         rng = pl.substream(args.stream_seed, "export-%s" % rec_id)
         _, feats, _ = pl.forward_joint(record, motif, model, rng)
         blocks.append((rec_id, feats.data))
-    _write_text_atomic(args.out, mx.export_embeddings(blocks))
+    pl.write_atomic(args.out, mx.export_embeddings(blocks))
     print("exported %d feature blocks to %s" % (len(blocks), args.out))
     return EXIT_OK
 
@@ -419,17 +410,24 @@ def _cmd_check(args):
 # parser wiring
 
 
-def _seed(text):
-    """Type of every ``--seed``: numpy seeds are non-negative integers."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            "seed must be a non-negative integer, got %r" % text
-        )
-    return value
+def _int_at_least(low, message):
+    """Argparse type of the integers from ``low`` up; ``message`` names
+    the rule a rejected value breaks."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError("%s, got %r" % (message, text))
+        return value
+    return parse
+
+
+# numpy seeds are non-negative integers
+_seed = _int_at_least(0, "seed must be a non-negative integer")
+# type of every count of things to make or check
+_count = _int_at_least(1, "count must be a positive integer")
 
 
 def _add_seed(parser):
@@ -489,7 +487,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_motif)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--motif-frac", type=float, required=True)
     p.add_argument("--out", required=True)
@@ -510,7 +508,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--record-id", required=True)
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=_count, default=10)
     p.add_argument("--length", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--pin-motif", action=argparse.BooleanOptionalAction,
@@ -533,7 +531,7 @@ def build_parser():
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("bound-demo", help="random-instance sweep of the bound")
-    p.add_argument("--instances", type=int, default=200)
+    p.add_argument("--instances", type=_count, default=200)
     p.add_argument("--appendix-sign", action="store_true",
                    help="flip the sigmoid argument inside the bound")
     _add_seed(p)

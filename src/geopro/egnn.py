@@ -165,12 +165,14 @@ class GraphState:
     """Coordinates plus features of a fully connected graph.
 
     ``coords`` is (N, 3), ``feats`` is (N, d); optional ``edge_attrs``
-    is (N, N, A).  Every ordered pair of distinct nodes is an edge.
+    is a plain (N, N, A) float64 array.  The edge attributes are
+    constants: no gradient reaches them.  Every ordered pair of distinct
+    nodes is an edge.
     """
 
     coords: ad.Tensor
     feats: ad.Tensor
-    edge_attrs: Optional[ad.Tensor] = None
+    edge_attrs: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.coords = ad.as_tensor(self.coords)
@@ -189,8 +191,8 @@ class GraphState:
                 "coords have %d rows but feats have %d" % (n, self.feats.shape[0])
             )
         if self.edge_attrs is not None:
-            self.edge_attrs = ad.as_tensor(self.edge_attrs)
-            if self.edge_attrs.data.ndim != 3 or self.edge_attrs.shape[:2] != (n, n):
+            self.edge_attrs = np.asarray(self.edge_attrs, dtype=np.float64)
+            if self.edge_attrs.ndim != 3 or self.edge_attrs.shape[:2] != (n, n):
                 raise DimensionError(
                     "edge_attrs must be (N, N, A), got shape %s"
                     % (self.edge_attrs.shape,)
@@ -244,115 +246,87 @@ def _silu_slope(z, s, u):
     return z
 
 
-def _pair_geometry(coords, edge_attrs, start, stop):
-    """Difference vectors x_i - x_j, (rows, N, 3), and the pair input
-    [d²_ij, a_ij], (rows, N, 1 + A), for receiving rows start:stop.
+class _PairInput:
+    """The pair input ``[h_i, h_j, d²_ij, a_ij]`` of one pair MLP, built
+    one block of receiving rows at a time, and its gradient.
 
-    The diagonal pair (i, i) gets d² = 1, so that ``sqrt`` never sees a
-    zero; its difference vector is exactly zero.
-    """
-    diff = coords[start:stop, None, :] - coords[None, :, :]
-    sq_dist = (diff * diff).sum(axis=2)
-    rows = np.arange(stop - start)
-    sq_dist[rows, rows + start] = 1.0
-    edge_in = sq_dist[:, :, None]
-    if edge_attrs is not None:
-        edge_in = np.concatenate([edge_in, edge_attrs[start:stop]], axis=2)
-    return diff, edge_in
-
-
-def _pair_geometry_grad(g_coords, diff, d_diff, d_sq_dist, start, stop):
-    """Add to ``g_coords`` the gradient that reaches x through diff and d².
-
-    On the diagonal the difference vector is zero, so d² passes nothing.
-    """
-    total = d_sq_dist[:, :, None] * diff
-    total *= 2.0
-    if d_diff is not None:
-        total += d_diff
-    g_coords[start:stop] += total.sum(axis=1)
-    g_coords -= total.sum(axis=0)
-
-
-class _SplitFirstLayer:
-    """The first layer of a pair MLP, before its activation, and its gradient.
-
-    The pair input is ``[h_i, h_j, d²_ij, a_ij]``, so its product with
-    ``w1`` splits into ``h_i @ w1[:d]``, ``h_j @ w1[d:2d]`` and
-    ``[d², a] @ w1[2d:]``: the node terms cost N rows of matmul, not N².
+    Its product with ``w1`` splits into ``h_i @ w1[:d]``, ``h_j @
+    w1[d:2d]`` and ``[d², a] @ w1[2d:]``: the node terms cost N rows of
+    matmul, not N².  The edge attributes are constants and get no
+    gradient.
     """
 
-    def __init__(self, mlp, feats):
-        d = feats.shape[1]
+    def __init__(self, state, mlp):
+        self.coords, self.feats = state.coords.data, state.feats.data
+        self.attrs = state.edge_attrs
+        d = self.feats.shape[1]
         w1 = mlp.w1.data
         self.w_i, self.w_j, self.w_edge = w1[:d], w1[d:2 * d], w1[2 * d:]
-        self.from_i = feats @ self.w_i
-        self.from_j = feats @ self.w_j + mlp.b1.data
+        self.from_i = self.feats @ self.w_i
+        self.from_j = self.feats @ self.w_j + mlp.b1.data
 
-    def __call__(self, edge_in, start, stop, out):
-        """Write the pre-activations of rows start:stop into ``out``,
-        (rows * N, H)."""
+    def block(self, start, stop, out):
+        """Write the first-layer pre-activations of receiving rows
+        start:stop into ``out``, (rows * N, H), and return the difference
+        vectors x_i - x_j, (rows, N, 3), and ``[d², a]``, (rows, N, 1 + A).
+
+        The diagonal pair (i, i) gets d² = 1, so that ``sqrt`` never sees
+        a zero; its difference vector is exactly zero.
+        """
+        diff = self.coords[start:stop, None, :] - self.coords[None, :, :]
+        sq_dist = (diff * diff).sum(axis=2)
+        rows = np.arange(stop - start)
+        sq_dist[rows, rows + start] = 1.0
+        edge_in = sq_dist[:, :, None]
+        if self.attrs is not None:
+            edge_in = np.concatenate([edge_in, self.attrs[start:stop]], axis=2)
         np.matmul(edge_in.reshape(-1, edge_in.shape[2]), self.w_edge, out=out)
         out3 = out.reshape(edge_in.shape[:2] + (-1,))
         out3 += self.from_i[start:stop, None, :]
         out3 += self.from_j
+        return diff, edge_in
 
     def start_grad(self):
+        self.g_coords = np.zeros_like(self.coords)
         self.g_i = np.zeros_like(self.from_i)
         self.g_j = np.zeros_like(self.from_j)
         self.g_edge = np.zeros_like(self.w_edge)
         self._sum_i = np.empty_like(self.from_j)
 
-    def add_grad(self, d_out, edge_in, start, stop):
-        """Accumulate one block's gradient; return d(loss)/d(edge_in)."""
+    def add_grad(self, start, stop, diff, edge_in, d_out, d_sq_dist=None, d_diff=None):
+        """Accumulate the gradient of rows start:stop, given what ``block``
+        returned for them, d(loss)/d(pre-activations) ``d_out``, (rows * N,
+        H), and any gradient that reaches d² or the difference vectors
+        another way.  A block kept on the instance instead would outlive
+        the forward pass on the tape: that raised the width-32 training
+        benchmark's peak RSS from 63 to 69 MB.  On the diagonal the
+        difference vector is zero, so d² passes nothing.
+        """
         d_out3 = d_out.reshape(edge_in.shape[:2] + (-1,))
         d_out3.sum(axis=1, out=self.g_i[start:stop])
         self.g_j += d_out3.sum(axis=0, out=self._sum_i)
         self.g_edge += edge_in.reshape(-1, edge_in.shape[2]).T @ d_out
-        return (d_out @ self.w_edge.T).reshape(edge_in.shape)
+        d_sq = (d_out @ self.w_edge[:1].T).reshape(edge_in.shape[:2])
+        if d_sq_dist is not None:
+            d_sq += d_sq_dist
+        total = d_sq[:, :, None] * diff
+        total *= 2.0
+        if d_diff is not None:
+            total += d_diff
+        self.g_coords[start:stop] += total.sum(axis=1)
+        self.g_coords -= total.sum(axis=0)
 
-    def grads(self, feats):
-        """(d feats, d w1, d b1) once every block has been added."""
+    def grads(self):
+        """(d coords, d feats, d w1, d b1) once every block has been added."""
         g_feats = self.g_i @ self.w_i.T + self.g_j @ self.w_j.T
-        g_w1 = np.concatenate([feats.T @ self.g_i, feats.T @ self.g_j, self.g_edge])
-        return g_feats, g_w1, self.g_j.sum(axis=0)
+        g_w1 = np.concatenate([self.feats.T @ self.g_i, self.feats.T @ self.g_j, self.g_edge])
+        return self.g_coords, g_feats, g_w1, self.g_j.sum(axis=0)
 
 
 def _accumulate_product(acc, a, b, tmp):
     """acc += a.T @ b, through the preallocated ``tmp``."""
     np.matmul(a.T, b, out=tmp)
     acc += tmp
-
-
-def _pair_arrays(state):
-    attrs = None if state.edge_attrs is None else state.edge_attrs.data
-    return state.coords.data, state.feats.data, attrs
-
-
-def _pair_inputs(state):
-    inputs = [state.coords, state.feats]
-    if state.edge_attrs is not None:
-        inputs.append(state.edge_attrs)
-    return inputs
-
-
-def _start_node_grads(state):
-    """Zeroed gradients of the coordinates and, if tracked, the edge attributes."""
-    g_coords = np.zeros_like(state.coords.data)
-    g_attrs = None
-    if state.edge_attrs is not None and state.edge_attrs.requires_grad:
-        g_attrs = np.zeros_like(state.edge_attrs.data)
-    return g_coords, g_attrs
-
-
-def _node_grads(state, first, g_coords, g_attrs):
-    """Gradients of the layer's state inputs, in ``_pair_inputs`` order,
-    then those of the first layer's ``w1`` and ``b1``."""
-    g_feats, g_w1, g_b1 = first.grads(state.feats.data)
-    out = [g_coords, g_feats]
-    if state.edge_attrs is not None:
-        out.append(g_attrs)
-    return tuple(out) + (g_w1, g_b1)
 
 
 def _gated_messages(state, message_mlp, attention_mlp):
@@ -363,11 +337,10 @@ def _gated_messages(state, message_mlp, attention_mlp):
     output activations belong to the layer, since ``mlp_forward`` ends
     linearly.  The pairs are walked one block of receiving rows at a time
     and nothing of size N² is kept: the backward pass computes each block
-    again.
+    again.  The edge attributes are not an input of the node.
     """
-    coords, feats, attrs = _pair_arrays(state)
-    n = coords.shape[0]
-    first = _SplitFirstLayer(message_mlp, feats)
+    n = state.node_count
+    pair = _PairInput(state, message_mlp)
     w2, b2 = message_mlp.w2.data, message_mlp.b2.data
     a_w1, a_b1 = attention_mlp.w1.data, attention_mlp.b1.data
     a_w2, a_b2 = attention_mlp.w2.data, attention_mlp.b2.data
@@ -377,8 +350,7 @@ def _gated_messages(state, message_mlp, attention_mlp):
 
     def block(scratch, start, stop):
         z1, s1, u1, z2, s2, msg, z3, s3, u3 = (a[:(stop - start) * n] for a in scratch)
-        diff, edge_in = _pair_geometry(coords, attrs, start, stop)
-        first(edge_in, start, stop, out=z1)
+        diff, edge_in = pair.block(start, stop, out=z1)
         _silu(z1, s1, u1)
         np.matmul(u1, w2, out=z2)
         z2 += b2
@@ -399,8 +371,7 @@ def _gated_messages(state, message_mlp, attention_mlp):
         np.matmul(gate[:, None, :], msg, out=out[start:stop, None, :])
 
     def backward(g_out):
-        first.start_grad()
-        g_coords, g_attrs = _start_node_grads(state)
+        pair.start_grad()
         g_w2, g_b2 = np.zeros_like(w2), np.zeros_like(b2)
         g_a_w1, g_a_b1 = np.zeros_like(a_w1), np.zeros_like(a_b1)
         g_a_w2, g_a_b2 = np.zeros_like(a_w2), np.zeros_like(a_b2)
@@ -431,15 +402,11 @@ def _gated_messages(state, message_mlp, attention_mlp):
             slope1 = _silu_slope(z1, s1, u1)
             d_z1 = np.matmul(d_z2, w2.T, out=u1)
             d_z1 *= slope1
-            d_edge = first.add_grad(d_z1, edge_in, start, stop)
-            _pair_geometry_grad(g_coords, diff, None, d_edge[:, :, 0], start, stop)
-            if g_attrs is not None:
-                g_attrs[start:stop] = d_edge[:, :, 1:]
-        node_grads = _node_grads(state, first, g_coords, g_attrs)
-        return node_grads + (g_w2, g_b2, g_a_w1, g_a_b1, g_a_w2, g_a_b2)
+            pair.add_grad(start, stop, diff, edge_in, d_z1)
+        return pair.grads() + (g_w2, g_b2, g_a_w1, g_a_b1, g_a_w2, g_a_b2)
 
-    inputs = _pair_inputs(state) + message_mlp.tensors() + attention_mlp.tensors()
-    return ad.record_op(out, tuple(inputs), backward, "egnn.gated_messages")
+    inputs = (state.coords, state.feats, *message_mlp.tensors(), *attention_mlp.tensors())
+    return ad.record_op(out, inputs, backward, "egnn.gated_messages")
 
 
 def _coord_step(state, coord_mlp):
@@ -448,19 +415,18 @@ def _coord_step(state, coord_mlp):
     output activation.
 
     Walked one block of receiving rows at a time like ``_gated_messages``,
-    and computed again block by block in the backward pass.
+    and computed again block by block in the backward pass.  The edge
+    attributes are not an input of the node.
     """
-    coords, feats, attrs = _pair_arrays(state)
-    n = coords.shape[0]
-    first = _SplitFirstLayer(coord_mlp, feats)
+    n = state.node_count
+    pair = _PairInput(state, coord_mlp)
     w2, b2 = coord_mlp.w2.data, coord_mlp.b2.data
     hidden = w2.shape[0]
     rows, blocks = _row_blocks(n, hidden)
 
     def block(scratch, start, stop):
         y1, s1, v1 = (a[:(stop - start) * n] for a in scratch)
-        diff, edge_in = _pair_geometry(coords, attrs, start, stop)
-        first(edge_in, start, stop, out=y1)
+        diff, edge_in = pair.block(start, stop, out=y1)
         _silu(y1, s1, v1)
         coef = (v1 @ w2 + b2).reshape(stop - start, n)
         dist = np.sqrt(edge_in[:, :, 0])
@@ -474,8 +440,7 @@ def _coord_step(state, coord_mlp):
         np.matmul(weight[:, None, :], diff, out=out[start:stop, None, :])
 
     def backward(g_out):
-        first.start_grad()
-        g_coords, g_attrs = _start_node_grads(state)
+        pair.start_grad()
         g_w2, g_b2 = np.zeros_like(w2), np.zeros_like(b2)
         scratch = _scratch(rows * n, [hidden] * 3)
         for start, stop in blocks:
@@ -495,15 +460,11 @@ def _coord_step(state, coord_mlp):
             d_y1 = _silu_slope(y1, s1, v1)
             d_y1 *= d_coef
             d_y1 *= w2[:, 0]
-            d_edge = first.add_grad(d_y1, edge_in, start, stop)
-            d_sq_dist += d_edge[:, :, 0]
-            _pair_geometry_grad(g_coords, diff, d_diff, d_sq_dist, start, stop)
-            if g_attrs is not None:
-                g_attrs[start:stop] = d_edge[:, :, 1:]
-        return _node_grads(state, first, g_coords, g_attrs) + (g_w2, g_b2)
+            pair.add_grad(start, stop, diff, edge_in, d_y1, d_sq_dist, d_diff)
+        return pair.grads() + (g_w2, g_b2)
 
-    inputs = _pair_inputs(state) + coord_mlp.tensors()
-    return ad.record_op(out, tuple(inputs), backward, "egnn.coord_step")
+    inputs = (state.coords, state.feats, *coord_mlp.tensors())
+    return ad.record_op(out, inputs, backward, "egnn.coord_step")
 
 
 def egcl_forward(state, params):

@@ -119,29 +119,23 @@ def parse_plddt_csv(text):
     return out
 
 
-def evaluate_candidates(candidates, targets, motifs, plddt_text=None):
-    """Score (id, sequence, coords) candidates against their targets.
+def evaluate_candidates(candidates, record, motif, plddt_text=None):
+    """Score (id, sequence, coords) candidates against the reference
+    ``record`` they were designed for under ``motif``.
 
-    ``targets`` and ``motifs`` map candidate ids to the reference record
-    and the conditioning motif.  A confidence CSV, when given, joins by
-    id; ids it does not cover keep an empty confidence field.
+    A confidence CSV, when given, joins by id; ids it does not cover keep
+    an empty confidence field.
     """
     plddt = parse_plddt_csv(plddt_text) if plddt_text is not None else {}
+    length = record.length
+    flexible = np.setdiff1d(np.arange(length), motif.positions)
     rows = []
     for cand_id, sequence, coords in candidates:
-        if cand_id not in targets:
-            raise DataError("no target for candidate id %r" % cand_id)
-        if cand_id not in motifs:
-            raise DataError("no motif for candidate id %r" % cand_id)
-        record = targets[cand_id]
-        motif = motifs[cand_id]
-        length = record.length
         if sequence.shape[0] != length:
             raise DataError(
                 "candidate %r length %d does not match target length %d"
                 % (cand_id, sequence.shape[0], length)
             )
-        flexible = np.setdiff1d(np.arange(length), motif.positions)
         rows.append(
             EvalRow(
                 row_id=cand_id,

@@ -7,6 +7,7 @@ a residue reconstruction loss; design samples flexible residues from
 the decoder under a fixed motif.
 """
 
+import contextlib
 import dataclasses
 import logging
 import math
@@ -29,6 +30,7 @@ from .egnn import (
 from .errors import (
     ConfigError,
     ContractError,
+    DataError,
     DimensionError,
     DomainError,
     GenerationError,
@@ -391,7 +393,7 @@ def refine_and_decode(features, start_coords, motif_positions, model):
     """
     attrs = None
     if model.config.edge_attrs == "seqsep":
-        attrs = ad.Tensor(sequence_separation_attrs(features.shape[0]))
+        attrs = sequence_separation_attrs(features.shape[0])
     state = GraphState(ad.as_tensor(start_coords), features, attrs)
     out = egnn_forward(state, model.egnn)
     selected = gsd_feature_select(
@@ -710,6 +712,26 @@ def _unit(v):
 # checkpoints
 
 
+def write_atomic(path, content):
+    """Write text (as UTF-8) or bytes to ``path`` through a temporary file
+    and a rename, so that no reader sees a partial file.
+
+    An ``OSError`` becomes a ``DataError``, and the temporary file is
+    removed.
+    """
+    if isinstance(content, str):
+        content = content.encode("utf-8")
+    tmp = "%s.tmp.%d" % (path, os.getpid())
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(content)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise DataError("cannot write %s: %s" % (path, exc)) from None
+
+
 def save_checkpoint(path, model):
     """Write all parameters plus the architecture hash, atomically."""
     named = model.named_parameters()
@@ -723,17 +745,17 @@ def save_checkpoint(path, model):
         blob.append(struct.pack("<%dI" % arr.ndim, *arr.shape))
         blob.append(arr.tobytes())
     blob.append(struct.pack("<I", model.config.arch_hash()))
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "wb") as handle:
-        handle.write(b"".join(blob))
-    os.replace(tmp, path)
+    write_atomic(path, b"".join(blob))
     log.info("saved checkpoint with %d tensors to %s", len(named), path)
 
 
 def load_checkpoint(path, model):
     """Load parameters saved for the same architecture into the model."""
-    with open(path, "rb") as handle:
-        payload = handle.read()
+    try:
+        with open(path, "rb") as handle:
+            payload = handle.read()
+    except OSError as exc:
+        raise DataError("cannot read checkpoint %s: %s" % (path, exc)) from None
     view = memoryview(payload)
     if bytes(view[:8]) != CHECKPOINT_MAGIC:
         raise ParseError("not a checkpoint file: bad magic bytes")

@@ -175,6 +175,14 @@ def test_negative_seed_is_usage_error(command, capsys):
     assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("synth", "--n", "0"), ("design", "--n", "-2"), ("bound-demo", "--instances", "0"),
+])
+def test_count_below_one_is_usage_error(command, flag, value, capsys):
+    assert cli.run([command, flag, value]) == 1
+    assert "count must be a positive integer" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # motif positions file
 
@@ -340,6 +348,27 @@ def test_bad_config_value_exits_two(trained, tmp_path, capsys, line):
     assert "error: " in err and line.split()[0] in err
     assert "Traceback" not in err
     assert not os.path.exists(str(tmp_path / "m.ckpt"))
+
+
+@pytest.mark.parametrize("out", ["missing/m.ckpt", "a_directory"])
+def test_unwritable_checkpoint_exits_two(trained, tmp_path, capsys, out):
+    _, ds, _ = trained
+    os.mkdir(str(tmp_path / "a_directory"))
+    assert run_quiet(["train", "--data", ds, "--out", str(tmp_path / out),
+                      "--config", write_config(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot write" in err and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.tmp.*"))
+
+
+def test_missing_checkpoint_exits_two(trained, tmp_path, capsys):
+    _, ds, _ = trained
+    assert run_quiet(["design", "--config", write_config(tmp_path),
+                      "--checkpoint", str(tmp_path / "missing.ckpt"), "--data", ds,
+                      "--record-id", "syn001", "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot read checkpoint" in err and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.tmp.*"))
 
 
 def test_train_honors_split_manifest(tmp_path):

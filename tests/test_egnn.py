@@ -15,7 +15,7 @@ def _random_state(rng, n, d, attr_width=0, scale=2.0):
     feats = ad.Tensor(rng.normal(size=(n, d)))
     attrs = None
     if attr_width:
-        attrs = ad.Tensor(rng.normal(size=(n, n, attr_width)))
+        attrs = rng.normal(size=(n, n, attr_width))
     return egnn.GraphState(coords, feats, attrs)
 
 
@@ -155,8 +155,8 @@ def _edge_list_forward(state, params):
     sq_dist = ad.tsum(ad.square(diff), axis=1, keepdims=True)
     pieces = [h_i, h_j, sq_dist]
     if state.edge_attrs is not None:
-        flat_attrs = ad.reshape(state.edge_attrs, (n * n, params.attr_width))
-        pieces.append(ad.gather_rows(flat_attrs, src * n + dst))
+        flat_attrs = state.edge_attrs.reshape(n * n, params.attr_width)
+        pieces.append(ad.Tensor(flat_attrs[src * n + dst]))
     pair_input = ad.concat(pieces, axis=1)
     messages = ad.silu(egnn.mlp_forward(params.message_mlp, pair_input))
     attention = ad.sigmoid(egnn.mlp_forward(params.attention_mlp, messages))
@@ -170,21 +170,17 @@ def _edge_list_forward(state, params):
     return egnn.GraphState(new_coords, new_feats, state.edge_attrs)
 
 
-def _layer_outputs_and_grads(forward, layer, coords, feats, attrs, probe, attrs_grad=False):
+def _layer_outputs_and_grads(forward, layer, coords, feats, attrs, probe):
     x = ad.Tensor(coords, requires_grad=True)
     h = ad.Tensor(feats, requires_grad=True)
-    e = None if attrs is None else ad.Tensor(attrs, requires_grad=attrs_grad)
     params = [t for _, t in layer.named_tensors("layer")]
     with ad.Tape() as tape:
-        out = forward(egnn.GraphState(x, h, e), layer)
+        out = forward(egnn.GraphState(x, h, attrs), layer)
         loss = ad.add(
             ad.tsum(ad.mul(out.coords, probe[0])), ad.tsum(ad.mul(out.feats, probe[1]))
         )
         tape.backward(loss)
-    grads = [x.grad, h.grad] + [p.grad for p in params]
-    if attrs_grad:
-        grads.append(e.grad)
-    return out, grads
+    return out, [x.grad, h.grad] + [p.grad for p in params]
 
 
 def _max_abs(a):
@@ -236,15 +232,42 @@ def test_blocked_layer_matches_edge_list_reference(seqsep):
     probe = (rng.normal(size=(n, 3)), rng.normal(size=(n, width)))
 
     results = [
-        _layer_outputs_and_grads(forward, layer, coords, feats, attrs, probe, seqsep)
+        _layer_outputs_and_grads(forward, layer, coords, feats, attrs, probe)
         for forward in (egnn.egcl_forward, _edge_list_forward)
     ]
     (dense, dense_grads), (ref, ref_grads) = results
     assert np.max(np.abs(dense.coords.data - ref.coords.data)) < 1e-12
     assert np.max(np.abs(dense.feats.data - ref.feats.data)) < 1e-12
-    assert len(dense_grads) == 2 + 16 + int(seqsep)
+    assert len(dense_grads) == 2 + 16
     for got, want in zip(dense_grads, ref_grads):
         assert got.shape == want.shape
+        assert _rel_dev(got, want) < 1e-10
+
+
+def test_edge_attributes_are_constants_on_the_tape():
+    # No recorded node takes the edge attributes as an input; every
+    # gradient the layer does take still matches the edge-list reference.
+    n = 7
+    rng = np.random.default_rng(23)
+    attrs = egnn.sequence_separation_attrs(n)
+    layer = egnn.init_egcl(rng, feat_width=4, message_width=6, attr_width=attrs.shape[2])
+    coords, feats = rng.normal(scale=2.0, size=(n, 3)), rng.normal(size=(n, 4))
+    probe = (rng.normal(size=(n, 3)), rng.normal(size=(n, 4)))
+    node_inputs = []
+
+    def recording_forward(state, params):
+        out = egnn.egcl_forward(state, params)
+        node_inputs.extend(t for node in ad.active_tape()._nodes for t in node.inputs)
+        return out
+
+    _, grads = _layer_outputs_and_grads(recording_forward, layer, coords, feats, attrs, probe)
+    _, ref_grads = _layer_outputs_and_grads(
+        _edge_list_forward, layer, coords, feats, attrs, probe
+    )
+    assert node_inputs
+    assert not any(np.shares_memory(t.data, attrs) for t in node_inputs)
+    assert len(grads) == 2 + 16
+    for got, want in zip(grads, ref_grads):
         assert _rel_dev(got, want) < 1e-10
 
 
@@ -259,7 +282,7 @@ def test_layer_outputs_identical_with_and_without_tape():
     with ad.Tape() as tape:
         state = egnn.GraphState(
             ad.Tensor(coords, requires_grad=True), ad.Tensor(feats, requires_grad=True),
-            ad.Tensor(attrs, requires_grad=True),
+            attrs,
         )
         taped = egnn.egcl_forward(state, layer)
     assert len(tape) > 0
@@ -334,7 +357,7 @@ def test_permutation_equivariance():
     permuted = egnn.GraphState(
         ad.Tensor(state.coords.data[perm]),
         ad.Tensor(state.feats.data[perm]),
-        ad.Tensor(state.edge_attrs.data[perm][:, perm]),
+        state.edge_attrs[perm][:, perm],
     )
     out_p = egnn.egnn_forward(permuted, model)
     assert np.max(np.abs(out_p.coords.data - out.coords.data[perm])) < 1e-10
@@ -350,7 +373,7 @@ def test_layer_gradients_match_finite_differences():
     params = [t for _, t in model.named_parameters()]
 
     def build_loss():
-        state = egnn.GraphState(ad.Tensor(coords), ad.Tensor(feats), ad.Tensor(attrs))
+        state = egnn.GraphState(ad.Tensor(coords), ad.Tensor(feats), attrs)
         out = egnn.egnn_forward(state, model)
         return ad.add(
             ad.tsum(ad.square(out.coords)), ad.tsum(ad.square(out.feats))

@@ -72,15 +72,13 @@ def toy_setup():
         make_candidate("c2", TARGET_SEQ, TARGET_COORDS + np.array([2.0, 0.0, 0.0])),
         make_candidate("c3", [5, 1, 2, 3], TARGET_COORDS),
     ]
-    targets = {cid: record for cid, _, _ in candidates}
-    motifs = {cid: motif for cid, _, _ in candidates}
-    return candidates, targets, motifs
+    return candidates, record, motif
 
 
 def test_evaluate_identical_and_translated_and_edited():
-    candidates, targets, motifs = toy_setup()
+    candidates, record, motif = toy_setup()
     plddt = "id,plddt\nc1,77.34\nc3,62.73\nnot-here,50\n"
-    report = mx.evaluate_candidates(candidates, targets, motifs, plddt_text=plddt)
+    report = mx.evaluate_candidates(candidates, record, motif, plddt_text=plddt)
     rows = {r.row_id: r for r in report.rows}
 
     r1 = rows["c1"]
@@ -115,21 +113,16 @@ def test_evaluate_identical_and_translated_and_edited():
 
 
 def test_evaluate_errors_and_order_invariance():
-    candidates, targets, motifs = toy_setup()
-    report_fwd = mx.evaluate_candidates(candidates, targets, motifs)
-    report_rev = mx.evaluate_candidates(candidates[::-1], targets, motifs)
+    candidates, record, motif = toy_setup()
+    report_fwd = mx.evaluate_candidates(candidates, record, motif)
+    report_rev = mx.evaluate_candidates(candidates[::-1], record, motif)
     assert [r.row_id for r in report_fwd.rows] == ["c1", "c2", "c3"]
     for a, b in zip(report_fwd.rows, report_rev.rows):
         assert a.row_id == b.row_id and a.values() == b.values()
 
-    with pytest.raises(DataError):
-        mx.evaluate_candidates(candidates, {}, motifs)
-    with pytest.raises(DataError):
-        mx.evaluate_candidates(candidates, targets, {})
-
     short = [make_candidate("c1", [0, 1], np.zeros((2, 3)))]
     with pytest.raises(DataError):
-        mx.evaluate_candidates(short, targets, motifs)
+        mx.evaluate_candidates(short, record, motif)
 
 
 def test_superposed_metrics_invariant_under_rigid_motion():
@@ -141,7 +134,7 @@ def test_superposed_metrics_invariant_under_rigid_motion():
         transform = random_rigid(rng)
         moved = make_candidate("c", TARGET_SEQ, apply_rigid(transform, base[2]))
         reports = [
-            mx.evaluate_candidates([cand], {"c": record}, {"c": motif})
+            mx.evaluate_candidates([cand], record, motif)
             for cand in (base, moved)
         ]
         r0, r1 = (rep.rows[0] for rep in reports)
@@ -229,9 +222,9 @@ def test_novelty_scans_different_lengths():
 
 
 def test_report_csv_summary_recomputable():
-    candidates, targets, motifs = toy_setup()
+    candidates, record, motif = toy_setup()
     plddt = "id,plddt\nc1,77.34\nc3,62.73\n"
-    report = mx.evaluate_candidates(candidates, targets, motifs, plddt_text=plddt)
+    report = mx.evaluate_candidates(candidates, record, motif, plddt_text=plddt)
     text = mx.report_csv(report)
     rows = list(csv.reader(io.StringIO(text)))
     header = rows[0]
@@ -254,8 +247,8 @@ def test_report_csv_summary_recomputable():
 
 
 def test_report_text_contains_everything():
-    candidates, targets, motifs = toy_setup()
-    report = mx.evaluate_candidates(candidates, targets, motifs)
+    candidates, record, motif = toy_setup()
+    report = mx.evaluate_candidates(candidates, record, motif)
     text = mx.report_text(report)
     for token in ("id", "aar_all", "c1", "c2", "c3", "mean", "median"):
         assert token in text
