@@ -298,9 +298,9 @@ class _PairInput:
         returned for them, d(loss)/d(pre-activations) ``d_out``, (rows * N,
         H), and any gradient that reaches d² or the difference vectors
         another way.  A block kept on the instance instead would outlive
-        the forward pass on the tape: that raised the width-32 training
-        benchmark's peak RSS from 63 to 69 MB.  On the diagonal the
-        difference vector is zero, so d² passes nothing.
+        the forward pass on the tape: that raised the peak RSS of width-32
+        training (bench ``train-toy``, 2 cores) from 63 to 69 MB.  On the
+        diagonal the difference vector is zero, so d² passes nothing.
         """
         d_out3 = d_out.reshape(edge_in.shape[:2] + (-1,))
         d_out3.sum(axis=1, out=self.g_i[start:stop])
