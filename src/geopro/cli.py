@@ -100,7 +100,7 @@ def write_dataset(out_dir, examples, splits=None):
     A motif may be None; ``motifs.csv`` is written only when some
     example has one.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    pl.make_dirs(out_dir)
     fasta = []
     motif_rows = ["id,positions"]
     for record, motif in examples:
@@ -263,6 +263,9 @@ def _cmd_train(args):
     motif_positions = (
         parse_positions_file(_read_text(args.motif_file)) if args.motif_file else None
     )
+    curve_path = args.curve or "%s.curve.csv" % args.out
+    for path in (args.out, curve_path):
+        pl.check_writable(path)
     examples, splits = read_dataset(args.data, motif_positions)
     train_set, valid_set = _split_examples(examples, splits)
     model = pl.build_model(config)
@@ -274,7 +277,6 @@ def _cmd_train(args):
     if not valid_set:
         pl.save_checkpoint(args.out, model)
     pl.write_atomic("%s.config" % args.out, pl.format_config(config))
-    curve_path = args.curve or "%s.curve.csv" % args.out
     rows = ["epoch,train_total,train_backbone,train_sequence,valid_total"]
     for h in history:
         valid_cell = "" if math.isnan(h.valid_total) else "%.10g" % h.valid_total
@@ -301,7 +303,7 @@ def _cmd_design(args):
         motif, length, args.n, model.config.top_k, model,
         seed=args.stream_seed, pin_motif=args.pin_motif,
     )
-    os.makedirs(args.out, exist_ok=True)
+    pl.make_dirs(args.out)
     fasta = []
     for index, cand in enumerate(candidates):
         cand_id = "cand%03d" % index

@@ -3,11 +3,12 @@
 Each layer passes messages between every ordered node pair, updates the
 node features invariantly, and moves the coordinates along the pair
 difference vectors so that the whole map commutes with rotations,
-translations and reflections of the input coordinates.
+translations and reflections of the input coordinates.  A batch of
+graphs of one node count runs through each layer at once.
 
 The pair work of a layer is two fused tape nodes written in numpy: the
 gated message sum and the coordinate step.  Each walks the dense pair
-grid one block of receiving rows at a time, sized so that a (rows, N, H)
+grids one block of receiving rows at a time, sized so that a (rows, N, H)
 array is about 1 MB, keeps nothing of size N² between forward and
 backward, and computes every block again in its backward pass (gradient
 checkpointing, Chen et al. 2016).  Memory therefore grows with N·H, not
@@ -162,17 +163,19 @@ class EgnnModel:
 
 @dataclass
 class GraphState:
-    """Coordinates plus features of a fully connected graph.
+    """Coordinates plus features of B fully connected graphs of N nodes each.
 
-    ``coords`` is (N, 3), ``feats`` is (N, d); optional ``edge_attrs``
-    is a plain (N, N, A) float64 array.  The edge attributes are
-    constants: no gradient reaches them.  Every ordered pair of distinct
-    nodes is an edge.
+    ``coords`` is (B·N, 3) and ``feats`` is (B·N, d): the node rows of the
+    ``batch`` = B graphs, one graph after the other.  Optional
+    ``edge_attrs`` is a plain (N, N, A) float64 array shared by every graph.
+    The edge attributes are constants: no gradient reaches them.  Every
+    ordered pair of distinct nodes of a graph is an edge.
     """
 
     coords: ad.Tensor
     feats: ad.Tensor
     edge_attrs: Optional[np.ndarray] = None
+    batch: int = 1
 
     def __post_init__(self):
         self.coords = ad.as_tensor(self.coords)
@@ -185,11 +188,16 @@ class GraphState:
             raise DimensionError(
                 "feats must be (N, d), got shape %s" % (self.feats.shape,)
             )
-        n = self.coords.shape[0]
-        if self.feats.shape[0] != n:
+        rows = self.coords.shape[0]
+        if self.feats.shape[0] != rows:
             raise DimensionError(
-                "coords have %d rows but feats have %d" % (n, self.feats.shape[0])
+                "coords have %d rows but feats have %d" % (rows, self.feats.shape[0])
             )
+        if self.batch < 1 or rows % self.batch:
+            raise DimensionError(
+                "%d rows do not split into %d graphs" % (rows, self.batch)
+            )
+        n = self.node_count
         if self.edge_attrs is not None:
             self.edge_attrs = np.asarray(self.edge_attrs, dtype=np.float64)
             if self.edge_attrs.ndim != 3 or self.edge_attrs.shape[:2] != (n, n):
@@ -199,8 +207,13 @@ class GraphState:
                 )
 
     @property
+    def batch_shape(self):
+        """(B, N): the number of graphs and of nodes in each."""
+        return self.batch, self.coords.shape[0] // self.batch
+
+    @property
     def node_count(self):
-        return self.coords.shape[0]
+        return self.batch_shape[1]
 
     @property
     def attr_width(self):
@@ -213,19 +226,34 @@ class GraphState:
 _BLOCK_VALUES = 2 ** 17
 
 
-def _row_blocks(n, width):
-    """Rows per block, and (start, stop) of each block of receiving rows i."""
+def _row_blocks(batch, n, width):
+    """Receiving rows per block, and the blocks of ``batch`` graphs of
+    ``n`` nodes, each as (b0, b1, i0, i1): rows i0:i1 of graphs b0:b1.
+
+    A block takes as many whole graphs as fit in it, so that small graphs
+    share one block; a graph with more rows than fit is walked one block
+    of rows at a time.
+    """
     rows = max(1, _BLOCK_VALUES // max(1, n * width))
-    return rows, [(start, min(start + rows, n)) for start in range(0, n, rows)]
+    if n == 0:
+        return rows, []
+    if rows >= n:
+        graphs = rows // n
+        return rows, [(b, min(b + graphs, batch), 0, n) for b in range(0, batch, graphs)]
+    return rows, [
+        (b, b + 1, i, min(i + rows, n)) for b in range(batch) for i in range(0, n, rows)
+    ]
 
 
-def _scratch(count, widths):
-    """One (count, width) array per width, reused by every block so that
-    no block allocates arrays of its own.  They are views of one flat
-    allocation: glibc's malloc then reuses the same pages from call to
-    call, where separate arrays of this size were returned to the system
-    and faulted in again on every call (1317 minor page faults against 0
-    per forward and backward of a two-layer width-32 EGNN at N=30)."""
+def _scratch(blocks, n, widths):
+    """One (pairs, width) array per width, where pairs is the largest
+    block's pair count, reused by every block so that no block allocates
+    arrays of its own.  They are views of one flat allocation: glibc's
+    malloc then reuses the same pages from call to call, where separate
+    arrays of this size were returned to the system and faulted in again
+    on every call (1317 minor page faults against 0 per forward and
+    backward of a two-layer width-32 EGNN at N=30)."""
+    count = n * max([(b1 - b0) * (i1 - i0) for b0, b1, i0, i1 in blocks], default=0)
     flat = np.empty(count * sum(widths))
     parts = np.split(flat, np.cumsum([count * width for width in widths[:-1]]))
     return [part.reshape(count, width) for part, width in zip(parts, widths)]
@@ -251,39 +279,47 @@ class _PairInput:
     one block of receiving rows at a time, and its gradient.
 
     Its product with ``w1`` splits into ``h_i @ w1[:d]``, ``h_j @
-    w1[d:2d]`` and ``[d², a] @ w1[2d:]``: the node terms cost N rows of
-    matmul, not N².  The edge attributes are constants and get no
-    gradient.
+    w1[d:2d]`` and ``[d², a] @ w1[2d:]``: the node terms cost B·N rows of
+    matmul, not B·N².  The edge attributes are constants and get no
+    gradient.  A block is a (b0, b1, i0, i1) of ``_row_blocks``, and its
+    pair arrays are (graphs, rows, N, ·).
     """
 
     def __init__(self, state, mlp):
-        self.coords, self.feats = state.coords.data, state.feats.data
+        batch, n = state.batch_shape
+        self.coords = state.coords.data.reshape(batch, n, 3)
+        self.feats = state.feats.data
         self.attrs = state.edge_attrs
         d = self.feats.shape[1]
         w1 = mlp.w1.data
         self.w_i, self.w_j, self.w_edge = w1[:d], w1[d:2 * d], w1[2 * d:]
-        self.from_i = self.feats @ self.w_i
-        self.from_j = self.feats @ self.w_j + mlp.b1.data
+        shape = (batch, n, w1.shape[1])
+        self.from_i = (self.feats @ self.w_i).reshape(shape)
+        self.from_j = (self.feats @ self.w_j + mlp.b1.data).reshape(shape)
 
-    def block(self, start, stop, out):
-        """Write the first-layer pre-activations of receiving rows
-        start:stop into ``out``, (rows * N, H), and return the difference
-        vectors x_i - x_j, (rows, N, 3), and ``[d², a]``, (rows, N, 1 + A).
+    def block(self, blk, out):
+        """Write the first-layer pre-activations of block ``blk`` into
+        ``out``, (graphs * rows * N, H), and return the difference vectors
+        x_i - x_j, (graphs, rows, N, 3), and ``[d², a]``, (graphs, rows, N,
+        1 + A).
 
         The diagonal pair (i, i) gets d² = 1, so that ``sqrt`` never sees
         a zero; its difference vector is exactly zero.
         """
-        diff = self.coords[start:stop, None, :] - self.coords[None, :, :]
-        sq_dist = (diff * diff).sum(axis=2)
-        rows = np.arange(stop - start)
-        sq_dist[rows, rows + start] = 1.0
-        edge_in = sq_dist[:, :, None]
+        b0, b1, i0, i1 = blk
+        coords = self.coords[b0:b1]
+        diff = coords[:, i0:i1, None, :] - coords[:, None, :, :]
+        sq_dist = (diff * diff).sum(axis=3)
+        rows = np.arange(i1 - i0)
+        sq_dist[:, rows, rows + i0] = 1.0
+        edge_in = sq_dist[:, :, :, None]
         if self.attrs is not None:
-            edge_in = np.concatenate([edge_in, self.attrs[start:stop]], axis=2)
-        np.matmul(edge_in.reshape(-1, edge_in.shape[2]), self.w_edge, out=out)
-        out3 = out.reshape(edge_in.shape[:2] + (-1,))
-        out3 += self.from_i[start:stop, None, :]
-        out3 += self.from_j
+            attrs = np.broadcast_to(self.attrs[i0:i1], sq_dist.shape + self.attrs.shape[2:])
+            edge_in = np.concatenate([edge_in, attrs], axis=3)
+        np.matmul(edge_in.reshape(-1, edge_in.shape[3]), self.w_edge, out=out)
+        out4 = out.reshape(edge_in.shape[:3] + (-1,))
+        out4 += self.from_i[b0:b1, i0:i1, None, :]
+        out4 += self.from_j[b0:b1, None, :, :]
         return diff, edge_in
 
     def start_grad(self):
@@ -293,34 +329,38 @@ class _PairInput:
         self.g_edge = np.zeros_like(self.w_edge)
         self._sum_i = np.empty_like(self.from_j)
 
-    def add_grad(self, start, stop, diff, edge_in, d_out, d_sq_dist=None, d_diff=None):
-        """Accumulate the gradient of rows start:stop, given what ``block``
-        returned for them, d(loss)/d(pre-activations) ``d_out``, (rows * N,
-        H), and any gradient that reaches d² or the difference vectors
-        another way.  A block kept on the instance instead would outlive
-        the forward pass on the tape: that raised the peak RSS of width-32
-        training (bench ``train-toy``, 2 cores) from 63 to 69 MB.  On the
-        diagonal the difference vector is zero, so d² passes nothing.
+    def add_grad(self, blk, diff, edge_in, d_out, d_sq_dist=None, d_diff=None):
+        """Accumulate the gradient of block ``blk``, given what ``block``
+        returned for it, d(loss)/d(pre-activations) ``d_out``, (graphs *
+        rows * N, H), and any gradient that reaches d² or the difference
+        vectors another way.  A block kept on the instance instead would
+        outlive the forward pass on the tape: that raised the peak RSS of
+        width-32 training (bench ``train-toy``, 2 cores) from 63 to 69 MB.
+        On the diagonal the difference vector is zero, so d² passes
+        nothing.
         """
-        d_out3 = d_out.reshape(edge_in.shape[:2] + (-1,))
-        d_out3.sum(axis=1, out=self.g_i[start:stop])
-        self.g_j += d_out3.sum(axis=0, out=self._sum_i)
-        self.g_edge += edge_in.reshape(-1, edge_in.shape[2]).T @ d_out
-        d_sq = (d_out @ self.w_edge[:1].T).reshape(edge_in.shape[:2])
+        b0, b1, i0, i1 = blk
+        d_out4 = d_out.reshape(edge_in.shape[:3] + (-1,))
+        d_out4.sum(axis=2, out=self.g_i[b0:b1, i0:i1])
+        self.g_j[b0:b1] += d_out4.sum(axis=1, out=self._sum_i[b0:b1])
+        self.g_edge += edge_in.reshape(-1, edge_in.shape[3]).T @ d_out
+        d_sq = (d_out @ self.w_edge[:1].T).reshape(edge_in.shape[:3])
         if d_sq_dist is not None:
             d_sq += d_sq_dist
-        total = d_sq[:, :, None] * diff
+        total = d_sq[:, :, :, None] * diff
         total *= 2.0
         if d_diff is not None:
             total += d_diff
-        self.g_coords[start:stop] += total.sum(axis=1)
-        self.g_coords -= total.sum(axis=0)
+        self.g_coords[b0:b1, i0:i1] += total.sum(axis=2)
+        self.g_coords[b0:b1] -= total.sum(axis=1)
 
     def grads(self):
         """(d coords, d feats, d w1, d b1) once every block has been added."""
-        g_feats = self.g_i @ self.w_i.T + self.g_j @ self.w_j.T
-        g_w1 = np.concatenate([self.feats.T @ self.g_i, self.feats.T @ self.g_j, self.g_edge])
-        return self.g_coords, g_feats, g_w1, self.g_j.sum(axis=0)
+        width = self.g_i.shape[2]
+        g_i, g_j = self.g_i.reshape(-1, width), self.g_j.reshape(-1, width)
+        g_feats = g_i @ self.w_i.T + g_j @ self.w_j.T
+        g_w1 = np.concatenate([self.feats.T @ g_i, self.feats.T @ g_j, self.g_edge])
+        return self.g_coords.reshape(-1, 3), g_feats, g_w1, g_j.sum(axis=0)
 
 
 def _accumulate_product(acc, a, b, tmp):
@@ -330,27 +370,31 @@ def _accumulate_product(acc, a, b, tmp):
 
 
 def _gated_messages(state, message_mlp, attention_mlp):
-    """sum_j gate_ij * m_ij for every node i, as one tape node, (N, M).
+    """sum_j gate_ij * m_ij for every node i, as one tape node, (B·N, M).
 
     m_ij = silu(``message_mlp`` of the pair input) and gate_ij =
     sigmoid(``attention_mlp`` of m_ij); the diagonal's gate is zero.  These
-    output activations belong to the layer, since ``mlp_forward`` ends
-    linearly.  The pairs are walked one block of receiving rows at a time
-    and nothing of size N² is kept: the backward pass computes each block
-    again.  The edge attributes are not an input of the node.
+    output activations belong
+    to the layer, since ``mlp_forward`` ends linearly.  The pairs are
+    walked one block at a time and nothing of size N² is kept: the
+    backward pass computes each block again.  The edge attributes are not
+    an input of the node.
     """
-    n = state.node_count
+    batch, n = state.batch_shape
     pair = _PairInput(state, message_mlp)
     w2, b2 = message_mlp.w2.data, message_mlp.b2.data
     a_w1, a_b1 = attention_mlp.w1.data, attention_mlp.b1.data
     a_w2, a_b2 = attention_mlp.w2.data, attention_mlp.b2.data
     hidden, width, a_hidden = w2.shape[0], w2.shape[1], a_w1.shape[1]
-    rows, blocks = _row_blocks(n, max(hidden, width, a_hidden))
+    _, blocks = _row_blocks(batch, n, max(hidden, width, a_hidden))
     widths = [hidden] * 3 + [width] * 3 + [a_hidden] * 3
 
-    def block(scratch, start, stop):
-        z1, s1, u1, z2, s2, msg, z3, s3, u3 = (a[:(stop - start) * n] for a in scratch)
-        diff, edge_in = pair.block(start, stop, out=z1)
+    def block(scratch, blk):
+        b0, b1, i0, i1 = blk
+        z1, s1, u1, z2, s2, msg, z3, s3, u3 = (
+            a[:(b1 - b0) * (i1 - i0) * n] for a in scratch
+        )
+        diff, edge_in = pair.block(blk, out=z1)
         _silu(z1, s1, u1)
         np.matmul(u1, w2, out=z2)
         z2 += b2
@@ -358,32 +402,36 @@ def _gated_messages(state, message_mlp, attention_mlp):
         np.matmul(msg, a_w1, out=z3)
         z3 += a_b1
         _silu(z3, s3, u3)
-        gate = ad._sigmoid(u3 @ a_w2 + a_b2).reshape(stop - start, n)
-        diag = np.arange(stop - start)
-        gate[diag, diag + start] = 0.0
+        gate = ad._sigmoid(u3 @ a_w2 + a_b2).reshape(edge_in.shape[:3])
+        diag = np.arange(i1 - i0)
+        gate[:, diag, diag + i0] = 0.0
         return diff, edge_in, (z1, s1, u1, z2, s2, msg, z3, s3, u3, gate)
 
-    out = np.empty((n, width))
-    scratch = _scratch(rows * n, widths)
-    for start, stop in blocks:
-        saved = block(scratch, start, stop)[2]
-        msg, gate = saved[5].reshape(stop - start, n, width), saved[9]
-        np.matmul(gate[:, None, :], msg, out=out[start:stop, None, :])
+    out = np.empty((batch, n, width))
+    scratch = _scratch(blocks, n, widths)
+    for blk in blocks:
+        b0, b1, i0, i1 = blk
+        saved = block(scratch, blk)[2]
+        gate = saved[9]
+        msg = saved[5].reshape(gate.shape + (width,))
+        np.matmul(gate[:, :, None, :], msg, out=out[b0:b1, i0:i1, None, :])
 
     def backward(g_out):
+        g_out = g_out.reshape(batch, n, width)
         pair.start_grad()
         g_w2, g_b2 = np.zeros_like(w2), np.zeros_like(b2)
         g_a_w1, g_a_b1 = np.zeros_like(a_w1), np.zeros_like(a_b1)
         g_a_w2, g_a_b2 = np.zeros_like(a_w2), np.zeros_like(a_b2)
         tmp_w2, tmp_a_w1 = np.empty_like(w2), np.empty_like(a_w1)
-        *scratch, d_z2_scratch = _scratch(rows * n, widths + [width])
-        for start, stop in blocks:
-            diff, edge_in, saved = block(scratch, start, stop)
+        *scratch, d_z2_scratch = _scratch(blocks, n, widths + [width])
+        for blk in blocks:
+            b0, b1, i0, i1 = blk
+            diff, edge_in, saved = block(scratch, blk)
             z1, s1, u1, z2, s2, msg, z3, s3, u3, gate = saved
-            g_rows = g_out[start:stop]
-            msg3 = msg.reshape(stop - start, n, width)
+            g_rows = g_out[b0:b1, i0:i1]
+            msg4 = msg.reshape(gate.shape + (width,))
             # the zeroed diagonal gate has zero slope, so it passes nothing back
-            d_z4 = np.matmul(msg3, g_rows[:, :, None]).reshape(-1, 1)
+            d_z4 = np.matmul(msg4, g_rows[:, :, :, None]).reshape(-1, 1)
             d_z4 *= (gate * (1.0 - gate)).reshape(-1, 1)
             g_a_w2 += u3.T @ d_z4
             g_a_b2 += d_z4.sum(axis=0)
@@ -394,7 +442,7 @@ def _gated_messages(state, message_mlp, attention_mlp):
             g_a_b1 += d_z3.sum(axis=0)
             d_z2 = np.matmul(d_z3, a_w1.T, out=d_z2_scratch[:len(d_z3)])
             slope2 = _silu_slope(z2, s2, msg)
-            np.multiply(gate[:, :, None], g_rows[:, None, :], out=msg3)
+            np.multiply(gate[:, :, :, None], g_rows[:, :, None, :], out=msg4)
             d_z2 += msg
             d_z2 *= slope2
             _accumulate_product(g_w2, u1, d_z2, tmp_w2)
@@ -402,52 +450,57 @@ def _gated_messages(state, message_mlp, attention_mlp):
             slope1 = _silu_slope(z1, s1, u1)
             d_z1 = np.matmul(d_z2, w2.T, out=u1)
             d_z1 *= slope1
-            pair.add_grad(start, stop, diff, edge_in, d_z1)
+            pair.add_grad(blk, diff, edge_in, d_z1)
         return pair.grads() + (g_w2, g_b2, g_a_w1, g_a_b1, g_a_w2, g_a_b2)
 
     inputs = (state.coords, state.feats, *message_mlp.tensors(), *attention_mlp.tensors())
-    return ad.record_op(out, inputs, backward, "egnn.gated_messages")
+    return ad.record_op(out.reshape(-1, width), inputs, backward, "egnn.gated_messages")
 
 
 def _coord_step(state, coord_mlp):
     """sum_j (x_i - x_j) * c_ij / (d_ij + 1) for every node i, as one tape
-    node, (N, 3), where c_ij is ``coord_mlp`` of the pair input, with no
+    node, (B·N, 3), where c_ij is ``coord_mlp`` of the pair input, with no
     output activation.
 
-    Walked one block of receiving rows at a time like ``_gated_messages``,
-    and computed again block by block in the backward pass.  The edge
-    attributes are not an input of the node.
+    Walked one block at a time like ``_gated_messages``, and computed
+    again block by block in the backward pass.  The edge attributes are
+    not an input of the node.
     """
-    n = state.node_count
+    batch, n = state.batch_shape
     pair = _PairInput(state, coord_mlp)
     w2, b2 = coord_mlp.w2.data, coord_mlp.b2.data
     hidden = w2.shape[0]
-    rows, blocks = _row_blocks(n, hidden)
+    _, blocks = _row_blocks(batch, n, hidden)
 
-    def block(scratch, start, stop):
-        y1, s1, v1 = (a[:(stop - start) * n] for a in scratch)
-        diff, edge_in = pair.block(start, stop, out=y1)
+    def block(scratch, blk):
+        b0, b1, i0, i1 = blk
+        y1, s1, v1 = (a[:(b1 - b0) * (i1 - i0) * n] for a in scratch)
+        diff, edge_in = pair.block(blk, out=y1)
         _silu(y1, s1, v1)
-        coef = (v1 @ w2 + b2).reshape(stop - start, n)
-        dist = np.sqrt(edge_in[:, :, 0])
+        coef = (v1 @ w2 + b2).reshape(edge_in.shape[:3])
+        dist = np.sqrt(edge_in[:, :, :, 0])
         return diff, edge_in, (y1, s1, v1, coef, dist, coef / (dist + 1.0))
 
-    out = np.empty((n, 3))
-    scratch = _scratch(rows * n, [hidden] * 3)
-    for start, stop in blocks:
-        diff, _, saved = block(scratch, start, stop)
+    out = np.empty((batch, n, 3))
+    scratch = _scratch(blocks, n, [hidden] * 3)
+    for blk in blocks:
+        b0, b1, i0, i1 = blk
+        diff, _, saved = block(scratch, blk)
         weight = saved[5]
-        np.matmul(weight[:, None, :], diff, out=out[start:stop, None, :])
+        np.matmul(weight[:, :, None, :], diff, out=out[b0:b1, i0:i1, None, :])
 
     def backward(g_out):
+        g_out = g_out.reshape(batch, n, 3)
         pair.start_grad()
         g_w2, g_b2 = np.zeros_like(w2), np.zeros_like(b2)
-        scratch = _scratch(rows * n, [hidden] * 3)
-        for start, stop in blocks:
-            diff, edge_in, (y1, s1, v1, coef, dist, weight) = block(scratch, start, stop)
-            g_rows = g_out[start:stop]
-            d_weight = np.matmul(diff, g_rows[:, :, None])[:, :, 0]
-            d_diff = weight[:, :, None] * g_rows[:, None, :]
+        scratch = _scratch(blocks, n, [hidden] * 3)
+        for blk in blocks:
+            b0, b1, i0, i1 = blk
+            diff, edge_in, saved = block(scratch, blk)
+            y1, s1, v1, coef, dist, weight = saved
+            g_rows = g_out[b0:b1, i0:i1]
+            d_weight = np.matmul(diff, g_rows[:, :, :, None])[:, :, :, 0]
+            d_diff = weight[:, :, :, None] * g_rows[:, :, None, :]
             denom = dist + 1.0
             d_coef = d_weight / denom
             # weight = coef / (sqrt(d²) + 1), differentiated in d²; where two
@@ -460,19 +513,20 @@ def _coord_step(state, coord_mlp):
             d_y1 = _silu_slope(y1, s1, v1)
             d_y1 *= d_coef
             d_y1 *= w2[:, 0]
-            pair.add_grad(start, stop, diff, edge_in, d_y1, d_sq_dist, d_diff)
+            pair.add_grad(blk, diff, edge_in, d_y1, d_sq_dist, d_diff)
         return pair.grads() + (g_w2, g_b2)
 
     inputs = (state.coords, state.feats, *coord_mlp.tensors())
-    return ad.record_op(out, inputs, backward, "egnn.coord_step")
+    return ad.record_op(out.reshape(-1, 3), inputs, backward, "egnn.coord_step")
 
 
 def egcl_forward(state, params):
     """One message-passing layer; returns the updated graph state.
 
     The pair work is two fused tape nodes, ``_gated_messages`` and
-    ``_coord_step``.  Each walks the dense (N, N) pair grid one block of
-    receiving rows at a time, about 1 MB per (rows, N, H) array, keeps
+    ``_coord_step``, for every graph of the batch at once.  Each walks
+    the dense (N, N) pair grids one block of receiving rows at a time,
+    about 1 MB per (rows, N, H) array, keeps
     nothing of size N², and computes each block again in its backward
     pass, in the manner of gradient checkpointing.  The forward code is
     the same with and without a tape.  The diagonal pairs (i, i) are
@@ -480,7 +534,8 @@ def egcl_forward(state, params):
     their difference vector is exactly zero, so they add nothing to
     either update.  Their squared distance is set to 1 so that ``sqrt``
     never sees a zero, and it passes no gradient back.  The feature MLP,
-    its input concat and the final coordinate add are ordinary ops.
+    its input concat and the final coordinate add are ordinary ops on the
+    B·N node rows.
     """
     d = state.feats.shape[1]
     if d != params.feat_width:
@@ -495,7 +550,7 @@ def egcl_forward(state, params):
     gathered = _gated_messages(state, params.message_mlp, params.attention_mlp)
     new_feats = mlp_forward(params.feature_mlp, ad.concat([state.feats, gathered], axis=1))
     new_coords = ad.add(state.coords, _coord_step(state, params.coord_mlp))
-    return GraphState(new_coords, new_feats, state.edge_attrs)
+    return GraphState(new_coords, new_feats, state.edge_attrs, state.batch)
 
 
 def egnn_forward(state, model):
@@ -568,6 +623,7 @@ def equivariance_check(model, state, trials, rng, forward=None):
             ad.Tensor(apply_rigid(transform, state.coords.data)),
             state.feats,
             state.edge_attrs,
+            state.batch,
         )
         out = run(moved, model)
         coord_dev = np.max(

@@ -354,22 +354,26 @@ def init_backbone_coords(motif, length, radius, rng):
 
 
 def backbone_loss(predicted, target, motif):
-    """Sum of squared coordinate errors over flexible positions only."""
+    """Sum of squared coordinate errors over flexible positions only.
+
+    ``motif`` is the example's ``Motif`` and the result is a scalar.  For
+    a stack of B examples of length L, ``predicted`` holds their B·L rows,
+    ``target`` is (B, L, 3), ``motif`` is the row indices b·L + p of the
+    motif rows, and the result holds the B per-example sums.
+    """
     predicted = ad.as_tensor(predicted)
     target = np.asarray(target.data if isinstance(target, ad.Tensor) else target)
-    length = predicted.shape[0]
-    if target.shape != (length, 3):
+    rows = predicted.shape[0]
+    if target.ndim not in (2, 3) or target.shape[-1] != 3 or target.size != 3 * rows:
         raise ContractError(
             "target shape %s does not match %d predicted points"
-            % (target.shape, length)
+            % (target.shape, rows)
         )
-    keep = np.ones(length, dtype=bool)
-    keep[motif.positions] = False
-    scored = np.flatnonzero(keep)
-    if scored.size == 0:
-        return ad.Tensor(0.0)
-    diff = ad.sub(ad.gather_rows(predicted, scored), target[scored])
-    return ad.tsum(ad.square(diff))
+    keep = np.ones((rows, 1))
+    keep[motif.positions if isinstance(motif, Motif) else np.asarray(motif, np.int64)] = 0.0
+    squares = ad.mul(ad.square(ad.sub(predicted, target.reshape(-1, 3))), keep)
+    losses = ad.tsum(ad.reshape(squares, (-1, 3 * target.shape[-2])), axis=1)
+    return losses if target.ndim == 3 else ad.reshape(losses, ())
 
 
 def total_loss(backbone_term, sequence_term, alpha, beta):
@@ -384,49 +388,120 @@ def total_loss(backbone_term, sequence_term, alpha, beta):
 # forward passes
 
 
-def refine_and_decode(features, start_coords, motif_positions, model):
+def refine_and_decode(features, start_coords, motif_positions, model, batch=1):
     """EGNN refinement and decoding of already-encoded features.
 
     Returns (revised coords, revised features, residue logits).  Taking
     the realized starting coordinates as an argument lets callers apply
-    group actions to them directly.
+    group actions to them directly.  For a stack of ``batch`` = B
+    examples of length L, ``features`` and ``start_coords`` hold their
+    B·L rows, ``motif_positions`` are row indices b·L + p, and every
+    output holds B·L rows.
     """
     attrs = None
     if model.config.edge_attrs == "seqsep":
-        attrs = sequence_separation_attrs(features.shape[0])
-    state = GraphState(ad.as_tensor(start_coords), features, attrs)
+        attrs = sequence_separation_attrs(features.shape[0] // batch)
+    state = GraphState(ad.as_tensor(start_coords), features, attrs, batch)
     out = egnn_forward(state, model.egnn)
     selected = gsd_feature_select(
         out.feats, motif_positions, model.decoder.mask_emb, model.config.feature_select
     )
-    logits = decode_logits(selected, model.decoder)
+    logits = decode_logits(selected, model.decoder, batch=batch)
     return out.coords, out.feats, logits
 
 
 def forward_with_coords(corrupted_tokens, start_coords, motif_positions, model):
-    """Encode the corrupted tokens, then ``refine_and_decode``."""
+    """Encode the corrupted tokens, then ``refine_and_decode``.
+
+    A (B, L) stack of token rows runs the B examples as one pass, with
+    the stacked arguments ``refine_and_decode`` describes.
+    """
     features = encode_context(corrupted_tokens, model.encoder)
-    return refine_and_decode(features, start_coords, motif_positions, model)
+    tokens = np.asarray(corrupted_tokens)
+    batch = tokens.shape[0] if tokens.ndim == 2 else 1
+    return refine_and_decode(features, start_coords, motif_positions, model, batch)
+
+
+@dataclass
+class _Stack:
+    """B examples of one length L as stacked arrays."""
+
+    tokens: np.ndarray  # (B, L) corrupted tokens
+    start: np.ndarray  # (B·L, 3) initial coordinates
+    motif_rows: np.ndarray  # row indices b·L + p of the motif positions
+    sequences: np.ndarray  # (B, L) true residues
+    coords: np.ndarray  # (B, L, 3) true coordinates
+
+
+def _stack(examples, model, rngs):
+    """Mask and initialize B (record, motif) examples of one length;
+    example b draws its initial coordinates from ``rngs[b]``."""
+    length = examples[0][0].length
+    for record, _ in examples:
+        if record.length > model.config.max_len:
+            raise ContractError(
+                "record %r length %d exceeds max_len %d"
+                % (record.record_id, record.length, model.config.max_len)
+            )
+        if record.length != length:
+            raise ContractError("a stack holds records of one length")
+    return _Stack(
+        tokens=np.stack([
+            corrupt_sequence(record.sequence, motif.position_set())
+            for record, motif in examples
+        ]),
+        start=np.concatenate([
+            init_backbone_coords(motif, length, model.config.radius, rng)
+            for (_, motif), rng in zip(examples, rngs)
+        ]),
+        motif_rows=np.concatenate([
+            b * length + motif.positions for b, (_, motif) in enumerate(examples)
+        ]),
+        sequences=np.stack([record.sequence for record, _ in examples]),
+        coords=np.stack([record.ca_coords for record, _ in examples]),
+    )
 
 
 def forward_joint(record, motif, model, rng):
     """Mask, initialize, and run the full model for one record."""
-    if record.length > model.config.max_len:
-        raise ContractError(
-            "record %r length %d exceeds max_len %d"
-            % (record.record_id, record.length, model.config.max_len)
+    stack = _stack([(record, motif)], model, [rng])
+    return forward_with_coords(stack.tokens, stack.start, stack.motif_rows, model)
+
+
+def batch_losses(examples, model, rngs):
+    """(backbone, sequence, total) losses of B (record, motif) examples,
+    each a (B,) tensor in the order of ``examples``.
+
+    The records of each length run as one stacked forward pass.  Records
+    of different lengths are not padded to a common one: a stack's pair
+    work grows with the square of its longest record, so padding a batch
+    of lengths 50, 100, 200 and 300 would more than double the EGNN's
+    work.  Example b draws its initial coordinates from ``rngs[b]``.
+    """
+    groups = {}
+    for b, (record, _) in enumerate(examples):
+        groups.setdefault(record.length, []).append(b)
+    parts = []
+    for members in groups.values():
+        stack = _stack([examples[b] for b in members], model, [rngs[b] for b in members])
+        coords, _, logits = forward_with_coords(
+            stack.tokens, stack.start, stack.motif_rows, model
         )
-    corrupted = corrupt_sequence(record.sequence, motif.position_set())
-    start = init_backbone_coords(motif, record.length, model.config.radius, rng)
-    return forward_with_coords(corrupted, start, motif.position_set(), model)
+        parts.append((
+            backbone_loss(coords, stack.coords, stack.motif_rows),
+            sequence_loss(logits, stack.sequences, stack.motif_rows),
+        ))
+    l_b, l_s = parts[0]
+    if len(parts) > 1:
+        order = np.argsort(np.concatenate(list(groups.values())))
+        l_b, l_s = (ad.gather_rows(ad.concat([p[k] for p in parts]), order) for k in (0, 1))
+    return l_b, l_s, total_loss(l_b, l_s, model.config.alpha, model.config.beta)
 
 
 def example_losses(record, motif, model, rng):
-    """(backbone, sequence, total) loss tensors for one training example."""
-    coords, _, logits = forward_joint(record, motif, model, rng)
-    l_b = backbone_loss(coords, record.ca_coords, motif)
-    l_s = sequence_loss(logits, record.sequence, motif.position_set())
-    return l_b, l_s, total_loss(l_b, l_s, model.config.alpha, model.config.beta)
+    """(backbone, sequence, total) loss tensors for one training example:
+    ``batch_losses`` of a batch of one."""
+    return tuple(ad.reshape(t, ()) for t in batch_losses([(record, motif)], model, [rng]))
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +543,9 @@ def example_rng(seed, record):
 def train(train_set, config, model, valid_set=None, checkpoint_path=None):
     """Optimize the model in place; returns per-epoch loss statistics.
 
-    Each step averages the joint loss over a mini-batch, backpropagates
-    once, and applies one optimizer update at the scheduled rate.  When
+    Each step runs a mini-batch as one stacked forward pass
+    (``batch_losses``), averages its joint losses, backpropagates once,
+    and applies one optimizer update at the scheduled rate.  When
     a validation set and a checkpoint path are given, the best
     validation loss decides which weights get saved.
     """
@@ -490,28 +566,20 @@ def train(train_set, config, model, valid_set=None, checkpoint_path=None):
         order = order_rng.permutation(len(train_set))
         sum_b = sum_s = sum_t = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
+            batch = [train_set[idx] for idx in order[start:start + config.batch_size]]
+            rngs = [example_rng(config.seed, record) for record, _ in batch]
             with ad.Tape() as tape:
-                totals = []
-                for idx in batch:
-                    record, motif = train_set[idx]
-                    l_b, l_s, l_total = example_losses(
-                        record, motif, model, example_rng(config.seed, record)
-                    )
-                    value = l_total.item()
-                    if not math.isfinite(value):
+                l_b, l_s, l_total = batch_losses(batch, model, rngs)
+                for (record, _), lb, ls, lt in zip(batch, l_b.data, l_s.data, l_total.data):
+                    if not math.isfinite(lt):
                         raise NumericError(
                             "non-finite loss at step %d on example %r"
                             % (step, record.record_id)
                         )
-                    sum_b += l_b.item()
-                    sum_s += l_s.item()
-                    sum_t += value
-                    totals.append(l_total)
-                mean = ad.mul(ad.tsum(ad.concat(
-                    [ad.reshape(t, (1,)) for t in totals], axis=0
-                )), 1.0 / len(totals))
-                tape.backward(mean)
+                    sum_b += float(lb)
+                    sum_s += float(ls)
+                    sum_t += float(lt)
+                tape.backward(ad.mul(ad.tsum(l_total), 1.0 / len(batch)))
             step += 1
             ad.adam_step(adam, lr_of(step))
         n = len(train_set)
@@ -535,10 +603,12 @@ def evaluate_loss(dataset, model):
     if not dataset:
         raise ContractError("cannot evaluate on an empty dataset")
     total = 0.0
-    for record, motif in dataset:
-        rng = example_rng(model.config.seed, record)
-        _, _, l_total = example_losses(record, motif, model, rng)
-        total += l_total.item()
+    size = model.config.batch_size
+    for start in range(0, len(dataset), size):
+        batch = dataset[start:start + size]
+        rngs = [example_rng(model.config.seed, record) for record, _ in batch]
+        for value in batch_losses(batch, model, rngs)[2].data:
+            total += float(value)
     return total / len(dataset)
 
 
@@ -730,6 +800,28 @@ def write_atomic(path, content):
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise DataError("cannot write %s: %s" % (path, exc)) from None
+
+
+def make_dirs(path):
+    """Create the directory ``path`` and any missing parents.
+
+    An ``OSError`` becomes a ``DataError``.
+    """
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataError("cannot create directory %s: %s" % (path, exc)) from None
+
+
+def check_writable(path):
+    """Raise ``DataError`` unless ``write_atomic`` can write ``path``: a
+    probe file next to it is written with ``write_atomic`` and removed.
+    Lets a command refuse an output before a long run."""
+    if os.path.isdir(path):
+        raise DataError("cannot write %s: it is a directory" % path)
+    probe = "%s.probe" % path
+    write_atomic(probe, b"")
+    os.remove(probe)
 
 
 def save_checkpoint(path, model):

@@ -254,61 +254,71 @@ def layer_norm(x, params):
     return ad.add(ad.mul(normalized, params.gamma), params.beta)
 
 
-def attention_forward(x, params, key_bias=None):
-    """Multi-head self-attention over an (L, d) input.
+def attention_forward(x, params, key_bias=None, batch=1):
+    """Multi-head self-attention within each sequence of a stack.
 
-    ``key_bias`` is an optional (L,) additive score bias letting callers
-    shut padded positions out of every softmax.
+    ``x`` is (B·L, d): the rows of ``batch`` = B sequences of length L,
+    one sequence after the other.  ``key_bias`` is an optional (B, L)
+    additive score bias letting callers shut padded positions out of
+    every softmax.
     """
-    length, width = x.shape
+    rows, width = x.shape
+    if batch < 1 or rows % batch:
+        raise DimensionError("%d rows do not split into %d sequences" % (rows, batch))
+    length = rows // batch
     heads = params.n_heads
     head_width = width // heads
 
     def split(t):
-        return ad.transpose(ad.reshape(t, (length, heads, head_width)), (1, 0, 2))
+        return ad.transpose(ad.reshape(t, (batch, length, heads, head_width)), (0, 2, 1, 3))
 
     q = split(ad.add(ad.matmul(x, params.wq), params.bq))
     k = split(ad.matmul(x, params.wk))
     v = split(ad.add(ad.matmul(x, params.wv), params.bv))
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(head_width))
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_width))
     if key_bias is not None:
-        scores = ad.add(scores, np.asarray(key_bias).reshape(1, 1, length))
+        scores = ad.add(scores, np.asarray(key_bias).reshape(batch, 1, 1, length))
     mixed = ad.matmul(ad.softmax(scores), v)
-    merged = ad.reshape(ad.transpose(mixed, (1, 0, 2)), (length, width))
+    merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (rows, width))
     return ad.add(ad.matmul(merged, params.wo), params.bo)
 
 
-def block_forward(x, block, key_bias=None):
-    x = ad.add(x, attention_forward(layer_norm(x, block.ln1), block.attention, key_bias))
+def block_forward(x, block, key_bias=None, batch=1):
+    x = ad.add(x, attention_forward(layer_norm(x, block.ln1), block.attention, key_bias, batch))
     return ad.add(x, mlp_forward(block.feedforward, layer_norm(x, block.ln2)))
 
 
 def encode_context(tokens, encoder):
-    """Run a token sequence through the encoder; returns (L, d) features.
+    """Run token sequences through the encoder; returns (B·L, d) features.
 
-    Padding tokens are excluded from every attention softmax, so the
-    features at real positions do not depend on how much padding trails
-    the sequence.
+    ``tokens`` is one (L,) sequence, giving (L, d), or a (B, L) stack of
+    sequences of one length, giving their feature rows one sequence
+    after the other.  Padding tokens are excluded from every attention
+    softmax, so the features at real positions do not depend on how much
+    padding trails a sequence.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.shape[0] == 0:
-        raise ContractError("tokens must be a non-empty 1-D sequence")
-    length = tokens.shape[0]
+    if tokens.ndim not in (1, 2) or tokens.size == 0:
+        raise ContractError(
+            "tokens must be a non-empty (L,) sequence or (B, L) stack of them"
+        )
+    stack = tokens.reshape(-1, tokens.shape[-1])
+    batch, length = stack.shape
     if length > encoder.max_len:
         raise ContractError(
             "sequence length %d exceeds encoder capacity %d" % (length, encoder.max_len)
         )
     if tokens.min() < 0 or tokens.max() >= VOCAB_SIZE:
         raise ContractError("token index outside the vocabulary")
-    key_bias = np.where(tokens == PAD, _KEY_BIAS, 0.0)
-    if not np.any(tokens == PAD):
+    key_bias = np.where(stack == PAD, _KEY_BIAS, 0.0)
+    if not np.any(stack == PAD):
         key_bias = None
     x = ad.add(
-        ad.gather_rows(encoder.token_emb, tokens),
-        ad.gather_rows(encoder.pos_emb, np.arange(length)),
+        ad.gather_rows(encoder.token_emb, stack.ravel()),
+        ad.gather_rows(encoder.pos_emb, np.tile(np.arange(length), batch)),
     )
     for block in encoder.blocks:
-        x = block_forward(x, block, key_bias)
+        x = block_forward(x, block, key_bias, batch)
     return x
 
 
@@ -317,7 +327,8 @@ def gsd_feature_select(features, motif_seq_positions, mask_emb, mode="as_printed
 
     ``as_printed`` keeps the rows listed in ``motif_seq_positions`` and
     replaces every other row with the learned mask embedding;
-    ``inverted`` does the opposite.
+    ``inverted`` does the opposite.  For a stack of sequences the
+    positions are row indices b·L + p.
     """
     if mode not in ("as_printed", "inverted"):
         raise ConfigError("feature_select mode must be 'as_printed' or 'inverted'")
@@ -333,41 +344,47 @@ def gsd_feature_select(features, motif_seq_positions, mask_emb, mode="as_printed
     return ad.add(ad.mul(features, keep), replaced)
 
 
-def decode_logits(selected, decoder, key_bias=None):
-    """Selected feature rows to per-position residue logits (L, 20)."""
+def decode_logits(selected, decoder, key_bias=None, batch=1):
+    """Selected feature rows to per-position residue logits (L, 20), or
+    (B·L, 20) for the rows of a stack of ``batch`` = B sequences, with an
+    optional key bias as in ``attention_forward``."""
     x = ad.add(ad.matmul(selected, decoder.in_w), decoder.in_b)
     for block in decoder.blocks:
-        x = block_forward(x, block, key_bias)
+        x = block_forward(x, block, key_bias, batch)
     return ad.add(ad.matmul(x, decoder.head_w), decoder.head_b)
 
 
 def sequence_loss(logits, target, motif_seq_positions):
-    """Negative log likelihood summed over non-motif positions.
+    """Negative log likelihood summed over the scored rows: every row not
+    in ``motif_seq_positions``.
 
-    Positions in ``motif_seq_positions`` contribute nothing.  A mask or
-    pad token at a scored position is a caller bug and is rejected.
+    With a 1-D ``target`` the result is a scalar.  For a stack of B
+    sequences of length L, ``logits`` holds their B·L rows, ``target`` is
+    (B, L), the positions are row indices b·L + p, and the result holds
+    the B per-sequence sums.  A mask or pad token at a scored row is a
+    caller bug and is rejected.
     """
     target = np.asarray(target, dtype=np.int64)
-    length = logits.shape[0]
-    if target.shape != (length,):
+    rows = logits.shape[0]
+    if target.ndim not in (1, 2) or target.size != rows:
         raise ContractError(
-            "target length %s does not match %d logit rows" % (target.shape, length)
+            "target shape %s does not match %d logit rows" % (target.shape, rows)
         )
-    keep = np.ones(length, dtype=bool)
+    keep = np.ones(rows, dtype=bool)
     idx = np.asarray(sorted(motif_seq_positions), dtype=np.int64)
     if idx.size:
-        if idx.min() < 0 or idx.max() >= length:
-            raise ContractError("motif position out of range for %d rows" % length)
+        if idx.min() < 0 or idx.max() >= rows:
+            raise ContractError("motif position out of range for %d rows" % rows)
         keep[idx] = False
     scored = np.flatnonzero(keep)
-    if scored.size == 0:
-        return ad.Tensor(0.0)
-    if np.any(target[scored] >= RESIDUE_COUNT):
+    if np.any(target.ravel()[scored] >= RESIDUE_COUNT):
         raise ContractError("scored positions must hold amino-acid tokens")
-    log_probs = ad.log_softmax(ad.gather_rows(logits, scored))
-    onehot = np.zeros((scored.size, RESIDUE_COUNT))
-    onehot[np.arange(scored.size), target[scored]] = 1.0
-    return ad.neg(ad.tsum(ad.mul(log_probs, onehot)))
+    # the one-hot rows of unscored rows are zero, so they add nothing
+    onehot = np.zeros((rows, RESIDUE_COUNT))
+    onehot[scored, target.ravel()[scored]] = 1.0
+    per_row = ad.mul(ad.log_softmax(logits), onehot)
+    losses = ad.neg(ad.tsum(ad.reshape(per_row, (-1, target.shape[-1] * RESIDUE_COUNT)), axis=1))
+    return losses if target.ndim == 2 else ad.reshape(losses, ())
 
 
 def top_k_probs(logits_row, k):

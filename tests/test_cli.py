@@ -316,6 +316,7 @@ def test_train_writes_checkpoint_sidecar_and_curve(trained):
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) > 0
+    assert not list(tmp_path.rglob("*.probe*"))
 
 
 def test_config_file_seed_is_honoured(trained, tmp_path):
@@ -369,6 +370,44 @@ def test_missing_checkpoint_exits_two(trained, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: cannot read checkpoint" in err and "Traceback" not in err
     assert not list(tmp_path.rglob("*.tmp.*"))
+
+
+@pytest.mark.parametrize("command", ["synth", "design"])
+def test_unmakeable_output_directory_exits_two(trained, tmp_path, capsys, command):
+    # a regular file stands where the output directory's parent should be
+    _, ds, ck = trained
+    (tmp_path / "afile").write_text("")
+    out = str(tmp_path / "afile" / "out")
+    argv = {
+        "synth": ["synth", "--n", "1", "--length", "12", "--motif-frac", "0.3"],
+        "design": ["design", "--checkpoint", ck, "--data", ds, "--record-id", "syn001"],
+    }[command]
+    assert run_quiet(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot create directory" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["missing/file", "afile/file", "a_directory"])
+@pytest.mark.parametrize("flag", ["--out", "--curve"])
+def test_train_refuses_unwritable_outputs_before_training(
+        trained, tmp_path, capsys, monkeypatch, flag, where):
+    _, ds, _ = trained
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "a_directory").mkdir()
+
+    def must_not_train(*args, **kwargs):
+        raise AssertionError("pl.train ran before the outputs were checked")
+
+    monkeypatch.setattr(pl, "train", must_not_train)
+    paths = {"--out": str(tmp_path / "m.ckpt"), "--curve": str(tmp_path / "c.csv")}
+    paths[flag] = str(tmp_path / where)
+    argv = ["train", "--data", ds, "--config", write_config(tmp_path)]
+    for name, path in paths.items():
+        argv += [name, path]
+    assert run_quiet(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot write" in err and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.probe*"))
 
 
 def test_train_honors_split_manifest(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from geopro import autodiff as ad
 from geopro import egnn
 from geopro.checks import check_grads
-from geopro.errors import ContractError
+from geopro.errors import ContractError, DimensionError
 from geopro.geometry import apply_rigid, random_rigid
 
 
@@ -221,8 +221,8 @@ def test_dense_layer_matches_edge_list_reference(n, seqsep):
 def test_blocked_layer_matches_edge_list_reference(seqsep):
     # n=100 at width 32 walks the pair grid in blocks of 40, 40 and 20 rows
     n, width = 100, 32
-    rows, blocks = egnn._row_blocks(n, width)
-    assert len(blocks) >= 3 and blocks[-1][1] - blocks[-1][0] < rows
+    rows, blocks = egnn._row_blocks(1, n, width)
+    assert len(blocks) >= 3 and blocks[-1][3] - blocks[-1][2] < rows
     rng = np.random.default_rng(20)
     attrs = egnn.sequence_separation_attrs(n) if seqsep else None
     attr_width = 0 if attrs is None else attrs.shape[2]
@@ -242,6 +242,38 @@ def test_blocked_layer_matches_edge_list_reference(seqsep):
     for got, want in zip(dense_grads, ref_grads):
         assert got.shape == want.shape
         assert _rel_dev(got, want) < 1e-10
+
+
+def test_small_graphs_share_one_block():
+    # four width-32 graphs of 30 nodes fit one ~1 MB block; one width-320
+    # graph of 100 nodes is walked in blocks of 4 rows
+    assert egnn._row_blocks(4, 30, 32)[1] == [(0, 4, 0, 30)]
+    rows, blocks = egnn._row_blocks(1, 100, 320)
+    assert rows == 4 and len(blocks) == 25 and blocks[1] == (0, 1, 4, 8)
+
+
+@pytest.mark.parametrize("seqsep", [False, True])
+def test_batch_matches_each_graph_alone(seqsep):
+    rng = np.random.default_rng(24)
+    n = 6
+    attrs = egnn.sequence_separation_attrs(n) if seqsep else None
+    attr_width = 0 if attrs is None else attrs.shape[2]
+    layer = egnn.init_egcl(rng, feat_width=4, message_width=6, attr_width=attr_width)
+    coords = rng.normal(scale=2.0, size=(2, n, 3))
+    feats = rng.normal(size=(2, n, 4))
+    state = egnn.GraphState(coords.reshape(-1, 3), feats.reshape(-1, 4), attrs, batch=2)
+    out = egnn.egcl_forward(state, layer)
+    out_coords = out.coords.data.reshape(2, n, 3)
+    out_feats = out.feats.data.reshape(2, n, 4)
+    for b in range(2):
+        alone = egnn.egcl_forward(egnn.GraphState(coords[b], feats[b], attrs), layer)
+        assert _max_abs(out_coords[b] - alone.coords.data) < 1e-13
+        assert _max_abs(out_feats[b] - alone.feats.data) < 1e-13
+
+
+def test_graph_state_rejects_rows_that_do_not_split_into_the_batch():
+    with pytest.raises(DimensionError):
+        egnn.GraphState(np.zeros((7, 3)), np.zeros((7, 4)), batch=2)
 
 
 def test_edge_attributes_are_constants_on_the_tape():

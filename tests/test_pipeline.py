@@ -273,6 +273,98 @@ def test_pipeline_gradients_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# stacked mini-batches
+
+
+def mixed_batch():
+    """Four synthetic examples of lengths 12, 7, 12 and 30."""
+    return [
+        pl.generate_synthetic_dataset(1, n, 0.3, seed=40 + k)[0]
+        for k, n in enumerate((12, 7, 12, 30))
+    ]
+
+
+def streams(count):
+    return [np.random.default_rng(900 + k) for k in range(count)]
+
+
+def _rel_dev(got, want):
+    return float(np.abs(got - want).max(initial=0.0)) / max(
+        float(np.abs(want).max(initial=0.0)), 1e-300)
+
+
+@pytest.mark.parametrize("edge_attrs", ["none", "seqsep"])
+def test_batch_losses_and_gradients_equal_the_per_example_sum(edge_attrs):
+    examples = mixed_batch()
+    model = pl.build_model(tiny_config(width=8, egnn_depth=2, edge_attrs=edge_attrs,
+                                       feature_select="inverted"))
+    params = [t for _, t in model.named_parameters()]
+    with ad.Tape() as tape:
+        batched = pl.batch_losses(examples, model, streams(4))
+        tape.backward(ad.tsum(batched[2]))
+    batch_grads = [p.grad for p in params]
+    singles = []
+    summed = [np.zeros_like(p.data) for p in params]
+    for (record, motif), rng in zip(examples, streams(4)):
+        with ad.Tape() as tape:
+            losses = pl.example_losses(record, motif, model, rng)
+            tape.backward(losses[2])
+        singles.append([t.item() for t in losses])
+        for total, p in zip(summed, params):
+            total += p.grad
+    assert all(t.shape == (4,) for t in batched)
+    assert _rel_dev(np.stack([t.data for t in batched], axis=1), np.array(singles)) < 1e-12
+    for got, want in zip(batch_grads, summed):
+        assert _rel_dev(got, want) < 1e-12
+
+
+def test_stacking_leaves_an_example_unchanged():
+    first, _, second, _ = mixed_batch()
+    model = pl.build_model(tiny_config(width=8, egnn_depth=2, edge_attrs="seqsep"))
+    outputs = []
+    for batch in ([first], [first, second]):
+        stack = pl._stack(batch, model, streams(len(batch)))
+        coords, _, logits = pl.forward_with_coords(
+            stack.tokens, stack.start, stack.motif_rows, model)
+        losses = pl.batch_losses(batch, model, streams(len(batch)))
+        outputs.append((coords.data[:12], logits.data[:12], [t.data[0] for t in losses]))
+    for alone, stacked in zip(*outputs):
+        assert _rel_dev(np.asarray(stacked), np.asarray(alone)) < 1e-12
+
+
+def test_a_mixed_length_batch_stacks_each_length_and_pads_nothing(monkeypatch):
+    shapes = []
+    forward = pl.egnn_forward
+
+    def recording(state, model):
+        shapes.append(state.batch_shape)
+        return forward(state, model)
+
+    monkeypatch.setattr(pl, "egnn_forward", recording)
+    model = pl.build_model(tiny_config(width=8))
+    pl.batch_losses(mixed_batch(), model, streams(4))
+    assert sorted(shapes) == [(1, 7), (1, 30), (2, 12)]
+    with pytest.raises(ContractError):
+        pl._stack(mixed_batch()[:2], model, streams(2))
+
+
+def test_training_step_tape_does_not_grow_with_the_batch(monkeypatch):
+    recorded = []
+    backward = ad.Tape.backward
+
+    def counting(tape, loss):
+        recorded.append(len(tape))
+        return backward(tape, loss)
+
+    monkeypatch.setattr(ad.Tape, "backward", counting)
+    data = pl.generate_synthetic_dataset(4, 12, 0.3, seed=8)
+    for size in (1, 4):
+        cfg = tiny_config(epochs=1, batch_size=size)
+        pl.train(data[:size], cfg, pl.build_model(cfg))
+    assert recorded[0] == recorded[1]
+
+
+# ---------------------------------------------------------------------------
 # training
 
 
