@@ -561,26 +561,22 @@ def egnn_forward(state, model):
     return out
 
 
-def init_egcl(rng, feat_width, message_width, attr_width=0, hidden=None):
-    hidden = message_width if hidden is None else hidden
+def init_egcl(rng, feat_width, message_width, attr_width=0):
     pair_width = 2 * feat_width + 1 + attr_width
     return EgclParams(
-        message_mlp=init_mlp(rng, pair_width, hidden, message_width),
-        attention_mlp=init_mlp(rng, message_width, hidden, 1),
-        feature_mlp=init_mlp(rng, feat_width + message_width, hidden, feat_width),
-        coord_mlp=init_mlp(rng, pair_width, hidden, 1, out_scale=0.01),
+        message_mlp=init_mlp(rng, pair_width, message_width, message_width),
+        attention_mlp=init_mlp(rng, message_width, message_width, 1),
+        feature_mlp=init_mlp(rng, feat_width + message_width, message_width, feat_width),
+        coord_mlp=init_mlp(rng, pair_width, message_width, 1, out_scale=0.01),
         feat_width=feat_width,
         message_width=message_width,
         attr_width=attr_width,
     )
 
 
-def init_egnn(rng, depth, feat_width, message_width=None, attr_width=0, hidden=None):
+def init_egnn(rng, depth, feat_width, message_width=None, attr_width=0):
     message_width = feat_width if message_width is None else message_width
-    layers = [
-        init_egcl(rng, feat_width, message_width, attr_width, hidden)
-        for _ in range(depth)
-    ]
+    layers = [init_egcl(rng, feat_width, message_width, attr_width) for _ in range(depth)]
     return EgnnModel(layers=layers, feat_width=feat_width)
 
 

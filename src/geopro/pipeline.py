@@ -131,6 +131,10 @@ _ARCH_FIELDS = (
     "width", "egnn_depth", "enc_depth", "dec_depth", "n_heads", "max_len",
     "feature_select", "edge_attrs",
 )
+# Hashed with the fields above.  Bump it with any change to the parameter
+# layout or meaning that no config field records, so that a checkpoint
+# written before the change fails the hash check on load.
+LAYOUT_VERSION = 1
 
 
 @dataclass
@@ -198,7 +202,8 @@ class TrainingConfig:
 
     def arch_hash(self):
         """Hash over the fields that determine parameter layout and meaning."""
-        canon = ";".join("%s=%s" % (k, getattr(self, k)) for k in _ARCH_FIELDS)
+        fields = ["%s=%s" % (k, getattr(self, k)) for k in _ARCH_FIELDS]
+        canon = ";".join(["layout=%d" % LAYOUT_VERSION] + fields)
         return zlib.crc32(canon.encode("utf-8"))
 
 
@@ -875,6 +880,9 @@ def load_checkpoint(path, model):
         raise ParseError("checkpoint file is truncated") from None
     if offset != len(payload):
         raise ParseError("checkpoint has %d trailing bytes" % (len(payload) - offset))
+    for name, arr in loaded.items():
+        if not np.isfinite(arr).all():
+            raise ParseError("checkpoint tensor %r holds non-finite values" % name)
     if stored_hash != model.config.arch_hash():
         raise ConfigError(
             "checkpoint architecture hash %08x does not match model %08x"

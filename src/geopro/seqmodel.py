@@ -17,13 +17,11 @@ from .errors import ConfigError, ContractError, DataError, DimensionError
 
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 MASK = 20
-PAD = 21
-VOCAB_SIZE = 22
+VOCAB_SIZE = 21
 RESIDUE_COUNT = 20
 
 _RESIDUE_TO_INDEX = {ch: i for i, ch in enumerate(AMINO_ACIDS)}
 _LN_EPS = 1e-5
-_KEY_BIAS = -1e9
 
 
 def encode_sequence(residues):
@@ -219,8 +217,12 @@ def _init_block(rng, width, n_heads):
 
 
 def init_context_encoder(rng, width, depth=2, n_heads=4, max_len=512):
+    # One row more is drawn than kept, for the retired padding token, so
+    # that every weight drawn after this one keeps its value.  A change
+    # of init that alters those weights anyway drops the extra row.
+    token_emb = rng.normal(scale=0.1, size=(VOCAB_SIZE + 1, width))[:VOCAB_SIZE]
     return ContextEncoder(
-        token_emb=ad.Tensor(rng.normal(scale=0.1, size=(VOCAB_SIZE, width)), requires_grad=True),
+        token_emb=ad.Tensor(token_emb, requires_grad=True),
         pos_emb=ad.Tensor(rng.normal(scale=0.1, size=(max_len, width)), requires_grad=True),
         blocks=[_init_block(rng, width, n_heads) for _ in range(depth)],
         width=width,
@@ -254,13 +256,11 @@ def layer_norm(x, params):
     return ad.add(ad.mul(normalized, params.gamma), params.beta)
 
 
-def attention_forward(x, params, key_bias=None, batch=1):
+def attention_forward(x, params, batch=1):
     """Multi-head self-attention within each sequence of a stack.
 
     ``x`` is (B·L, d): the rows of ``batch`` = B sequences of length L,
-    one sequence after the other.  ``key_bias`` is an optional (B, L)
-    additive score bias letting callers shut padded positions out of
-    every softmax.
+    one sequence after the other.
     """
     rows, width = x.shape
     if batch < 1 or rows % batch:
@@ -276,15 +276,13 @@ def attention_forward(x, params, key_bias=None, batch=1):
     k = split(ad.matmul(x, params.wk))
     v = split(ad.add(ad.matmul(x, params.wv), params.bv))
     scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_width))
-    if key_bias is not None:
-        scores = ad.add(scores, np.asarray(key_bias).reshape(batch, 1, 1, length))
     mixed = ad.matmul(ad.softmax(scores), v)
     merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (rows, width))
     return ad.add(ad.matmul(merged, params.wo), params.bo)
 
 
-def block_forward(x, block, key_bias=None, batch=1):
-    x = ad.add(x, attention_forward(layer_norm(x, block.ln1), block.attention, key_bias, batch))
+def block_forward(x, block, batch=1):
+    x = ad.add(x, attention_forward(layer_norm(x, block.ln1), block.attention, batch))
     return ad.add(x, mlp_forward(block.feedforward, layer_norm(x, block.ln2)))
 
 
@@ -293,9 +291,7 @@ def encode_context(tokens, encoder):
 
     ``tokens`` is one (L,) sequence, giving (L, d), or a (B, L) stack of
     sequences of one length, giving their feature rows one sequence
-    after the other.  Padding tokens are excluded from every attention
-    softmax, so the features at real positions do not depend on how much
-    padding trails a sequence.
+    after the other.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim not in (1, 2) or tokens.size == 0:
@@ -310,15 +306,12 @@ def encode_context(tokens, encoder):
         )
     if tokens.min() < 0 or tokens.max() >= VOCAB_SIZE:
         raise ContractError("token index outside the vocabulary")
-    key_bias = np.where(stack == PAD, _KEY_BIAS, 0.0)
-    if not np.any(stack == PAD):
-        key_bias = None
     x = ad.add(
         ad.gather_rows(encoder.token_emb, stack.ravel()),
         ad.gather_rows(encoder.pos_emb, np.tile(np.arange(length), batch)),
     )
     for block in encoder.blocks:
-        x = block_forward(x, block, key_bias, batch)
+        x = block_forward(x, block, batch)
     return x
 
 
@@ -344,13 +337,12 @@ def gsd_feature_select(features, motif_seq_positions, mask_emb, mode="as_printed
     return ad.add(ad.mul(features, keep), replaced)
 
 
-def decode_logits(selected, decoder, key_bias=None, batch=1):
+def decode_logits(selected, decoder, batch=1):
     """Selected feature rows to per-position residue logits (L, 20), or
-    (B·L, 20) for the rows of a stack of ``batch`` = B sequences, with an
-    optional key bias as in ``attention_forward``."""
+    (B·L, 20) for the rows of a stack of ``batch`` = B sequences."""
     x = ad.add(ad.matmul(selected, decoder.in_w), decoder.in_b)
     for block in decoder.blocks:
-        x = block_forward(x, block, key_bias, batch)
+        x = block_forward(x, block, batch)
     return ad.add(ad.matmul(x, decoder.head_w), decoder.head_b)
 
 
@@ -361,8 +353,8 @@ def sequence_loss(logits, target, motif_seq_positions):
     With a 1-D ``target`` the result is a scalar.  For a stack of B
     sequences of length L, ``logits`` holds their B·L rows, ``target`` is
     (B, L), the positions are row indices b·L + p, and the result holds
-    the B per-sequence sums.  A mask or pad token at a scored row is a
-    caller bug and is rejected.
+    the B per-sequence sums.  A mask token at a scored row is a caller
+    bug and is rejected.
     """
     target = np.asarray(target, dtype=np.int64)
     rows = logits.shape[0]

@@ -372,6 +372,29 @@ def test_missing_checkpoint_exits_two(trained, tmp_path, capsys):
     assert not list(tmp_path.rglob("*.tmp.*"))
 
 
+@pytest.mark.parametrize("defect,message", [
+    ("nan", "'decoder.head_w' holds non-finite values"),
+    ("layout", "architecture hash"),
+], ids=["nan", "layout"])
+def test_unloadable_checkpoint_exits_two(trained, tmp_path, capsys, monkeypatch,
+                                         defect, message):
+    _, ds, _ = trained
+    cfg = write_config(tmp_path)
+    with open(cfg) as handle:
+        model = pl.build_model(pl.build_config(file_text=handle.read()))
+    ck = str(tmp_path / "bad.ckpt")
+    if defect == "nan":
+        model.decoder.head_w.data[0, 0] = np.nan
+    else:
+        monkeypatch.setattr(pl, "LAYOUT_VERSION", pl.LAYOUT_VERSION + 1)
+    pl.save_checkpoint(ck, model)
+    monkeypatch.undo()
+    assert run_quiet(["design", "--config", cfg, "--checkpoint", ck, "--data", ds,
+                      "--record-id", "syn001", "--out", str(tmp_path / "d")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
 @pytest.mark.parametrize("command", ["synth", "design"])
 def test_unmakeable_output_directory_exits_two(trained, tmp_path, capsys, command):
     # a regular file stands where the output directory's parent should be

@@ -460,7 +460,7 @@ def test_parameter_names_and_shapes_are_pinned():
     # checkpoints are keyed by these names: a rename orphans old files
     model = pl.build_model(tiny_config(edge_attrs="seqsep"))
     expected = (
-        [("encoder.token_emb", (22, 8)), ("encoder.pos_emb", (64, 8))]
+        [("encoder.token_emb", (21, 8)), ("encoder.pos_emb", (64, 8))]
         + _block_shapes("encoder.block0")
         + _mlp_shapes("egnn.layer0.message", 24, 8, 8)
         + _mlp_shapes("egnn.layer0.attention", 8, 8, 1)
@@ -473,7 +473,7 @@ def test_parameter_names_and_shapes_are_pinned():
     assert [(n, t.shape) for n, t in model.named_parameters()] == expected
 
 
-def test_checkpoint_rejects_corruption_and_mismatch(tmp_path):
+def test_checkpoint_rejects_corruption_and_mismatch(tmp_path, monkeypatch):
     cfg = tiny_config(seed=12)
     model = pl.build_model(cfg)
     path = str(tmp_path / "model.ckpt")
@@ -498,6 +498,19 @@ def test_checkpoint_rejects_corruption_and_mismatch(tmp_path):
     wider = pl.build_model(tiny_config(seed=12, width=12))
     with pytest.raises(ConfigError):
         pl.load_checkpoint(path, wider)
+
+    other_layout = str(tmp_path / "layout.ckpt")
+    with monkeypatch.context() as patch:
+        patch.setattr(pl, "LAYOUT_VERSION", pl.LAYOUT_VERSION + 1)
+        pl.save_checkpoint(other_layout, model)
+    with pytest.raises(ConfigError, match="architecture hash"):
+        pl.load_checkpoint(other_layout, model)
+
+    not_finite = str(tmp_path / "nan.ckpt")
+    model.decoder.head_w.data[0, 0] = np.nan
+    pl.save_checkpoint(not_finite, model)
+    with pytest.raises(ParseError, match="decoder.head_w"):
+        pl.load_checkpoint(not_finite, pl.build_model(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +580,15 @@ def test_config_validation_errors():
         pl.TrainingConfig(radius=0.0)
 
 
-def test_arch_hash_tracks_shape_knobs_only():
+def test_arch_hash_tracks_shape_knobs_only(monkeypatch):
     assert pl.TrainingConfig().arch_hash() == pl.TrainingConfig().arch_hash()
     assert pl.TrainingConfig(alpha=0.9).arch_hash() == pl.TrainingConfig().arch_hash()
     assert pl.TrainingConfig(width=64).arch_hash() != pl.TrainingConfig().arch_hash()
     assert (pl.TrainingConfig(feature_select="inverted").arch_hash()
             != pl.TrainingConfig().arch_hash())
+    current = pl.TrainingConfig().arch_hash()
+    monkeypatch.setattr(pl, "LAYOUT_VERSION", pl.LAYOUT_VERSION + 1)
+    assert pl.TrainingConfig().arch_hash() != current
 
 
 # ---------------------------------------------------------------------------

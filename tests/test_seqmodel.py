@@ -9,7 +9,7 @@ from geopro.errors import ConfigError, ContractError, DataError
 
 def test_vocabulary_is_bijective():
     assert len(set(sm.AMINO_ACIDS)) == sm.RESIDUE_COUNT == 20
-    assert (sm.MASK, sm.PAD, sm.VOCAB_SIZE) == (20, 21, 22)
+    assert (sm.MASK, sm.VOCAB_SIZE) == (20, 21)
     seq = sm.AMINO_ACIDS
     assert np.array_equal(sm.encode_sequence(seq), np.arange(20))
     assert sm.decode_sequence(sm.encode_sequence(seq)) == seq
@@ -47,18 +47,9 @@ def test_encode_context_basics():
 
     with pytest.raises(ContractError):
         sm.encode_context(sm.encode_sequence("ACDEFGHIK"), enc)
-    with pytest.raises(ContractError):
-        sm.encode_context(np.array([25]), enc)
-
-
-def test_encode_context_ignores_padding():
-    rng = np.random.default_rng(1)
-    enc = sm.init_context_encoder(rng, width=8, depth=2, n_heads=2, max_len=12)
-    tokens = sm.encode_sequence("ACDEF")
-    padded = np.concatenate([tokens, np.full(4, sm.PAD)])
-    plain = sm.encode_context(tokens, enc)
-    with_pad = sm.encode_context(padded, enc)
-    assert np.max(np.abs(with_pad.data[:5] - plain.data)) < 1e-12
+    for token in (21, 25):
+        with pytest.raises(ContractError):
+            sm.encode_context(np.array([token]), enc)
 
 
 def test_head_count_must_be_positive_and_divide_width():
