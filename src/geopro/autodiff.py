@@ -11,6 +11,7 @@ fused op with its own hand-written backward.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -163,6 +164,26 @@ def active_tape() -> Optional[Tape]:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def named_tensors(tree, prefix: str = ""):
+    """Yield ``(name, tensor)`` for every ``Tensor`` reachable from
+    ``tree`` through dataclass fields and lists, in field order.
+
+    A name joins the field names on the way with ".", and item k of a
+    list is named after the list without its plural "s": the items of a
+    field ``blocks`` are ``block0``, ``block1``, ...
+    """
+    if isinstance(tree, Tensor):
+        yield prefix, tree
+    elif isinstance(tree, list):
+        stem = prefix.removesuffix("s")
+        for k, item in enumerate(tree):
+            yield from named_tensors(item, f"{stem}{k}")
+    elif dataclasses.is_dataclass(tree):
+        for field in dataclasses.fields(tree):
+            name = f"{prefix}.{field.name}" if prefix else field.name
+            yield from named_tensors(getattr(tree, field.name), name)
 
 
 def record_op(out_data: np.ndarray, inputs: tuple, backward_fn: Callable, opname: str) -> Tensor:

@@ -189,8 +189,8 @@ def _split_examples(examples, splits):
 
 
 def _config_from_args(args, fallback_path=None):
-    """Config from ``--config`` (else ``fallback_path``), then ``--profile``,
-    then the flags the user typed.
+    """Config from ``--config`` (else ``fallback_path``), then the flags
+    the user typed.
 
     Every ``args`` attribute named after a ``TrainingConfig`` field is a
     config flag; the parser leaves it None unless the flag was given.
@@ -201,8 +201,7 @@ def _config_from_args(args, fallback_path=None):
         if getattr(args, f.name, None) is not None
     }
     return pl.build_config(
-        file_text=_read_text(path) if path else None, overrides=overrides,
-        profile=getattr(args, "profile", None),
+        file_text=_read_text(path) if path else None, overrides=overrides
     )
 
 
@@ -446,7 +445,6 @@ def _add_stream_seed(parser):
 
 # Flags that override config keys; each dest is the key it overrides.
 _CONFIG_FLAGS = {
-    "--profile": dict(choices=sorted(pl.PROFILES), help="named loss-weight preset"),
     "--alpha": dict(type=float, help="backbone loss weight"),
     "--beta": dict(type=float, help="sequence loss weight"),
     "--topk": dict(dest="top_k", type=int, help="sampling pool size"),
@@ -502,7 +500,7 @@ def build_parser():
     p.add_argument("--curve", help="loss curve CSV path")
     p.add_argument("--motif-file",
                    help="shared motif positions when motifs.csv is absent")
-    _add_config_flags(p, "--profile", "--alpha", "--beta", "--topk", "--radius",
+    _add_config_flags(p, "--alpha", "--beta", "--topk", "--radius",
                       "--feature-select", "--seed")
     p.set_defaults(handler=_cmd_train)
 

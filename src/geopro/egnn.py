@@ -56,12 +56,6 @@ class MlpParams:
     def tensors(self):
         return [self.w1, self.b1, self.w2, self.b2]
 
-    def named_tensors(self, prefix):
-        return [
-            ("%s.%s" % (prefix, name), tensor)
-            for name, tensor in zip(("w1", "b1", "w2", "b2"), self.tensors())
-        ]
-
 
 def glorot_uniform(rng, width_in, width_out, scale=1.0):
     bound = scale * np.sqrt(6.0 / (width_in + width_out))
@@ -94,19 +88,19 @@ def mlp_forward(params, x):
 class EgclParams:
     """One layer's learnable pieces.
 
-    ``message_mlp`` maps the pair input (both node features, squared
-    distance, optional edge attributes) to a message; ``attention_mlp``
-    maps each message to its gate; ``feature_mlp`` maps a node's
-    features plus its aggregated messages back to the feature width; and
-    ``coord_mlp`` produces the scalar weight on each pair difference
-    vector in the coordinate update.  The output activations of the pair
+    ``message`` maps the pair input (both node features, squared
+    distance, optional edge attributes) to a message; ``attention`` maps
+    each message to its gate; ``feature`` maps a node's features plus
+    its aggregated messages back to the feature width; and ``coord``
+    produces the scalar weight on each pair difference vector in the
+    coordinate update.  The output activations of the pair
     MLPs are fixed by ``_gated_messages`` and ``_coord_step``.
     """
 
-    message_mlp: MlpParams
-    attention_mlp: MlpParams
-    feature_mlp: MlpParams
-    coord_mlp: MlpParams
+    message: MlpParams
+    attention: MlpParams
+    feature: MlpParams
+    coord: MlpParams
     feat_width: int
     message_width: int
     attr_width: int = 0
@@ -114,29 +108,18 @@ class EgclParams:
     def __post_init__(self):
         pair_width = 2 * self.feat_width + 1 + self.attr_width
         checks = [
-            (self.message_mlp.width_in, pair_width, "message input"),
-            (self.message_mlp.width_out, self.message_width, "message output"),
-            (self.attention_mlp.width_in, self.message_width, "attention input"),
-            (self.attention_mlp.width_out, 1, "attention output"),
-            (self.feature_mlp.width_in, self.feat_width + self.message_width, "feature input"),
-            (self.feature_mlp.width_out, self.feat_width, "feature output"),
-            (self.coord_mlp.width_in, pair_width, "coordinate input"),
-            (self.coord_mlp.width_out, 1, "coordinate output"),
+            (self.message.width_in, pair_width, "message input"),
+            (self.message.width_out, self.message_width, "message output"),
+            (self.attention.width_in, self.message_width, "attention input"),
+            (self.attention.width_out, 1, "attention output"),
+            (self.feature.width_in, self.feat_width + self.message_width, "feature input"),
+            (self.feature.width_out, self.feat_width, "feature output"),
+            (self.coord.width_in, pair_width, "coordinate input"),
+            (self.coord.width_out, 1, "coordinate output"),
         ]
         for got, want, what in checks:
             if got != want:
                 raise ContractError("%s width is %d, expected %d" % (what, got, want))
-
-    def named_tensors(self, prefix):
-        out = []
-        for mlp_name, mlp in (
-            ("message", self.message_mlp),
-            ("attention", self.attention_mlp),
-            ("feature", self.feature_mlp),
-            ("coord", self.coord_mlp),
-        ):
-            out += mlp.named_tensors("%s.%s" % (prefix, mlp_name))
-        return out
 
 
 @dataclass
@@ -153,12 +136,6 @@ class EgnnModel:
                     "layer %d has feature width %d, model expects %d"
                     % (k, layer.feat_width, self.feat_width)
                 )
-
-    def named_parameters(self):
-        out = []
-        for k, layer in enumerate(self.layers):
-            out.extend(layer.named_tensors("layer%d" % k))
-        return out
 
 
 @dataclass
@@ -547,9 +524,9 @@ def egcl_forward(state, params):
             "state edge attributes have width %d, layer expects %d"
             % (state.attr_width, params.attr_width)
         )
-    gathered = _gated_messages(state, params.message_mlp, params.attention_mlp)
-    new_feats = mlp_forward(params.feature_mlp, ad.concat([state.feats, gathered], axis=1))
-    new_coords = ad.add(state.coords, _coord_step(state, params.coord_mlp))
+    gathered = _gated_messages(state, params.message, params.attention)
+    new_feats = mlp_forward(params.feature, ad.concat([state.feats, gathered], axis=1))
+    new_coords = ad.add(state.coords, _coord_step(state, params.coord))
     return GraphState(new_coords, new_feats, state.edge_attrs, state.batch)
 
 
@@ -564,10 +541,10 @@ def egnn_forward(state, model):
 def init_egcl(rng, feat_width, message_width, attr_width=0):
     pair_width = 2 * feat_width + 1 + attr_width
     return EgclParams(
-        message_mlp=init_mlp(rng, pair_width, message_width, message_width),
-        attention_mlp=init_mlp(rng, message_width, message_width, 1),
-        feature_mlp=init_mlp(rng, feat_width + message_width, message_width, feat_width),
-        coord_mlp=init_mlp(rng, pair_width, message_width, 1, out_scale=0.01),
+        message=init_mlp(rng, pair_width, message_width, message_width),
+        attention=init_mlp(rng, message_width, message_width, 1),
+        feature=init_mlp(rng, feat_width + message_width, message_width, feat_width),
+        coord=init_mlp(rng, pair_width, message_width, 1, out_scale=0.01),
         feat_width=feat_width,
         message_width=message_width,
         attr_width=attr_width,

@@ -49,6 +49,7 @@ from .seqmodel import (
     gsd_feature_select,
     init_context_encoder,
     init_gsd_decoder,
+    motif_mask,
     sample_top_k,
     sequence_loss,
 )
@@ -59,11 +60,6 @@ log = logging.getLogger(__name__)
 CHECKPOINT_MAGIC = b"GEOPRO01"
 EDGE_ATTR_MODES = ("none", "seqsep")
 SEQSEP_WIDTH = 7
-
-PROFILES = {
-    "beta-lactamase": {"alpha": 0.1},
-    "myoglobin": {"alpha": 0.01},
-}
 
 
 def substream(seed, label):
@@ -225,19 +221,12 @@ def parse_config_text(text):
     return out
 
 
-def build_config(file_text=None, overrides=None, profile=None):
+def build_config(file_text=None, overrides=None):
     """Config from defaults, then file values, then explicit overrides."""
     values = {}
     if file_text is not None:
         for key, raw in parse_config_text(file_text).items():
             values[key] = _convert_config_value(key, raw)
-    if profile is not None:
-        if profile not in PROFILES:
-            raise ConfigError(
-                "unknown profile %r, expected one of %s" % (profile, sorted(PROFILES))
-            )
-        for key, val in PROFILES[profile].items():
-            values.setdefault(key, val)
     if overrides:
         for key, val in overrides.items():
             if key not in _FIELD_TYPES:
@@ -273,10 +262,7 @@ class JointModel:
     config: TrainingConfig
 
     def named_parameters(self):
-        out = list(self.encoder.named_parameters())
-        out += [("egnn.%s" % n, t) for n, t in self.egnn.named_parameters()]
-        out += list(self.decoder.named_parameters())
-        return out
+        return list(ad.named_tensors(self))
 
     @property
     def version(self):
@@ -374,8 +360,8 @@ def backbone_loss(predicted, target, motif):
             "target shape %s does not match %d predicted points"
             % (target.shape, rows)
         )
-    keep = np.ones((rows, 1))
-    keep[motif.positions if isinstance(motif, Motif) else np.asarray(motif, np.int64)] = 0.0
+    positions = motif.positions if isinstance(motif, Motif) else motif
+    keep = (~motif_mask(positions, rows))[:, None].astype(np.float64)
     squares = ad.mul(ad.square(ad.sub(predicted, target.reshape(-1, 3))), keep)
     losses = ad.tsum(ad.reshape(squares, (-1, 3 * target.shape[-2])), axis=1)
     return losses if target.ndim == 3 else ad.reshape(losses, ())

@@ -48,17 +48,24 @@ def decode_sequence(tokens):
     return "".join(out)
 
 
+def motif_mask(motif_seq_positions, rows):
+    """(rows,) bool mask that is True at the motif positions.
+
+    Positions are row indices; one outside [0, rows) raises
+    ``ContractError``.
+    """
+    idx = np.fromiter(motif_seq_positions, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise ContractError("motif position out of range for %d rows" % rows)
+    mask = np.zeros(rows, dtype=bool)
+    mask[idx] = True
+    return mask
+
+
 def corrupt_sequence(tokens, motif_seq_positions):
     """Mask every position that is not part of the kept set."""
     tokens = np.asarray(tokens, dtype=np.int64)
-    keep = np.asarray(sorted(motif_seq_positions), dtype=np.int64)
-    if keep.size and (keep.min() < 0 or keep.max() >= tokens.shape[0]):
-        raise ContractError(
-            "motif position out of range for sequence of length %d" % tokens.shape[0]
-        )
-    out = np.full_like(tokens, MASK)
-    out[keep] = tokens[keep]
-    return out
+    return np.where(motif_mask(motif_seq_positions, tokens.shape[0]), tokens, MASK)
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +76,6 @@ def corrupt_sequence(tokens, motif_seq_positions):
 class LayerNormParams:
     gamma: ad.Tensor
     beta: ad.Tensor
-
-    def named_tensors(self, prefix):
-        return [(prefix + ".gamma", self.gamma), (prefix + ".beta", self.beta)]
 
 
 @dataclass
@@ -97,13 +101,6 @@ class AttentionParams:
                 "feature width %d not divisible by %d heads" % (width, self.n_heads)
             )
 
-    def named_tensors(self, prefix):
-        pairs = (
-            ("wq", self.wq), ("bq", self.bq), ("wk", self.wk),
-            ("wv", self.wv), ("bv", self.bv), ("wo", self.wo), ("bo", self.bo),
-        )
-        return [("%s.%s" % (prefix, n), t) for n, t in pairs]
-
 
 @dataclass
 class TransformerBlock:
@@ -111,13 +108,6 @@ class TransformerBlock:
     attention: AttentionParams
     ln2: LayerNormParams
     feedforward: MlpParams
-
-    def named_tensors(self, prefix):
-        out = self.ln1.named_tensors(prefix + ".ln1")
-        out += self.attention.named_tensors(prefix + ".attention")
-        out += self.ln2.named_tensors(prefix + ".ln2")
-        out += self.feedforward.named_tensors(prefix + ".feedforward")
-        return out
 
 
 @dataclass
@@ -142,12 +132,6 @@ class ContextEncoder:
     def max_len(self):
         return self.pos_emb.shape[0]
 
-    def named_parameters(self):
-        out = [("encoder.token_emb", self.token_emb), ("encoder.pos_emb", self.pos_emb)]
-        for k, block in enumerate(self.blocks):
-            out += block.named_tensors("encoder.block%d" % k)
-        return out
-
 
 @dataclass
 class GsdDecoder:
@@ -160,10 +144,10 @@ class GsdDecoder:
 
     in_w: ad.Tensor
     in_b: ad.Tensor
+    mask_emb: ad.Tensor
     blocks: list
     head_w: ad.Tensor
     head_b: ad.Tensor
-    mask_emb: ad.Tensor
     width: int
 
     def __post_init__(self):
@@ -173,17 +157,6 @@ class GsdDecoder:
             )
         if self.mask_emb.shape != (self.width,):
             raise DimensionError("mask embedding must be a width-%d vector" % self.width)
-
-    def named_parameters(self):
-        out = [
-            ("decoder.in_w", self.in_w),
-            ("decoder.in_b", self.in_b),
-            ("decoder.mask_emb", self.mask_emb),
-        ]
-        for k, block in enumerate(self.blocks):
-            out += block.named_tensors("decoder.block%d" % k)
-        out += [("decoder.head_w", self.head_w), ("decoder.head_b", self.head_b)]
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +288,7 @@ def encode_context(tokens, encoder):
     return x
 
 
-def gsd_feature_select(features, motif_seq_positions, mask_emb, mode="as_printed"):
+def gsd_feature_select(features, motif_seq_positions, mask_emb, mode):
     """Choose which rows keep their features and which get the mask row.
 
     ``as_printed`` keeps the rows listed in ``motif_seq_positions`` and
@@ -325,14 +298,10 @@ def gsd_feature_select(features, motif_seq_positions, mask_emb, mode="as_printed
     """
     if mode not in ("as_printed", "inverted"):
         raise ConfigError("feature_select mode must be 'as_printed' or 'inverted'")
-    length = features.shape[0]
-    keep = np.zeros((length, 1))
-    idx = np.asarray(sorted(motif_seq_positions), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= length):
-        raise ContractError("motif position out of range for %d rows" % length)
-    keep[idx] = 1.0
+    keep = motif_mask(motif_seq_positions, features.shape[0])
     if mode == "inverted":
-        keep = 1.0 - keep
+        keep = ~keep
+    keep = keep[:, None].astype(np.float64)
     replaced = ad.mul(ad.reshape(mask_emb, (1, mask_emb.shape[0])), 1.0 - keep)
     return ad.add(ad.mul(features, keep), replaced)
 
@@ -362,13 +331,7 @@ def sequence_loss(logits, target, motif_seq_positions):
         raise ContractError(
             "target shape %s does not match %d logit rows" % (target.shape, rows)
         )
-    keep = np.ones(rows, dtype=bool)
-    idx = np.asarray(sorted(motif_seq_positions), dtype=np.int64)
-    if idx.size:
-        if idx.min() < 0 or idx.max() >= rows:
-            raise ContractError("motif position out of range for %d rows" % rows)
-        keep[idx] = False
-    scored = np.flatnonzero(keep)
+    scored = np.flatnonzero(~motif_mask(motif_seq_positions, rows))
     if np.any(target.ravel()[scored] >= RESIDUE_COUNT):
         raise ContractError("scored positions must hold amino-acid tokens")
     # the one-hot rows of unscored rows are zero, so they add nothing

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 
@@ -257,6 +258,33 @@ def test_forward_and_grads_are_deterministic():
 
 # ---------------------------------------------------------------------------
 # Adam and the learning-rate schedule
+
+
+@dataclasses.dataclass
+class _Leaf:
+    w: ad.Tensor
+    size: int
+
+
+@dataclasses.dataclass
+class _Tree:
+    head: ad.Tensor
+    layers: list
+    blocks: list
+    tail: _Leaf
+
+
+def test_named_tensors_walks_fields_in_order_and_names_list_items():
+    t = [ad.Tensor(np.zeros(k + 1)) for k in range(5)]
+    tree = _Tree(head=t[0], layers=[_Leaf(t[1], 1), _Leaf(t[2], 2)], blocks=[t[3]],
+                 tail=_Leaf(t[4], 3))
+    named = list(ad.named_tensors(tree, "net"))
+    assert [n for n, _ in named] == [
+        "net.head", "net.layer0.w", "net.layer1.w", "net.block0", "net.tail.w",
+    ]
+    assert all(got is want for (_, got), want in zip(named, t))
+    assert next(ad.named_tensors(tree))[0] == "head"
+    assert list(ad.named_tensors(_Leaf(t[0], 1), "leaf")) == [("leaf.w", t[0])]
 
 
 def test_adam_first_step_moves_by_lr():

@@ -130,8 +130,8 @@ PINNED_FLAGS = {
     "prepare": {"--pdb-dir", "--allow-list", "--chain", "--min-len", "--out", "--seed"},
     "motif": {"--alignment", "--reference", "--lambda", "--out"},
     "synth": {"--n", "--length", "--motif-frac", "--out", "--seed"},
-    "train": {"--data", "--out", "--curve", "--motif-file", "--config", "--profile",
-              "--alpha", "--beta", "--topk", "--radius", "--feature-select", "--seed"},
+    "train": {"--data", "--out", "--curve", "--motif-file", "--config", "--alpha",
+              "--beta", "--topk", "--radius", "--feature-select", "--seed"},
     "design": {"--checkpoint", "--data", "--record-id", "--n", "--length", "--out",
                "--pin-motif", "--config", "--topk", "--radius", "--seed"},
     "eval": {"--data", "--record-id", "--candidates", "--plddt", "--out"},
@@ -151,7 +151,7 @@ def test_subcommand_flags_are_pinned():
         for name, p in sub.choices.items()
     }
     assert flags == PINNED_FLAGS
-    assert sum(len(v) for v in flags.values()) == 54
+    assert sum(len(v) for v in flags.values()) == 53
 
 
 @pytest.mark.parametrize("argv", [

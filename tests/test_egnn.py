@@ -36,7 +36,7 @@ def test_single_node_has_no_edges():
     assert np.array_equal(out.coords.data, state.coords.data)
     empty_messages = ad.Tensor(np.zeros((1, 6)))
     expected = egnn.mlp_forward(
-        layer.feature_mlp, ad.concat([state.feats, empty_messages], axis=1)
+        layer.feature, ad.concat([state.feats, empty_messages], axis=1)
     )
     assert np.allclose(out.feats.data, expected.data, atol=1e-15)
 
@@ -122,14 +122,14 @@ def test_equivariance_check_catches_position_leak():
         diff = ad.sub(x_i, x_j)
         sq_dist = ad.tsum(ad.square(diff), axis=1, keepdims=True)
         pair_input = ad.concat([h_i, h_j, sq_dist], axis=1)
-        messages = ad.silu(egnn.mlp_forward(params.message_mlp, pair_input))
-        attention = ad.sigmoid(egnn.mlp_forward(params.attention_mlp, messages))
+        messages = ad.silu(egnn.mlp_forward(params.message, pair_input))
+        attention = ad.sigmoid(egnn.mlp_forward(params.attention, messages))
         gathered = ad.index_add_rows(ad.mul(attention, messages), src, n)
         new_feats = egnn.mlp_forward(
-            params.feature_mlp, ad.concat([state.feats, gathered], axis=1)
+            params.feature, ad.concat([state.feats, gathered], axis=1)
         )
         dist = ad.sqrt(sq_dist)
-        weight = ad.div(egnn.mlp_forward(params.coord_mlp, pair_input), ad.add(dist, 1.0))
+        weight = ad.div(egnn.mlp_forward(params.coord, pair_input), ad.add(dist, 1.0))
         new_coords = ad.add(state.coords, ad.index_add_rows(ad.mul(diff, weight), src, n))
         return egnn.GraphState(new_coords, new_feats)
 
@@ -158,14 +158,14 @@ def _edge_list_forward(state, params):
         flat_attrs = state.edge_attrs.reshape(n * n, params.attr_width)
         pieces.append(ad.Tensor(flat_attrs[src * n + dst]))
     pair_input = ad.concat(pieces, axis=1)
-    messages = ad.silu(egnn.mlp_forward(params.message_mlp, pair_input))
-    attention = ad.sigmoid(egnn.mlp_forward(params.attention_mlp, messages))
+    messages = ad.silu(egnn.mlp_forward(params.message, pair_input))
+    attention = ad.sigmoid(egnn.mlp_forward(params.attention, messages))
     gathered = ad.index_add_rows(ad.mul(attention, messages), src, n)
     new_feats = egnn.mlp_forward(
-        params.feature_mlp, ad.concat([state.feats, gathered], axis=1)
+        params.feature, ad.concat([state.feats, gathered], axis=1)
     )
     dist = ad.sqrt(sq_dist)
-    weight = ad.div(egnn.mlp_forward(params.coord_mlp, pair_input), ad.add(dist, 1.0))
+    weight = ad.div(egnn.mlp_forward(params.coord, pair_input), ad.add(dist, 1.0))
     new_coords = ad.add(state.coords, ad.index_add_rows(ad.mul(diff, weight), src, n))
     return egnn.GraphState(new_coords, new_feats, state.edge_attrs)
 
@@ -173,7 +173,7 @@ def _edge_list_forward(state, params):
 def _layer_outputs_and_grads(forward, layer, coords, feats, attrs, probe):
     x = ad.Tensor(coords, requires_grad=True)
     h = ad.Tensor(feats, requires_grad=True)
-    params = [t for _, t in layer.named_tensors("layer")]
+    params = [t for _, t in ad.named_tensors(layer)]
     with ad.Tape() as tape:
         out = forward(egnn.GraphState(x, h, attrs), layer)
         loss = ad.add(
@@ -402,7 +402,7 @@ def test_layer_gradients_match_finite_differences():
     coords = rng.normal(size=(4, 3))
     feats = rng.normal(size=(4, 4))
     attrs = rng.normal(size=(4, 4, 2))
-    params = [t for _, t in model.named_parameters()]
+    params = [t for _, t in ad.named_tensors(model)]
 
     def build_loss():
         state = egnn.GraphState(ad.Tensor(coords), ad.Tensor(feats), attrs)
@@ -423,10 +423,10 @@ def test_width_contracts():
         egnn.egcl_forward(_random_state(rng, 3, 4, attr_width=2), layer)
     with pytest.raises(ContractError):
         egnn.EgclParams(
-            message_mlp=egnn.init_mlp(rng, 9, 6, 6),
-            attention_mlp=egnn.init_mlp(rng, 6, 6, 2),
-            feature_mlp=egnn.init_mlp(rng, 10, 6, 4),
-            coord_mlp=egnn.init_mlp(rng, 9, 6, 1),
+            message=egnn.init_mlp(rng, 9, 6, 6),
+            attention=egnn.init_mlp(rng, 6, 6, 2),
+            feature=egnn.init_mlp(rng, 10, 6, 4),
+            coord=egnn.init_mlp(rng, 9, 6, 1),
             feat_width=4,
             message_width=6,
         )

@@ -145,6 +145,11 @@ def test_backbone_loss_values():
 
     with pytest.raises(ContractError):
         pl.backbone_loss(ad.Tensor(np.zeros((3, 3))), target, motif)
+    # Motif rows outside the 4 rows, as row indices or as a Motif.
+    outside = pl.Motif([1, 6], [0, 0], np.zeros((2, 3)))
+    for bad in ([-1], [7], outside):
+        with pytest.raises(ContractError, match="out of range"):
+            pl.backbone_loss(ad.Tensor(target.copy()), target, bad)
 
 
 def test_backbone_loss_gradient_is_two_delta():
@@ -473,6 +478,34 @@ def test_parameter_names_and_shapes_are_pinned():
     assert [(n, t.shape) for n, t in model.named_parameters()] == expected
 
 
+def _reachable_tensors(obj, found):
+    # brute force: every attribute, list, tuple and dict value
+    if isinstance(obj, ad.Tensor):
+        found.append(obj)
+    elif dataclasses.is_dataclass(obj):
+        _reachable_tensors(list(vars(obj).values()), found)
+    elif isinstance(obj, dict):
+        _reachable_tensors(list(obj.values()), found)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _reachable_tensors(item, found)
+
+
+@pytest.mark.parametrize("edge_attrs", pl.EDGE_ATTR_MODES)
+def test_named_parameters_name_every_reachable_tensor_once(edge_attrs):
+    model = pl.build_model(
+        tiny_config(edge_attrs=edge_attrs, enc_depth=2, egnn_depth=2, dec_depth=2)
+    )
+    found = []
+    _reachable_tensors(model, found)
+    named = model.named_parameters()
+    names = [n for n, _ in named]
+    assert len(set(names)) == len(names)
+    assert sorted(id(t) for _, t in named) == sorted({id(t) for t in found})
+    assert {"encoder.block1.ln2.beta", "egnn.layer1.coord.b2",
+            "decoder.block1.feedforward.w2"} <= set(names)
+
+
 def test_checkpoint_rejects_corruption_and_mismatch(tmp_path, monkeypatch):
     cfg = tiny_config(seed=12)
     model = pl.build_model(cfg)
@@ -517,18 +550,13 @@ def test_checkpoint_rejects_corruption_and_mismatch(tmp_path, monkeypatch):
 # configuration
 
 
-def test_config_file_profile_override_precedence():
+def test_config_file_override_precedence():
     text = "alpha = 0.3\nwidth = 16   # trailing comment\n\n# full comment\n"
     cfg = pl.build_config(file_text=text)
     assert cfg.alpha == 0.3 and cfg.width == 16
 
     cfg = pl.build_config(file_text=text, overrides={"alpha": 0.5})
     assert cfg.alpha == 0.5
-
-    # Profile fills only the knobs nothing else set.
-    assert pl.build_config(profile="myoglobin").alpha == 0.01
-    assert pl.build_config(profile="beta-lactamase").alpha == 0.1
-    assert pl.build_config(file_text=text, profile="myoglobin").alpha == 0.3
 
     with pytest.raises(ConfigError):
         pl.build_config(file_text="bogus_knob = 3\n")
@@ -538,8 +566,6 @@ def test_config_file_profile_override_precedence():
         pl.build_config(file_text="alpha\n")
     with pytest.raises(ConfigError):
         pl.build_config(overrides={"bogus_knob": 3})
-    with pytest.raises(ConfigError):
-        pl.build_config(profile="unknown-protein")
 
 
 def test_config_with_every_field_changed_round_trips():

@@ -169,7 +169,7 @@ def test_model_gradients_match_finite_differences():
     dec = sm.init_gsd_decoder(rng, width=8, depth=1, n_heads=2)
     target = sm.encode_sequence("ACDE")
     corrupted = sm.corrupt_sequence(target, {0})
-    params = [t for _, t in enc.named_parameters() + dec.named_parameters()]
+    params = [t for _, t in ad.named_tensors([enc, dec])]
 
     def build_loss():
         feats = sm.encode_context(corrupted, enc)
