@@ -212,11 +212,14 @@ def _broadcast_check(sa: tuple, sb: tuple, opname: str) -> None:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum gradients over dims that broadcasting expanded."""
+    """Sum gradients over dims that broadcasting expanded.  Added leading
+    dims are summed in one reduction, over the rows of a 2-D view, as if
+    they were one axis."""
     if g.shape == shape:
         return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.reshape((-1,) + g.shape[extra:]).sum(axis=0)
     for ax, s in enumerate(shape):
         if s == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
@@ -283,12 +286,27 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product: 2-D x 2-D, or stacked with identical batch dims."""
+    """Matrix product: ``(..., k) @ (k, m)``, or stacked with identical
+    batch dims.
+
+    Against a 2-D ``b``, every row of ``a`` runs through one 2-D product,
+    in the forward pass and for the gradient of ``b``, whatever the
+    leading axes of ``a``.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
+    if b.ndim == 2:
+        rows = a.data.reshape(-1, a.shape[-1])
+
+        def bwd_rows(g):
+            g = g.reshape(-1, b.shape[1])
+            return (g @ b.data.T).reshape(a.shape), rows.T @ g
+
+        out = (rows @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+        return record_op(out, (a, b), bwd_rows, "matmul")
     if a.shape[:-2] != b.shape[:-2]:
         raise DimensionError(f"matmul: batch dims differ, {a.shape} vs {b.shape}")
 
@@ -304,27 +322,35 @@ def matmul(a, b) -> Tensor:
 # reductions and reshaping
 
 
+def _spread(g, reduced: tuple, axis, keepdims: bool, shape: tuple) -> np.ndarray:
+    """Gradient ``g`` of a sum over ``axis`` copied back over the input
+    ``shape``.  A scalar output is stored as shape (1,), so ``g`` first
+    gets the ``reduced`` shape that numpy's reduction gave."""
+    g = g.reshape(reduced)
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape).copy()
+
+
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
+    out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (_spread(g, np.shape(out), axis, keepdims, a.shape),)
 
-    return record_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd, "sum")
+    return record_op(out, (a,), bwd, "sum")
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     count = a.size if axis is None else a.shape[axis]
+    out = a.data.mean(axis=axis, keepdims=keepdims)
 
     def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy() / count,)
+        return (_spread(g, np.shape(out), axis, keepdims, a.shape) / count,)
 
-    return record_op(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd, "mean")
+    return record_op(out, (a,), bwd, "mean")
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -360,11 +386,11 @@ def transpose(a, axes) -> Tensor:
 
 
 def gather_rows(a, indices) -> Tensor:
-    """Select rows along axis 0; gradients scatter-add back."""
+    """Select rows along axis 0 by an index array of any shape; the
+    result is ``indices.shape + a.shape[1:]``.  Gradients scatter-add
+    back, in the order of the raveled indices."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise DimensionError(f"gather_rows needs 1-D indices, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ContractError(f"gather_rows: index out of range for {a.shape[0]} rows")
 

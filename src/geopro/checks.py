@@ -131,7 +131,7 @@ def invariance(rng, cases):
             coords, _, lg = pl.forward_with_coords(tokens, move(x0), mpos, model)
             totals.append(pl.total_loss(
                 pl.backbone_loss(coords, move(record.ca_coords), motif),
-                sm.sequence_loss(lg, record.sequence, mpos),
+                sm.sequence_loss(lg, record.sequence, sm.motif_mask(mpos, length)),
                 config.alpha, config.beta).item())
             logits.append(lg.data)
         worst = max(worst, abs(totals[0] - totals[1]),

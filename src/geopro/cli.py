@@ -331,7 +331,6 @@ def _cmd_eval(args):
     )
     candidates = []
     for cand_id, letters in pairs:
-        cand_id = cand_id.split()[0]
         coords = dt.parse_pdb_ca(
             _read_text(os.path.join(args.candidates, "%s.pdb" % cand_id)),
             chain="A", record_id=cand_id,

@@ -146,7 +146,8 @@ def emit_pdb_ca(record, chain="A"):
 
 
 def parse_fasta(text, alphabet=None):
-    """Parse FASTA text into (id, sequence) pairs.
+    """Parse FASTA text into (id, sequence) pairs; an id is the first
+    word of its header, and a header without one raises.
 
     ``alphabet`` defaults to the amino-acid letters plus '-' so aligned
     rows pass through; anything else raises with its line number.
@@ -163,7 +164,10 @@ def parse_fasta(text, alphabet=None):
         if line.startswith(">"):
             if current_id is not None:
                 records.append((current_id, "".join(parts)))
-            current_id = line[1:].split()[0] if line[1:].split() else ""
+            words = line[1:].split()
+            if not words:
+                raise ParseError("line %d: FASTA header has no id" % lineno)
+            current_id = words[0]
             parts = []
             continue
         if current_id is None:

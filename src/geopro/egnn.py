@@ -3,8 +3,10 @@
 Each layer passes messages between every ordered node pair, updates the
 node features invariantly, and moves the coordinates along the pair
 difference vectors so that the whole map commutes with rotations,
-translations and reflections of the input coordinates.  A batch of
-graphs of one node count runs through each layer at once.
+translations and reflections of the input coordinates.  A batch of B
+graphs of N nodes each is the arrays of one graph with a leading batch
+axis, (B, N, 3) coordinates and (B, N, d) features, and runs through
+each layer at once.
 
 The pair work of a layer is two fused tape nodes written in numpy: the
 gated message sum and the coordinate step.  Each walks the dense pair
@@ -140,10 +142,11 @@ class EgnnModel:
 
 @dataclass
 class GraphState:
-    """Coordinates plus features of B fully connected graphs of N nodes each.
+    """Coordinates plus features of one fully connected graph of N nodes,
+    or of a batch of B such graphs.
 
-    ``coords`` is (B·N, 3) and ``feats`` is (B·N, d): the node rows of the
-    ``batch`` = B graphs, one graph after the other.  Optional
+    ``coords`` is (N, 3) and ``feats`` is (N, d) for one graph; a batch
+    adds a leading axis, (B, N, 3) and (B, N, d).  Optional
     ``edge_attrs`` is a plain (N, N, A) float64 array shared by every graph.
     The edge attributes are constants: no gradient reaches them.  Every
     ordered pair of distinct nodes of a graph is an edge.
@@ -152,27 +155,18 @@ class GraphState:
     coords: ad.Tensor
     feats: ad.Tensor
     edge_attrs: Optional[np.ndarray] = None
-    batch: int = 1
 
     def __post_init__(self):
         self.coords = ad.as_tensor(self.coords)
         self.feats = ad.as_tensor(self.feats)
-        if self.coords.data.ndim != 2 or self.coords.shape[1] != 3:
+        if self.coords.ndim not in (2, 3) or self.coords.shape[-1] != 3:
             raise DimensionError(
-                "coords must be (N, 3), got shape %s" % (self.coords.shape,)
+                "coords must be (N, 3) or (B, N, 3), got shape %s" % (self.coords.shape,)
             )
-        if self.feats.data.ndim != 2:
+        if self.feats.shape[:-1] != self.coords.shape[:-1]:
             raise DimensionError(
-                "feats must be (N, d), got shape %s" % (self.feats.shape,)
-            )
-        rows = self.coords.shape[0]
-        if self.feats.shape[0] != rows:
-            raise DimensionError(
-                "coords have %d rows but feats have %d" % (rows, self.feats.shape[0])
-            )
-        if self.batch < 1 or rows % self.batch:
-            raise DimensionError(
-                "%d rows do not split into %d graphs" % (rows, self.batch)
+                "coords of shape %s do not match feats of shape %s"
+                % (self.coords.shape, self.feats.shape)
             )
         n = self.node_count
         if self.edge_attrs is not None:
@@ -185,8 +179,9 @@ class GraphState:
 
     @property
     def batch_shape(self):
-        """(B, N): the number of graphs and of nodes in each."""
-        return self.batch, self.coords.shape[0] // self.batch
+        """(B, N): the number of graphs, 1 without a batch axis, and of
+        nodes in each."""
+        return int(np.prod(self.coords.shape[:-2])), self.coords.shape[-2]
 
     @property
     def node_count(self):
@@ -203,14 +198,16 @@ class GraphState:
 _BLOCK_VALUES = 2 ** 17
 
 
-def _row_blocks(batch, n, width):
-    """Receiving rows per block, and the blocks of ``batch`` graphs of
-    ``n`` nodes, each as (b0, b1, i0, i1): rows i0:i1 of graphs b0:b1.
+def _row_blocks(batch_shape, width):
+    """Receiving rows per block, and the blocks of the B graphs of N
+    nodes of ``batch_shape`` = (B, N), each as (b0, b1, i0, i1): rows
+    i0:i1 of graphs b0:b1.
 
     A block takes as many whole graphs as fit in it, so that small graphs
     share one block; a graph with more rows than fit is walked one block
     of rows at a time.
     """
+    batch, n = batch_shape
     rows = max(1, _BLOCK_VALUES // max(1, n * width))
     if n == 0:
         return rows, []
@@ -265,9 +262,9 @@ class _PairInput:
     def __init__(self, state, mlp):
         batch, n = state.batch_shape
         self.coords = state.coords.data.reshape(batch, n, 3)
-        self.feats = state.feats.data
         self.attrs = state.edge_attrs
-        d = self.feats.shape[1]
+        d = state.feats.shape[-1]
+        self.feats = state.feats.data.reshape(-1, d)
         w1 = mlp.w1.data
         self.w_i, self.w_j, self.w_edge = w1[:d], w1[d:2 * d], w1[2 * d:]
         shape = (batch, n, w1.shape[1])
@@ -347,7 +344,8 @@ def _accumulate_product(acc, a, b, tmp):
 
 
 def _gated_messages(state, message_mlp, attention_mlp):
-    """sum_j gate_ij * m_ij for every node i, as one tape node, (B·N, M).
+    """sum_j gate_ij * m_ij for every node i, as one tape node, shaped
+    like the node features with width M.
 
     m_ij = silu(``message_mlp`` of the pair input) and gate_ij =
     sigmoid(``attention_mlp`` of m_ij); the diagonal's gate is zero.  These
@@ -363,7 +361,7 @@ def _gated_messages(state, message_mlp, attention_mlp):
     a_w1, a_b1 = attention_mlp.w1.data, attention_mlp.b1.data
     a_w2, a_b2 = attention_mlp.w2.data, attention_mlp.b2.data
     hidden, width, a_hidden = w2.shape[0], w2.shape[1], a_w1.shape[1]
-    _, blocks = _row_blocks(batch, n, max(hidden, width, a_hidden))
+    _, blocks = _row_blocks(state.batch_shape, max(hidden, width, a_hidden))
     widths = [hidden] * 3 + [width] * 3 + [a_hidden] * 3
 
     def block(scratch, blk):
@@ -431,13 +429,14 @@ def _gated_messages(state, message_mlp, attention_mlp):
         return pair.grads() + (g_w2, g_b2, g_a_w1, g_a_b1, g_a_w2, g_a_b2)
 
     inputs = (state.coords, state.feats, *message_mlp.tensors(), *attention_mlp.tensors())
-    return ad.record_op(out.reshape(-1, width), inputs, backward, "egnn.gated_messages")
+    out = out.reshape(state.feats.shape[:-1] + (width,))
+    return ad.record_op(out, inputs, backward, "egnn.gated_messages")
 
 
 def _coord_step(state, coord_mlp):
     """sum_j (x_i - x_j) * c_ij / (d_ij + 1) for every node i, as one tape
-    node, (B·N, 3), where c_ij is ``coord_mlp`` of the pair input, with no
-    output activation.
+    node shaped like the coordinates, where c_ij is ``coord_mlp`` of the
+    pair input, with no output activation.
 
     Walked one block at a time like ``_gated_messages``, and computed
     again block by block in the backward pass.  The edge attributes are
@@ -447,7 +446,7 @@ def _coord_step(state, coord_mlp):
     pair = _PairInput(state, coord_mlp)
     w2, b2 = coord_mlp.w2.data, coord_mlp.b2.data
     hidden = w2.shape[0]
-    _, blocks = _row_blocks(batch, n, hidden)
+    _, blocks = _row_blocks(state.batch_shape, hidden)
 
     def block(scratch, blk):
         b0, b1, i0, i1 = blk
@@ -494,7 +493,7 @@ def _coord_step(state, coord_mlp):
         return pair.grads() + (g_w2, g_b2)
 
     inputs = (state.coords, state.feats, *coord_mlp.tensors())
-    return ad.record_op(out.reshape(-1, 3), inputs, backward, "egnn.coord_step")
+    return ad.record_op(out.reshape(state.coords.shape), inputs, backward, "egnn.coord_step")
 
 
 def egcl_forward(state, params):
@@ -512,9 +511,9 @@ def egcl_forward(state, params):
     either update.  Their squared distance is set to 1 so that ``sqrt``
     never sees a zero, and it passes no gradient back.  The feature MLP,
     its input concat and the final coordinate add are ordinary ops on the
-    B·N node rows.
+    node rows.
     """
-    d = state.feats.shape[1]
+    d = state.feats.shape[-1]
     if d != params.feat_width:
         raise ContractError(
             "state features have width %d, layer expects %d" % (d, params.feat_width)
@@ -525,9 +524,9 @@ def egcl_forward(state, params):
             % (state.attr_width, params.attr_width)
         )
     gathered = _gated_messages(state, params.message, params.attention)
-    new_feats = mlp_forward(params.feature, ad.concat([state.feats, gathered], axis=1))
+    new_feats = mlp_forward(params.feature, ad.concat([state.feats, gathered], axis=-1))
     new_coords = ad.add(state.coords, _coord_step(state, params.coord))
-    return GraphState(new_coords, new_feats, state.edge_attrs, state.batch)
+    return GraphState(new_coords, new_feats, state.edge_attrs)
 
 
 def egnn_forward(state, model):
@@ -596,7 +595,6 @@ def equivariance_check(model, state, trials, rng, forward=None):
             ad.Tensor(apply_rigid(transform, state.coords.data)),
             state.feats,
             state.edge_attrs,
-            state.batch,
         )
         out = run(moved, model)
         coord_dev = np.max(

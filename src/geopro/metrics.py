@@ -1,4 +1,4 @@
-"""Sequence and structure evaluation: recovery, deviation, and novelty.
+"""Sequence and structure evaluation: recovery and deviation.
 
 Collects per-candidate rows of sequence recovery (over all positions
 and over the designed positions only), coordinate deviation in the
@@ -8,7 +8,6 @@ optional externally computed confidence joined from a CSV file.
 
 import csv
 import io
-import math
 import statistics
 import warnings
 
@@ -148,41 +147,6 @@ def evaluate_candidates(candidates, record, motif, plddt_text=None):
             )
         )
     return EvalReport(rows)
-
-
-def novelty_check(designed, corpus):
-    """(exact membership, best ungapped identity) against a sequence set.
-
-    Identity slides one sequence over the other through every offset
-    with nonzero overlap and scores matches over the shorter length, a
-    cheap stand-in for full alignment.
-    """
-    designed = np.asarray(designed, dtype=np.int64)
-    corpus = [np.asarray(seq, dtype=np.int64) for seq in corpus]
-    if not corpus:
-        raise ContractError("novelty needs a nonempty corpus")
-    exact = any(
-        seq.shape == designed.shape and np.array_equal(seq, designed)
-        for seq in corpus
-    )
-    best = 0.0
-    for seq in corpus:
-        best = max(best, _best_offset_identity(designed, seq))
-    return exact, best
-
-
-def _best_offset_identity(a, b):
-    floor = min(a.shape[0], b.shape[0])
-    best = 0.0
-    for offset in range(-(b.shape[0] - 1), a.shape[0]):
-        lo_a = max(0, offset)
-        hi_a = min(a.shape[0], offset + b.shape[0])
-        if hi_a <= lo_a:
-            continue
-        window_a = a[lo_a:hi_a]
-        window_b = b[lo_a - offset:hi_a - offset]
-        best = max(best, float(np.sum(window_a == window_b)) / floor)
-    return best
 
 
 # ---------------------------------------------------------------------------

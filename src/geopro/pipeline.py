@@ -43,7 +43,6 @@ from .seqmodel import (
     RESIDUE_COUNT,
     ContextEncoder,
     GsdDecoder,
-    corrupt_sequence,
     decode_logits,
     encode_context,
     gsd_feature_select,
@@ -347,24 +346,28 @@ def init_backbone_coords(motif, length, radius, rng):
 def backbone_loss(predicted, target, motif):
     """Sum of squared coordinate errors over flexible positions only.
 
-    ``motif`` is the example's ``Motif`` and the result is a scalar.  For
-    a stack of B examples of length L, ``predicted`` holds their B·L rows,
-    ``target`` is (B, L, 3), ``motif`` is the row indices b·L + p of the
-    motif rows, and the result holds the B per-example sums.
+    ``predicted`` and ``target`` are (…, L, 3); ``motif`` is the
+    example's ``Motif``, or a (…, L) bool mask that is True at the motif
+    positions.  The result has the leading shape: a scalar for one
+    example, (B,) for a stack.
     """
     predicted = ad.as_tensor(predicted)
     target = np.asarray(target.data if isinstance(target, ad.Tensor) else target)
-    rows = predicted.shape[0]
-    if target.ndim not in (2, 3) or target.shape[-1] != 3 or target.size != 3 * rows:
+    if target.shape != predicted.shape or target.shape[-1:] != (3,):
         raise ContractError(
-            "target shape %s does not match %d predicted points"
-            % (target.shape, rows)
+            "target shape %s does not match predicted points %s"
+            % (target.shape, predicted.shape)
         )
-    positions = motif.positions if isinstance(motif, Motif) else motif
-    keep = (~motif_mask(positions, rows))[:, None].astype(np.float64)
-    squares = ad.mul(ad.square(ad.sub(predicted, target.reshape(-1, 3))), keep)
-    losses = ad.tsum(ad.reshape(squares, (-1, 3 * target.shape[-2])), axis=1)
-    return losses if target.ndim == 3 else ad.reshape(losses, ())
+    if isinstance(motif, Motif):
+        motif = motif_mask(motif.positions, target.shape[-2])
+    motif = np.asarray(motif, dtype=bool)
+    if motif.shape != target.shape[:-1]:
+        raise ContractError(
+            "motif mask shape %s does not match target %s" % (motif.shape, target.shape)
+        )
+    keep = (~motif)[..., None].astype(np.float64)
+    squares = ad.mul(ad.square(ad.sub(predicted, target)), keep)
+    return ad.tsum(ad.reshape(squares, target.shape[:-2] + (-1,)), axis=-1)
 
 
 def total_loss(backbone_term, sequence_term, alpha, beta):
@@ -379,47 +382,43 @@ def total_loss(backbone_term, sequence_term, alpha, beta):
 # forward passes
 
 
-def refine_and_decode(features, start_coords, motif_positions, model, batch=1):
+def refine_and_decode(features, start_coords, motif, model):
     """EGNN refinement and decoding of already-encoded features.
 
     Returns (revised coords, revised features, residue logits).  Taking
     the realized starting coordinates as an argument lets callers apply
-    group actions to them directly.  For a stack of ``batch`` = B
-    examples of length L, ``features`` and ``start_coords`` hold their
-    B·L rows, ``motif_positions`` are row indices b·L + p, and every
-    output holds B·L rows.
+    group actions to them directly.  ``features`` is (L, d),
+    ``start_coords`` (L, 3) and ``motif`` an (L,) bool mask that is True
+    at the motif positions; a stack of B examples adds a leading axis to
+    each, and to each output.
     """
     attrs = None
     if model.config.edge_attrs == "seqsep":
-        attrs = sequence_separation_attrs(features.shape[0] // batch)
-    state = GraphState(ad.as_tensor(start_coords), features, attrs, batch)
+        attrs = sequence_separation_attrs(features.shape[-2])
+    state = GraphState(ad.as_tensor(start_coords), features, attrs)
     out = egnn_forward(state, model.egnn)
     selected = gsd_feature_select(
-        out.feats, motif_positions, model.decoder.mask_emb, model.config.feature_select
+        out.feats, motif, model.decoder.mask_emb, model.config.feature_select
     )
-    logits = decode_logits(selected, model.decoder, batch=batch)
-    return out.coords, out.feats, logits
+    return out.coords, out.feats, decode_logits(selected, model.decoder)
 
 
 def forward_with_coords(corrupted_tokens, start_coords, motif_positions, model):
-    """Encode the corrupted tokens, then ``refine_and_decode``.
-
-    A (B, L) stack of token rows runs the B examples as one pass, with
-    the stacked arguments ``refine_and_decode`` describes.
-    """
+    """Encode one example's (L,) corrupted tokens, then ``refine_and_decode``
+    from its (L, 3) start coordinates with the motif at
+    ``motif_positions``."""
     features = encode_context(corrupted_tokens, model.encoder)
-    tokens = np.asarray(corrupted_tokens)
-    batch = tokens.shape[0] if tokens.ndim == 2 else 1
-    return refine_and_decode(features, start_coords, motif_positions, model, batch)
+    motif = motif_mask(motif_positions, features.shape[-2])
+    return refine_and_decode(features, start_coords, motif, model)
 
 
 @dataclass
 class _Stack:
-    """B examples of one length L as stacked arrays."""
+    """B examples of one length L as arrays with a leading batch axis."""
 
     tokens: np.ndarray  # (B, L) corrupted tokens
-    start: np.ndarray  # (B·L, 3) initial coordinates
-    motif_rows: np.ndarray  # row indices b·L + p of the motif positions
+    start: np.ndarray  # (B, L, 3) initial coordinates
+    motif: np.ndarray  # (B, L) bool, True at the motif positions
     sequences: np.ndarray  # (B, L) true residues
     coords: np.ndarray  # (B, L, 3) true coordinates
 
@@ -436,27 +435,26 @@ def _stack(examples, model, rngs):
             )
         if record.length != length:
             raise ContractError("a stack holds records of one length")
+    motif = np.stack([motif_mask(m.positions, length) for _, m in examples])
+    sequences = np.stack([record.sequence for record, _ in examples])
     return _Stack(
-        tokens=np.stack([
-            corrupt_sequence(record.sequence, motif.position_set())
-            for record, motif in examples
+        tokens=np.where(motif, sequences, MASK),
+        start=np.stack([
+            init_backbone_coords(m, length, model.config.radius, rng)
+            for (_, m), rng in zip(examples, rngs)
         ]),
-        start=np.concatenate([
-            init_backbone_coords(motif, length, model.config.radius, rng)
-            for (_, motif), rng in zip(examples, rngs)
-        ]),
-        motif_rows=np.concatenate([
-            b * length + motif.positions for b, (_, motif) in enumerate(examples)
-        ]),
-        sequences=np.stack([record.sequence for record, _ in examples]),
+        motif=motif,
+        sequences=sequences,
         coords=np.stack([record.ca_coords for record, _ in examples]),
     )
 
 
 def forward_joint(record, motif, model, rng):
-    """Mask, initialize, and run the full model for one record."""
+    """Mask, initialize, and run the full model for one record: a stack
+    of one, without its batch axis."""
     stack = _stack([(record, motif)], model, [rng])
-    return forward_with_coords(stack.tokens, stack.start, stack.motif_rows, model)
+    features = encode_context(stack.tokens[0], model.encoder)
+    return refine_and_decode(features, stack.start[0], stack.motif[0], model)
 
 
 def batch_losses(examples, model, rngs):
@@ -475,12 +473,11 @@ def batch_losses(examples, model, rngs):
     parts = []
     for members in groups.values():
         stack = _stack([examples[b] for b in members], model, [rngs[b] for b in members])
-        coords, _, logits = forward_with_coords(
-            stack.tokens, stack.start, stack.motif_rows, model
-        )
+        features = encode_context(stack.tokens, model.encoder)
+        coords, _, logits = refine_and_decode(features, stack.start, stack.motif, model)
         parts.append((
-            backbone_loss(coords, stack.coords, stack.motif_rows),
-            sequence_loss(logits, stack.sequences, stack.motif_rows),
+            backbone_loss(coords, stack.coords, stack.motif),
+            sequence_loss(logits, stack.sequences, stack.motif),
         ))
     l_b, l_s = parts[0]
     if len(parts) > 1:
@@ -650,14 +647,13 @@ def design(motif, length, n_candidates, k, model, seed, pin_motif=True):
     tokens = np.full(length, MASK, dtype=np.int64)
     tokens[motif.positions] = motif.residues
     flexible = np.setdiff1d(np.arange(length), motif.positions)
+    fixed = motif_mask(motif.positions, length)
     features = encode_context(tokens, model.encoder)
     out = []
     for index in range(n_candidates):
         rng = substream(seed, "design-%d" % index)
         start = init_backbone_coords(motif, length, model.config.radius, rng)
-        coords, _, logits = refine_and_decode(
-            features, start, motif.position_set(), model
-        )
+        coords, _, logits = refine_and_decode(features, start, fixed, model)
         row_logits = logits.data
         probs = np.exp(row_logits - row_logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)

@@ -3,11 +3,12 @@
 The encoder turns a partially masked residue sequence into per-position
 feature vectors; the decoder turns selected feature rows into residue
 logits.  Everything runs on the autodiff tensor type so training can
-differentiate through it.
+differentiate through it.  A stack of B sequences of one length L is
+the arrays of one sequence with a leading batch axis: (B, L) tokens and
+motif masks, (B, L, d) features, (B, L, 20) logits.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -48,16 +49,15 @@ def decode_sequence(tokens):
     return "".join(out)
 
 
-def motif_mask(motif_seq_positions, rows):
-    """(rows,) bool mask that is True at the motif positions.
+def motif_mask(motif_seq_positions, length):
+    """(L,) bool mask of one sequence that is True at the motif positions.
 
-    Positions are row indices; one outside [0, rows) raises
-    ``ContractError``.
+    A position outside [0, L) raises ``ContractError``.
     """
     idx = np.fromiter(motif_seq_positions, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        raise ContractError("motif position out of range for %d rows" % rows)
-    mask = np.zeros(rows, dtype=bool)
+    if idx.size and (idx.min() < 0 or idx.max() >= length):
+        raise ContractError("motif position out of range for length %d" % length)
+    mask = np.zeros(length, dtype=bool)
     mask[idx] = True
     return mask
 
@@ -229,50 +229,39 @@ def layer_norm(x, params):
     return ad.add(ad.mul(normalized, params.gamma), params.beta)
 
 
-def attention_forward(x, params, batch=1):
-    """Multi-head self-attention within each sequence of a stack.
-
-    ``x`` is (B·L, d): the rows of ``batch`` = B sequences of length L,
-    one sequence after the other.
-    """
-    rows, width = x.shape
-    if batch < 1 or rows % batch:
-        raise DimensionError("%d rows do not split into %d sequences" % (rows, batch))
-    length = rows // batch
+def attention_forward(x, params):
+    """Multi-head self-attention within each sequence: ``x`` is (L, d), or
+    (B, L, d) for a stack of sequences."""
+    length, width = x.shape[-2:]
     heads = params.n_heads
     head_width = width // heads
 
     def split(t):
-        return ad.transpose(ad.reshape(t, (batch, length, heads, head_width)), (0, 2, 1, 3))
+        return ad.transpose(ad.reshape(t, (-1, length, heads, head_width)), (0, 2, 1, 3))
 
     q = split(ad.add(ad.matmul(x, params.wq), params.bq))
     k = split(ad.matmul(x, params.wk))
     v = split(ad.add(ad.matmul(x, params.wv), params.bv))
     scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_width))
     mixed = ad.matmul(ad.softmax(scores), v)
-    merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (rows, width))
+    merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), x.shape)
     return ad.add(ad.matmul(merged, params.wo), params.bo)
 
 
-def block_forward(x, block, batch=1):
-    x = ad.add(x, attention_forward(layer_norm(x, block.ln1), block.attention, batch))
+def block_forward(x, block):
+    x = ad.add(x, attention_forward(layer_norm(x, block.ln1), block.attention))
     return ad.add(x, mlp_forward(block.feedforward, layer_norm(x, block.ln2)))
 
 
 def encode_context(tokens, encoder):
-    """Run token sequences through the encoder; returns (B·L, d) features.
-
-    ``tokens`` is one (L,) sequence, giving (L, d), or a (B, L) stack of
-    sequences of one length, giving their feature rows one sequence
-    after the other.
-    """
+    """Run an (L,) token sequence, or a (B, L) stack of them, through the
+    encoder; returns (L, d), or (B, L, d), features."""
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim not in (1, 2) or tokens.size == 0:
         raise ContractError(
             "tokens must be a non-empty (L,) sequence or (B, L) stack of them"
         )
-    stack = tokens.reshape(-1, tokens.shape[-1])
-    batch, length = stack.shape
+    length = tokens.shape[-1]
     if length > encoder.max_len:
         raise ContractError(
             "sequence length %d exceeds encoder capacity %d" % (length, encoder.max_len)
@@ -280,66 +269,66 @@ def encode_context(tokens, encoder):
     if tokens.min() < 0 or tokens.max() >= VOCAB_SIZE:
         raise ContractError("token index outside the vocabulary")
     x = ad.add(
-        ad.gather_rows(encoder.token_emb, stack.ravel()),
-        ad.gather_rows(encoder.pos_emb, np.tile(np.arange(length), batch)),
+        ad.gather_rows(encoder.token_emb, tokens),
+        ad.gather_rows(encoder.pos_emb, np.arange(length)),
     )
     for block in encoder.blocks:
-        x = block_forward(x, block, batch)
+        x = block_forward(x, block)
     return x
 
 
-def gsd_feature_select(features, motif_seq_positions, mask_emb, mode):
-    """Choose which rows keep their features and which get the mask row.
+def gsd_feature_select(features, motif, mask_emb, mode):
+    """Choose which positions keep their features and which get the mask
+    row.
 
-    ``as_printed`` keeps the rows listed in ``motif_seq_positions`` and
-    replaces every other row with the learned mask embedding;
-    ``inverted`` does the opposite.  For a stack of sequences the
-    positions are row indices b·L + p.
+    ``motif`` is a bool mask shaped like ``features`` without its last
+    axis, True at the motif positions.  ``as_printed`` keeps the motif
+    positions and replaces every other row with the learned mask
+    embedding; ``inverted`` does the opposite.
     """
     if mode not in ("as_printed", "inverted"):
         raise ConfigError("feature_select mode must be 'as_printed' or 'inverted'")
-    keep = motif_mask(motif_seq_positions, features.shape[0])
-    if mode == "inverted":
-        keep = ~keep
-    keep = keep[:, None].astype(np.float64)
-    replaced = ad.mul(ad.reshape(mask_emb, (1, mask_emb.shape[0])), 1.0 - keep)
-    return ad.add(ad.mul(features, keep), replaced)
+    motif = np.asarray(motif, dtype=bool)
+    if motif.shape != features.shape[:-1]:
+        raise ContractError(
+            "motif mask shape %s does not match features %s" % (motif.shape, features.shape)
+        )
+    keep = (motif if mode == "as_printed" else ~motif)[..., None].astype(np.float64)
+    return ad.add(ad.mul(features, keep), ad.mul(mask_emb, 1.0 - keep))
 
 
-def decode_logits(selected, decoder, batch=1):
-    """Selected feature rows to per-position residue logits (L, 20), or
-    (B·L, 20) for the rows of a stack of ``batch`` = B sequences."""
+def decode_logits(selected, decoder):
+    """Selected feature rows, (L, d) or (B, L, d), to per-position residue
+    logits, (L, 20) or (B, L, 20)."""
     x = ad.add(ad.matmul(selected, decoder.in_w), decoder.in_b)
     for block in decoder.blocks:
-        x = block_forward(x, block, batch)
+        x = block_forward(x, block)
     return ad.add(ad.matmul(x, decoder.head_w), decoder.head_b)
 
 
-def sequence_loss(logits, target, motif_seq_positions):
-    """Negative log likelihood summed over the scored rows: every row not
-    in ``motif_seq_positions``.
+def sequence_loss(logits, target, motif):
+    """Negative log likelihood summed over the scored positions: every
+    position outside the motif.
 
-    With a 1-D ``target`` the result is a scalar.  For a stack of B
-    sequences of length L, ``logits`` holds their B·L rows, ``target`` is
-    (B, L), the positions are row indices b·L + p, and the result holds
-    the B per-sequence sums.  A mask token at a scored row is a caller
-    bug and is rejected.
+    ``logits`` is (…, L, 20) and ``target`` and the bool ``motif`` mask
+    are (…, L); the result has the leading shape, a scalar for one
+    sequence and (B,) for a stack.  A mask token at a scored position is
+    a caller bug and is rejected.
     """
     target = np.asarray(target, dtype=np.int64)
-    rows = logits.shape[0]
-    if target.ndim not in (1, 2) or target.size != rows:
+    motif = np.asarray(motif, dtype=bool)
+    if target.shape != logits.shape[:-1] or motif.shape != target.shape:
         raise ContractError(
-            "target shape %s does not match %d logit rows" % (target.shape, rows)
+            "target shape %s and motif mask shape %s do not match logits %s"
+            % (target.shape, motif.shape, logits.shape)
         )
-    scored = np.flatnonzero(~motif_mask(motif_seq_positions, rows))
-    if np.any(target.ravel()[scored] >= RESIDUE_COUNT):
+    scored = target[~motif]
+    if np.any((scored < 0) | (scored >= RESIDUE_COUNT)):
         raise ContractError("scored positions must hold amino-acid tokens")
-    # the one-hot rows of unscored rows are zero, so they add nothing
-    onehot = np.zeros((rows, RESIDUE_COUNT))
-    onehot[scored, target.ravel()[scored]] = 1.0
-    per_row = ad.mul(ad.log_softmax(logits), onehot)
-    losses = ad.neg(ad.tsum(ad.reshape(per_row, (-1, target.shape[-1] * RESIDUE_COUNT)), axis=1))
-    return losses if target.ndim == 2 else ad.reshape(losses, ())
+    # the one-hot rows of motif positions are zero, so they add nothing
+    onehot = (target[..., None] == np.arange(RESIDUE_COUNT)) & ~motif[..., None]
+    per_row = ad.mul(ad.log_softmax(logits), onehot.astype(np.float64))
+    return ad.neg(ad.tsum(ad.reshape(per_row, target.shape[:-1] + (-1,)), axis=-1))
 
 
 def top_k_probs(logits_row, k):

@@ -34,6 +34,8 @@ def test_shape_mismatch_names_both_shapes():
     assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
     with pytest.raises(DimensionError):
         ad.matmul(a, ad.Tensor(np.zeros((4, 2))))
+    with pytest.raises(DimensionError):
+        ad.matmul(ad.Tensor(np.zeros((2, 5, 3))), b)
 
 
 def test_checked_mode_flags_nonfinite():
@@ -194,8 +196,10 @@ def _op_cases(rng):
         "neg": ([a], lambda: ad.tsum(ad.mul(ad.neg(a), w))),
         "matmul2d": ([m1, m2], lambda: ad.tsum(ad.square(ad.matmul(m1, m2)))),
         "matmul3d": ([bm1, bm2], lambda: ad.tsum(ad.square(ad.matmul(bm1, bm2)))),
+        "matmul_rows": ([bm1, m2], lambda: ad.tsum(ad.square(ad.matmul(bm1, m2)))),
         "sum_all": ([a], lambda: ad.tsum(a)),
         "sum_axis": ([a], lambda: ad.tsum(ad.square(ad.tsum(a, axis=0)))),
+        "sum_vector": ([a], lambda: ad.square(ad.tsum(ad.reshape(a, (24,)), axis=-1))),
         "sum_keepdims": ([a], lambda: ad.tsum(ad.mul(a, ad.tsum(a, axis=1, keepdims=True)))),
         "mean_all": ([a], lambda: ad.tmean(ad.square(a))),
         "mean_axis": ([a], lambda: ad.tsum(ad.square(ad.tmean(a, axis=1)))),

@@ -40,6 +40,22 @@ def test_tracer_installs_on_every_hook_and_restores_them():
         assert getattr(owner, attr) is original, attr
 
 
+@pytest.mark.parametrize("name, spans", [
+    ("train-toy", ("seqmodel.encoder", "egnn.layer", "seqmodel.decoder", "pipeline.loss")),
+    ("design-paper", ("seqmodel.encoder", "egnn.layer", "seqmodel.decoder")),
+])
+def test_traced_op_reaches_every_layer_hook(name, spans, tmp_path):
+    # a call that goes around a wrapped name would read zero here
+    workload, workdir = _TINY_WORKLOADS[name], str(tmp_path)
+    workload.make_inputs(geopro, workdir, 0)
+    state = workload.setup(geopro, workdir, 0)
+    tracer = _load_bench("spans").Tracer(geopro)
+    with tracer.installed():
+        workload.op(geopro, state, 0)
+    for span in spans:
+        assert tracer.calls(span) >= 1, span
+
+
 @pytest.mark.parametrize("name", sorted(_TINY_WORKLOADS))
 def test_tiny_workload_runs_and_passes_its_checks(name, tmp_path):
     # the sequence of calls bench/run.py makes, without its timing

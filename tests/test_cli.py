@@ -16,7 +16,6 @@ from geopro import autodiff as ad
 from geopro import checks
 from geopro import cli
 from geopro import data as dt
-from geopro import metrics as mx
 from geopro import pipeline as pl
 from geopro import seqmodel as sm
 from geopro.errors import NumericError
@@ -531,6 +530,19 @@ def test_eval_unknown_record_is_data_error(trained, capsys):
                       "--candidates", str(tmp_path / "d1"),
                       "--out", str(tmp_path / "r.csv")]) == 2
     assert "ghost" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", [">", "> "])
+def test_eval_candidate_without_id_exits_two(tmp_path, capsys, header):
+    ds = make_dataset(tmp_path)
+    cands = tmp_path / "cands"
+    cands.mkdir()
+    (cands / "candidates.fasta").write_text("%s\nAAA\n" % header)
+    capsys.readouterr()
+    assert run_quiet(["eval", "--data", ds, "--record-id", "syn001",
+                      "--candidates", str(cands), "--out", str(tmp_path / "r.csv")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "no id" in lines[0]
 
 
 def test_export_embeddings_shape(trained):

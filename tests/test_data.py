@@ -144,6 +144,9 @@ def test_parse_fasta_cases():
         data.parse_fasta(">p1\nAC1")
     with pytest.raises(ParseError, match="line 1"):
         data.parse_fasta("ACDE\n>p1\nAC")
+    for text, lineno in ((">\nAAA", 1), ("> \nAAA", 1), (">a\nAC\n>\t\nAAA", 3)):
+        with pytest.raises(ParseError, match="line %d: FASTA header has no id" % lineno):
+            data.parse_fasta(text)
 
 
 def test_alignment_validation():

@@ -221,7 +221,7 @@ def test_dense_layer_matches_edge_list_reference(n, seqsep):
 def test_blocked_layer_matches_edge_list_reference(seqsep):
     # n=100 at width 32 walks the pair grid in blocks of 40, 40 and 20 rows
     n, width = 100, 32
-    rows, blocks = egnn._row_blocks(1, n, width)
+    rows, blocks = egnn._row_blocks((1, n), width)
     assert len(blocks) >= 3 and blocks[-1][3] - blocks[-1][2] < rows
     rng = np.random.default_rng(20)
     attrs = egnn.sequence_separation_attrs(n) if seqsep else None
@@ -247,8 +247,8 @@ def test_blocked_layer_matches_edge_list_reference(seqsep):
 def test_small_graphs_share_one_block():
     # four width-32 graphs of 30 nodes fit one ~1 MB block; one width-320
     # graph of 100 nodes is walked in blocks of 4 rows
-    assert egnn._row_blocks(4, 30, 32)[1] == [(0, 4, 0, 30)]
-    rows, blocks = egnn._row_blocks(1, 100, 320)
+    assert egnn._row_blocks((4, 30), 32)[1] == [(0, 4, 0, 30)]
+    rows, blocks = egnn._row_blocks((1, 100), 320)
     assert rows == 4 and len(blocks) == 25 and blocks[1] == (0, 1, 4, 8)
 
 
@@ -261,19 +261,19 @@ def test_batch_matches_each_graph_alone(seqsep):
     layer = egnn.init_egcl(rng, feat_width=4, message_width=6, attr_width=attr_width)
     coords = rng.normal(scale=2.0, size=(2, n, 3))
     feats = rng.normal(size=(2, n, 4))
-    state = egnn.GraphState(coords.reshape(-1, 3), feats.reshape(-1, 4), attrs, batch=2)
-    out = egnn.egcl_forward(state, layer)
-    out_coords = out.coords.data.reshape(2, n, 3)
-    out_feats = out.feats.data.reshape(2, n, 4)
+    out = egnn.egcl_forward(egnn.GraphState(coords, feats, attrs), layer)
+    assert out.coords.shape == (2, n, 3) and out.feats.shape == (2, n, 4)
     for b in range(2):
         alone = egnn.egcl_forward(egnn.GraphState(coords[b], feats[b], attrs), layer)
-        assert _max_abs(out_coords[b] - alone.coords.data) < 1e-13
-        assert _max_abs(out_feats[b] - alone.feats.data) < 1e-13
+        assert _max_abs(out.coords.data[b] - alone.coords.data) < 1e-13
+        assert _max_abs(out.feats.data[b] - alone.feats.data) < 1e-13
 
 
-def test_graph_state_rejects_rows_that_do_not_split_into_the_batch():
-    with pytest.raises(DimensionError):
-        egnn.GraphState(np.zeros((7, 3)), np.zeros((7, 4)), batch=2)
+def test_graph_state_rejects_coords_and_feats_of_different_leading_axes():
+    for coords, feats in [((7, 3), (6, 4)), ((2, 7, 3), (14, 4)), ((2, 7, 3), (7, 4)),
+                          ((7, 2), (7, 4)), ((1, 2, 7, 3), (1, 2, 7, 4))]:
+        with pytest.raises(DimensionError):
+            egnn.GraphState(np.zeros(coords), np.zeros(feats))
 
 
 def test_edge_attributes_are_constants_on_the_tape():

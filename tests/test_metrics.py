@@ -2,7 +2,6 @@
 
 import csv
 import io
-import math
 
 import numpy as np
 import pytest
@@ -164,57 +163,6 @@ def test_eval_row_range_validation():
             mx.EvalRow("x", 0.5, 0.5, 0.0, 0.0, 1.0),
             mx.EvalRow("x", 0.5, 0.5, 0.0, 0.0, 1.0),
         ])
-
-
-# ---------------------------------------------------------------------------
-# novelty
-
-
-def test_novelty_membership_and_single_mismatch():
-    designed = np.arange(10) % 20
-    assert mx.novelty_check(designed, [designed.copy()]) == (True, 1.0)
-
-    near = designed.copy()
-    near[4] = 19
-    exact, identity = mx.novelty_check(designed, [near])
-    assert exact is False
-    assert identity == pytest.approx(0.9)
-
-    with pytest.raises(ContractError):
-        mx.novelty_check(designed, [])
-
-
-def test_novelty_shifted_copy_matches_offset_scan_oracle():
-    designed = np.arange(12)
-    shifted = np.concatenate([[19, 18], designed[:10]])
-
-    def oracle(a, b):
-        floor = min(len(a), len(b))
-        best, best_offset = 0.0, None
-        for offset in range(-(len(b) - 1), len(a)):
-            matches = overlap = 0
-            for j in range(len(b)):
-                i = offset + j
-                if 0 <= i < len(a):
-                    overlap += 1
-                    matches += int(a[i] == b[j])
-            if overlap and matches / floor > best:
-                best, best_offset = matches / floor, offset
-        return best, best_offset
-
-    expected, at_offset = oracle(designed, shifted)
-    assert at_offset == -2
-    assert expected == pytest.approx(10.0 / 12.0)
-    exact, identity = mx.novelty_check(designed, [shifted])
-    assert exact is False
-    assert identity == pytest.approx(expected, abs=1e-12)
-
-
-def test_novelty_scans_different_lengths():
-    designed = np.array([3, 4, 5, 6])
-    corpus = [np.array([9, 9, 3, 4, 5, 6, 9])]
-    _, identity = mx.novelty_check(designed, corpus)
-    assert identity == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -145,11 +145,21 @@ def test_backbone_loss_values():
 
     with pytest.raises(ContractError):
         pl.backbone_loss(ad.Tensor(np.zeros((3, 3))), target, motif)
-    # Motif rows outside the 4 rows, as row indices or as a Motif.
+    # A Motif outside the 4 positions, or a mask of another shape.
     outside = pl.Motif([1, 6], [0, 0], np.zeros((2, 3)))
-    for bad in ([-1], [7], outside):
-        with pytest.raises(ContractError, match="out of range"):
+    with pytest.raises(ContractError, match="out of range"):
+        pl.backbone_loss(ad.Tensor(target.copy()), target, outside)
+    for bad in (np.zeros(5, dtype=bool), np.zeros((1, 4), dtype=bool)):
+        with pytest.raises(ContractError, match="mask shape"):
             pl.backbone_loss(ad.Tensor(target.copy()), target, bad)
+
+    # The same loss from a mask, and per example for a stack.
+    mask = np.array([False, True, False, False])
+    off = target + 1.0
+    assert pl.backbone_loss(ad.Tensor(off), target, mask).item() == 9.0
+    stacked = pl.backbone_loss(
+        ad.Tensor(np.stack([off, target])), np.stack([target, target]), np.stack([mask, mask]))
+    assert stacked.shape == (2,) and np.array_equal(stacked.data, [9.0, 0.0])
 
 
 def test_backbone_loss_gradient_is_two_delta():
@@ -329,10 +339,10 @@ def test_stacking_leaves_an_example_unchanged():
     outputs = []
     for batch in ([first], [first, second]):
         stack = pl._stack(batch, model, streams(len(batch)))
-        coords, _, logits = pl.forward_with_coords(
-            stack.tokens, stack.start, stack.motif_rows, model)
+        features = encode_context(stack.tokens, model.encoder)
+        coords, _, logits = pl.refine_and_decode(features, stack.start, stack.motif, model)
         losses = pl.batch_losses(batch, model, streams(len(batch)))
-        outputs.append((coords.data[:12], logits.data[:12], [t.data[0] for t in losses]))
+        outputs.append((coords.data[0], logits.data[0], [t.data[0] for t in losses]))
     for alone, stacked in zip(*outputs):
         assert _rel_dev(np.asarray(stacked), np.asarray(alone)) < 1e-12
 

@@ -66,26 +66,34 @@ def test_feature_select_modes():
     feats = ad.Tensor(rng.normal(size=(4, 6)))
     mask_emb = ad.Tensor(rng.normal(size=6))
 
-    kept = sm.gsd_feature_select(feats, {0, 1, 2, 3}, mask_emb, "as_printed")
+    kept = sm.gsd_feature_select(feats, np.ones(4, dtype=bool), mask_emb, "as_printed")
     assert np.array_equal(kept.data, feats.data)
 
-    blanked = sm.gsd_feature_select(feats, set(), mask_emb, "as_printed")
+    blanked = sm.gsd_feature_select(feats, np.zeros(4, dtype=bool), mask_emb, "as_printed")
     assert np.array_equal(blanked.data, np.tile(mask_emb.data, (4, 1)))
 
     single = ad.Tensor(rng.normal(size=(1, 6)))
-    as_printed = sm.gsd_feature_select(single, {0}, mask_emb, "as_printed")
-    inverted = sm.gsd_feature_select(single, {0}, mask_emb, "inverted")
+    as_printed = sm.gsd_feature_select(single, [True], mask_emb, "as_printed")
+    inverted = sm.gsd_feature_select(single, [True], mask_emb, "inverted")
     assert np.array_equal(as_printed.data, single.data)
     assert np.array_equal(inverted.data, mask_emb.data.reshape(1, 6))
 
-    mixed = sm.gsd_feature_select(feats, {1, 3}, mask_emb, "inverted")
+    mixed = sm.gsd_feature_select(feats, sm.motif_mask({1, 3}, 4), mask_emb, "inverted")
     assert np.array_equal(mixed.data[0], feats.data[0])
     assert np.array_equal(mixed.data[1], mask_emb.data)
 
+    # a stack of two is each sequence alone
+    stack = ad.Tensor(np.stack([feats.data, feats.data[::-1]]))
+    masks = np.stack([sm.motif_mask({1, 3}, 4), sm.motif_mask({0}, 4)])
+    both = sm.gsd_feature_select(stack, masks, mask_emb, "inverted")
+    for b in range(2):
+        alone = sm.gsd_feature_select(ad.Tensor(stack.data[b]), masks[b], mask_emb, "inverted")
+        assert np.array_equal(both.data[b], alone.data)
+
     with pytest.raises(ConfigError):
-        sm.gsd_feature_select(feats, {0}, mask_emb, "both")
+        sm.gsd_feature_select(feats, np.ones(4, dtype=bool), mask_emb, "both")
     with pytest.raises(ContractError):
-        sm.gsd_feature_select(feats, {9}, mask_emb, "as_printed")
+        sm.gsd_feature_select(feats, np.ones(5, dtype=bool), mask_emb, "as_printed")
 
 
 def test_feature_select_trains_the_mask_row():
@@ -93,7 +101,7 @@ def test_feature_select_trains_the_mask_row():
     feats = ad.Tensor(rng.normal(size=(4, 6)))
     mask_emb = ad.Tensor(rng.normal(size=6), requires_grad=True)
     with ad.Tape() as tape:
-        out = sm.gsd_feature_select(feats, {0}, mask_emb, "as_printed")
+        out = sm.gsd_feature_select(feats, sm.motif_mask({0}, 4), mask_emb, "as_printed")
         tape.backward(ad.tsum(ad.square(out)))
     assert np.max(np.abs(mask_emb.grad)) > 0.0
 
@@ -120,31 +128,44 @@ def test_decode_logits_shape_and_uniform_head():
 def test_sequence_loss_values():
     uniform = ad.Tensor(np.zeros((5, 20)))
     target = np.array([3, 1, 4, 1, 5])
-    loss = sm.sequence_loss(uniform, target, {1, 2})
+    def motif(*positions):
+        return sm.motif_mask(positions, 5)
+
+    loss = sm.sequence_loss(uniform, target, motif(1, 2))
     assert abs(loss.item() - 3.0 * np.log(20.0)) < 1e-12
 
     spiked = np.zeros((5, 20))
     spiked[np.arange(5), target] = 1e3
-    loss = sm.sequence_loss(ad.Tensor(spiked), target, set())
+    loss = sm.sequence_loss(ad.Tensor(spiked), target, motif())
     assert loss.item() < 1e-12
 
     row = np.zeros((1, 20))
     row[0, 0] = 1.0
-    loss = sm.sequence_loss(ad.Tensor(row), np.array([0]), set())
+    loss = sm.sequence_loss(ad.Tensor(row), np.array([0]), [False])
     assert abs(loss.item() - (np.log(np.e + 19.0) - 1.0)) < 1e-12
 
-    all_motif = sm.sequence_loss(uniform, target, {0, 1, 2, 3, 4})
+    all_motif = sm.sequence_loss(uniform, target, motif(0, 1, 2, 3, 4))
     assert all_motif.item() == 0.0
 
     rng = np.random.default_rng(5)
     noisy = ad.Tensor(rng.normal(size=(5, 20)))
-    assert sm.sequence_loss(noisy, target, {0}).item() >= 0.0
+    assert sm.sequence_loss(noisy, target, motif(0)).item() >= 0.0
+
+    # a stack of two gives each sequence's loss
+    stacked = sm.sequence_loss(
+        ad.Tensor(np.stack([noisy.data, spiked])), np.stack([target, target]),
+        np.stack([motif(0), motif()]))
+    assert stacked.shape == (2,)
+    assert stacked.data[0] == sm.sequence_loss(noisy, target, motif(0)).item()
+    assert stacked.data[1] < 1e-12
 
     masked_target = target.copy()
     masked_target[2] = sm.MASK
     with pytest.raises(ContractError):
-        sm.sequence_loss(uniform, masked_target, {0})
-    sm.sequence_loss(uniform, masked_target, {0, 2})
+        sm.sequence_loss(uniform, masked_target, motif(0))
+    sm.sequence_loss(uniform, masked_target, motif(0, 2))
+    with pytest.raises(ContractError):
+        sm.sequence_loss(uniform, target, sm.motif_mask({0}, 4))
 
 
 def test_cross_entropy_gradient_is_softmax_minus_onehot():
@@ -153,7 +174,7 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot():
     logits = ad.Tensor(raw, requires_grad=True)
     target = np.array([2, 7, 0, 19])
     with ad.Tape() as tape:
-        loss = sm.sequence_loss(logits, target, {1})
+        loss = sm.sequence_loss(logits, target, sm.motif_mask({1}, 4))
         tape.backward(loss)
     exp = np.exp(raw - raw.max(axis=1, keepdims=True))
     probs = exp / exp.sum(axis=1, keepdims=True)
@@ -173,9 +194,10 @@ def test_model_gradients_match_finite_differences():
 
     def build_loss():
         feats = sm.encode_context(corrupted, enc)
-        selected = sm.gsd_feature_select(feats, {0}, dec.mask_emb, "inverted")
+        motif = sm.motif_mask({0}, 4)
+        selected = sm.gsd_feature_select(feats, motif, dec.mask_emb, "inverted")
         logits = sm.decode_logits(selected, dec)
-        return sm.sequence_loss(logits, target, {0})
+        return sm.sequence_loss(logits, target, motif)
 
     assert check_grads(build_loss, params) < 1e-4
 
