@@ -19,6 +19,9 @@ import numpy as np
 from .errors import ConfigError, ContractError, DimensionError, NumericError, StateError
 
 _CHECK_FINITE = False
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def set_debug_checks(enabled: bool) -> None:
@@ -39,7 +42,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
 
@@ -322,11 +325,9 @@ def matmul(a, b) -> Tensor:
 # reductions and reshaping
 
 
-def _spread(g, reduced: tuple, axis, keepdims: bool, shape: tuple) -> np.ndarray:
+def _spread(g, axis, keepdims: bool, shape: tuple) -> np.ndarray:
     """Gradient ``g`` of a sum over ``axis`` copied back over the input
-    ``shape``.  A scalar output is stored as shape (1,), so ``g`` first
-    gets the ``reduced`` shape that numpy's reduction gave."""
-    g = g.reshape(reduced)
+    ``shape``."""
     if axis is not None and not keepdims:
         g = np.expand_dims(g, axis)
     return np.broadcast_to(g, shape).copy()
@@ -337,7 +338,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
-        return (_spread(g, np.shape(out), axis, keepdims, a.shape),)
+        return (_spread(g, axis, keepdims, a.shape),)
 
     return record_op(out, (a,), bwd, "sum")
 
@@ -348,7 +349,7 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.mean(axis=axis, keepdims=keepdims)
 
     def bwd(g):
-        return (_spread(g, np.shape(out), axis, keepdims, a.shape) / count,)
+        return (_spread(g, axis, keepdims, a.shape) / count,)
 
     return record_op(out, (a,), bwd, "mean")
 
@@ -509,19 +510,15 @@ def log_softmax(a) -> Tensor:
 class AdamState:
     """Per-parameter first/second moment accumulators for Adam."""
 
-    def __init__(self, params: Sequence[Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[Tensor]):
         self.params = list(params)
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.step_count = 0
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
 
 def adam_step(state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update of the state's parameters; zeroes
+    """One bias-corrected Adam update of the state's parameters; clears
     their grads and bumps the counter."""
     if lr < 0:
         raise ContractError(f"learning rate must be >= 0, got {lr}")
@@ -530,15 +527,15 @@ def adam_step(state: AdamState, lr: float) -> None:
 
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for i, p in enumerate(state.params):
         g = p.grad
         state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
         state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
         m_hat = state.m[i] / (1.0 - b1 ** t)
         v_hat = state.v[i] / (1.0 - b2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        p.grad = np.zeros_like(p.data)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        p.grad = None
 
 
 def lr_at_step(step: int, warmup: int, total: int, base_lr: float) -> float:

@@ -19,6 +19,7 @@ from .errors import ConstructionError, ContractError, DomainError
 
 _EDGE_TOL = 1e-12
 _HOLDS_TOL = 1e-9
+CENTER_TRIES = 2000  # rejection-sampling draws per cluster center
 
 
 def log_sigmoid(x):
@@ -95,7 +96,7 @@ class TheoremInstance:
         return np.linalg.norm(diff, axis=-1)
 
 
-def build_instance(n, cluster_size, width, zeta, delta, lip, rng, max_tries=2000):
+def build_instance(n, cluster_size, width, zeta, delta, lip, rng):
     """Random instance with guaranteed separation.
 
     Cluster centers are rejection-sampled until mutually farther than
@@ -117,7 +118,7 @@ def build_instance(n, cluster_size, width, zeta, delta, lip, rng, max_tries=2000
     centers = []
     for _ in range(clusters):
         placed = False
-        for _ in range(max_tries):
+        for _ in range(CENTER_TRIES):
             candidate = rng.uniform(-side / 2.0, side / 2.0, size=width)
             if all(np.linalg.norm(candidate - c) > min_gap for c in centers):
                 centers.append(candidate)
@@ -126,7 +127,7 @@ def build_instance(n, cluster_size, width, zeta, delta, lip, rng, max_tries=2000
         if not placed:
             raise ConstructionError(
                 "could not place %d cluster centers more than %.3g apart "
-                "after %d tries" % (clusters, min_gap, max_tries)
+                "after %d tries" % (clusters, min_gap, CENTER_TRIES)
             )
     labels = np.repeat(np.arange(clusters), cluster_size)
     embeddings = np.empty((n, width))

@@ -20,13 +20,14 @@ from . import seqmodel as sm
 
 # The worked two-cluster case as printed in the paper: (objective, bound).
 PAPER_WORKED_CASE = (-0.82002, -0.75661)
+FD_STEP = 1e-5  # of the central finite differences
 
 
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 
 
-def numeric_grads(f, arrays, h=1e-5):
+def numeric_grads(f, arrays):
     """Central differences of the scalar f() w.r.t. each array, in place."""
     grads = []
     for a in arrays:
@@ -35,12 +36,12 @@ def numeric_grads(f, arrays, h=1e-5):
         gf = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + FD_STEP
             fp = f()
-            flat[i] = orig - h
+            flat[i] = orig - FD_STEP
             fm = f()
             flat[i] = orig
-            gf[i] = (fp - fm) / (2.0 * h)
+            gf[i] = (fp - fm) / (2.0 * FD_STEP)
         grads.append(g)
     return grads
 
@@ -61,14 +62,14 @@ def rel_err(a, b):
     return np.abs(a - b).max(initial=0.0) / scale
 
 
-def check_grads(build_loss, params, h=1e-5):
+def check_grads(build_loss, params):
     """Return the worst relative error between tape and finite differences."""
     analytic = analytic_grads(build_loss, params)
 
     def f():
         return build_loss().item()
 
-    numeric = numeric_grads(f, [p.data for p in params], h=h)
+    numeric = numeric_grads(f, [p.data for p in params])
     return max(rel_err(a, n) for a, n in zip(analytic, numeric))
 
 

@@ -91,7 +91,33 @@ def parse_positions_file(text):
 
 
 # ---------------------------------------------------------------------------
-# dataset directory layout
+# records and dataset directory layout
+
+
+def write_records(out_dir, fasta_name, records, headers):
+    """Write each record to ``<id>.pdb`` and all of them to the FASTA file
+    ``fasta_name``; ``headers[i]``, the text after the '>', starts with
+    the id of ``records[i]``."""
+    pl.make_dirs(out_dir)
+    for record in records:
+        path = os.path.join(out_dir, "%s.pdb" % record.record_id)
+        pl.write_atomic(path, dt.emit_pdb_ca(record))
+    fasta = [">%s\n%s" % (h, r.residue_string) for r, h in zip(records, headers)]
+    pl.write_atomic(os.path.join(out_dir, fasta_name), "\n".join(fasta) + "\n")
+
+
+def read_records(dir_path, fasta_name):
+    """The records ``write_records`` wrote, in FASTA order; a record whose
+    PDB residues differ from its FASTA letters raises ``DataError``."""
+    records = []
+    for rec_id, letters in dt.parse_fasta(_read_text(os.path.join(dir_path, fasta_name))):
+        text = _read_text(os.path.join(dir_path, "%s.pdb" % rec_id))
+        record = dt.parse_pdb_ca(text, chain=dt.PDB_CHAIN, record_id=rec_id)
+        if record.residue_string != letters:
+            raise DataError("sequence mismatch for %r between %s and its PDB file"
+                            % (rec_id, fasta_name))
+        records.append(record)
+    return records
 
 
 def write_dataset(out_dir, examples, splits=None):
@@ -100,19 +126,12 @@ def write_dataset(out_dir, examples, splits=None):
     A motif may be None; ``motifs.csv`` is written only when some
     example has one.
     """
-    pl.make_dirs(out_dir)
-    fasta = []
-    motif_rows = ["id,positions"]
-    for record, motif in examples:
-        pl.write_atomic(
-            os.path.join(out_dir, "%s.pdb" % record.record_id), dt.emit_pdb_ca(record)
-        )
-        fasta.append(">%s\n%s" % (record.record_id, record.residue_string))
-        if motif is not None:
-            motif_rows.append(
-                "%s,%s" % (record.record_id, _format_positions(motif.positions))
-            )
-    pl.write_atomic(os.path.join(out_dir, "sequences.fasta"), "\n".join(fasta) + "\n")
+    records = [record for record, _ in examples]
+    write_records(out_dir, "sequences.fasta", records, [r.record_id for r in records])
+    motif_rows = ["id,positions"] + [
+        "%s,%s" % (record.record_id, _format_positions(motif.positions))
+        for record, motif in examples if motif is not None
+    ]
     if len(motif_rows) > 1:
         pl.write_atomic(
             os.path.join(out_dir, "motifs.csv"), "\n".join(motif_rows) + "\n"
@@ -131,8 +150,6 @@ def read_dataset(dir_path, motif_positions=None):
     ``motif_positions`` substitutes one shared position list when the
     directory has no motif table.
     """
-    fasta_path = os.path.join(dir_path, "sequences.fasta")
-    pairs = dt.parse_fasta(_read_text(fasta_path))
     motif_map = {}
     motif_path = os.path.join(dir_path, "motifs.csv")
     if os.path.exists(motif_path):
@@ -145,16 +162,8 @@ def read_dataset(dir_path, motif_positions=None):
             rec_id, _, tail = line.partition(",")
             motif_map[rec_id] = _parse_positions(tail)
     examples = {}
-    for rec_id, letters in pairs:
-        record = dt.parse_pdb_ca(
-            _read_text(os.path.join(dir_path, "%s.pdb" % rec_id)),
-            chain="A",
-            record_id=rec_id,
-        )
-        if record.residue_string != letters:
-            raise DataError(
-                "sequence mismatch for %r between FASTA and PDB" % rec_id
-            )
+    for record in read_records(dir_path, "sequences.fasta"):
+        rec_id = record.record_id
         if rec_id in motif_map:
             positions = motif_map[rec_id]
         elif motif_positions is not None:
@@ -302,20 +311,12 @@ def _cmd_design(args):
         motif, length, args.n, model.config.top_k, model,
         seed=args.stream_seed, pin_motif=args.pin_motif,
     )
-    pl.make_dirs(args.out)
-    fasta = []
-    for index, cand in enumerate(candidates):
-        cand_id = "cand%03d" % index
-        fasta.append(">%s seed=%d p=%.4f\n%s" % (
-            cand_id, cand.seed, float(cand.token_probs.mean()),
-            sm.decode_sequence(cand.sequence),
-        ))
-        cand_record = dt.ProteinRecord(cand_id, cand.sequence, cand.coords)
-        pl.write_atomic(
-            os.path.join(args.out, "%s.pdb" % cand_id), dt.emit_pdb_ca(cand_record)
-        )
-    pl.write_atomic(
-        os.path.join(args.out, "candidates.fasta"), "\n".join(fasta) + "\n"
+    ids = ["cand%03d" % index for index in range(len(candidates))]
+    write_records(
+        args.out, "candidates.fasta",
+        [dt.ProteinRecord(i, c.sequence, c.coords) for i, c in zip(ids, candidates)],
+        ["%s seed=%d p=%.4f" % (i, c.seed, float(c.token_probs.mean()))
+         for i, c in zip(ids, candidates)],
     )
     print("wrote %d candidates for %s to %s" % (args.n, args.record_id, args.out))
     return EXIT_OK
@@ -326,16 +327,8 @@ def _cmd_eval(args):
     if args.record_id not in examples:
         raise DataError("record %r not in %s" % (args.record_id, args.data))
     record, motif = examples[args.record_id]
-    pairs = dt.parse_fasta(
-        _read_text(os.path.join(args.candidates, "candidates.fasta"))
-    )
-    candidates = []
-    for cand_id, letters in pairs:
-        coords = dt.parse_pdb_ca(
-            _read_text(os.path.join(args.candidates, "%s.pdb" % cand_id)),
-            chain="A", record_id=cand_id,
-        ).ca_coords
-        candidates.append((cand_id, sm.encode_sequence(letters), coords))
+    candidates = [(c.record_id, c.sequence, c.ca_coords)
+                  for c in read_records(args.candidates, "candidates.fasta")]
     plddt_text = _read_text(args.plddt) if args.plddt else None
     report = mx.evaluate_candidates(candidates, record, motif, plddt_text)
     pl.write_atomic(args.out, mx.report_csv(report))
@@ -448,7 +441,7 @@ _CONFIG_FLAGS = {
     "--beta": dict(type=float, help="sequence loss weight"),
     "--topk": dict(dest="top_k", type=int, help="sampling pool size"),
     "--radius": dict(type=float, help="initialization sphere radius"),
-    "--feature-select": dict(choices=("as_printed", "inverted"),
+    "--feature-select": dict(choices=sm.FEATURE_SELECT_MODES,
                              help="decoder input selection mode"),
     "--seed": dict(type=_seed, help="seed of the initial weights, example order "
                                   "and initial coordinates"),

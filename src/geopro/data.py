@@ -4,7 +4,7 @@ Everything here is pure text-in / objects-out; file IO and path handling
 belong to the command-line layer.
 """
 
-import warnings
+import logging
 from collections import Counter
 from dataclasses import dataclass
 
@@ -22,6 +22,11 @@ THREE_TO_ONE = {
 ONE_TO_THREE = {one: three for three, one in THREE_TO_ONE.items()}
 
 CA_DISTANCE_RANGE = (2.8, 4.5)
+PDB_CHAIN = "A"  # of every PDB file geopro writes
+FASTA_ALPHABET = frozenset(AMINO_ACIDS + "-")  # '-' lets aligned rows through
+SPLIT_RATIOS = (8, 1, 1)  # train : valid : test
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -57,10 +62,10 @@ class ProteinRecord:
             low, high = CA_DISTANCE_RANGE
             bad = np.flatnonzero((steps < low) | (steps > high))
             if bad.size:
-                warnings.warn(
+                log.warning(
                     "record %r: %d consecutive CA distances outside [%.1f, %.1f] "
-                    "Angstrom (first at residue %d: %.2f)"
-                    % (self.record_id, bad.size, low, high, bad[0], steps[bad[0]])
+                    "Angstrom (first at residue %d: %.2f)",
+                    self.record_id, bad.size, low, high, bad[0], steps[bad[0]],
                 )
 
     @property
@@ -109,9 +114,9 @@ def parse_pdb_ca(text, chain, record_id=None):
         res_name = line[17:20].strip()
         one = THREE_TO_ONE.get(res_name)
         if one is None:
-            warnings.warn(
+            log.warning(
                 "unknown residue %r at %s%s in chain %s: skipping, which leaves "
-                "a gap in the chain" % (res_name, key[0], key[1].strip(), chain)
+                "a gap in the chain", res_name, key[0], key[1].strip(), chain,
             )
             continue
         coords = tuple(
@@ -131,7 +136,7 @@ def parse_pdb_ca(text, chain, record_id=None):
     return ProteinRecord.from_parts(record_id, residues, coords)
 
 
-def emit_pdb_ca(record, chain="A"):
+def emit_pdb_ca(record):
     """Serialize a record as CA-only ATOM lines (3-decimal coordinates)."""
     lines = []
     for i in range(record.length):
@@ -139,21 +144,18 @@ def emit_pdb_ca(record, chain="A"):
         x, y, z = record.ca_coords[i]
         lines.append(
             "ATOM  %5d  CA  %3s %s%4d    %8.3f%8.3f%8.3f%6.2f%6.2f          %2s"
-            % (i + 1, res3, chain, i + 1, x, y, z, 1.0, 0.0, "C")
+            % (i + 1, res3, PDB_CHAIN, i + 1, x, y, z, 1.0, 0.0, "C")
         )
     lines.append("TER")
     return "\n".join(lines) + "\n"
 
 
-def parse_fasta(text, alphabet=None):
+def parse_fasta(text):
     """Parse FASTA text into (id, sequence) pairs; an id is the first
     word of its header, and a header without one raises.
 
-    ``alphabet`` defaults to the amino-acid letters plus '-' so aligned
-    rows pass through; anything else raises with its line number.
+    A letter outside ``FASTA_ALPHABET`` raises with its line number.
     """
-    if alphabet is None:
-        alphabet = set(AMINO_ACIDS) | {"-"}
     records = []
     current_id = None
     parts = []
@@ -173,7 +175,7 @@ def parse_fasta(text, alphabet=None):
         if current_id is None:
             raise ParseError("line %d: sequence data before any '>' header" % lineno)
         for ch in line:
-            if ch not in alphabet:
+            if ch not in FASTA_ALPHABET:
                 raise ParseError("line %d: invalid character %r" % (lineno, ch))
         parts.append(line)
     if current_id is not None:
@@ -263,15 +265,13 @@ def extract_motif(aln, threshold):
     return columns_to_positions(aln, aln.reference_id, conserved_columns(aln, threshold))
 
 
-def filter_and_split(records, min_len, ratios=(8, 1, 1), seed=0):
+def filter_and_split(records, min_len, seed):
     """Length-filter, shuffle, and partition records into train/valid/test.
 
     Records with length <= ``min_len`` are dropped.  The valid and test
-    sizes are floored from the ratios; whatever remains goes to train.
-    The shuffle is fully determined by the seed.
+    sizes are floored from ``SPLIT_RATIOS``; whatever remains goes to
+    train.  The shuffle is fully determined by the seed.
     """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ContractError("ratios must be three positive numbers, got %r" % (ratios,))
     kept = [r for r in records if r.length > min_len]
     if not kept:
         raise DataError("no records longer than %d to split" % min_len)
@@ -279,9 +279,9 @@ def filter_and_split(records, min_len, ratios=(8, 1, 1), seed=0):
     order = rng.permutation(len(kept))
     shuffled = [kept[i] for i in order]
     total = len(shuffled)
-    denom = float(sum(ratios))
-    n_valid = int(total * ratios[1] / denom)
-    n_test = int(total * ratios[2] / denom)
+    denom = float(sum(SPLIT_RATIOS))
+    n_valid = int(total * SPLIT_RATIOS[1] / denom)
+    n_test = int(total * SPLIT_RATIOS[2] / denom)
     n_train = total - n_valid - n_test
     train = shuffled[:n_train]
     valid = shuffled[n_train:n_train + n_valid]

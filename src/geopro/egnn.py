@@ -556,20 +556,20 @@ def init_egnn(rng, depth, feat_width, message_width=None, attr_width=0):
     return EgnnModel(layers=layers, feat_width=feat_width)
 
 
-def sequence_separation_attrs(n, bounds=(1, 2, 4, 8, 16, 32)):
-    """One-hot sequence-separation buckets as (N, N, len(bounds)+1) attrs.
+SEQSEP_BOUNDS = (1, 2, 4, 8, 16, 32)
+
+
+def sequence_separation_attrs(n):
+    """One-hot sequence-separation buckets as (N, N, len(SEQSEP_BOUNDS)+1) attrs.
 
     Bucket k holds pairs whose index separation falls between bounds
     k-1 (exclusive) and k (inclusive); separations beyond the last bound
     share the final bucket.  Purely index-based, so rigid motions of the
     coordinates never change it.
     """
-    bounds = np.asarray(bounds, dtype=np.int64)
-    if bounds.size == 0 or np.any(np.diff(bounds) <= 0) or bounds[0] < 1:
-        raise ContractError("bucket bounds must be increasing positive integers")
     sep = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    bucket = np.searchsorted(bounds, sep, side="left")
-    out = np.zeros((n, n, bounds.size + 1), dtype=np.float64)
+    bucket = np.searchsorted(SEQSEP_BOUNDS, sep, side="left")
+    out = np.zeros((n, n, len(SEQSEP_BOUNDS) + 1), dtype=np.float64)
     rows, cols = np.indices((n, n))
     out[rows, cols, bucket] = 1.0
     return out

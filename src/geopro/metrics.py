@@ -8,8 +8,8 @@ optional externally computed confidence joined from a CSV file.
 
 import csv
 import io
+import logging
 import statistics
-import warnings
 
 import numpy as np
 
@@ -25,12 +25,14 @@ METRIC_COLUMNS = (
     "plddt",
 )
 
+log = logging.getLogger(__name__)
+
 
 def aar(designed, target, scored):
     """Fraction of scored positions where the two sequences agree.
 
     An empty scored set counts as full recovery (there was nothing to
-    design), reported with a warning.
+    design), reported in a logged warning.
     """
     designed = np.asarray(designed, dtype=np.int64)
     target = np.asarray(target, dtype=np.int64)
@@ -40,7 +42,7 @@ def aar(designed, target, scored):
         )
     scored = np.asarray(sorted(set(int(i) for i in scored)), dtype=np.int64)
     if scored.size == 0:
-        warnings.warn("recovery over an empty position set is defined as 1.0")
+        log.warning("recovery over an empty position set is defined as 1.0")
         return 1.0
     if scored[0] < 0 or scored[-1] >= designed.shape[0]:
         raise ContractError(

@@ -21,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import ProteinRecord
 from .egnn import (
+    SEQSEP_BOUNDS,
     EgnnModel,
     GraphState,
     egnn_forward,
@@ -39,6 +40,7 @@ from .errors import (
 )
 from .geometry import sample_sphere_point
 from .seqmodel import (
+    FEATURE_SELECT_MODES,
     MASK,
     RESIDUE_COUNT,
     ContextEncoder,
@@ -58,7 +60,9 @@ log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"GEOPRO01"
 EDGE_ATTR_MODES = ("none", "seqsep")
-SEQSEP_WIDTH = 7
+SEQSEP_WIDTH = len(SEQSEP_BOUNDS) + 1
+SYNTH_CLASH_DISTANCE = 3.0
+SYNTH_MAX_RESTARTS = 200
 
 
 def substream(seed, label):
@@ -172,10 +176,10 @@ class TrainingConfig:
             raise ConfigError("epochs must be non-negative")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.feature_select not in ("as_printed", "inverted"):
+        if self.feature_select not in FEATURE_SELECT_MODES:
             raise ConfigError(
-                "feature_select must be 'as_printed' or 'inverted', got %r"
-                % self.feature_select
+                "feature_select must be one of %s, got %r"
+                % (FEATURE_SELECT_MODES, self.feature_select)
             )
         if self.edge_attrs not in EDGE_ATTR_MODES:
             raise ConfigError(
@@ -274,16 +278,13 @@ def build_model(config):
     attr_width = SEQSEP_WIDTH if config.edge_attrs == "seqsep" else 0
     return JointModel(
         encoder=init_context_encoder(
-            rng, config.width, depth=config.enc_depth,
-            n_heads=config.n_heads, max_len=config.max_len,
+            rng, config.width, config.enc_depth, config.n_heads, config.max_len
         ),
         egnn=init_egnn(
             rng, depth=config.egnn_depth, feat_width=config.width,
             attr_width=attr_width,
         ),
-        decoder=init_gsd_decoder(
-            rng, config.width, depth=config.dec_depth, n_heads=config.n_heads,
-        ),
+        decoder=init_gsd_decoder(rng, config.width, config.dec_depth, config.n_heads),
         config=config,
     )
 
@@ -706,12 +707,12 @@ def motif_rule_positions(coords, motif_frac):
     return np.sort(order[:count])
 
 
-def generate_synthetic_dataset(n, length, motif_frac, seed,
-                               clash_distance=3.0, max_restarts=200):
+def generate_synthetic_dataset(n, length, motif_frac, seed):
     """Self-avoiding chains whose sequence follows backbone curvature.
 
     Consecutive points are 3.7 to 3.9 apart; any new point closer than
-    ``clash_distance`` to an earlier one restarts the chain.  Residues
+    ``SYNTH_CLASH_DISTANCE`` to an earlier one restarts the chain, at
+    most ``SYNTH_MAX_RESTARTS`` times.  Residues
     are the curvature buckets of their position, and the motif marks the
     most strongly bent positions, so structure determines sequence.
     """
@@ -722,7 +723,7 @@ def generate_synthetic_dataset(n, length, motif_frac, seed,
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
-        coords = _self_avoiding_chain(length, rng, clash_distance, max_restarts)
+        coords = _self_avoiding_chain(length, rng)
         record = ProteinRecord(
             record_id="syn%03d" % i,
             sequence=curvature_tokens(coords),
@@ -733,8 +734,8 @@ def generate_synthetic_dataset(n, length, motif_frac, seed,
     return out
 
 
-def _self_avoiding_chain(length, rng, clash_distance, max_restarts):
-    for _ in range(max_restarts):
+def _self_avoiding_chain(length, rng):
+    for _ in range(SYNTH_MAX_RESTARTS):
         coords = np.zeros((length, 3))
         direction = _unit(rng.normal(size=3))
         ok = True
@@ -745,7 +746,7 @@ def _self_avoiding_chain(length, rng, clash_distance, max_restarts):
                 step = rng.uniform(3.7, 3.9)
                 candidate = coords[j - 1] + step * candidate_dir
                 gaps = np.linalg.norm(coords[: max(j - 1, 0)] - candidate, axis=1)
-                if gaps.size == 0 or gaps.min() >= clash_distance:
+                if gaps.size == 0 or gaps.min() >= SYNTH_CLASH_DISTANCE:
                     coords[j] = candidate
                     direction = candidate_dir
                     placed = True
@@ -757,7 +758,7 @@ def _self_avoiding_chain(length, rng, clash_distance, max_restarts):
             return coords
     raise GenerationError(
         "could not build a self-avoiding chain of length %d after %d restarts"
-        % (length, max_restarts)
+        % (length, SYNTH_MAX_RESTARTS)
     )
 
 

@@ -20,6 +20,7 @@ AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 MASK = 20
 VOCAB_SIZE = 21
 RESIDUE_COUNT = 20
+FEATURE_SELECT_MODES = ("as_printed", "inverted")  # of gsd_feature_select
 
 _RESIDUE_TO_INDEX = {ch: i for i, ch in enumerate(AMINO_ACIDS)}
 _LN_EPS = 1e-5
@@ -189,7 +190,7 @@ def _init_block(rng, width, n_heads):
     )
 
 
-def init_context_encoder(rng, width, depth=2, n_heads=4, max_len=512):
+def init_context_encoder(rng, width, depth, n_heads, max_len):
     # One row more is drawn than kept, for the retired padding token, so
     # that every weight drawn after this one keeps its value.  A change
     # of init that alters those weights anyway drops the extra row.
@@ -202,7 +203,7 @@ def init_context_encoder(rng, width, depth=2, n_heads=4, max_len=512):
     )
 
 
-def init_gsd_decoder(rng, width, depth=2, n_heads=4):
+def init_gsd_decoder(rng, width, depth, n_heads):
     return GsdDecoder(
         in_w=ad.Tensor(glorot_uniform(rng, width, width), requires_grad=True),
         in_b=ad.Tensor(np.zeros(width), requires_grad=True),
@@ -286,8 +287,8 @@ def gsd_feature_select(features, motif, mask_emb, mode):
     positions and replaces every other row with the learned mask
     embedding; ``inverted`` does the opposite.
     """
-    if mode not in ("as_printed", "inverted"):
-        raise ConfigError("feature_select mode must be 'as_printed' or 'inverted'")
+    if mode not in FEATURE_SELECT_MODES:
+        raise ConfigError("feature_select mode must be one of %s" % (FEATURE_SELECT_MODES,))
     motif = np.asarray(motif, dtype=bool)
     if motif.shape != features.shape[:-1]:
         raise ContractError(

@@ -291,15 +291,16 @@ def test_named_tensors_walks_fields_in_order_and_names_list_items():
     assert list(ad.named_tensors(_Leaf(t[0], 1), "leaf")) == [("leaf.w", t[0])]
 
 
-def test_adam_first_step_moves_by_lr():
+def test_adam_first_step_moves_by_lr(monkeypatch):
+    monkeypatch.setattr(ad, "ADAM_EPS", 1e-12)
     p = ad.Tensor([1.0], requires_grad=True)
     p.grad = np.array([1.0])
-    state = ad.AdamState([p], eps=1e-12)
+    state = ad.AdamState([p])
     ad.adam_step(state, lr=0.01)
     # first step: m_hat = g, sqrt(v_hat) = |g|, so the update is ~lr
     assert abs(p.data[0] - (1.0 - 0.01)) < 1e-10
     assert state.step_count == 1
-    assert np.array_equal(p.grad, [0.0])
+    assert p.grad is None
 
 
 def test_adam_zero_grad_keeps_params():
@@ -321,7 +322,7 @@ def test_adam_matches_scalar_recurrence():
         ref_p -= lr * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps)
 
     p = ad.Tensor([1.0], requires_grad=True)
-    state = ad.AdamState([p], beta1=b1, beta2=b2, eps=eps)
+    state = ad.AdamState([p])
     for _ in range(2):
         p.grad = np.array([g])
         ad.adam_step(state, lr=lr)
@@ -333,6 +334,18 @@ def test_adam_missing_grad_is_state_error():
     state = ad.AdamState([p])
     with pytest.raises(StateError):
         ad.adam_step(state, lr=0.1)
+
+
+def test_adam_second_step_without_backward_is_state_error():
+    p = ad.Tensor([0.5], requires_grad=True)
+    state = ad.AdamState([p])
+    with ad.Tape() as tape:
+        tape.backward(ad.tsum(ad.square(p)))
+    ad.adam_step(state, lr=0.1)
+    moved = p.data.copy()
+    with pytest.raises(StateError):
+        ad.adam_step(state, lr=0.1)
+    assert np.array_equal(p.data, moved) and state.step_count == 1
 
 
 def test_lr_schedule_endpoints_and_midpoint():

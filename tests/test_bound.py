@@ -68,7 +68,7 @@ def test_validation_rejects_close_cross_pair():
         )
 
 
-def test_build_contract_errors():
+def test_build_contract_errors(monkeypatch):
     rng = np.random.default_rng(2)
     with pytest.raises(ContractError):
         tb.build_instance(5, 2, width=2, zeta=1.0, delta=0.0, lip=1.0, rng=rng)
@@ -78,9 +78,10 @@ def test_build_contract_errors():
         tb.build_instance(4, 2, width=2, zeta=1.0, delta=0.0, lip=0.0, rng=rng)
     # Twenty 1-D clusters with a single placement attempt each cannot
     # all land clear of one another.
+    monkeypatch.setattr(tb, "CENTER_TRIES", 1)
     with pytest.raises(ConstructionError):
         tb.build_instance(40, 2, width=1, zeta=3.0, delta=0.0, lip=1.0,
-                          rng=np.random.default_rng(0), max_tries=1)
+                          rng=np.random.default_rng(0))
 
 
 def test_decoder_probabilities_worked_case():

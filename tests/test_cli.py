@@ -5,9 +5,10 @@ output, and produced files can all be checked directly.
 """
 
 import argparse
+import ast
 import logging
 import os
-import warnings
+import pathlib
 
 import numpy as np
 import pytest
@@ -32,12 +33,6 @@ base_lr = 0.001
 warmup_steps = 2
 max_len = 64
 """
-
-
-def run_quiet(argv):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return cli.run(argv)
 
 
 def write_config(tmp_path, extra=""):
@@ -153,6 +148,64 @@ def test_subcommand_flags_are_pinned():
     assert sum(len(v) for v in flags.values()) == 53
 
 
+# Every parameter with a default in the package, as
+# module.qualified_function(parameter).  A value that every caller leaves
+# at its default belongs in a module constant, not in a new default.
+PINNED_DEFAULTS = {
+    "autodiff.Tensor.__init__(requires_grad)",
+    "autodiff.named_tensors(prefix)",
+    "autodiff.tsum(axis)", "autodiff.tsum(keepdims)",
+    "autodiff.tmean(axis)", "autodiff.tmean(keepdims)",
+    "autodiff.concat(axis)",
+    "autodiff._sigmoid(out)",
+    "bound.two_cluster_coincident_instance(lip)",
+    "bound.two_cluster_coincident_instance(zeta)",
+    "bound.upper_bound(appendix_sign)",
+    "bound.verify_bound(appendix_sign)",
+    "checks.bound_excess(appendix_sign)",
+    "cli.write_dataset(splits)",
+    "cli.read_dataset(motif_positions)",
+    "cli._config_from_args(fallback_path)",
+    "data.parse_pdb_ca(record_id)",
+    "egnn.glorot_uniform(scale)",
+    "egnn.init_mlp(out_scale)",
+    "egnn.init_egcl(attr_width)",
+    "egnn.init_egnn(message_width)", "egnn.init_egnn(attr_width)",
+    "egnn.equivariance_check(forward)",
+    "egnn._PairInput.add_grad(d_sq_dist)", "egnn._PairInput.add_grad(d_diff)",
+    "geometry.random_rigid(reflect)",
+    "metrics.EvalRow.__init__(plddt)",
+    "metrics.evaluate_candidates(plddt_text)",
+    "pipeline.build_config(file_text)", "pipeline.build_config(overrides)",
+    "pipeline.train(valid_set)", "pipeline.train(checkpoint_path)",
+    "pipeline.design(pin_motif)",
+}
+
+
+def _defaulted_parameters(body, prefix):
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _defaulted_parameters(node.body, "%s%s." % (prefix, node.name))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for arg in defaulted:
+                yield "%s%s(%s)" % (prefix, node.name, arg.arg)
+            yield from _defaulted_parameters(node.body, "%s%s." % (prefix, node.name))
+
+
+def test_defaulted_parameters_are_pinned():
+    found = []
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += _defaulted_parameters(tree.body, path.stem + ".")
+    assert len(found) == len(set(found))
+    assert set(found) == PINNED_DEFAULTS
+
+
 @pytest.mark.parametrize("argv", [
     ["design", "--checkpoint", "c", "--data", "d", "--record-id", "r", "--out", "o",
      "--alpha", "5"],
@@ -232,13 +285,7 @@ def test_read_dataset_rejects_sequence_mismatch(tmp_path):
     with open(fasta_path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
     with pytest.raises(Exception, match="mismatch"):
-        run_quiet_read(ds)
-
-
-def run_quiet_read(ds):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return cli.read_dataset(ds)
+        cli.read_dataset(ds)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +344,8 @@ def trained(tmp_path_factory):
     ds = make_dataset(tmp_path)
     cfg = write_config(tmp_path)
     ck = str(tmp_path / "model.ckpt")
-    assert run_quiet(["train", "--data", ds, "--out", ck,
-                      "--config", cfg, "--seed", "3"]) == 0
+    assert cli.run(["train", "--data", ds, "--out", ck,
+                    "--config", cfg, "--seed", "3"]) == 0
     return tmp_path, ds, ck
 
 
@@ -323,8 +370,8 @@ def test_config_file_seed_is_honoured(trained, tmp_path):
 
     def train(name, extra, *flags):
         ck = str(tmp_path / name)
-        assert run_quiet(["train", "--data", ds, "--out", ck,
-                          "--config", write_config(tmp_path, extra), *flags]) == 0
+        assert cli.run(["train", "--data", ds, "--out", ck,
+                        "--config", write_config(tmp_path, extra), *flags]) == 0
         with open(ck, "rb") as handle:
             return handle.read()
 
@@ -342,8 +389,8 @@ def test_config_file_seed_is_honoured(trained, tmp_path):
 ])
 def test_bad_config_value_exits_two(trained, tmp_path, capsys, line):
     _, ds, _ = trained
-    assert run_quiet(["train", "--data", ds, "--out", str(tmp_path / "m.ckpt"),
-                      "--config", write_config(tmp_path, line + "\n")]) == 2
+    assert cli.run(["train", "--data", ds, "--out", str(tmp_path / "m.ckpt"),
+                    "--config", write_config(tmp_path, line + "\n")]) == 2
     err = capsys.readouterr().err
     assert "error: " in err and line.split()[0] in err
     assert "Traceback" not in err
@@ -354,8 +401,8 @@ def test_bad_config_value_exits_two(trained, tmp_path, capsys, line):
 def test_unwritable_checkpoint_exits_two(trained, tmp_path, capsys, out):
     _, ds, _ = trained
     os.mkdir(str(tmp_path / "a_directory"))
-    assert run_quiet(["train", "--data", ds, "--out", str(tmp_path / out),
-                      "--config", write_config(tmp_path)]) == 2
+    assert cli.run(["train", "--data", ds, "--out", str(tmp_path / out),
+                    "--config", write_config(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "error: cannot write" in err and "Traceback" not in err
     assert not list(tmp_path.rglob("*.tmp.*"))
@@ -363,9 +410,9 @@ def test_unwritable_checkpoint_exits_two(trained, tmp_path, capsys, out):
 
 def test_missing_checkpoint_exits_two(trained, tmp_path, capsys):
     _, ds, _ = trained
-    assert run_quiet(["design", "--config", write_config(tmp_path),
-                      "--checkpoint", str(tmp_path / "missing.ckpt"), "--data", ds,
-                      "--record-id", "syn001", "--out", str(tmp_path / "d")]) == 2
+    assert cli.run(["design", "--config", write_config(tmp_path),
+                    "--checkpoint", str(tmp_path / "missing.ckpt"), "--data", ds,
+                    "--record-id", "syn001", "--out", str(tmp_path / "d")]) == 2
     err = capsys.readouterr().err
     assert "error: cannot read checkpoint" in err and "Traceback" not in err
     assert not list(tmp_path.rglob("*.tmp.*"))
@@ -388,8 +435,8 @@ def test_unloadable_checkpoint_exits_two(trained, tmp_path, capsys, monkeypatch,
         monkeypatch.setattr(pl, "LAYOUT_VERSION", pl.LAYOUT_VERSION + 1)
     pl.save_checkpoint(ck, model)
     monkeypatch.undo()
-    assert run_quiet(["design", "--config", cfg, "--checkpoint", ck, "--data", ds,
-                      "--record-id", "syn001", "--out", str(tmp_path / "d")]) == 2
+    assert cli.run(["design", "--config", cfg, "--checkpoint", ck, "--data", ds,
+                    "--record-id", "syn001", "--out", str(tmp_path / "d")]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
 
@@ -404,7 +451,7 @@ def test_unmakeable_output_directory_exits_two(trained, tmp_path, capsys, comman
         "synth": ["synth", "--n", "1", "--length", "12", "--motif-frac", "0.3"],
         "design": ["design", "--checkpoint", ck, "--data", ds, "--record-id", "syn001"],
     }[command]
-    assert run_quiet(argv + ["--out", out]) == 2
+    assert cli.run(argv + ["--out", out]) == 2
     err = capsys.readouterr().err
     assert "error: cannot create directory" in err and "Traceback" not in err
 
@@ -426,7 +473,7 @@ def test_train_refuses_unwritable_outputs_before_training(
     argv = ["train", "--data", ds, "--config", write_config(tmp_path)]
     for name, path in paths.items():
         argv += [name, path]
-    assert run_quiet(argv) == 2
+    assert cli.run(argv) == 2
     err = capsys.readouterr().err
     assert "error: cannot write" in err and "Traceback" not in err
     assert not list(tmp_path.rglob("*.probe*"))
@@ -437,8 +484,8 @@ def test_train_honors_split_manifest(tmp_path):
     with open(os.path.join(ds, "splits.csv"), "w") as handle:
         handle.write("id,split\nsyn000,train\nsyn001,train\nsyn002,valid\n")
     ck = str(tmp_path / "m.ckpt")
-    assert run_quiet(["train", "--data", ds, "--out", ck,
-                      "--config", write_config(tmp_path), "--seed", "3"]) == 0
+    assert cli.run(["train", "--data", ds, "--out", ck,
+                    "--config", write_config(tmp_path), "--seed", "3"]) == 0
     with open("%s.curve.csv" % ck) as handle:
         rows = handle.read().splitlines()[1:]
     for row in rows:
@@ -450,9 +497,9 @@ def test_design_outputs_and_determinism(trained):
     d1 = str(tmp_path / "d1")
     d2 = str(tmp_path / "d2")
     for out in (d1, d2):
-        assert run_quiet(["design", "--checkpoint", ck, "--data", ds,
-                          "--record-id", "syn001", "--n", "3",
-                          "--out", out, "--seed", "11"]) == 0
+        assert cli.run(["design", "--checkpoint", ck, "--data", ds,
+                        "--record-id", "syn001", "--n", "3",
+                        "--out", out, "--seed", "11"]) == 0
     for name in ("candidates.fasta", "cand000.pdb", "cand002.pdb"):
         with open(os.path.join(d1, name)) as fa, \
                 open(os.path.join(d2, name)) as fb:
@@ -464,11 +511,9 @@ def test_design_outputs_and_determinism(trained):
     for cand_id, letters in pairs:
         tokens = sm.encode_sequence(letters)
         assert np.array_equal(tokens[motif.positions], motif.residues)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            cand = dt.parse_pdb_ca(
-                open(os.path.join(d1, "%s.pdb" % cand_id.split()[0])).read(),
-                chain="A", record_id=cand_id)
+        cand = dt.parse_pdb_ca(
+            open(os.path.join(d1, "%s.pdb" % cand_id.split()[0])).read(),
+            chain="A", record_id=cand_id)
         pinned = cand.ca_coords[motif.positions]
         assert np.abs(pinned - motif.coords).max() < 5e-4
 
@@ -477,12 +522,12 @@ def test_design_seed_changes_output(trained):
     tmp_path, ds, ck = trained
     d1 = str(tmp_path / "s1")
     d2 = str(tmp_path / "s2")
-    assert run_quiet(["design", "--checkpoint", ck, "--data", ds,
-                      "--record-id", "syn001", "--n", "2",
-                      "--out", d1, "--seed", "1"]) == 0
-    assert run_quiet(["design", "--checkpoint", ck, "--data", ds,
-                      "--record-id", "syn001", "--n", "2",
-                      "--out", d2, "--seed", "2"]) == 0
+    assert cli.run(["design", "--checkpoint", ck, "--data", ds,
+                    "--record-id", "syn001", "--n", "2",
+                    "--out", d1, "--seed", "1"]) == 0
+    assert cli.run(["design", "--checkpoint", ck, "--data", ds,
+                    "--record-id", "syn001", "--n", "2",
+                    "--out", d2, "--seed", "2"]) == 0
     a = open(os.path.join(d1, "candidates.fasta")).read()
     b = open(os.path.join(d2, "candidates.fasta")).read()
     assert a != b
@@ -493,25 +538,25 @@ def test_design_needs_config_source(trained, tmp_path, capsys):
     bare = str(tmp_path / "bare.ckpt")
     with open(ck, "rb") as src, open(bare, "wb") as dst:
         dst.write(src.read())
-    assert run_quiet(["design", "--checkpoint", bare, "--data", ds,
-                      "--record-id", "syn001", "--n", "1",
-                      "--out", str(tmp_path / "o")]) == 2
+    assert cli.run(["design", "--checkpoint", bare, "--data", ds,
+                    "--record-id", "syn001", "--n", "1",
+                    "--out", str(tmp_path / "o")]) == 2
     assert "config" in capsys.readouterr().err
 
 
 def test_eval_report(trained, capsys):
     tmp_path, ds, ck = trained
     d1 = str(tmp_path / "deval")
-    assert run_quiet(["design", "--checkpoint", ck, "--data", ds,
-                      "--record-id", "syn001", "--n", "3",
-                      "--out", d1, "--seed", "11"]) == 0
+    assert cli.run(["design", "--checkpoint", ck, "--data", ds,
+                    "--record-id", "syn001", "--n", "3",
+                    "--out", d1, "--seed", "11"]) == 0
     capsys.readouterr()
     report = str(tmp_path / "report.csv")
     plddt = tmp_path / "plddt.csv"
     plddt.write_text("id,plddt\ncand000,81.5\ncand001,60.5\n")
-    assert run_quiet(["eval", "--data", ds, "--record-id", "syn001",
-                      "--candidates", d1, "--plddt", str(plddt),
-                      "--out", report]) == 0
+    assert cli.run(["eval", "--data", ds, "--record-id", "syn001",
+                    "--candidates", d1, "--plddt", str(plddt),
+                    "--out", report]) == 0
     out = capsys.readouterr().out
     assert "aar_all" in out and "cand002" in out
     with open(report) as handle:
@@ -526,9 +571,9 @@ def test_eval_report(trained, capsys):
 
 def test_eval_unknown_record_is_data_error(trained, capsys):
     tmp_path, ds, ck = trained
-    assert run_quiet(["eval", "--data", ds, "--record-id", "ghost",
-                      "--candidates", str(tmp_path / "d1"),
-                      "--out", str(tmp_path / "r.csv")]) == 2
+    assert cli.run(["eval", "--data", ds, "--record-id", "ghost",
+                    "--candidates", str(tmp_path / "d1"),
+                    "--out", str(tmp_path / "r.csv")]) == 2
     assert "ghost" in capsys.readouterr().err
 
 
@@ -539,18 +584,37 @@ def test_eval_candidate_without_id_exits_two(tmp_path, capsys, header):
     cands.mkdir()
     (cands / "candidates.fasta").write_text("%s\nAAA\n" % header)
     capsys.readouterr()
-    assert run_quiet(["eval", "--data", ds, "--record-id", "syn001",
-                      "--candidates", str(cands), "--out", str(tmp_path / "r.csv")]) == 2
+    assert cli.run(["eval", "--data", ds, "--record-id", "syn001",
+                    "--candidates", str(cands), "--out", str(tmp_path / "r.csv")]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "no id" in lines[0]
+
+
+def test_eval_rejects_candidates_fasta_that_disagrees_with_pdb(trained, capsys):
+    tmp_path, ds, ck = trained
+    cands = str(tmp_path / "dmismatch")
+    assert cli.run(["design", "--checkpoint", ck, "--data", ds,
+                    "--record-id", "syn001", "--n", "2", "--out", cands]) == 0
+    fasta_path = os.path.join(cands, "candidates.fasta")
+    with open(fasta_path) as handle:
+        lines = handle.read().splitlines()
+    lines[1] = ("A" if lines[1][0] != "A" else "C") + lines[1][1:]
+    with open(fasta_path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.run(["eval", "--data", ds, "--record-id", "syn001",
+                    "--candidates", cands, "--out", str(tmp_path / "r.csv")]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and "cand000" in errors[0] and "mismatch" in errors[0]
 
 
 def test_export_embeddings_shape(trained):
     tmp_path, ds, ck = trained
     out = str(tmp_path / "emb.csv")
-    assert run_quiet(["export-emb", "--checkpoint", ck, "--data", ds,
-                      "--record-id", "syn000", "--out", out,
-                      "--seed", "3"]) == 0
+    assert cli.run(["export-emb", "--checkpoint", ck, "--data", ds,
+                    "--record-id", "syn000", "--out", out,
+                    "--seed", "3"]) == 0
     with open(out) as handle:
         lines = handle.read().splitlines()
     header = lines[0].split(",")
@@ -559,9 +623,9 @@ def test_export_embeddings_shape(trained):
     assert len(lines) == 1 + 10
     assert lines[1].split(",")[0] == "syn000"
     again = str(tmp_path / "emb2.csv")
-    assert run_quiet(["export-emb", "--checkpoint", ck, "--data", ds,
-                      "--record-id", "syn000", "--out", again,
-                      "--seed", "3"]) == 0
+    assert cli.run(["export-emb", "--checkpoint", ck, "--data", ds,
+                    "--record-id", "syn000", "--out", again,
+                    "--seed", "3"]) == 0
     assert open(out).read() == open(again).read()
 
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,7 @@ def test_parse_orders_by_residue_number_and_insertion_code():
     assert np.allclose(record.ca_coords[:, 0], [0.0, 3.8, 7.6])
 
 
-def test_parse_skips_unknown_residue_with_warning():
+def test_parse_skips_unknown_residue_with_warning(caplog):
     text = "\n".join(
         [
             _ca_line(1, "ALA", "A", 1, 0.0, 0.0, 0.0),
@@ -80,9 +82,9 @@ def test_parse_skips_unknown_residue_with_warning():
             _ca_line(3, "GLY", "A", 3, 7.6, 0.0, 0.0),
         ]
     )
-    with pytest.warns(UserWarning) as caught:
+    with caplog.at_level(logging.WARNING, logger="geopro.data"):
         record = data.parse_pdb_ca(text, "A")
-    messages = [str(w.message) for w in caught]
+    messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert any("unknown residue" in m for m in messages)
     # The skipped residue leaves a long CA step, which also warns.
     assert any("outside" in m for m in messages)
@@ -117,22 +119,24 @@ def test_pdb_round_trip():
     rng = np.random.default_rng(0)
     coords = _chain_coords(6) + np.round(rng.normal(scale=0.1, size=(6, 3)), 3)
     record = data.ProteinRecord.from_parts("toy", "ACDEFG", coords)
-    text = data.emit_pdb_ca(record, chain="A")
+    text = data.emit_pdb_ca(record)
     parsed = data.parse_pdb_ca(text, "A", record_id="toy")
     assert parsed.record_id == record.record_id
     assert np.array_equal(parsed.sequence, record.sequence)
     assert np.array_equal(parsed.ca_coords, np.round(record.ca_coords, 3))
 
 
-def test_record_invariants():
+def test_record_invariants(caplog):
     with pytest.raises(ContractError):
         data.ProteinRecord("bad", encode_sequence("AC"), _chain_coords(3))
     with pytest.raises(ContractError):
         data.ProteinRecord("empty", np.array([], dtype=np.int64), np.zeros((0, 3)))
     with pytest.raises(ContractError):
         data.ProteinRecord("masked", np.array([0, 20]), _chain_coords(2))
-    with pytest.warns(UserWarning, match="outside"):
+    with caplog.at_level(logging.WARNING, logger="geopro.data"):
         data.ProteinRecord.from_parts("far", "AC", [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
+    assert any(r.levelno == logging.WARNING and "outside" in r.getMessage()
+               for r in caplog.records)
 
 
 def test_parse_fasta_cases():
@@ -243,8 +247,6 @@ def test_split_filters_and_rejects_empty():
     assert [r.record_id for r in train + valid + test] == ["long"]
     with pytest.raises(DataError):
         data.filter_and_split([short], min_len=200, seed=0)
-    with pytest.raises(ContractError):
-        data.filter_and_split([long], min_len=0, ratios=(8, 0, 1), seed=0)
 
 
 def test_remainder_goes_to_train():

@@ -442,5 +442,3 @@ def test_sequence_separation_buckets():
     assert attrs[0, 2, 1] == 1.0
     assert attrs[0, 3, 2] == 1.0
     assert attrs[0, 39, 6] == 1.0
-    with pytest.raises(ContractError):
-        egnn.sequence_separation_attrs(5, bounds=(3, 2))

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import logging
 
 import numpy as np
 import pytest
@@ -35,9 +36,10 @@ def test_aar_basic_cases():
         mx.aar([1, 2, 3], [1, 2, 3], [-1])
 
 
-def test_aar_empty_scored_is_one_with_warning():
-    with pytest.warns(UserWarning):
+def test_aar_empty_scored_is_one_with_warning(caplog):
+    with caplog.at_level(logging.WARNING, logger="geopro.metrics"):
         assert mx.aar([1, 2, 3], [4, 5, 6], []) == 1.0
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
 
 
 def test_aar_symmetric_exactly():

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -37,9 +36,7 @@ def tiny_config(**kw):
 def toy_example(rng, length=10, motif_positions=(0, 4)):
     coords = np.cumsum(rng.normal(scale=2.0, size=(length, 3)), axis=0)
     sequence = rng.integers(0, 20, size=length)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        record = ProteinRecord("toy", sequence, coords)
+    record = ProteinRecord("toy", sequence, coords)
     motif = pl.motif_from_record(record, motif_positions)
     return record, motif
 
@@ -285,6 +282,15 @@ def test_pipeline_gradients_match_finite_differences():
         return total
 
     assert check_grads(build_loss, params) < 1e-3
+
+
+def test_scalars_have_shape_empty():
+    assert ad.Tensor(3.0).shape == ()
+    assert ad.reshape(ad.Tensor([2.0]), ()).shape == ()
+    record, motif = toy_example(np.random.default_rng(6))
+    model = pl.build_model(tiny_config())
+    losses = pl.example_losses(record, motif, model, np.random.default_rng(7))
+    assert [t.shape for t in losses] == [(), (), ()]
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +682,7 @@ def test_synthetic_residues_follow_curvature_rule():
         assert motif.positions.tolist() == expected
 
 
-def test_synthetic_contracts_and_generation_failure():
+def test_synthetic_contracts_and_generation_failure(monkeypatch):
     with pytest.raises(ContractError):
         pl.generate_synthetic_dataset(1, 4, 0.3, seed=0)
     with pytest.raises(DomainError):
@@ -685,10 +691,10 @@ def test_synthetic_contracts_and_generation_failure():
         pl.generate_synthetic_dataset(1, 10, 1.0, seed=0)
     # A clash radius no chain can satisfy: two bonds of length < 3.9
     # cannot put the second neighbor 8 apart.
+    monkeypatch.setattr(pl, "SYNTH_CLASH_DISTANCE", 8.0)
+    monkeypatch.setattr(pl, "SYNTH_MAX_RESTARTS", 3)
     with pytest.raises(GenerationError):
-        pl.generate_synthetic_dataset(
-            1, 8, 0.3, seed=0, clash_distance=8.0, max_restarts=3
-        )
+        pl.generate_synthetic_dataset(1, 8, 0.3, seed=0)
 
 
 # ---------------------------------------------------------------------------

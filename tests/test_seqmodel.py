@@ -56,7 +56,7 @@ def test_head_count_must_be_positive_and_divide_width():
     rng = np.random.default_rng(0)
     for n_heads in (0, 3):
         with pytest.raises(ConfigError, match="heads"):
-            sm.init_context_encoder(rng, width=8, depth=1, n_heads=n_heads)
+            sm.init_context_encoder(rng, width=8, depth=1, n_heads=n_heads, max_len=8)
         with pytest.raises(ConfigError, match="heads"):
             sm.init_gsd_decoder(rng, width=8, depth=1, n_heads=n_heads)
 
