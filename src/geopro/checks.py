@@ -81,24 +81,17 @@ def equivariance(rng, models):
     """Worst EGNN deviation under one random rigid motion (reflections
     included) per model, over ``models`` random models and graphs.
 
-    Graphs have 2-20 nodes, widths 4-32 and 1-3 layers; every fifth model
-    carries edge attributes.
+    Graphs have 2-20 nodes, widths 4-32 and 1-3 layers.
     """
     worst = 0.0
-    for trial in range(models):
+    for _ in range(models):
         n = int(rng.integers(2, 21))
         width = int(rng.choice([4, 8, 16, 32]))
         depth = int(rng.integers(1, 4))
-        attr_width = 2 if trial % 5 == 0 else 0
-        model = eg.init_egnn(rng, depth=depth, feat_width=width,
-                             attr_width=attr_width)
-        edge = None
-        if attr_width:
-            edge = rng.normal(size=(n, n, attr_width))
+        model = eg.init_egnn(rng, depth=depth, feat_width=width)
         state = eg.GraphState(
             ad.Tensor(rng.normal(scale=5.0, size=(n, 3))),
             ad.Tensor(rng.normal(size=(n, width))),
-            edge,
         )
         worst = max(worst, eg.equivariance_check(model, state, trials=1, rng=rng))
     return worst

@@ -61,7 +61,7 @@ def _read_text(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError("cannot read %s: %s" % (path, exc)) from None
 
 
@@ -542,6 +542,18 @@ def build_parser():
     return parser
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is at that moment, so that
+    an in-process caller that swaps ``sys.stderr`` between runs gets its own
+    log lines and a stream closed since an earlier run is never written to."""
+
+    stream = property(lambda self: sys.stderr, lambda self, _: None)
+
+
+_LOG_HANDLER = _StderrHandler()
+_LOG_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+
 def _configure_logging():
     """Log level from ``GEOPRO_LOG``; ``debug`` also checks every op
     output for NaN/Inf, and any other level turns that check off."""
@@ -551,10 +563,11 @@ def _configure_logging():
         print("unknown GEOPRO_LOG value %r; using 'warn'" % raw, file=sys.stderr)
         level = logging.WARNING
     ad.set_debug_checks(level == logging.DEBUG)
-    # basicConfig adds the handler only once per process; the level is set
-    # on every run.
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger().setLevel(level)
+    # other root handlers, such as a test harness's capture, stay
+    root = logging.getLogger()
+    if _LOG_HANDLER not in root.handlers:
+        root.addHandler(_LOG_HANDLER)
+    root.setLevel(level)
 
 
 def run(argv):

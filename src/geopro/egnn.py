@@ -18,7 +18,6 @@ N²·H.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -90,13 +89,13 @@ def mlp_forward(params, x):
 class EgclParams:
     """One layer's learnable pieces.
 
-    ``message`` maps the pair input (both node features, squared
-    distance, optional edge attributes) to a message; ``attention`` maps
-    each message to its gate; ``feature`` maps a node's features plus
-    its aggregated messages back to the feature width; and ``coord``
-    produces the scalar weight on each pair difference vector in the
-    coordinate update.  The output activations of the pair
-    MLPs are fixed by ``_gated_messages`` and ``_coord_step``.
+    ``message`` maps the pair input (both node features and their
+    squared distance) to a message; ``attention`` maps each message to
+    its gate; ``feature`` maps a node's features plus its aggregated
+    messages back to the feature width; and ``coord`` produces the
+    scalar weight on each pair difference vector in the coordinate
+    update.  The output activations of the pair MLPs are fixed by
+    ``_gated_messages`` and ``_coord_step``.
     """
 
     message: MlpParams
@@ -105,10 +104,9 @@ class EgclParams:
     coord: MlpParams
     feat_width: int
     message_width: int
-    attr_width: int = 0
 
     def __post_init__(self):
-        pair_width = 2 * self.feat_width + 1 + self.attr_width
+        pair_width = 2 * self.feat_width + 1
         checks = [
             (self.message.width_in, pair_width, "message input"),
             (self.message.width_out, self.message_width, "message output"),
@@ -146,15 +144,12 @@ class GraphState:
     or of a batch of B such graphs.
 
     ``coords`` is (N, 3) and ``feats`` is (N, d) for one graph; a batch
-    adds a leading axis, (B, N, 3) and (B, N, d).  Optional
-    ``edge_attrs`` is a plain (N, N, A) float64 array shared by every graph.
-    The edge attributes are constants: no gradient reaches them.  Every
-    ordered pair of distinct nodes of a graph is an edge.
+    adds a leading axis, (B, N, 3) and (B, N, d).  Every ordered pair of
+    distinct nodes of a graph is an edge.
     """
 
     coords: ad.Tensor
     feats: ad.Tensor
-    edge_attrs: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.coords = ad.as_tensor(self.coords)
@@ -168,14 +163,6 @@ class GraphState:
                 "coords of shape %s do not match feats of shape %s"
                 % (self.coords.shape, self.feats.shape)
             )
-        n = self.node_count
-        if self.edge_attrs is not None:
-            self.edge_attrs = np.asarray(self.edge_attrs, dtype=np.float64)
-            if self.edge_attrs.ndim != 3 or self.edge_attrs.shape[:2] != (n, n):
-                raise DimensionError(
-                    "edge_attrs must be (N, N, A), got shape %s"
-                    % (self.edge_attrs.shape,)
-                )
 
     @property
     def batch_shape(self):
@@ -186,10 +173,6 @@ class GraphState:
     @property
     def node_count(self):
         return self.batch_shape[1]
-
-    @property
-    def attr_width(self):
-        return 0 if self.edge_attrs is None else self.edge_attrs.shape[2]
 
 
 # Values in one (rows, N, width) block of pair activations: 2**17
@@ -249,24 +232,22 @@ def _silu_slope(z, s, u):
 
 
 class _PairInput:
-    """The pair input ``[h_i, h_j, d²_ij, a_ij]`` of one pair MLP, built
-    one block of receiving rows at a time, and its gradient.
+    """The pair input ``[h_i, h_j, d²_ij]`` of one pair MLP, built one
+    block of receiving rows at a time, and its gradient.
 
     Its product with ``w1`` splits into ``h_i @ w1[:d]``, ``h_j @
-    w1[d:2d]`` and ``[d², a] @ w1[2d:]``: the node terms cost B·N rows of
-    matmul, not B·N².  The edge attributes are constants and get no
-    gradient.  A block is a (b0, b1, i0, i1) of ``_row_blocks``, and its
-    pair arrays are (graphs, rows, N, ·).
+    w1[d:2d]`` and ``d² * w1[2d]``: the node terms cost B·N rows of
+    matmul, not B·N².  A block is a (b0, b1, i0, i1) of ``_row_blocks``,
+    and its pair arrays are (graphs, rows, N, ·).
     """
 
     def __init__(self, state, mlp):
         batch, n = state.batch_shape
         self.coords = state.coords.data.reshape(batch, n, 3)
-        self.attrs = state.edge_attrs
         d = state.feats.shape[-1]
         self.feats = state.feats.data.reshape(-1, d)
         w1 = mlp.w1.data
-        self.w_i, self.w_j, self.w_edge = w1[:d], w1[d:2 * d], w1[2 * d:]
+        self.w_i, self.w_j, self.w_dist = w1[:d], w1[d:2 * d], w1[2 * d:]
         shape = (batch, n, w1.shape[1])
         self.from_i = (self.feats @ self.w_i).reshape(shape)
         self.from_j = (self.feats @ self.w_j + mlp.b1.data).reshape(shape)
@@ -274,8 +255,7 @@ class _PairInput:
     def block(self, blk, out):
         """Write the first-layer pre-activations of block ``blk`` into
         ``out``, (graphs * rows * N, H), and return the difference vectors
-        x_i - x_j, (graphs, rows, N, 3), and ``[d², a]``, (graphs, rows, N,
-        1 + A).
+        x_i - x_j, (graphs, rows, N, 3), and d², (graphs, rows, N).
 
         The diagonal pair (i, i) gets d² = 1, so that ``sqrt`` never sees
         a zero; its difference vector is exactly zero.
@@ -286,24 +266,20 @@ class _PairInput:
         sq_dist = (diff * diff).sum(axis=3)
         rows = np.arange(i1 - i0)
         sq_dist[:, rows, rows + i0] = 1.0
-        edge_in = sq_dist[:, :, :, None]
-        if self.attrs is not None:
-            attrs = np.broadcast_to(self.attrs[i0:i1], sq_dist.shape + self.attrs.shape[2:])
-            edge_in = np.concatenate([edge_in, attrs], axis=3)
-        np.matmul(edge_in.reshape(-1, edge_in.shape[3]), self.w_edge, out=out)
-        out4 = out.reshape(edge_in.shape[:3] + (-1,))
+        out4 = out.reshape(sq_dist.shape + (-1,))
+        np.multiply(sq_dist[:, :, :, None], self.w_dist, out=out4)
         out4 += self.from_i[b0:b1, i0:i1, None, :]
         out4 += self.from_j[b0:b1, None, :, :]
-        return diff, edge_in
+        return diff, sq_dist
 
     def start_grad(self):
         self.g_coords = np.zeros_like(self.coords)
         self.g_i = np.zeros_like(self.from_i)
         self.g_j = np.zeros_like(self.from_j)
-        self.g_edge = np.zeros_like(self.w_edge)
+        self.g_dist = np.zeros_like(self.w_dist)
         self._sum_i = np.empty_like(self.from_j)
 
-    def add_grad(self, blk, diff, edge_in, d_out, d_sq_dist=None, d_diff=None):
+    def add_grad(self, blk, diff, sq_dist, d_out, d_sq_dist=None, d_diff=None):
         """Accumulate the gradient of block ``blk``, given what ``block``
         returned for it, d(loss)/d(pre-activations) ``d_out``, (graphs *
         rows * N, H), and any gradient that reaches d² or the difference
@@ -314,11 +290,11 @@ class _PairInput:
         nothing.
         """
         b0, b1, i0, i1 = blk
-        d_out4 = d_out.reshape(edge_in.shape[:3] + (-1,))
+        d_out4 = d_out.reshape(sq_dist.shape + (-1,))
         d_out4.sum(axis=2, out=self.g_i[b0:b1, i0:i1])
         self.g_j[b0:b1] += d_out4.sum(axis=1, out=self._sum_i[b0:b1])
-        self.g_edge += edge_in.reshape(-1, edge_in.shape[3]).T @ d_out
-        d_sq = (d_out @ self.w_edge[:1].T).reshape(edge_in.shape[:3])
+        self.g_dist += sq_dist.reshape(1, -1) @ d_out
+        d_sq = (d_out @ self.w_dist.T).reshape(sq_dist.shape)
         if d_sq_dist is not None:
             d_sq += d_sq_dist
         total = d_sq[:, :, :, None] * diff
@@ -333,7 +309,7 @@ class _PairInput:
         width = self.g_i.shape[2]
         g_i, g_j = self.g_i.reshape(-1, width), self.g_j.reshape(-1, width)
         g_feats = g_i @ self.w_i.T + g_j @ self.w_j.T
-        g_w1 = np.concatenate([self.feats.T @ g_i, self.feats.T @ g_j, self.g_edge])
+        g_w1 = np.concatenate([self.feats.T @ g_i, self.feats.T @ g_j, self.g_dist])
         return self.g_coords.reshape(-1, 3), g_feats, g_w1, g_j.sum(axis=0)
 
 
@@ -349,11 +325,9 @@ def _gated_messages(state, message_mlp, attention_mlp):
 
     m_ij = silu(``message_mlp`` of the pair input) and gate_ij =
     sigmoid(``attention_mlp`` of m_ij); the diagonal's gate is zero.  These
-    output activations belong
-    to the layer, since ``mlp_forward`` ends linearly.  The pairs are
-    walked one block at a time and nothing of size N² is kept: the
-    backward pass computes each block again.  The edge attributes are not
-    an input of the node.
+    output activations belong to the layer, since ``mlp_forward`` ends
+    linearly.  The pairs are walked one block at a time and nothing of
+    size N² is kept: the backward pass computes each block again.
     """
     batch, n = state.batch_shape
     pair = _PairInput(state, message_mlp)
@@ -369,7 +343,7 @@ def _gated_messages(state, message_mlp, attention_mlp):
         z1, s1, u1, z2, s2, msg, z3, s3, u3 = (
             a[:(b1 - b0) * (i1 - i0) * n] for a in scratch
         )
-        diff, edge_in = pair.block(blk, out=z1)
+        diff, sq_dist = pair.block(blk, out=z1)
         _silu(z1, s1, u1)
         np.matmul(u1, w2, out=z2)
         z2 += b2
@@ -377,10 +351,10 @@ def _gated_messages(state, message_mlp, attention_mlp):
         np.matmul(msg, a_w1, out=z3)
         z3 += a_b1
         _silu(z3, s3, u3)
-        gate = ad._sigmoid(u3 @ a_w2 + a_b2).reshape(edge_in.shape[:3])
+        gate = ad._sigmoid(u3 @ a_w2 + a_b2).reshape(sq_dist.shape)
         diag = np.arange(i1 - i0)
         gate[:, diag, diag + i0] = 0.0
-        return diff, edge_in, (z1, s1, u1, z2, s2, msg, z3, s3, u3, gate)
+        return diff, sq_dist, (z1, s1, u1, z2, s2, msg, z3, s3, u3, gate)
 
     out = np.empty((batch, n, width))
     scratch = _scratch(blocks, n, widths)
@@ -401,7 +375,7 @@ def _gated_messages(state, message_mlp, attention_mlp):
         *scratch, d_z2_scratch = _scratch(blocks, n, widths + [width])
         for blk in blocks:
             b0, b1, i0, i1 = blk
-            diff, edge_in, saved = block(scratch, blk)
+            diff, sq_dist, saved = block(scratch, blk)
             z1, s1, u1, z2, s2, msg, z3, s3, u3, gate = saved
             g_rows = g_out[b0:b1, i0:i1]
             msg4 = msg.reshape(gate.shape + (width,))
@@ -425,7 +399,7 @@ def _gated_messages(state, message_mlp, attention_mlp):
             slope1 = _silu_slope(z1, s1, u1)
             d_z1 = np.matmul(d_z2, w2.T, out=u1)
             d_z1 *= slope1
-            pair.add_grad(blk, diff, edge_in, d_z1)
+            pair.add_grad(blk, diff, sq_dist, d_z1)
         return pair.grads() + (g_w2, g_b2, g_a_w1, g_a_b1, g_a_w2, g_a_b2)
 
     inputs = (state.coords, state.feats, *message_mlp.tensors(), *attention_mlp.tensors())
@@ -439,8 +413,7 @@ def _coord_step(state, coord_mlp):
     pair input, with no output activation.
 
     Walked one block at a time like ``_gated_messages``, and computed
-    again block by block in the backward pass.  The edge attributes are
-    not an input of the node.
+    again block by block in the backward pass.
     """
     batch, n = state.batch_shape
     pair = _PairInput(state, coord_mlp)
@@ -451,11 +424,11 @@ def _coord_step(state, coord_mlp):
     def block(scratch, blk):
         b0, b1, i0, i1 = blk
         y1, s1, v1 = (a[:(b1 - b0) * (i1 - i0) * n] for a in scratch)
-        diff, edge_in = pair.block(blk, out=y1)
+        diff, sq_dist = pair.block(blk, out=y1)
         _silu(y1, s1, v1)
-        coef = (v1 @ w2 + b2).reshape(edge_in.shape[:3])
-        dist = np.sqrt(edge_in[:, :, :, 0])
-        return diff, edge_in, (y1, s1, v1, coef, dist, coef / (dist + 1.0))
+        coef = (v1 @ w2 + b2).reshape(sq_dist.shape)
+        dist = np.sqrt(sq_dist)
+        return diff, sq_dist, (y1, s1, v1, coef, dist, coef / (dist + 1.0))
 
     out = np.empty((batch, n, 3))
     scratch = _scratch(blocks, n, [hidden] * 3)
@@ -472,7 +445,7 @@ def _coord_step(state, coord_mlp):
         scratch = _scratch(blocks, n, [hidden] * 3)
         for blk in blocks:
             b0, b1, i0, i1 = blk
-            diff, edge_in, saved = block(scratch, blk)
+            diff, sq_dist, saved = block(scratch, blk)
             y1, s1, v1, coef, dist, weight = saved
             g_rows = g_out[b0:b1, i0:i1]
             d_weight = np.matmul(diff, g_rows[:, :, :, None])[:, :, :, 0]
@@ -489,7 +462,7 @@ def _coord_step(state, coord_mlp):
             d_y1 = _silu_slope(y1, s1, v1)
             d_y1 *= d_coef
             d_y1 *= w2[:, 0]
-            pair.add_grad(blk, diff, edge_in, d_y1, d_sq_dist, d_diff)
+            pair.add_grad(blk, diff, sq_dist, d_y1, d_sq_dist, d_diff)
         return pair.grads() + (g_w2, g_b2)
 
     inputs = (state.coords, state.feats, *coord_mlp.tensors())
@@ -518,15 +491,10 @@ def egcl_forward(state, params):
         raise ContractError(
             "state features have width %d, layer expects %d" % (d, params.feat_width)
         )
-    if state.attr_width != params.attr_width:
-        raise ContractError(
-            "state edge attributes have width %d, layer expects %d"
-            % (state.attr_width, params.attr_width)
-        )
     gathered = _gated_messages(state, params.message, params.attention)
     new_feats = mlp_forward(params.feature, ad.concat([state.feats, gathered], axis=-1))
     new_coords = ad.add(state.coords, _coord_step(state, params.coord))
-    return GraphState(new_coords, new_feats, state.edge_attrs)
+    return GraphState(new_coords, new_feats)
 
 
 def egnn_forward(state, model):
@@ -537,8 +505,8 @@ def egnn_forward(state, model):
     return out
 
 
-def init_egcl(rng, feat_width, message_width, attr_width=0):
-    pair_width = 2 * feat_width + 1 + attr_width
+def init_egcl(rng, feat_width, message_width):
+    pair_width = 2 * feat_width + 1
     return EgclParams(
         message=init_mlp(rng, pair_width, message_width, message_width),
         attention=init_mlp(rng, message_width, message_width, 1),
@@ -546,33 +514,13 @@ def init_egcl(rng, feat_width, message_width, attr_width=0):
         coord=init_mlp(rng, pair_width, message_width, 1, out_scale=0.01),
         feat_width=feat_width,
         message_width=message_width,
-        attr_width=attr_width,
     )
 
 
-def init_egnn(rng, depth, feat_width, message_width=None, attr_width=0):
+def init_egnn(rng, depth, feat_width, message_width=None):
     message_width = feat_width if message_width is None else message_width
-    layers = [init_egcl(rng, feat_width, message_width, attr_width) for _ in range(depth)]
+    layers = [init_egcl(rng, feat_width, message_width) for _ in range(depth)]
     return EgnnModel(layers=layers, feat_width=feat_width)
-
-
-SEQSEP_BOUNDS = (1, 2, 4, 8, 16, 32)
-
-
-def sequence_separation_attrs(n):
-    """One-hot sequence-separation buckets as (N, N, len(SEQSEP_BOUNDS)+1) attrs.
-
-    Bucket k holds pairs whose index separation falls between bounds
-    k-1 (exclusive) and k (inclusive); separations beyond the last bound
-    share the final bucket.  Purely index-based, so rigid motions of the
-    coordinates never change it.
-    """
-    sep = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    bucket = np.searchsorted(SEQSEP_BOUNDS, sep, side="left")
-    out = np.zeros((n, n, len(SEQSEP_BOUNDS) + 1), dtype=np.float64)
-    rows, cols = np.indices((n, n))
-    out[rows, cols, bucket] = 1.0
-    return out
 
 
 def equivariance_check(model, state, trials, rng, forward=None):
@@ -592,9 +540,7 @@ def equivariance_check(model, state, trials, rng, forward=None):
     for _ in range(trials):
         transform = random_rigid(rng, reflect=bool(rng.integers(0, 2)))
         moved = GraphState(
-            ad.Tensor(apply_rigid(transform, state.coords.data)),
-            state.feats,
-            state.edge_attrs,
+            ad.Tensor(apply_rigid(transform, state.coords.data)), state.feats
         )
         out = run(moved, model)
         coord_dev = np.max(

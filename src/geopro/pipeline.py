@@ -20,14 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import ProteinRecord
-from .egnn import (
-    SEQSEP_BOUNDS,
-    EgnnModel,
-    GraphState,
-    egnn_forward,
-    init_egnn,
-    sequence_separation_attrs,
-)
+from .egnn import EgnnModel, GraphState, egnn_forward, init_egnn
 from .errors import (
     ConfigError,
     ContractError,
@@ -59,8 +52,6 @@ from . import __version__
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"GEOPRO01"
-EDGE_ATTR_MODES = ("none", "seqsep")
-SEQSEP_WIDTH = len(SEQSEP_BOUNDS) + 1
 SYNTH_CLASH_DISTANCE = 3.0
 SYNTH_MAX_RESTARTS = 200
 
@@ -114,10 +105,10 @@ class Motif:
 def motif_from_record(record, positions):
     """Motif built from a record's residues and coordinates."""
     positions = np.asarray(sorted(set(int(p) for p in positions)), dtype=np.int64)
-    if positions.size and positions[-1] >= record.length:
+    outside = positions[(positions < 0) | (positions >= record.length)]
+    if outside.size:
         raise ContractError(
-            "motif position %d out of range for length %d"
-            % (positions[-1], record.length)
+            "motif position %d out of range for length %d" % (outside[0], record.length)
         )
     return Motif(
         positions=positions,
@@ -156,6 +147,9 @@ class TrainingConfig:
     n_heads: int = 4
     max_len: int = 512
     radius: float = 3.75
+    # Retired: "none" is the only value.  The key stays because every sidecar
+    # written so far holds "edge_attrs = none", and stays in _ARCH_FIELDS so
+    # that arch_hash, and with it every saved checkpoint, keeps its value.
     edge_attrs: str = "none"
 
     def __post_init__(self):
@@ -181,9 +175,9 @@ class TrainingConfig:
                 "feature_select must be one of %s, got %r"
                 % (FEATURE_SELECT_MODES, self.feature_select)
             )
-        if self.edge_attrs not in EDGE_ATTR_MODES:
+        if self.edge_attrs != "none":
             raise ConfigError(
-                "edge_attrs must be one of %s, got %r" % (EDGE_ATTR_MODES, self.edge_attrs)
+                "edge_attrs is retired and accepts only 'none', got %r" % self.edge_attrs
             )
         if self.egnn_depth < 0 or self.enc_depth < 0 or self.dec_depth < 0:
             raise ConfigError("egnn_depth, enc_depth and dec_depth must be >= 0")
@@ -275,15 +269,11 @@ class JointModel:
 def build_model(config):
     """Fresh model with weights drawn from the config seed."""
     rng = substream(config.seed, "model-init")
-    attr_width = SEQSEP_WIDTH if config.edge_attrs == "seqsep" else 0
     return JointModel(
         encoder=init_context_encoder(
             rng, config.width, config.enc_depth, config.n_heads, config.max_len
         ),
-        egnn=init_egnn(
-            rng, depth=config.egnn_depth, feat_width=config.width,
-            attr_width=attr_width,
-        ),
+        egnn=init_egnn(rng, depth=config.egnn_depth, feat_width=config.width),
         decoder=init_gsd_decoder(rng, config.width, config.dec_depth, config.n_heads),
         config=config,
     )
@@ -393,10 +383,7 @@ def refine_and_decode(features, start_coords, motif, model):
     at the motif positions; a stack of B examples adds a leading axis to
     each, and to each output.
     """
-    attrs = None
-    if model.config.edge_attrs == "seqsep":
-        attrs = sequence_separation_attrs(features.shape[-2])
-    state = GraphState(ad.as_tensor(start_coords), features, attrs)
+    state = GraphState(ad.as_tensor(start_coords), features)
     out = egnn_forward(state, model.egnn)
     selected = gsd_feature_select(
         out.feats, motif, model.decoder.mask_emb, model.config.feature_select

@@ -169,8 +169,7 @@ PINNED_DEFAULTS = {
     "data.parse_pdb_ca(record_id)",
     "egnn.glorot_uniform(scale)",
     "egnn.init_mlp(out_scale)",
-    "egnn.init_egcl(attr_width)",
-    "egnn.init_egnn(message_width)", "egnn.init_egnn(attr_width)",
+    "egnn.init_egnn(message_width)",
     "egnn.equivariance_check(forward)",
     "egnn._PairInput.add_grad(d_sq_dist)", "egnn._PairInput.add_grad(d_diff)",
     "geometry.random_rigid(reflect)",
@@ -441,6 +440,16 @@ def test_unloadable_checkpoint_exits_two(trained, tmp_path, capsys, monkeypatch,
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
 
 
+def test_retired_edge_attributes_in_a_config_file_exit_two(trained, tmp_path, capsys):
+    _, ds, _ = trained
+    cfg = write_config(tmp_path, "edge_attrs = seqsep\n")
+    assert cli.run(["train", "--data", ds, "--out", str(tmp_path / "m.ckpt"),
+                    "--config", cfg]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "retired" in lines[0]
+    assert not os.path.exists(str(tmp_path / "m.ckpt"))
+
+
 @pytest.mark.parametrize("command", ["synth", "design"])
 def test_unmakeable_output_directory_exits_two(trained, tmp_path, capsys, command):
     # a regular file stands where the output directory's parent should be
@@ -531,6 +540,18 @@ def test_design_seed_changes_output(trained):
     a = open(os.path.join(d1, "candidates.fasta")).read()
     b = open(os.path.join(d2, "candidates.fasta")).read()
     assert a != b
+
+
+def test_every_design_run_logs_to_its_own_stderr(trained, capsys):
+    # the untrained width-8 model places consecutive CA atoms too far apart,
+    # which the candidate records report as WARNING lines
+    tmp_path, ds, ck = trained
+    for out in ("w1", "w2"):
+        assert cli.run(["design", "--checkpoint", ck, "--data", ds,
+                        "--record-id", "syn001", "--n", "1",
+                        "--out", str(tmp_path / out), "--seed", "5"]) == 0
+        err = capsys.readouterr().err
+        assert "WARNING" in err and "consecutive CA distances outside" in err, out
 
 
 def test_design_needs_config_source(trained, tmp_path, capsys):

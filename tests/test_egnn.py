@@ -10,13 +10,10 @@ from geopro.errors import ContractError, DimensionError
 from geopro.geometry import apply_rigid, random_rigid
 
 
-def _random_state(rng, n, d, attr_width=0, scale=2.0):
+def _random_state(rng, n, d, scale=2.0):
     coords = ad.Tensor(rng.normal(scale=scale, size=(n, 3)))
     feats = ad.Tensor(rng.normal(size=(n, d)))
-    attrs = None
-    if attr_width:
-        attrs = rng.normal(size=(n, n, attr_width))
-    return egnn.GraphState(coords, feats, attrs)
+    return egnn.GraphState(coords, feats)
 
 
 def test_empty_graph():
@@ -109,29 +106,12 @@ def test_equivariance_check_catches_position_leak():
     rng = np.random.default_rng(5)
     model = egnn.init_egnn(rng, depth=1, feat_width=4, message_width=6)
 
+    def leak_position(h_i, x_i):
+        pad = ad.Tensor(np.zeros((x_i.shape[0], h_i.shape[1] - 3)))
+        return ad.add(h_i, ad.concat([x_i, pad], axis=1))
+
     def corrupted_forward(state, mdl):
-        params = mdl.layers[0]
-        n = state.node_count
-        src, dst = np.where(~np.eye(n, dtype=bool))
-        h_i = ad.gather_rows(state.feats, src)
-        h_j = ad.gather_rows(state.feats, dst)
-        x_i = ad.gather_rows(state.coords, src)
-        x_j = ad.gather_rows(state.coords, dst)
-        pad = ad.Tensor(np.zeros((len(src), params.feat_width - 3)))
-        h_i = ad.add(h_i, ad.concat([x_i, pad], axis=1))
-        diff = ad.sub(x_i, x_j)
-        sq_dist = ad.tsum(ad.square(diff), axis=1, keepdims=True)
-        pair_input = ad.concat([h_i, h_j, sq_dist], axis=1)
-        messages = ad.silu(egnn.mlp_forward(params.message, pair_input))
-        attention = ad.sigmoid(egnn.mlp_forward(params.attention, messages))
-        gathered = ad.index_add_rows(ad.mul(attention, messages), src, n)
-        new_feats = egnn.mlp_forward(
-            params.feature, ad.concat([state.feats, gathered], axis=1)
-        )
-        dist = ad.sqrt(sq_dist)
-        weight = ad.div(egnn.mlp_forward(params.coord, pair_input), ad.add(dist, 1.0))
-        new_coords = ad.add(state.coords, ad.index_add_rows(ad.mul(diff, weight), src, n))
-        return egnn.GraphState(new_coords, new_feats)
+        return _edge_list_forward(state, mdl.layers[0], leak=leak_position)
 
     state = _random_state(rng, 5, 4)
     honest = egnn.equivariance_check(model, state, trials=10, rng=np.random.default_rng(6))
@@ -142,22 +122,22 @@ def test_equivariance_check_catches_position_leak():
     assert corrupted > 1e-2
 
 
-def _edge_list_forward(state, params):
+def _edge_list_forward(state, params, leak=None):
     # The layer written over the explicit list of N(N-1) ordered pairs,
     # with row gathers and scatter-adds: the reference for the dense form.
+    # ``leak``, if given, maps (h_i, x_i) to the h_i of the pair input, so
+    # that a test can corrupt the layer on purpose.
     n = state.node_count
     src, dst = np.where(~np.eye(n, dtype=bool))
     h_i = ad.gather_rows(state.feats, src)
     h_j = ad.gather_rows(state.feats, dst)
     x_i = ad.gather_rows(state.coords, src)
     x_j = ad.gather_rows(state.coords, dst)
+    if leak is not None:
+        h_i = leak(h_i, x_i)
     diff = ad.sub(x_i, x_j)
     sq_dist = ad.tsum(ad.square(diff), axis=1, keepdims=True)
-    pieces = [h_i, h_j, sq_dist]
-    if state.edge_attrs is not None:
-        flat_attrs = state.edge_attrs.reshape(n * n, params.attr_width)
-        pieces.append(ad.Tensor(flat_attrs[src * n + dst]))
-    pair_input = ad.concat(pieces, axis=1)
+    pair_input = ad.concat([h_i, h_j, sq_dist], axis=1)
     messages = ad.silu(egnn.mlp_forward(params.message, pair_input))
     attention = ad.sigmoid(egnn.mlp_forward(params.attention, messages))
     gathered = ad.index_add_rows(ad.mul(attention, messages), src, n)
@@ -167,15 +147,15 @@ def _edge_list_forward(state, params):
     dist = ad.sqrt(sq_dist)
     weight = ad.div(egnn.mlp_forward(params.coord, pair_input), ad.add(dist, 1.0))
     new_coords = ad.add(state.coords, ad.index_add_rows(ad.mul(diff, weight), src, n))
-    return egnn.GraphState(new_coords, new_feats, state.edge_attrs)
+    return egnn.GraphState(new_coords, new_feats)
 
 
-def _layer_outputs_and_grads(forward, layer, coords, feats, attrs, probe):
+def _layer_outputs_and_grads(forward, layer, coords, feats, probe):
     x = ad.Tensor(coords, requires_grad=True)
     h = ad.Tensor(feats, requires_grad=True)
     params = [t for _, t in ad.named_tensors(layer)]
     with ad.Tape() as tape:
-        out = forward(egnn.GraphState(x, h, attrs), layer)
+        out = forward(egnn.GraphState(x, h), layer)
         loss = ad.add(
             ad.tsum(ad.mul(out.coords, probe[0])), ad.tsum(ad.mul(out.feats, probe[1]))
         )
@@ -192,21 +172,18 @@ def _rel_dev(got, want):
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7])
-@pytest.mark.parametrize("seqsep", [False, True])
-def test_dense_layer_matches_edge_list_reference(n, seqsep):
+def test_dense_layer_matches_edge_list_reference(n):
     rng = np.random.default_rng(10 + n)
-    attrs = egnn.sequence_separation_attrs(n) if seqsep else None
-    attr_width = 0 if attrs is None else attrs.shape[2]
-    layer = egnn.init_egcl(rng, feat_width=4, message_width=6, attr_width=attr_width)
+    layer = egnn.init_egcl(rng, feat_width=4, message_width=6)
     coords = rng.normal(scale=2.0, size=(n, 3))
     feats = rng.normal(size=(n, 4))
     probe = (rng.normal(size=(n, 3)), rng.normal(size=(n, 4)))
 
     dense, dense_grads = _layer_outputs_and_grads(
-        egnn.egcl_forward, layer, coords, feats, attrs, probe
+        egnn.egcl_forward, layer, coords, feats, probe
     )
     ref, ref_grads = _layer_outputs_and_grads(
-        _edge_list_forward, layer, coords, feats, attrs, probe
+        _edge_list_forward, layer, coords, feats, probe
     )
     assert dense.coords.shape == (n, 3) and dense.feats.shape == (n, 4)
     assert _max_abs(dense.coords.data - ref.coords.data) < 1e-12
@@ -217,22 +194,19 @@ def test_dense_layer_matches_edge_list_reference(n, seqsep):
         assert _rel_dev(got, want) < 1e-10
 
 
-@pytest.mark.parametrize("seqsep", [False, True])
-def test_blocked_layer_matches_edge_list_reference(seqsep):
+def test_blocked_layer_matches_edge_list_reference():
     # n=100 at width 32 walks the pair grid in blocks of 40, 40 and 20 rows
     n, width = 100, 32
     rows, blocks = egnn._row_blocks((1, n), width)
     assert len(blocks) >= 3 and blocks[-1][3] - blocks[-1][2] < rows
     rng = np.random.default_rng(20)
-    attrs = egnn.sequence_separation_attrs(n) if seqsep else None
-    attr_width = 0 if attrs is None else attrs.shape[2]
-    layer = egnn.init_egcl(rng, feat_width=width, message_width=width, attr_width=attr_width)
+    layer = egnn.init_egcl(rng, feat_width=width, message_width=width)
     coords = rng.normal(scale=4.0, size=(n, 3))
     feats = rng.normal(size=(n, width))
     probe = (rng.normal(size=(n, 3)), rng.normal(size=(n, width)))
 
     results = [
-        _layer_outputs_and_grads(forward, layer, coords, feats, attrs, probe)
+        _layer_outputs_and_grads(forward, layer, coords, feats, probe)
         for forward in (egnn.egcl_forward, _edge_list_forward)
     ]
     (dense, dense_grads), (ref, ref_grads) = results
@@ -252,19 +226,16 @@ def test_small_graphs_share_one_block():
     assert rows == 4 and len(blocks) == 25 and blocks[1] == (0, 1, 4, 8)
 
 
-@pytest.mark.parametrize("seqsep", [False, True])
-def test_batch_matches_each_graph_alone(seqsep):
+def test_batch_matches_each_graph_alone():
     rng = np.random.default_rng(24)
     n = 6
-    attrs = egnn.sequence_separation_attrs(n) if seqsep else None
-    attr_width = 0 if attrs is None else attrs.shape[2]
-    layer = egnn.init_egcl(rng, feat_width=4, message_width=6, attr_width=attr_width)
+    layer = egnn.init_egcl(rng, feat_width=4, message_width=6)
     coords = rng.normal(scale=2.0, size=(2, n, 3))
     feats = rng.normal(size=(2, n, 4))
-    out = egnn.egcl_forward(egnn.GraphState(coords, feats, attrs), layer)
+    out = egnn.egcl_forward(egnn.GraphState(coords, feats), layer)
     assert out.coords.shape == (2, n, 3) and out.feats.shape == (2, n, 4)
     for b in range(2):
-        alone = egnn.egcl_forward(egnn.GraphState(coords[b], feats[b], attrs), layer)
+        alone = egnn.egcl_forward(egnn.GraphState(coords[b], feats[b]), layer)
         assert _max_abs(out.coords.data[b] - alone.coords.data) < 1e-13
         assert _max_abs(out.feats.data[b] - alone.feats.data) < 1e-13
 
@@ -276,45 +247,16 @@ def test_graph_state_rejects_coords_and_feats_of_different_leading_axes():
             egnn.GraphState(np.zeros(coords), np.zeros(feats))
 
 
-def test_edge_attributes_are_constants_on_the_tape():
-    # No recorded node takes the edge attributes as an input; every
-    # gradient the layer does take still matches the edge-list reference.
-    n = 7
-    rng = np.random.default_rng(23)
-    attrs = egnn.sequence_separation_attrs(n)
-    layer = egnn.init_egcl(rng, feat_width=4, message_width=6, attr_width=attrs.shape[2])
-    coords, feats = rng.normal(scale=2.0, size=(n, 3)), rng.normal(size=(n, 4))
-    probe = (rng.normal(size=(n, 3)), rng.normal(size=(n, 4)))
-    node_inputs = []
-
-    def recording_forward(state, params):
-        out = egnn.egcl_forward(state, params)
-        node_inputs.extend(t for node in ad.active_tape()._nodes for t in node.inputs)
-        return out
-
-    _, grads = _layer_outputs_and_grads(recording_forward, layer, coords, feats, attrs, probe)
-    _, ref_grads = _layer_outputs_and_grads(
-        _edge_list_forward, layer, coords, feats, attrs, probe
-    )
-    assert node_inputs
-    assert not any(np.shares_memory(t.data, attrs) for t in node_inputs)
-    assert len(grads) == 2 + 16
-    for got, want in zip(grads, ref_grads):
-        assert _rel_dev(got, want) < 1e-10
-
-
 def test_layer_outputs_identical_with_and_without_tape():
     rng = np.random.default_rng(21)
     n = 60
-    layer = egnn.init_egcl(rng, feat_width=32, message_width=32, attr_width=7)
+    layer = egnn.init_egcl(rng, feat_width=32, message_width=32)
     coords = rng.normal(scale=3.0, size=(n, 3))
     feats = rng.normal(size=(n, 32))
-    attrs = egnn.sequence_separation_attrs(n)
-    plain = egnn.egcl_forward(egnn.GraphState(coords, feats, attrs), layer)
+    plain = egnn.egcl_forward(egnn.GraphState(coords, feats), layer)
     with ad.Tape() as tape:
         state = egnn.GraphState(
-            ad.Tensor(coords, requires_grad=True), ad.Tensor(feats, requires_grad=True),
-            attrs,
+            ad.Tensor(coords, requires_grad=True), ad.Tensor(feats, requires_grad=True)
         )
         taped = egnn.egcl_forward(state, layer)
     assert len(tape) > 0
@@ -333,7 +275,7 @@ def test_layer_memory_stays_below_a_few_pair_arrays():
     probe = (rng.normal(size=(n, 3)), rng.normal(size=(n, width)))
     tracemalloc.start()
     try:
-        _layer_outputs_and_grads(egnn.egcl_forward, layer, coords, feats, None, probe)
+        _layer_outputs_and_grads(egnn.egcl_forward, layer, coords, feats, probe)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -344,12 +286,12 @@ def test_layer_gradients_finite_at_zero_diagonal_distance():
     # Every pair (i, i) of the dense layout sits at distance zero, where
     # the gradient of sqrt is infinite; none of it may leak out.
     rng = np.random.default_rng(12)
-    layer = egnn.init_egcl(rng, feat_width=4, message_width=6, attr_width=7)
+    layer = egnn.init_egcl(rng, feat_width=4, message_width=6)
     probe = (rng.normal(size=(5, 3)), rng.normal(size=(5, 4)))
     with np.errstate(divide="raise", invalid="raise"):
         _, grads = _layer_outputs_and_grads(
             egnn.egcl_forward, layer, rng.normal(size=(5, 3)), rng.normal(size=(5, 4)),
-            egnn.sequence_separation_attrs(5), probe,
+            probe,
         )
     assert all(np.all(np.isfinite(g)) for g in grads)
 
@@ -364,7 +306,7 @@ def test_layer_gradients_finite_for_coincident_nodes():
     probe = (rng.normal(size=(4, 3)), rng.normal(size=(4, 8)))
     with np.errstate(divide="raise", invalid="raise"):
         _, grads = _layer_outputs_and_grads(
-            egnn.egcl_forward, layer, coords, feats, None, probe
+            egnn.egcl_forward, layer, coords, feats, probe
         )
     assert all(np.all(np.isfinite(g)) for g in grads)
 
@@ -382,14 +324,12 @@ def test_layer_gradients_finite_for_coincident_nodes():
 
 def test_permutation_equivariance():
     rng = np.random.default_rng(7)
-    model = egnn.init_egnn(rng, depth=2, feat_width=4, message_width=5, attr_width=3)
-    state = _random_state(rng, 6, 4, attr_width=3)
+    model = egnn.init_egnn(rng, depth=2, feat_width=4, message_width=5)
+    state = _random_state(rng, 6, 4)
     out = egnn.egnn_forward(state, model)
     perm = rng.permutation(6)
     permuted = egnn.GraphState(
-        ad.Tensor(state.coords.data[perm]),
-        ad.Tensor(state.feats.data[perm]),
-        state.edge_attrs[perm][:, perm],
+        ad.Tensor(state.coords.data[perm]), ad.Tensor(state.feats.data[perm])
     )
     out_p = egnn.egnn_forward(permuted, model)
     assert np.max(np.abs(out_p.coords.data - out.coords.data[perm])) < 1e-10
@@ -398,14 +338,13 @@ def test_permutation_equivariance():
 
 def test_layer_gradients_match_finite_differences():
     rng = np.random.default_rng(8)
-    model = egnn.init_egnn(rng, depth=1, feat_width=4, message_width=6, attr_width=2)
+    model = egnn.init_egnn(rng, depth=1, feat_width=4, message_width=6)
     coords = rng.normal(size=(4, 3))
     feats = rng.normal(size=(4, 4))
-    attrs = rng.normal(size=(4, 4, 2))
     params = [t for _, t in ad.named_tensors(model)]
 
     def build_loss():
-        state = egnn.GraphState(ad.Tensor(coords), ad.Tensor(feats), attrs)
+        state = egnn.GraphState(ad.Tensor(coords), ad.Tensor(feats))
         out = egnn.egnn_forward(state, model)
         return ad.add(
             ad.tsum(ad.square(out.coords)), ad.tsum(ad.square(out.feats))
@@ -420,8 +359,6 @@ def test_width_contracts():
     with pytest.raises(ContractError):
         egnn.egcl_forward(_random_state(rng, 3, 5), layer)
     with pytest.raises(ContractError):
-        egnn.egcl_forward(_random_state(rng, 3, 4, attr_width=2), layer)
-    with pytest.raises(ContractError):
         egnn.EgclParams(
             message=egnn.init_mlp(rng, 9, 6, 6),
             attention=egnn.init_mlp(rng, 6, 6, 2),
@@ -432,13 +369,3 @@ def test_width_contracts():
         )
     with pytest.raises(ContractError):
         egnn.EgnnModel(layers=[layer], feat_width=5)
-
-
-def test_sequence_separation_buckets():
-    attrs = egnn.sequence_separation_attrs(40)
-    assert attrs.shape == (40, 40, 7)
-    assert np.array_equal(attrs.sum(axis=2), np.ones((40, 40)))
-    assert attrs[0, 1, 0] == 1.0
-    assert attrs[0, 2, 1] == 1.0
-    assert attrs[0, 3, 2] == 1.0
-    assert attrs[0, 39, 6] == 1.0

@@ -68,8 +68,9 @@ def test_motif_from_record():
     assert motif.positions.tolist() == [2, 5]
     assert np.array_equal(motif.coords, record.ca_coords[[2, 5]])
     assert np.array_equal(motif.residues, record.sequence[[2, 5]])
-    with pytest.raises(ContractError):
-        pl.motif_from_record(record, [0, 8])
+    for positions in ([0, 8], [-1, 2], [-73, 2]):
+        with pytest.raises(ContractError, match="out of range"):
+            pl.motif_from_record(record, positions)
 
 
 def test_placement_plan_hand_case():
@@ -314,11 +315,9 @@ def _rel_dev(got, want):
         float(np.abs(want).max(initial=0.0)), 1e-300)
 
 
-@pytest.mark.parametrize("edge_attrs", ["none", "seqsep"])
-def test_batch_losses_and_gradients_equal_the_per_example_sum(edge_attrs):
+def test_batch_losses_and_gradients_equal_the_per_example_sum():
     examples = mixed_batch()
-    model = pl.build_model(tiny_config(width=8, egnn_depth=2, edge_attrs=edge_attrs,
-                                       feature_select="inverted"))
+    model = pl.build_model(tiny_config(width=8, egnn_depth=2, feature_select="inverted"))
     params = [t for _, t in model.named_parameters()]
     with ad.Tape() as tape:
         batched = pl.batch_losses(examples, model, streams(4))
@@ -341,7 +340,7 @@ def test_batch_losses_and_gradients_equal_the_per_example_sum(edge_attrs):
 
 def test_stacking_leaves_an_example_unchanged():
     first, _, second, _ = mixed_batch()
-    model = pl.build_model(tiny_config(width=8, egnn_depth=2, edge_attrs="seqsep"))
+    model = pl.build_model(tiny_config(width=8, egnn_depth=2))
     outputs = []
     for batch in ([first], [first, second]):
         stack = pl._stack(batch, model, streams(len(batch)))
@@ -479,14 +478,14 @@ def _block_shapes(prefix):
 
 def test_parameter_names_and_shapes_are_pinned():
     # checkpoints are keyed by these names: a rename orphans old files
-    model = pl.build_model(tiny_config(edge_attrs="seqsep"))
+    model = pl.build_model(tiny_config())
     expected = (
         [("encoder.token_emb", (21, 8)), ("encoder.pos_emb", (64, 8))]
         + _block_shapes("encoder.block0")
-        + _mlp_shapes("egnn.layer0.message", 24, 8, 8)
+        + _mlp_shapes("egnn.layer0.message", 17, 8, 8)
         + _mlp_shapes("egnn.layer0.attention", 8, 8, 1)
         + _mlp_shapes("egnn.layer0.feature", 16, 8, 8)
-        + _mlp_shapes("egnn.layer0.coord", 24, 8, 1)
+        + _mlp_shapes("egnn.layer0.coord", 17, 8, 1)
         + [("decoder.in_w", (8, 8)), ("decoder.in_b", (8,)), ("decoder.mask_emb", (8,))]
         + _block_shapes("decoder.block0")
         + [("decoder.head_w", (8, 20)), ("decoder.head_b", (20,))]
@@ -507,11 +506,8 @@ def _reachable_tensors(obj, found):
             _reachable_tensors(item, found)
 
 
-@pytest.mark.parametrize("edge_attrs", pl.EDGE_ATTR_MODES)
-def test_named_parameters_name_every_reachable_tensor_once(edge_attrs):
-    model = pl.build_model(
-        tiny_config(edge_attrs=edge_attrs, enc_depth=2, egnn_depth=2, dec_depth=2)
-    )
+def test_named_parameters_name_every_reachable_tensor_once():
+    model = pl.build_model(tiny_config(enc_depth=2, egnn_depth=2, dec_depth=2))
     found = []
     _reachable_tensors(model, found)
     named = model.named_parameters()
@@ -589,10 +585,11 @@ def test_config_with_every_field_changed_round_trips():
         alpha=0.25, beta=0.5, batch_size=3, base_lr=2.5e-4, warmup_steps=7,
         epochs=5, seed=11, feature_select="inverted", egnn_depth=3, width=12,
         top_k=5, enc_depth=3, dec_depth=1, n_heads=3, max_len=100, radius=4.5,
-        edge_attrs="seqsep",
     )
     for f in dataclasses.fields(pl.TrainingConfig):
-        assert getattr(changed, f.name) != f.default, f.name
+        # edge_attrs has one legal value, its default
+        if f.name != "edge_attrs":
+            assert getattr(changed, f.name) != f.default, f.name
     again = pl.build_config(file_text=pl.format_config(changed))
     assert again == changed
     for f in dataclasses.fields(pl.TrainingConfig):
@@ -612,6 +609,8 @@ def test_config_validation_errors():
         pl.TrainingConfig(feature_select="sideways")
     with pytest.raises(ConfigError):
         pl.TrainingConfig(edge_attrs="distance")
+    with pytest.raises(ConfigError, match="retired"):
+        pl.TrainingConfig(edge_attrs="seqsep")
     with pytest.raises(ConfigError):
         pl.TrainingConfig(warmup_steps=0)
     with pytest.raises(ConfigError):
@@ -631,6 +630,12 @@ def test_arch_hash_tracks_shape_knobs_only(monkeypatch):
     current = pl.TrainingConfig().arch_hash()
     monkeypatch.setattr(pl, "LAYOUT_VERSION", pl.LAYOUT_VERSION + 1)
     assert pl.TrainingConfig().arch_hash() != current
+
+
+def test_default_arch_hash_is_pinned():
+    # every checkpoint of the default architecture saved so far carries
+    # this hash; a change to it orphans them
+    assert pl.TrainingConfig().arch_hash() == 0x2353931d
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +763,7 @@ def test_design_streams_of_neighbouring_seeds_differ():
 def test_design_encodes_once_and_matches_the_full_forward(monkeypatch):
     data = pl.generate_synthetic_dataset(1, 12, 0.3, seed=33)
     _, motif = data[0]
-    model = pl.build_model(tiny_config(seed=34, edge_attrs="seqsep"))
+    model = pl.build_model(tiny_config(seed=34))
     calls = []
 
     def counted(*args):
