@@ -14,9 +14,18 @@ grids one block of receiving rows at a time, sized so that a (rows, N, H)
 array is about 1 MB, keeps nothing of size N² between forward and
 backward, and computes every block again in its backward pass (gradient
 checkpointing, Chen et al. 2016).  Memory therefore grows with N·H, not
-N²·H.
+N²·H.  The blocks are dealt into two parts that run on a module-level
+two-thread pool, made at the first kernel call with two or more blocks;
+that call also sets numpy's OpenBLAS to one thread.
 """
 
+import contextvars
+import ctypes
+import glob
+import logging
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +33,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ContractError, DimensionError
 from .geometry import apply_rigid, random_rigid
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -202,33 +213,142 @@ def _row_blocks(batch_shape, width):
     ]
 
 
-def _scratch(blocks, n, widths):
-    """One (pairs, width) array per width, where pairs is the largest
-    block's pair count, reused by every block so that no block allocates
-    arrays of its own.  They are views of one flat allocation: glibc's
-    malloc then reuses the same pages from call to call, where separate
-    arrays of this size were returned to the system and faulted in again
-    on every call (1317 minor page faults against 0 per forward and
-    backward of a two-layer width-32 EGNN at N=30)."""
-    count = n * max([(b1 - b0) * (i1 - i0) for b0, b1, i0, i1 in blocks], default=0)
-    flat = np.empty(count * sum(widths))
-    parts = np.split(flat, np.cumsum([count * width for width in widths[:-1]]))
-    return [part.reshape(count, width) for part, width in zip(parts, widths)]
+def _parts(blocks):
+    """The blocks dealt round-robin into two parts, or one part when there
+    is at most one block.  The split does not depend on the worker count,
+    so sums over the parts take one order whether they run on two threads
+    or one after the other."""
+    return [blocks[0::2]] + ([blocks[1::2]] if len(blocks) > 1 else [])
 
 
-def _silu(z, s, u):
-    """Write sigmoid(z) into ``s`` and silu(z) = z * sigmoid(z) into ``u``."""
-    ad._sigmoid(z, out=s)
-    np.multiply(z, s, out=u)
+def _scratch(parts, n, widths):
+    """For each part, one (pairs, width) array per width, where pairs is
+    the part's largest block's pair count, reused by every block of the
+    part so that no block allocates arrays of its own.
+
+    They are views of one flat allocation, made by the calling thread, so
+    that no pool thread draws large arrays from a glibc arena of its own.
+    glibc reuses the same pages of that allocation from call to call,
+    where separate arrays of this size were returned to the system and
+    faulted in again on every call (1317 minor page faults against 0 per
+    forward and backward of a two-layer width-32 EGNN at N=30)."""
+    counts = [
+        n * max([(b1 - b0) * (i1 - i0) for b0, b1, i0, i1 in part], default=0)
+        for part in parts
+    ]
+    sizes = [count * width for count in counts for width in widths]
+    views = iter(np.split(np.empty(sum(sizes)), np.cumsum(sizes[:-1], dtype=int)))
+    return [[next(views).reshape(count, width) for width in widths] for count in counts]
 
 
-def _silu_slope(z, s, u):
-    """Overwrite ``z`` with d silu(z)/dz = s * (1 + z * (1 - s)), given
-    ``s`` and ``u`` from ``_silu``; z * (1 - s) is z - u."""
-    z -= u
-    z += 1.0
-    z *= s
-    return z
+def _sum_parts(per_part):
+    """Add each part's arrays into the first part's, in part order, and
+    return the first part's."""
+    first, *rest = per_part
+    for other in rest:
+        for total, value in zip(first, other):
+            total += value
+    return first
+
+
+# The pool that runs the parts of a kernel: None until the first call with
+# two or more blocks, False if that call found no OpenBLAS thread setter.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _blas_thread_setter():
+    """The thread-count setter of numpy's bundled OpenBLAS, or None.
+
+    numpy has no API for it, so it is looked up by name in ``numpy.libs``.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        try:
+            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        return setter
+    return None
+
+
+def _part_pool():
+    """The module's pool of min(2, usable cores) threads, or None when the
+    parts must run inline.
+
+    Made at the first call, which also sets OpenBLAS to one thread: with
+    two pool threads, BLAS threads only contend for the same cores.
+    Without a setter the pool is never made, and one INFO record says so.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            setter = _blas_thread_setter()
+            if setter is None:
+                log.info("no OpenBLAS thread setter in numpy.libs: the EGNN pair "
+                         "kernels run on one thread")
+                _pool = False
+            else:
+                setter(1)
+                _pool = ThreadPoolExecutor(
+                    min(2, len(os.sched_getaffinity(0))), thread_name_prefix="geopro-egnn"
+                )
+        return _pool or None
+
+
+def _run_parts(work, jobs):
+    """Call ``work(*job)`` for each job, one per part.
+
+    Two or more jobs go to the pool, each in a copy of the caller's
+    context, since numpy's error state is a context variable; every job is
+    waited for, and the first job's error is raised.  A single job, or a
+    missing pool, runs inline.
+    """
+    pool = _part_pool() if len(jobs) > 1 else None
+    if pool is None:
+        for job in jobs:
+            work(*job)
+        return
+    futures = [pool.submit(contextvars.copy_context().run, work, *job) for job in jobs]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _silu(h, t, u):
+    """Given h = z/2, write 1 + tanh(h) into ``t`` and silu(z) = h * t into
+    ``u``.
+
+    1 + tanh(z/2) is 2 * sigmoid(z), so ``u`` has the bits of
+    z * sigmoid(z): scaling by two is exact.  Three passes over the block,
+    where z * sigmoid(z) takes five.
+    """
+    np.tanh(h, out=t)
+    t += 1.0
+    np.multiply(h, t, out=u)
+
+
+def _silu_slope(h, t, u):
+    """Overwrite ``h`` with d silu(z)/dz, given h = z/2 and ``t`` and ``u``
+    from ``_silu``.
+
+    With z = 2h and s = t/2 = sigmoid(z), both exact, the slope is
+    s * (1 + z * (1 - s)), and z * (1 - s) is z - u.
+    """
+    h *= 2.0
+    t *= 0.5
+    h -= u
+    h += 1.0
+    h *= t
+    return h
+
+
+def _halves(*arrays):
+    """Each array times 1/2: the weights whose products feed a ``_silu``,
+    so that a block builds h = z/2 directly."""
+    return [0.5 * a for a in arrays]
 
 
 class _PairInput:
@@ -238,7 +358,9 @@ class _PairInput:
     Its product with ``w1`` splits into ``h_i @ w1[:d]``, ``h_j @
     w1[d:2d]`` and ``d² * w1[2d]``: the node terms cost B·N rows of
     matmul, not B·N².  A block is a (b0, b1, i0, i1) of ``_row_blocks``,
-    and its pair arrays are (graphs, rows, N, ·).
+    and its pair arrays are (graphs, rows, N, ·).  A block holds half the
+    pre-activations, the input ``_silu`` takes; the node terms are halved
+    once, and the gradient is of the whole pre-activations.
     """
 
     def __init__(self, state, mlp):
@@ -248,12 +370,15 @@ class _PairInput:
         self.feats = state.feats.data.reshape(-1, d)
         w1 = mlp.w1.data
         self.w_i, self.w_j, self.w_dist = w1[:d], w1[d:2 * d], w1[2 * d:]
+        self.half_dist = 0.5 * self.w_dist
         shape = (batch, n, w1.shape[1])
         self.from_i = (self.feats @ self.w_i).reshape(shape)
+        self.from_i *= 0.5
         self.from_j = (self.feats @ self.w_j + mlp.b1.data).reshape(shape)
+        self.from_j *= 0.5
 
     def block(self, blk, out):
-        """Write the first-layer pre-activations of block ``blk`` into
+        """Write half the first-layer pre-activations of block ``blk`` into
         ``out``, (graphs * rows * N, H), and return the difference vectors
         x_i - x_j, (graphs, rows, N, 3), and d², (graphs, rows, N).
 
@@ -267,34 +392,59 @@ class _PairInput:
         rows = np.arange(i1 - i0)
         sq_dist[:, rows, rows + i0] = 1.0
         out4 = out.reshape(sq_dist.shape + (-1,))
-        np.multiply(sq_dist[:, :, :, None], self.w_dist, out=out4)
+        np.multiply(sq_dist[:, :, :, None], self.half_dist, out=out4)
         out4 += self.from_i[b0:b1, i0:i1, None, :]
         out4 += self.from_j[b0:b1, None, :, :]
         return diff, sq_dist
 
-    def start_grad(self):
-        self.g_coords = np.zeros_like(self.coords)
+    def start_grad(self, count):
+        """One ``_PairGrad`` for each of ``count`` parts, all sharing
+        ``g_i``."""
         self.g_i = np.zeros_like(self.from_i)
-        self.g_j = np.zeros_like(self.from_j)
-        self.g_dist = np.zeros_like(self.w_dist)
-        self._sum_i = np.empty_like(self.from_j)
+        return [_PairGrad(self) for _ in range(count)]
+
+    def grads(self, part_grads):
+        """(d coords, d feats, d w1, d b1) once every part has added its
+        blocks."""
+        g_coords, g_j, g_dist = _sum_parts([(p.g_coords, p.g_j, p.g_dist) for p in part_grads])
+        width = self.g_i.shape[2]
+        g_i, g_j = self.g_i.reshape(-1, width), g_j.reshape(-1, width)
+        g_feats = g_i @ self.w_i.T + g_j @ self.w_j.T
+        g_w1 = np.concatenate([self.feats.T @ g_i, self.feats.T @ g_j, g_dist])
+        return g_coords.reshape(-1, 3), g_feats, g_w1, g_j.sum(axis=0)
+
+
+class _PairGrad:
+    """One part's gradient accumulators of a ``_PairInput``.
+
+    Every block adds into ``g_coords``, ``g_j`` and ``g_dist``, so each
+    part has its own; a block writes only its own rows of the shared
+    ``g_i``.
+    """
+
+    def __init__(self, pair):
+        self.pair = pair
+        self.g_coords = np.zeros_like(pair.coords)
+        self.g_j = np.zeros_like(pair.from_j)
+        self.g_dist = np.zeros_like(pair.w_dist)
+        self._sum_i = np.empty_like(pair.from_j)
 
     def add_grad(self, blk, diff, sq_dist, d_out, d_sq_dist=None, d_diff=None):
-        """Accumulate the gradient of block ``blk``, given what ``block``
-        returned for it, d(loss)/d(pre-activations) ``d_out``, (graphs *
-        rows * N, H), and any gradient that reaches d² or the difference
-        vectors another way.  A block kept on the instance instead would
-        outlive the forward pass on the tape: that raised the peak RSS of
-        width-32 training (bench ``train-toy``, 2 cores) from 63 to 69 MB.
-        On the diagonal the difference vector is zero, so d² passes
-        nothing.
+        """Accumulate the gradient of block ``blk``, given what
+        ``_PairInput.block`` returned for it, d(loss)/d(pre-activations)
+        ``d_out``, (graphs * rows * N, H), and any gradient that reaches d²
+        or the difference vectors another way.  A block kept on the
+        instance instead would outlive the forward pass on the tape: that
+        raised the peak RSS of width-32 training (bench ``train-toy``, 2
+        cores) from 63 to 69 MB.  On the diagonal the difference vector is
+        zero, so d² passes nothing.
         """
         b0, b1, i0, i1 = blk
         d_out4 = d_out.reshape(sq_dist.shape + (-1,))
-        d_out4.sum(axis=2, out=self.g_i[b0:b1, i0:i1])
+        d_out4.sum(axis=2, out=self.pair.g_i[b0:b1, i0:i1])
         self.g_j[b0:b1] += d_out4.sum(axis=1, out=self._sum_i[b0:b1])
         self.g_dist += sq_dist.reshape(1, -1) @ d_out
-        d_sq = (d_out @ self.w_dist.T).reshape(sq_dist.shape)
+        d_sq = (d_out @ self.pair.w_dist.T).reshape(sq_dist.shape)
         if d_sq_dist is not None:
             d_sq += d_sq_dist
         total = d_sq[:, :, :, None] * diff
@@ -303,14 +453,6 @@ class _PairInput:
             total += d_diff
         self.g_coords[b0:b1, i0:i1] += total.sum(axis=2)
         self.g_coords[b0:b1] -= total.sum(axis=1)
-
-    def grads(self):
-        """(d coords, d feats, d w1, d b1) once every block has been added."""
-        width = self.g_i.shape[2]
-        g_i, g_j = self.g_i.reshape(-1, width), self.g_j.reshape(-1, width)
-        g_feats = g_i @ self.w_i.T + g_j @ self.w_j.T
-        g_w1 = np.concatenate([self.feats.T @ g_i, self.feats.T @ g_j, self.g_dist])
-        return self.g_coords.reshape(-1, 3), g_feats, g_w1, g_j.sum(axis=0)
 
 
 def _accumulate_product(acc, a, b, tmp):
@@ -327,7 +469,9 @@ def _gated_messages(state, message_mlp, attention_mlp):
     sigmoid(``attention_mlp`` of m_ij); the diagonal's gate is zero.  These
     output activations belong to the layer, since ``mlp_forward`` ends
     linearly.  The pairs are walked one block at a time and nothing of
-    size N² is kept: the backward pass computes each block again.
+    size N² is kept: the backward pass computes each block again.  Each
+    part of the blocks has its own scratch and gradient accumulators,
+    allocated here before the parts run.
     """
     batch, n = state.batch_shape
     pair = _PairInput(state, message_mlp)
@@ -336,71 +480,84 @@ def _gated_messages(state, message_mlp, attention_mlp):
     a_w2, a_b2 = attention_mlp.w2.data, attention_mlp.b2.data
     hidden, width, a_hidden = w2.shape[0], w2.shape[1], a_w1.shape[1]
     _, blocks = _row_blocks(state.batch_shape, max(hidden, width, a_hidden))
+    parts = _parts(blocks)
     widths = [hidden] * 3 + [width] * 3 + [a_hidden] * 3
 
-    def block(scratch, blk):
+    def block(scratch, halves, blk):
         b0, b1, i0, i1 = blk
+        half_w2, half_b2, half_a_w1, half_a_b1 = halves
         z1, s1, u1, z2, s2, msg, z3, s3, u3 = (
             a[:(b1 - b0) * (i1 - i0) * n] for a in scratch
         )
         diff, sq_dist = pair.block(blk, out=z1)
         _silu(z1, s1, u1)
-        np.matmul(u1, w2, out=z2)
-        z2 += b2
+        np.matmul(u1, half_w2, out=z2)
+        z2 += half_b2
         _silu(z2, s2, msg)
-        np.matmul(msg, a_w1, out=z3)
-        z3 += a_b1
+        np.matmul(msg, half_a_w1, out=z3)
+        z3 += half_a_b1
         _silu(z3, s3, u3)
         gate = ad._sigmoid(u3 @ a_w2 + a_b2).reshape(sq_dist.shape)
         diag = np.arange(i1 - i0)
         gate[:, diag, diag + i0] = 0.0
         return diff, sq_dist, (z1, s1, u1, z2, s2, msg, z3, s3, u3, gate)
 
+    def forward(part, scratch, halves):
+        for blk in part:
+            b0, b1, i0, i1 = blk
+            saved = block(scratch, halves, blk)[2]
+            gate = saved[9]
+            msg = saved[5].reshape(gate.shape + (width,))
+            np.matmul(gate[:, :, None, :], msg, out=out[b0:b1, i0:i1, None, :])
+
     out = np.empty((batch, n, width))
-    scratch = _scratch(blocks, n, widths)
-    for blk in blocks:
-        b0, b1, i0, i1 = blk
-        saved = block(scratch, blk)[2]
-        gate = saved[9]
-        msg = saved[5].reshape(gate.shape + (width,))
-        np.matmul(gate[:, :, None, :], msg, out=out[b0:b1, i0:i1, None, :])
+    halves = _halves(w2, b2, a_w1, a_b1)
+    _run_parts(forward, [(part, scratch, halves)
+                         for part, scratch in zip(parts, _scratch(parts, n, widths))])
 
     def backward(g_out):
         g_out = g_out.reshape(batch, n, width)
-        pair.start_grad()
-        g_w2, g_b2 = np.zeros_like(w2), np.zeros_like(b2)
-        g_a_w1, g_a_b1 = np.zeros_like(a_w1), np.zeros_like(a_b1)
-        g_a_w2, g_a_b2 = np.zeros_like(a_w2), np.zeros_like(a_b2)
-        tmp_w2, tmp_a_w1 = np.empty_like(w2), np.empty_like(a_w1)
-        *scratch, d_z2_scratch = _scratch(blocks, n, widths + [width])
-        for blk in blocks:
-            b0, b1, i0, i1 = blk
-            diff, sq_dist, saved = block(scratch, blk)
-            z1, s1, u1, z2, s2, msg, z3, s3, u3, gate = saved
-            g_rows = g_out[b0:b1, i0:i1]
-            msg4 = msg.reshape(gate.shape + (width,))
-            # the zeroed diagonal gate has zero slope, so it passes nothing back
-            d_z4 = np.matmul(msg4, g_rows[:, :, :, None]).reshape(-1, 1)
-            d_z4 *= (gate * (1.0 - gate)).reshape(-1, 1)
-            g_a_w2 += u3.T @ d_z4
-            g_a_b2 += d_z4.sum(axis=0)
-            d_z3 = _silu_slope(z3, s3, u3)
-            d_z3 *= d_z4
-            d_z3 *= a_w2[:, 0]
-            _accumulate_product(g_a_w1, msg, d_z3, tmp_a_w1)
-            g_a_b1 += d_z3.sum(axis=0)
-            d_z2 = np.matmul(d_z3, a_w1.T, out=d_z2_scratch[:len(d_z3)])
-            slope2 = _silu_slope(z2, s2, msg)
-            np.multiply(gate[:, :, :, None], g_rows[:, :, None, :], out=msg4)
-            d_z2 += msg
-            d_z2 *= slope2
-            _accumulate_product(g_w2, u1, d_z2, tmp_w2)
-            g_b2 += d_z2.sum(axis=0)
-            slope1 = _silu_slope(z1, s1, u1)
-            d_z1 = np.matmul(d_z2, w2.T, out=u1)
-            d_z1 *= slope1
-            pair.add_grad(blk, diff, sq_dist, d_z1)
-        return pair.grads() + (g_w2, g_b2, g_a_w1, g_a_b1, g_a_w2, g_a_b2)
+        halves = _halves(w2, b2, a_w1, a_b1)
+        weights = (w2, b2, a_w1, a_b1, a_w2, a_b2)
+        accs = [[np.zeros_like(w) for w in weights] for _ in parts]
+        tmps = [(np.empty_like(w2), np.empty_like(a_w1)) for _ in parts]
+        pair_grads = pair.start_grad(len(parts))
+        scratches = _scratch(parts, n, widths + [width])
+
+        def walk(part, scratch, pair_grad, acc, tmp):
+            g_w2, g_b2, g_a_w1, g_a_b1, g_a_w2, g_a_b2 = acc
+            tmp_w2, tmp_a_w1 = tmp
+            *scratch, d_z2_scratch = scratch
+            for blk in part:
+                b0, b1, i0, i1 = blk
+                diff, sq_dist, saved = block(scratch, halves, blk)
+                z1, s1, u1, z2, s2, msg, z3, s3, u3, gate = saved
+                g_rows = g_out[b0:b1, i0:i1]
+                msg4 = msg.reshape(gate.shape + (width,))
+                # the zeroed diagonal gate has zero slope, so it passes nothing back
+                d_z4 = np.matmul(msg4, g_rows[:, :, :, None]).reshape(-1, 1)
+                d_z4 *= (gate * (1.0 - gate)).reshape(-1, 1)
+                g_a_w2 += u3.T @ d_z4
+                g_a_b2 += d_z4.sum(axis=0)
+                d_z3 = _silu_slope(z3, s3, u3)
+                d_z3 *= d_z4
+                d_z3 *= a_w2[:, 0]
+                _accumulate_product(g_a_w1, msg, d_z3, tmp_a_w1)
+                g_a_b1 += d_z3.sum(axis=0)
+                d_z2 = np.matmul(d_z3, a_w1.T, out=d_z2_scratch[:len(d_z3)])
+                slope2 = _silu_slope(z2, s2, msg)
+                np.multiply(gate[:, :, :, None], g_rows[:, :, None, :], out=msg4)
+                d_z2 += msg
+                d_z2 *= slope2
+                _accumulate_product(g_w2, u1, d_z2, tmp_w2)
+                g_b2 += d_z2.sum(axis=0)
+                slope1 = _silu_slope(z1, s1, u1)
+                d_z1 = np.matmul(d_z2, w2.T, out=u1)
+                d_z1 *= slope1
+                pair_grad.add_grad(blk, diff, sq_dist, d_z1)
+
+        _run_parts(walk, list(zip(parts, scratches, pair_grads, accs, tmps)))
+        return pair.grads(pair_grads) + tuple(_sum_parts(accs))
 
     inputs = (state.coords, state.feats, *message_mlp.tensors(), *attention_mlp.tensors())
     out = out.reshape(state.feats.shape[:-1] + (width,))
@@ -412,14 +569,15 @@ def _coord_step(state, coord_mlp):
     node shaped like the coordinates, where c_ij is ``coord_mlp`` of the
     pair input, with no output activation.
 
-    Walked one block at a time like ``_gated_messages``, and computed
-    again block by block in the backward pass.
+    Walked one block at a time like ``_gated_messages``, in the same two
+    parts, and computed again block by block in the backward pass.
     """
     batch, n = state.batch_shape
     pair = _PairInput(state, coord_mlp)
     w2, b2 = coord_mlp.w2.data, coord_mlp.b2.data
     hidden = w2.shape[0]
     _, blocks = _row_blocks(state.batch_shape, hidden)
+    parts = _parts(blocks)
 
     def block(scratch, blk):
         b0, b1, i0, i1 = blk
@@ -430,40 +588,47 @@ def _coord_step(state, coord_mlp):
         dist = np.sqrt(sq_dist)
         return diff, sq_dist, (y1, s1, v1, coef, dist, coef / (dist + 1.0))
 
+    def forward(part, scratch):
+        for blk in part:
+            b0, b1, i0, i1 = blk
+            diff, _, saved = block(scratch, blk)
+            weight = saved[5]
+            np.matmul(weight[:, :, None, :], diff, out=out[b0:b1, i0:i1, None, :])
+
     out = np.empty((batch, n, 3))
-    scratch = _scratch(blocks, n, [hidden] * 3)
-    for blk in blocks:
-        b0, b1, i0, i1 = blk
-        diff, _, saved = block(scratch, blk)
-        weight = saved[5]
-        np.matmul(weight[:, :, None, :], diff, out=out[b0:b1, i0:i1, None, :])
+    _run_parts(forward, list(zip(parts, _scratch(parts, n, [hidden] * 3))))
 
     def backward(g_out):
         g_out = g_out.reshape(batch, n, 3)
-        pair.start_grad()
-        g_w2, g_b2 = np.zeros_like(w2), np.zeros_like(b2)
-        scratch = _scratch(blocks, n, [hidden] * 3)
-        for blk in blocks:
-            b0, b1, i0, i1 = blk
-            diff, sq_dist, saved = block(scratch, blk)
-            y1, s1, v1, coef, dist, weight = saved
-            g_rows = g_out[b0:b1, i0:i1]
-            d_weight = np.matmul(diff, g_rows[:, :, :, None])[:, :, :, 0]
-            d_diff = weight[:, :, :, None] * g_rows[:, :, None, :]
-            denom = dist + 1.0
-            d_coef = d_weight / denom
-            # weight = coef / (sqrt(d²) + 1), differentiated in d²; where two
-            # distinct nodes share a point, d² = 0 and d_coef = 0: the term is 0
-            d_sq_dist = -d_coef * coef
-            np.divide(d_sq_dist, denom * 2.0 * dist, out=d_sq_dist, where=dist > 0.0)
-            d_coef = d_coef.reshape(-1, 1)
-            g_w2 += v1.T @ d_coef
-            g_b2 += d_coef.sum(axis=0)
-            d_y1 = _silu_slope(y1, s1, v1)
-            d_y1 *= d_coef
-            d_y1 *= w2[:, 0]
-            pair.add_grad(blk, diff, sq_dist, d_y1, d_sq_dist, d_diff)
-        return pair.grads() + (g_w2, g_b2)
+        accs = [[np.zeros_like(w2), np.zeros_like(b2)] for _ in parts]
+        pair_grads = pair.start_grad(len(parts))
+        scratches = _scratch(parts, n, [hidden] * 3)
+
+        def walk(part, scratch, pair_grad, acc):
+            g_w2, g_b2 = acc
+            for blk in part:
+                b0, b1, i0, i1 = blk
+                diff, sq_dist, saved = block(scratch, blk)
+                y1, s1, v1, coef, dist, weight = saved
+                g_rows = g_out[b0:b1, i0:i1]
+                d_weight = np.matmul(diff, g_rows[:, :, :, None])[:, :, :, 0]
+                d_diff = weight[:, :, :, None] * g_rows[:, :, None, :]
+                denom = dist + 1.0
+                d_coef = d_weight / denom
+                # weight = coef / (sqrt(d²) + 1), differentiated in d²; where two
+                # distinct nodes share a point, d² = 0 and d_coef = 0: the term is 0
+                d_sq_dist = -d_coef * coef
+                np.divide(d_sq_dist, denom * 2.0 * dist, out=d_sq_dist, where=dist > 0.0)
+                d_coef = d_coef.reshape(-1, 1)
+                g_w2 += v1.T @ d_coef
+                g_b2 += d_coef.sum(axis=0)
+                d_y1 = _silu_slope(y1, s1, v1)
+                d_y1 *= d_coef
+                d_y1 *= w2[:, 0]
+                pair_grad.add_grad(blk, diff, sq_dist, d_y1, d_sq_dist, d_diff)
+
+        _run_parts(walk, list(zip(parts, scratches, pair_grads, accs)))
+        return pair.grads(pair_grads) + tuple(_sum_parts(accs))
 
     inputs = (state.coords, state.feats, *coord_mlp.tensors())
     return ad.record_op(out.reshape(state.coords.shape), inputs, backward, "egnn.coord_step")

@@ -171,7 +171,7 @@ PINNED_DEFAULTS = {
     "egnn.init_mlp(out_scale)",
     "egnn.init_egnn(message_width)",
     "egnn.equivariance_check(forward)",
-    "egnn._PairInput.add_grad(d_sq_dist)", "egnn._PairInput.add_grad(d_diff)",
+    "egnn._PairGrad.add_grad(d_sq_dist)", "egnn._PairGrad.add_grad(d_diff)",
     "geometry.random_rigid(reflect)",
     "metrics.EvalRow.__init__(plddt)",
     "metrics.evaluate_candidates(plddt_text)",

@@ -1,3 +1,9 @@
+import logging
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -369,3 +375,137 @@ def test_width_contracts():
         )
     with pytest.raises(ContractError):
         egnn.EgnnModel(layers=[layer], feat_width=5)
+
+
+def _several_blocks(monkeypatch, n, width, rows):
+    # Shrink the block size so that a small graph walks one block per
+    # ``rows`` receiving rows; the tests below want an odd count, at least 5.
+    monkeypatch.setattr(egnn, "_BLOCK_VALUES", n * width * rows)
+    blocks = egnn._row_blocks((1, n), width)[1]
+    assert len(blocks) >= 5 and len(blocks) % 2 == 1
+    return blocks
+
+
+def _layer_case(seed, n, feat_width, message_width):
+    rng = np.random.default_rng(seed)
+    layer = egnn.init_egcl(rng, feat_width=feat_width, message_width=message_width)
+    coords = rng.normal(scale=2.0, size=(n, 3))
+    feats = rng.normal(size=(n, feat_width))
+    probe = (rng.normal(size=(n, 3)), rng.normal(size=(n, feat_width)))
+    return layer, coords, feats, probe
+
+
+def _layer_bytes(layer, coords, feats, probe):
+    out, grads = _layer_outputs_and_grads(egnn.egcl_forward, layer, coords, feats, probe)
+    return [a.tobytes() for a in [out.coords.data, out.feats.data] + grads]
+
+
+def test_parts_give_the_same_bits_on_the_pool_and_inline(monkeypatch):
+    _several_blocks(monkeypatch, n=7, width=6, rows=1)
+    case = _layer_case(30, n=7, feat_width=4, message_width=6)
+    if egnn._part_pool() is None:
+        pytest.skip("no OpenBLAS thread setter: the parts always run inline")
+    pooled = _layer_bytes(*case)
+    monkeypatch.setattr(egnn, "_pool", False)
+    assert _layer_bytes(*case) == pooled
+
+
+def test_several_blocks_match_edge_list_reference(monkeypatch):
+    n = 7
+    _several_blocks(monkeypatch, n=n, width=6, rows=1)
+    layer, coords, feats, probe = _layer_case(31, n=n, feat_width=4, message_width=6)
+    (dense, dense_grads), (ref, ref_grads) = [
+        _layer_outputs_and_grads(forward, layer, coords, feats, probe)
+        for forward in (egnn.egcl_forward, _edge_list_forward)
+    ]
+    assert _max_abs(dense.coords.data - ref.coords.data) < 1e-12
+    assert _max_abs(dense.feats.data - ref.feats.data) < 1e-12
+    assert len(dense_grads) == 2 + 16
+    for got, want in zip(dense_grads, ref_grads):
+        assert _rel_dev(got, want) < 1e-10
+
+
+def test_pooled_gradients_repeat_bit_for_bit_under_fast_thread_switching(monkeypatch):
+    # Each part adds into its own accumulators; an add shared between the
+    # parts would lose updates when the threads interleave, and the bits
+    # would change from run to run.
+    _several_blocks(monkeypatch, n=30, width=8, rows=6)
+    case = _layer_case(32, n=30, feat_width=8, message_width=8)
+    first = _layer_bytes(*case)
+    interval = sys.getswitchinterval()
+    deadline = time.monotonic() + 10.0
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert _layer_bytes(*case) == first
+            if time.monotonic() > deadline:
+                break
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_layer_gradients_finite_for_coincident_nodes_in_several_blocks(monkeypatch):
+    # The parts run on pool threads; numpy's error state must reach them.
+    n = 5
+    _several_blocks(monkeypatch, n=n, width=8, rows=1)
+    layer, coords, feats, probe = _layer_case(14, n=n, feat_width=8, message_width=8)
+    coords[1] = coords[0]
+    with np.errstate(divide="raise", invalid="raise"):
+        _, grads = _layer_outputs_and_grads(egnn.egcl_forward, layer, coords, feats, probe)
+    assert all(np.all(np.isfinite(g)) for g in grads)
+
+
+def test_floating_point_error_in_a_part_reaches_the_caller(monkeypatch):
+    _several_blocks(monkeypatch, n=7, width=6, rows=1)
+    case = _layer_case(33, n=7, feat_width=4, message_width=6)
+    if egnn._part_pool() is None:
+        pytest.skip("no OpenBLAS thread setter: the parts always run inline")
+    threads = set()
+    silu = egnn._silu
+
+    def dividing_silu(h, t, u):
+        threads.add(threading.current_thread())
+        np.divide(1.0, np.zeros(1))
+        silu(h, t, u)
+
+    monkeypatch.setattr(egnn, "_silu", dividing_silu)
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        _layer_bytes(*case)
+    assert threading.current_thread() not in threads
+
+
+def test_one_block_never_touches_the_pool(monkeypatch):
+    class RefusingPool:
+        def submit(self, *args, **kwargs):
+            raise AssertionError("a one-block call reached the pool")
+
+    case = _layer_case(34, n=7, feat_width=4, message_width=6)
+    assert len(egnn._row_blocks((1, 7), 6)[1]) == 1
+    monkeypatch.setattr(egnn, "_pool", RefusingPool())
+    _layer_bytes(*case)
+    _several_blocks(monkeypatch, n=7, width=6, rows=1)
+    with pytest.raises(AssertionError, match="one-block"):
+        _layer_bytes(*case)
+
+
+def test_without_a_blas_thread_setter_the_parts_run_inline(monkeypatch, caplog):
+    _several_blocks(monkeypatch, n=7, width=6, rows=1)
+    case = _layer_case(35, n=7, feat_width=4, message_width=6)
+    expected = _layer_bytes(*case)
+    monkeypatch.setattr(egnn, "_pool", None)
+    monkeypatch.setattr(egnn, "_blas_thread_setter", lambda: None)
+    caplog.set_level(logging.INFO, logger=egnn.__name__)
+    assert _layer_bytes(*case) == expected
+    assert _layer_bytes(*case) == expected
+    assert egnn._pool is False
+    records = [r for r in caplog.records if r.name == egnn.__name__]
+    assert [r.levelno for r in records] == [logging.INFO]
+
+
+def test_importing_geopro_starts_no_thread():
+    src = os.path.dirname(os.path.dirname(egnn.__file__))
+    code = ("import threading, geopro.cli, geopro.egnn; "
+            "print(threading.active_count(), geopro.egnn._pool)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert done.stdout.split() == ["1", "None"]
