@@ -21,11 +21,9 @@ that call also sets numpy's OpenBLAS to one thread.
 
 import contextvars
 import ctypes
-import glob
 import logging
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,19 +224,25 @@ def _scratch(parts, n, widths):
     the part's largest block's pair count, reused by every block of the
     part so that no block allocates arrays of its own.
 
-    They are views of one flat allocation, made by the calling thread, so
-    that no pool thread draws large arrays from a glibc arena of its own.
-    glibc reuses the same pages of that allocation from call to call,
-    where separate arrays of this size were returned to the system and
-    faulted in again on every call (1317 minor page faults against 0 per
-    forward and backward of a two-layer width-32 EGNN at N=30)."""
-    counts = [
-        n * max([(b1 - b0) * (i1 - i0) for b0, b1, i0, i1 in part], default=0)
-        for part in parts
-    ]
-    sizes = [count * width for count in counts for width in widths]
-    views = iter(np.split(np.empty(sum(sizes)), np.cumsum(sizes[:-1], dtype=int)))
-    return [[next(views).reshape(count, width) for width in widths] for count in counts]
+    A part's arrays are views of one flat allocation, made by the calling
+    thread, so that no pool thread draws large arrays from a glibc arena
+    of its own.  glibc reuses the same pages of such an allocation from
+    call to call, where separate arrays of this size were returned to the
+    system and faulted in again on every call (1317 minor page faults
+    against 0 per forward and backward of a two-layer width-32 EGNN at
+    N=30).  One allocation for both parts would be twice as large, and
+    glibc would then serve the allocations below that size from its heap
+    and keep them: over four width-320 training steps at L=100, peak RSS
+    read 277 MB that way, against 268 MB with one allocation per part and
+    256 MB with a single part.
+    """
+    out = []
+    for part in parts:
+        count = n * max([(b1 - b0) * (i1 - i0) for b0, b1, i0, i1 in part], default=0)
+        flat = np.empty(count * sum(widths))
+        arrays = np.split(flat, np.cumsum([count * width for width in widths[:-1]]))
+        out.append([a.reshape(count, width) for a, width in zip(arrays, widths)])
+    return out
 
 
 def _sum_parts(per_part):
@@ -262,6 +266,10 @@ def _blas_thread_setter():
 
     numpy has no API for it, so it is looked up by name in ``numpy.libs``.
     """
+    # imported here and in _part_pool, so that importing geopro does not
+    # pay for modules that only the pool needs
+    import glob
+
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
         try:
@@ -291,6 +299,8 @@ def _part_pool():
                          "kernels run on one thread")
                 _pool = False
             else:
+                from concurrent.futures import ThreadPoolExecutor
+
                 setter(1)
                 _pool = ThreadPoolExecutor(
                     min(2, len(os.sched_getaffinity(0))), thread_name_prefix="geopro-egnn"
@@ -312,9 +322,10 @@ def _run_parts(work, jobs):
             work(*job)
         return
     futures = [pool.submit(contextvars.copy_context().run, work, *job) for job in jobs]
-    wait(futures)
-    for future in futures:
-        future.result()
+    errors = [future.exception() for future in futures]  # waits for every job
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def _silu(h, t, u):
