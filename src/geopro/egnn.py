@@ -232,9 +232,9 @@ def _scratch(parts, n, widths):
     against 0 per forward and backward of a two-layer width-32 EGNN at
     N=30).  One allocation for both parts would be twice as large, and
     glibc would then serve the allocations below that size from its heap
-    and keep them: over four width-320 training steps at L=100, peak RSS
-    read 277 MB that way, against 268 MB with one allocation per part and
-    256 MB with a single part.
+    and keep them: over four width-320 training steps at L=100 on a
+    2-core Xeon, peak RSS read 277 MB that way, against 268 MB with one
+    allocation per part and 256 MB with a single part.
     """
     out = []
     for part in parts:
