@@ -15,8 +15,10 @@ array is about 1 MB, keeps nothing of size N² between forward and
 backward, and computes every block again in its backward pass (gradient
 checkpointing, Chen et al. 2016).  Memory therefore grows with N·H, not
 N²·H.  The blocks are dealt into two parts that run on a module-level
-two-thread pool, made at the first kernel call with two or more blocks;
-that call also sets numpy's OpenBLAS to one thread.
+two-thread pool.  The first kernel call of any size sets numpy's OpenBLAS
+to one thread before its first product, so that BLAS rounds the same way
+in every call of the process; a call with one block runs on the calling
+thread.
 """
 
 import contextvars
@@ -255,8 +257,8 @@ def _sum_parts(per_part):
     return first
 
 
-# The pool that runs the parts of a kernel: None until the first call with
-# two or more blocks, False if that call found no OpenBLAS thread setter.
+# The pool that runs the parts of a kernel: None until the first kernel
+# call, False if that call found no OpenBLAS thread setter.
 _pool = None
 _pool_lock = threading.Lock()
 
@@ -287,8 +289,12 @@ def _part_pool():
     parts must run inline.
 
     Made at the first call, which also sets OpenBLAS to one thread: with
-    two pool threads, BLAS threads only contend for the same cores.
-    Without a setter the pool is never made, and one INFO record says so.
+    two pool threads, BLAS threads only contend for the same cores, and
+    with one block BLAS's second thread spins in every small product.
+    Each kernel calls this at entry, before its first product, so that
+    every kernel product rounds the same way whatever ran before it.  The
+    executor starts its threads only at its first ``submit``.  Without a
+    setter the pool is never made, and one INFO record says so.
     """
     global _pool
     with _pool_lock:
@@ -308,16 +314,16 @@ def _part_pool():
         return _pool or None
 
 
-def _run_parts(work, jobs):
+def _run_parts(pool, work, jobs):
     """Call ``work(*job)`` for each job, one per part.
 
-    Two or more jobs go to the pool, each in a copy of the caller's
-    context, since numpy's error state is a context variable; every job is
-    waited for, and the first job's error is raised.  A single job, or a
-    missing pool, runs inline.
+    Two or more jobs go to ``pool``, the kernel's ``_part_pool()``, each in
+    a copy of the caller's context, since numpy's error state is a context
+    variable; every job is waited for, and the first job's error is raised.
+    A single job runs inline on the calling thread and is never submitted,
+    and so do all jobs when ``pool`` is None.
     """
-    pool = _part_pool() if len(jobs) > 1 else None
-    if pool is None:
+    if pool is None or len(jobs) == 1:
         for job in jobs:
             work(*job)
         return
@@ -484,6 +490,7 @@ def _gated_messages(state, message_mlp, attention_mlp):
     part of the blocks has its own scratch and gradient accumulators,
     allocated here before the parts run.
     """
+    pool = _part_pool()
     batch, n = state.batch_shape
     pair = _PairInput(state, message_mlp)
     w2, b2 = message_mlp.w2.data, message_mlp.b2.data
@@ -523,7 +530,7 @@ def _gated_messages(state, message_mlp, attention_mlp):
 
     out = np.empty((batch, n, width))
     halves = _halves(w2, b2, a_w1, a_b1)
-    _run_parts(forward, [(part, scratch, halves)
+    _run_parts(pool, forward, [(part, scratch, halves)
                          for part, scratch in zip(parts, _scratch(parts, n, widths))])
 
     def backward(g_out):
@@ -567,7 +574,7 @@ def _gated_messages(state, message_mlp, attention_mlp):
                 d_z1 *= slope1
                 pair_grad.add_grad(blk, diff, sq_dist, d_z1)
 
-        _run_parts(walk, list(zip(parts, scratches, pair_grads, accs, tmps)))
+        _run_parts(pool, walk, list(zip(parts, scratches, pair_grads, accs, tmps)))
         return pair.grads(pair_grads) + tuple(_sum_parts(accs))
 
     inputs = (state.coords, state.feats, *message_mlp.tensors(), *attention_mlp.tensors())
@@ -583,6 +590,7 @@ def _coord_step(state, coord_mlp):
     Walked one block at a time like ``_gated_messages``, in the same two
     parts, and computed again block by block in the backward pass.
     """
+    pool = _part_pool()
     batch, n = state.batch_shape
     pair = _PairInput(state, coord_mlp)
     w2, b2 = coord_mlp.w2.data, coord_mlp.b2.data
@@ -607,7 +615,7 @@ def _coord_step(state, coord_mlp):
             np.matmul(weight[:, :, None, :], diff, out=out[b0:b1, i0:i1, None, :])
 
     out = np.empty((batch, n, 3))
-    _run_parts(forward, list(zip(parts, _scratch(parts, n, [hidden] * 3))))
+    _run_parts(pool, forward, list(zip(parts, _scratch(parts, n, [hidden] * 3))))
 
     def backward(g_out):
         g_out = g_out.reshape(batch, n, 3)
@@ -638,7 +646,7 @@ def _coord_step(state, coord_mlp):
                 d_y1 *= w2[:, 0]
                 pair_grad.add_grad(blk, diff, sq_dist, d_y1, d_sq_dist, d_diff)
 
-        _run_parts(walk, list(zip(parts, scratches, pair_grads, accs)))
+        _run_parts(pool, walk, list(zip(parts, scratches, pair_grads, accs)))
         return pair.grads(pair_grads) + tuple(_sum_parts(accs))
 
     inputs = (state.coords, state.feats, *coord_mlp.tensors())

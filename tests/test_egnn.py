@@ -502,6 +502,59 @@ def test_without_a_blas_thread_setter_the_parts_run_inline(monkeypatch, caplog):
     assert [r.levelno for r in records] == [logging.INFO]
 
 
+def test_first_one_block_call_sets_blas_to_one_thread_and_starts_no_thread(monkeypatch):
+    calls = []
+    case = _layer_case(36, n=7, feat_width=4, message_width=6)
+    assert len(egnn._row_blocks((1, 7), 6)[1]) == 1
+    monkeypatch.setattr(egnn, "_pool", None)
+    monkeypatch.setattr(egnn, "_blas_thread_setter", lambda: calls.append)
+    threads = threading.active_count()
+    _layer_bytes(*case)
+    assert calls == [1]
+    assert threading.active_count() == threads
+    _layer_bytes(*case)
+    assert calls == [1]
+
+
+# Hashes the gradients of one width-32 layer over a (2, 30, 32) stack, one
+# block of 1800 pairs, after an optional width-8 L=150 call of two blocks.
+_ONE_BLOCK_GRADS = """
+import hashlib, sys
+import numpy as np
+from geopro import autodiff as ad, egnn
+
+def grads(seed, batch, n, width):
+    rng = np.random.default_rng(seed)
+    layer = egnn.init_egcl(rng, feat_width=width, message_width=width)
+    x = ad.Tensor(rng.normal(scale=2.0, size=(batch, n, 3)), requires_grad=True)
+    h = ad.Tensor(rng.normal(size=(batch, n, width)), requires_grad=True)
+    params = [t for _, t in ad.named_tensors(layer)]
+    with ad.Tape() as tape:
+        out = egnn.egcl_forward(egnn.GraphState(x, h), layer)
+        tape.backward(ad.add(ad.tsum(out.coords), ad.tsum(out.feats)))
+    return [x.grad, h.grad] + [p.grad for p in params]
+
+if sys.argv[1] == "after":
+    assert len(egnn._row_blocks((1, 150), 8)[1]) > 1
+    grads(1, 1, 150, 8)
+assert len(egnn._row_blocks((2, 30), 32)[1]) == 1
+print(hashlib.sha256(b"".join(g.tobytes() for g in grads(0, 2, 30, 32))).hexdigest())
+"""
+
+
+def test_one_block_gradients_do_not_depend_on_an_earlier_multi_block_call():
+    src = os.path.dirname(os.path.dirname(egnn.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    alone, after = [
+        subprocess.run([sys.executable, "-c", _ONE_BLOCK_GRADS, order], capture_output=True,
+                       text=True, env=env, check=True).stdout
+        for order in ("alone", "after")
+    ]
+    assert alone == after
+
+
 def test_importing_geopro_starts_no_thread():
     src = os.path.dirname(os.path.dirname(egnn.__file__))
     code = ("import threading, geopro.cli, geopro.egnn; "
