@@ -531,7 +531,7 @@ def _gated_messages(state, message_mlp, attention_mlp):
     out = np.empty((batch, n, width))
     halves = _halves(w2, b2, a_w1, a_b1)
     _run_parts(pool, forward, [(part, scratch, halves)
-                         for part, scratch in zip(parts, _scratch(parts, n, widths))])
+                               for part, scratch in zip(parts, _scratch(parts, n, widths))])
 
     def backward(g_out):
         g_out = g_out.reshape(batch, n, width)

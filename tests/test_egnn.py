@@ -543,13 +543,13 @@ print(hashlib.sha256(b"".join(g.tobytes() for g in grads(0, 2, 30, 32))).hexdige
 
 
 def test_one_block_gradients_do_not_depend_on_an_earlier_multi_block_call():
-    src = os.path.dirname(os.path.dirname(egnn.__file__))
+    # OpenBLAS starts at its default thread count, as in a user's process
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = src
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(egnn.__file__))
     alone, after = [
         subprocess.run([sys.executable, "-c", _ONE_BLOCK_GRADS, order], capture_output=True,
-                       text=True, env=env, check=True).stdout
+                       text=True, env=env, check=True, timeout=120).stdout
         for order in ("alone", "after")
     ]
     assert alone == after
