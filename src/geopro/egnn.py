@@ -101,16 +101,19 @@ class EgclParams:
     """One layer's learnable pieces.
 
     ``message`` maps the pair input (both node features and their
-    squared distance) to a message; ``attention`` maps each message to
-    its gate; ``feature`` maps a node's features plus its aggregated
-    messages back to the feature width; and ``coord`` produces the
-    scalar weight on each pair difference vector in the coordinate
-    update.  The output activations of the pair MLPs are fixed by
-    ``_gated_messages`` and ``_coord_step``.
+    squared distance) to a message; ``gate_w``, (M, 1), and ``gate_b``,
+    (1,), map each message m_ij to its gate sigmoid(m_ij · gate_w +
+    gate_b), the linear edge gate of EGNN (Satorras et al. 2021, §3.3);
+    ``feature`` maps a node's features plus its aggregated messages back
+    to the feature width; and ``coord`` produces the scalar weight on
+    each pair difference vector in the coordinate update.  The output
+    activations of the pair MLPs are fixed by ``_gated_messages`` and
+    ``_coord_step``.
     """
 
     message: MlpParams
-    attention: MlpParams
+    gate_w: ad.Tensor
+    gate_b: ad.Tensor
     feature: MlpParams
     coord: MlpParams
     feat_width: int
@@ -119,18 +122,18 @@ class EgclParams:
     def __post_init__(self):
         pair_width = 2 * self.feat_width + 1
         checks = [
-            (self.message.width_in, pair_width, "message input"),
-            (self.message.width_out, self.message_width, "message output"),
-            (self.attention.width_in, self.message_width, "attention input"),
-            (self.attention.width_out, 1, "attention output"),
-            (self.feature.width_in, self.feat_width + self.message_width, "feature input"),
-            (self.feature.width_out, self.feat_width, "feature output"),
-            (self.coord.width_in, pair_width, "coordinate input"),
-            (self.coord.width_out, 1, "coordinate output"),
+            (self.message.width_in, pair_width, "message input width"),
+            (self.message.width_out, self.message_width, "message output width"),
+            (self.gate_w.shape, (self.message_width, 1), "gate weight shape"),
+            (self.gate_b.shape, (1,), "gate bias shape"),
+            (self.feature.width_in, self.feat_width + self.message_width, "feature input width"),
+            (self.feature.width_out, self.feat_width, "feature output width"),
+            (self.coord.width_in, pair_width, "coordinate input width"),
+            (self.coord.width_out, 1, "coordinate output width"),
         ]
         for got, want, what in checks:
             if got != want:
-                raise ContractError("%s width is %d, expected %d" % (what, got, want))
+                raise ContractError("%s is %s, expected %s" % (what, got, want))
 
 
 @dataclass
@@ -472,102 +475,83 @@ class _PairGrad:
         self.g_coords[b0:b1] -= total.sum(axis=1)
 
 
-def _accumulate_product(acc, a, b, tmp):
-    """acc += a.T @ b, through the preallocated ``tmp``."""
-    np.matmul(a.T, b, out=tmp)
-    acc += tmp
-
-
-def _gated_messages(state, message_mlp, attention_mlp):
+def _gated_messages(state, message_mlp, gate_w, gate_b):
     """sum_j gate_ij * m_ij for every node i, as one tape node, shaped
     like the node features with width M.
 
     m_ij = silu(``message_mlp`` of the pair input) and gate_ij =
-    sigmoid(``attention_mlp`` of m_ij); the diagonal's gate is zero.  These
-    output activations belong to the layer, since ``mlp_forward`` ends
-    linearly.  The pairs are walked one block at a time and nothing of
-    size N² is kept: the backward pass computes each block again.  Each
-    part of the blocks has its own scratch and gradient accumulators,
-    allocated here before the parts run.
+    sigmoid(m_ij · ``gate_w`` + ``gate_b``), a linear gate; the diagonal's
+    gate is zero.  These output activations belong to the layer, since
+    ``mlp_forward`` ends linearly.  The pairs are walked one block at a
+    time and nothing of size N² is kept: the backward pass computes each
+    block again.  Each part of the blocks has its own scratch and gradient
+    accumulators, allocated here before the parts run.
     """
     pool = _part_pool()
     batch, n = state.batch_shape
     pair = _PairInput(state, message_mlp)
     w2, b2 = message_mlp.w2.data, message_mlp.b2.data
-    a_w1, a_b1 = attention_mlp.w1.data, attention_mlp.b1.data
-    a_w2, a_b2 = attention_mlp.w2.data, attention_mlp.b2.data
-    hidden, width, a_hidden = w2.shape[0], w2.shape[1], a_w1.shape[1]
-    _, blocks = _row_blocks(state.batch_shape, max(hidden, width, a_hidden))
+    w_gate, b_gate = gate_w.data, gate_b.data
+    hidden, width = w2.shape
+    _, blocks = _row_blocks(state.batch_shape, max(hidden, width))
     parts = _parts(blocks)
-    widths = [hidden] * 3 + [width] * 3 + [a_hidden] * 3
+    widths = [hidden] * 3 + [width] * 3
 
     def block(scratch, halves, blk):
         b0, b1, i0, i1 = blk
-        half_w2, half_b2, half_a_w1, half_a_b1 = halves
-        z1, s1, u1, z2, s2, msg, z3, s3, u3 = (
-            a[:(b1 - b0) * (i1 - i0) * n] for a in scratch
-        )
+        half_w2, half_b2 = halves
+        z1, s1, u1, z2, s2, msg = (a[:(b1 - b0) * (i1 - i0) * n] for a in scratch)
         diff, sq_dist = pair.block(blk, out=z1)
         _silu(z1, s1, u1)
         np.matmul(u1, half_w2, out=z2)
         z2 += half_b2
         _silu(z2, s2, msg)
-        np.matmul(msg, half_a_w1, out=z3)
-        z3 += half_a_b1
-        _silu(z3, s3, u3)
-        gate = ad._sigmoid(u3 @ a_w2 + a_b2).reshape(sq_dist.shape)
+        gate = ad._sigmoid(msg @ w_gate + b_gate).reshape(sq_dist.shape)
         diag = np.arange(i1 - i0)
         gate[:, diag, diag + i0] = 0.0
-        return diff, sq_dist, (z1, s1, u1, z2, s2, msg, z3, s3, u3, gate)
+        return diff, sq_dist, (z1, s1, u1, z2, s2, msg, gate)
 
     def forward(part, scratch, halves):
         for blk in part:
             b0, b1, i0, i1 = blk
             saved = block(scratch, halves, blk)[2]
-            gate = saved[9]
+            gate = saved[6]
             msg = saved[5].reshape(gate.shape + (width,))
             np.matmul(gate[:, :, None, :], msg, out=out[b0:b1, i0:i1, None, :])
 
     out = np.empty((batch, n, width))
-    halves = _halves(w2, b2, a_w1, a_b1)
+    halves = _halves(w2, b2)
     _run_parts(pool, forward, [(part, scratch, halves)
                                for part, scratch in zip(parts, _scratch(parts, n, widths))])
 
     def backward(g_out):
         g_out = g_out.reshape(batch, n, width)
-        halves = _halves(w2, b2, a_w1, a_b1)
-        weights = (w2, b2, a_w1, a_b1, a_w2, a_b2)
-        accs = [[np.zeros_like(w) for w in weights] for _ in parts]
-        tmps = [(np.empty_like(w2), np.empty_like(a_w1)) for _ in parts]
+        halves = _halves(w2, b2)
+        accs = [[np.zeros_like(w) for w in (w2, b2, w_gate, b_gate)] for _ in parts]
+        tmps = [np.empty_like(w2) for _ in parts]
         pair_grads = pair.start_grad(len(parts))
         scratches = _scratch(parts, n, widths + [width])
 
-        def walk(part, scratch, pair_grad, acc, tmp):
-            g_w2, g_b2, g_a_w1, g_a_b1, g_a_w2, g_a_b2 = acc
-            tmp_w2, tmp_a_w1 = tmp
+        def walk(part, scratch, pair_grad, acc, tmp_w2):
+            g_w2, g_b2, g_w_gate, g_b_gate = acc
             *scratch, d_z2_scratch = scratch
             for blk in part:
                 b0, b1, i0, i1 = blk
                 diff, sq_dist, saved = block(scratch, halves, blk)
-                z1, s1, u1, z2, s2, msg, z3, s3, u3, gate = saved
+                z1, s1, u1, z2, s2, msg, gate = saved
                 g_rows = g_out[b0:b1, i0:i1]
                 msg4 = msg.reshape(gate.shape + (width,))
                 # the zeroed diagonal gate has zero slope, so it passes nothing back
-                d_z4 = np.matmul(msg4, g_rows[:, :, :, None]).reshape(-1, 1)
-                d_z4 *= (gate * (1.0 - gate)).reshape(-1, 1)
-                g_a_w2 += u3.T @ d_z4
-                g_a_b2 += d_z4.sum(axis=0)
-                d_z3 = _silu_slope(z3, s3, u3)
-                d_z3 *= d_z4
-                d_z3 *= a_w2[:, 0]
-                _accumulate_product(g_a_w1, msg, d_z3, tmp_a_w1)
-                g_a_b1 += d_z3.sum(axis=0)
-                d_z2 = np.matmul(d_z3, a_w1.T, out=d_z2_scratch[:len(d_z3)])
+                d_z3 = np.matmul(msg4, g_rows[:, :, :, None]).reshape(-1, 1)
+                d_z3 *= (gate * (1.0 - gate)).reshape(-1, 1)
+                g_w_gate += msg.T @ d_z3
+                g_b_gate += d_z3.sum(axis=0)
+                d_z2 = np.multiply(d_z3, w_gate[:, 0], out=d_z2_scratch[:len(d_z3)])
                 slope2 = _silu_slope(z2, s2, msg)
                 np.multiply(gate[:, :, :, None], g_rows[:, :, None, :], out=msg4)
                 d_z2 += msg
                 d_z2 *= slope2
-                _accumulate_product(g_w2, u1, d_z2, tmp_w2)
+                g_w2 += np.matmul(u1.T, d_z2, out=tmp_w2)
                 g_b2 += d_z2.sum(axis=0)
                 slope1 = _silu_slope(z1, s1, u1)
                 d_z1 = np.matmul(d_z2, w2.T, out=u1)
@@ -577,7 +561,7 @@ def _gated_messages(state, message_mlp, attention_mlp):
         _run_parts(pool, walk, list(zip(parts, scratches, pair_grads, accs, tmps)))
         return pair.grads(pair_grads) + tuple(_sum_parts(accs))
 
-    inputs = (state.coords, state.feats, *message_mlp.tensors(), *attention_mlp.tensors())
+    inputs = (state.coords, state.feats, *message_mlp.tensors(), gate_w, gate_b)
     out = out.reshape(state.feats.shape[:-1] + (width,))
     return ad.record_op(out, inputs, backward, "egnn.gated_messages")
 
@@ -663,9 +647,9 @@ def egcl_forward(state, params):
     nothing of size N², and computes each block again in its backward
     pass, in the manner of gradient checkpointing.  The forward code is
     the same with and without a tape.  The diagonal pairs (i, i) are
-    computed along with the rest: their attention gate is zeroed, and
-    their difference vector is exactly zero, so they add nothing to
-    either update.  Their squared distance is set to 1 so that ``sqrt``
+    computed along with the rest: their gate is zeroed, and their
+    difference vector is exactly zero, so they add nothing to either
+    update.  Their squared distance is set to 1 so that ``sqrt``
     never sees a zero, and it passes no gradient back.  The feature MLP,
     its input concat and the final coordinate add are ordinary ops on the
     node rows.
@@ -675,7 +659,7 @@ def egcl_forward(state, params):
         raise ContractError(
             "state features have width %d, layer expects %d" % (d, params.feat_width)
         )
-    gathered = _gated_messages(state, params.message, params.attention)
+    gathered = _gated_messages(state, params.message, params.gate_w, params.gate_b)
     new_feats = mlp_forward(params.feature, ad.concat([state.feats, gathered], axis=-1))
     new_coords = ad.add(state.coords, _coord_step(state, params.coord))
     return GraphState(new_coords, new_feats)
@@ -689,16 +673,30 @@ def egnn_forward(state, model):
     return out
 
 
+# The d² row of the pair MLPs' first layer is drawn at this fraction of
+# its Glorot scale.  Squared distances of a starting chain reach ~2e3 Å²
+# at L=30 and ~2e4 Å² at L=100, where node features are of order 1; a
+# full-scale row lets d² swamp the features, and whether the first
+# messages and shifts stay sane then depends on the weight draw.
+_DIST_ROW_SCALE = 0.02
+
+
 def init_egcl(rng, feat_width, message_width):
+    """Fresh layer.  The gate weight starts at zero, so that every gate
+    starts at 1/2 whatever the draw; the gate draws nothing."""
     pair_width = 2 * feat_width + 1
-    return EgclParams(
+    layer = EgclParams(
         message=init_mlp(rng, pair_width, message_width, message_width),
-        attention=init_mlp(rng, message_width, message_width, 1),
+        gate_w=ad.Tensor(np.zeros((message_width, 1)), requires_grad=True),
+        gate_b=ad.Tensor(np.zeros(1), requires_grad=True),
         feature=init_mlp(rng, feat_width + message_width, message_width, feat_width),
         coord=init_mlp(rng, pair_width, message_width, 1, out_scale=0.01),
         feat_width=feat_width,
         message_width=message_width,
     )
+    for mlp in (layer.message, layer.coord):
+        mlp.w1.data[2 * feat_width] *= _DIST_ROW_SCALE
+    return layer
 
 
 def init_egnn(rng, depth, feat_width, message_width=None):

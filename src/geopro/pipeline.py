@@ -124,7 +124,7 @@ _ARCH_FIELDS = (
 # Hashed with the fields above.  Bump it with any change to the parameter
 # layout or meaning that no config field records, so that a checkpoint
 # written before the change fails the hash check on load.
-LAYOUT_VERSION = 1
+LAYOUT_VERSION = 2
 
 
 @dataclass

@@ -191,12 +191,9 @@ def _init_block(rng, width, n_heads):
 
 
 def init_context_encoder(rng, width, depth, n_heads, max_len):
-    # One row more is drawn than kept, for the retired padding token, so
-    # that every weight drawn after this one keeps its value.  A change
-    # of init that alters those weights anyway drops the extra row.
-    token_emb = rng.normal(scale=0.1, size=(VOCAB_SIZE + 1, width))[:VOCAB_SIZE]
     return ContextEncoder(
-        token_emb=ad.Tensor(token_emb, requires_grad=True),
+        token_emb=ad.Tensor(rng.normal(scale=0.1, size=(VOCAB_SIZE, width)),
+                            requires_grad=True),
         pos_emb=ad.Tensor(rng.normal(scale=0.1, size=(max_len, width)), requires_grad=True),
         blocks=[_init_block(rng, width, n_heads) for _ in range(depth)],
         width=width,

@@ -16,6 +16,15 @@ from geopro.errors import ContractError, DimensionError
 from geopro.geometry import apply_rigid, random_rigid
 
 
+def _draw_gates(rng, layers):
+    # init_egcl starts every gate weight at zero, which would pass no
+    # gradient from the gates back into the messages; draw them instead
+    for layer in layers:
+        layer.gate_w.data = rng.normal(size=layer.gate_w.shape)
+        layer.gate_b.data = rng.normal(size=1)
+    return layers[0]
+
+
 def _random_state(rng, n, d, scale=2.0):
     coords = ad.Tensor(rng.normal(scale=scale, size=(n, 3)))
     feats = ad.Tensor(rng.normal(size=(n, d)))
@@ -145,8 +154,8 @@ def _edge_list_forward(state, params, leak=None):
     sq_dist = ad.tsum(ad.square(diff), axis=1, keepdims=True)
     pair_input = ad.concat([h_i, h_j, sq_dist], axis=1)
     messages = ad.silu(egnn.mlp_forward(params.message, pair_input))
-    attention = ad.sigmoid(egnn.mlp_forward(params.attention, messages))
-    gathered = ad.index_add_rows(ad.mul(attention, messages), src, n)
+    gate = ad.sigmoid(ad.add(ad.matmul(messages, params.gate_w), params.gate_b))
+    gathered = ad.index_add_rows(ad.mul(gate, messages), src, n)
     new_feats = egnn.mlp_forward(
         params.feature, ad.concat([state.feats, gathered], axis=1)
     )
@@ -180,7 +189,7 @@ def _rel_dev(got, want):
 @pytest.mark.parametrize("n", [0, 1, 2, 7])
 def test_dense_layer_matches_edge_list_reference(n):
     rng = np.random.default_rng(10 + n)
-    layer = egnn.init_egcl(rng, feat_width=4, message_width=6)
+    layer = _draw_gates(rng, [egnn.init_egcl(rng, feat_width=4, message_width=6)])
     coords = rng.normal(scale=2.0, size=(n, 3))
     feats = rng.normal(size=(n, 4))
     probe = (rng.normal(size=(n, 3)), rng.normal(size=(n, 4)))
@@ -194,7 +203,7 @@ def test_dense_layer_matches_edge_list_reference(n):
     assert dense.coords.shape == (n, 3) and dense.feats.shape == (n, 4)
     assert _max_abs(dense.coords.data - ref.coords.data) < 1e-12
     assert _max_abs(dense.feats.data - ref.feats.data) < 1e-12
-    assert len(dense_grads) == 2 + 16
+    assert len(dense_grads) == 2 + 14
     for got, want in zip(dense_grads, ref_grads):
         assert got.shape == want.shape
         assert _rel_dev(got, want) < 1e-10
@@ -206,7 +215,7 @@ def test_blocked_layer_matches_edge_list_reference():
     rows, blocks = egnn._row_blocks((1, n), width)
     assert len(blocks) >= 3 and blocks[-1][3] - blocks[-1][2] < rows
     rng = np.random.default_rng(20)
-    layer = egnn.init_egcl(rng, feat_width=width, message_width=width)
+    layer = _draw_gates(rng, [egnn.init_egcl(rng, feat_width=width, message_width=width)])
     coords = rng.normal(scale=4.0, size=(n, 3))
     feats = rng.normal(size=(n, width))
     probe = (rng.normal(size=(n, 3)), rng.normal(size=(n, width)))
@@ -218,7 +227,7 @@ def test_blocked_layer_matches_edge_list_reference():
     (dense, dense_grads), (ref, ref_grads) = results
     assert np.max(np.abs(dense.coords.data - ref.coords.data)) < 1e-12
     assert np.max(np.abs(dense.feats.data - ref.feats.data)) < 1e-12
-    assert len(dense_grads) == 2 + 16
+    assert len(dense_grads) == 2 + 14
     for got, want in zip(dense_grads, ref_grads):
         assert got.shape == want.shape
         assert _rel_dev(got, want) < 1e-10
@@ -305,7 +314,7 @@ def test_layer_gradients_finite_at_zero_diagonal_distance():
 def test_layer_gradients_finite_for_coincident_nodes():
     # Two distinct nodes at one point have d² = 0 off the diagonal too.
     rng = np.random.default_rng(13)
-    layer = egnn.init_egcl(rng, feat_width=8, message_width=8)
+    layer = _draw_gates(rng, [egnn.init_egcl(rng, feat_width=8, message_width=8)])
     coords = rng.normal(size=(4, 3))
     coords[1] = coords[0]
     feats = rng.normal(size=(4, 8))
@@ -345,6 +354,7 @@ def test_permutation_equivariance():
 def test_layer_gradients_match_finite_differences():
     rng = np.random.default_rng(8)
     model = egnn.init_egnn(rng, depth=1, feat_width=4, message_width=6)
+    _draw_gates(rng, model.layers)
     coords = rng.normal(size=(4, 3))
     feats = rng.normal(size=(4, 4))
     params = [t for _, t in ad.named_tensors(model)]
@@ -367,7 +377,8 @@ def test_width_contracts():
     with pytest.raises(ContractError):
         egnn.EgclParams(
             message=egnn.init_mlp(rng, 9, 6, 6),
-            attention=egnn.init_mlp(rng, 6, 6, 2),
+            gate_w=ad.Tensor(np.zeros((6, 2))),
+            gate_b=ad.Tensor(np.zeros(1)),
             feature=egnn.init_mlp(rng, 10, 6, 4),
             coord=egnn.init_mlp(rng, 9, 6, 1),
             feat_width=4,
@@ -388,7 +399,8 @@ def _several_blocks(monkeypatch, n, width, rows):
 
 def _layer_case(seed, n, feat_width, message_width):
     rng = np.random.default_rng(seed)
-    layer = egnn.init_egcl(rng, feat_width=feat_width, message_width=message_width)
+    layer = _draw_gates(rng, [egnn.init_egcl(rng, feat_width=feat_width,
+                                             message_width=message_width)])
     coords = rng.normal(scale=2.0, size=(n, 3))
     feats = rng.normal(size=(n, feat_width))
     probe = (rng.normal(size=(n, 3)), rng.normal(size=(n, feat_width)))
@@ -420,7 +432,7 @@ def test_several_blocks_match_edge_list_reference(monkeypatch):
     ]
     assert _max_abs(dense.coords.data - ref.coords.data) < 1e-12
     assert _max_abs(dense.feats.data - ref.feats.data) < 1e-12
-    assert len(dense_grads) == 2 + 16
+    assert len(dense_grads) == 2 + 14
     for got, want in zip(dense_grads, ref_grads):
         assert _rel_dev(got, want) < 1e-10
 

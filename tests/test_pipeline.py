@@ -20,7 +20,7 @@ from geopro.errors import (
     ParseError,
 )
 from geopro.geometry import apply_rigid, random_rigid
-from geopro.seqmodel import corrupt_sequence, encode_context
+from geopro.seqmodel import RESIDUE_COUNT, corrupt_sequence, encode_context
 
 
 def tiny_config(**kw):
@@ -411,6 +411,25 @@ def test_train_aborts_on_non_finite_loss_with_diagnostic():
             pl.train(data, cfg, model)
 
 
+def test_model_is_well_scaled_at_init():
+    # criterion 07's model at seeds 7-12, one forward pass each.  Layout 1,
+    # whose d² rows were drawn at full scale, reached EGNN features of
+    # 1.2e4, logits of 155 and coordinate shifts of 220 Å at these seeds.
+    (record, motif), = pl.generate_synthetic_dataset(1, 30, 0.3, seed=2026)
+    positions = motif.position_set()
+    for seed in range(7, 13):
+        cfg = pl.TrainingConfig(width=32, egnn_depth=2, enc_depth=2, dec_depth=2,
+                                n_heads=4, seed=seed, feature_select="inverted")
+        rng = np.random.default_rng(seed)
+        start = pl.init_backbone_coords(motif, record.length, cfg.radius, rng)
+        coords, feats, logits = pl.forward_with_coords(
+            corrupt_sequence(record.sequence, positions), start, positions,
+            pl.build_model(cfg))
+        assert np.abs(feats.data).max() < 200.0, seed
+        assert np.abs(logits.data).max() < 2.0, seed
+        assert np.linalg.norm(coords.data - start, axis=1).max() < 5.0, seed
+
+
 def test_train_smoke_reduces_sequence_loss():
     data = pl.generate_synthetic_dataset(2, 12, 0.3, seed=5)
     # warmup_steps deliberately longer than the run to exercise the
@@ -421,7 +440,11 @@ def test_train_smoke_reduces_sequence_loss():
     history = pl.train(data, cfg, model)
     assert len(history) == 40
     assert all(math.isfinite(h.train_total) for h in history)
-    assert history[-1].train_sequence < 0.5 * history[0].train_sequence
+    # measured against a uniform guess over the scored positions, where a
+    # well-scaled model starts; an ill-scaled start inflates the first
+    # epoch's loss, so it is no fixed point of reference
+    uniform = np.mean([r.length - m.size for r, m in data]) * math.log(RESIDUE_COUNT)
+    assert history[-1].train_sequence < 0.6 * uniform
 
 
 def test_train_checkpoints_best_validation_weights(tmp_path):
@@ -483,7 +506,7 @@ def test_parameter_names_and_shapes_are_pinned():
         [("encoder.token_emb", (21, 8)), ("encoder.pos_emb", (64, 8))]
         + _block_shapes("encoder.block0")
         + _mlp_shapes("egnn.layer0.message", 17, 8, 8)
-        + _mlp_shapes("egnn.layer0.attention", 8, 8, 1)
+        + [("egnn.layer0.gate_w", (8, 1)), ("egnn.layer0.gate_b", (1,))]
         + _mlp_shapes("egnn.layer0.feature", 16, 8, 8)
         + _mlp_shapes("egnn.layer0.coord", 17, 8, 1)
         + [("decoder.in_w", (8, 8)), ("decoder.in_b", (8,)), ("decoder.mask_emb", (8,))]
@@ -632,9 +655,12 @@ def test_arch_hash_tracks_shape_knobs_only(monkeypatch):
     assert pl.TrainingConfig().arch_hash() != current
 
 
-def test_default_arch_hash_is_pinned():
-    # every checkpoint of the default architecture saved so far carries
-    # this hash; a change to it orphans them
+def test_default_arch_hash_is_pinned(monkeypatch):
+    # every checkpoint of the default architecture saved at this layout
+    # carries this hash; a change to it orphans them
+    assert pl.TrainingConfig().arch_hash() == 0x715bc35c
+    # and layout 1, before the linear EGNN gate, wrote this one
+    monkeypatch.setattr(pl, "LAYOUT_VERSION", 1)
     assert pl.TrainingConfig().arch_hash() == 0x2353931d
 
 
