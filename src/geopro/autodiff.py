@@ -120,10 +120,16 @@ class Tape:
         """Populate .grad = d(loss)/d(leaf) on every leaf of the tape.
 
         A leaf is a tracked tensor that no recorded op produced, such as
-        a parameter.  Leaves unreachable from the loss end up with zero
-        gradients.  Only leaves keep ``.grad``: each node is dropped as
-        soon as its backward has run and its output's ``.grad`` is reset
-        to None, so the recording's memory is released during the walk.
+        a parameter.  A leaf takes its first contribution as its gradient
+        array, and copies it only where the op may have handed the same
+        memory to another tensor: where it overlaps the op's upstream
+        gradient or another of the op's input gradients.  So each leaf
+        owns its ``.grad``, and ``adam_step`` may write into it.  Later
+        contributions add out of place, and leaves unreachable from the
+        loss get zero gradients after the walk.  Only leaves keep
+        ``.grad``: each node is dropped as soon as its backward has run
+        and its output's ``.grad`` is reset to None, so the recording's
+        memory is released during the walk.
         """
         if self._spent:
             raise StateError("backward already ran on this tape")
@@ -135,11 +141,13 @@ class Tape:
             raise ContractError("loss was not produced on this tape")
         self._spent = True
 
-        produced = {id(node.output) for node in self._nodes}
-        for key, t in self._tracked.items():
-            if key not in produced:
-                t.grad = np.zeros_like(t.data)
+        for node in self._nodes:
+            self._tracked.pop(id(node.output), None)
+        leaves = list(self._tracked.values())
         self._tracked = {}
+        for t in leaves:
+            t.grad = None
+        leaf_ids = {id(t) for t in leaves}
         loss.grad = np.ones_like(loss.data)
 
         nodes = self._nodes
@@ -149,13 +157,31 @@ class Tape:
             if gout is None:
                 continue
             node.output.grad = None
-            for t, g in zip(node.inputs, node.backward_fn(gout)):
+            grads = node.backward_fn(gout)
+            for t, g in zip(node.inputs, grads):
                 if g is None or not t.requires_grad:
                     continue
                 g = g.reshape(t.data.shape)
-                # never in place: a first contribution may be a view of
-                # another tensor's gradient
-                t.grad = g if t.grad is None else t.grad + g
+                if t.grad is not None:
+                    # never in place: a first contribution may be a view of
+                    # another tensor's gradient
+                    t.grad = t.grad + g
+                elif id(t) in leaf_ids and _may_be_shared(g, gout, grads):
+                    t.grad = g.copy()
+                else:
+                    t.grad = g
+        for t in leaves:
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+
+
+def _may_be_shared(g, gout, grads) -> bool:
+    """Whether a gradient ``g`` that one op's backward returned among
+    ``grads``, given ``gout``, may overlap memory that another tensor can
+    also be handed: ``gout`` itself, or another of the op's gradients."""
+    if np.may_share_memory(g, gout):
+        return True
+    return sum(other is not None and np.may_share_memory(g, other) for other in grads) > 1
 
 
 _TAPE_STACK: list[Tape] = []
@@ -389,15 +415,19 @@ def transpose(a, axes) -> Tensor:
 def gather_rows(a, indices) -> Tensor:
     """Select rows along axis 0 by an index array of any shape; the
     result is ``indices.shape + a.shape[1:]``.  Gradients scatter-add
-    back, in the order of the raveled indices."""
+    back, in the order of the raveled indices; distinct indices, such as
+    the rows ``arange(L)``, write them by assignment."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ContractError(f"gather_rows: index out of range for {a.shape[0]} rows")
 
     def bwd(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        ga = np.zeros(a.shape)
+        if np.unique(idx).size == idx.size:
+            ga[idx] = g
+        else:
+            np.add.at(ga, idx, g)
         return (ga,)
 
     return record_op(a.data[idx], (a,), bwd, "gather_rows")
@@ -508,18 +538,27 @@ def log_softmax(a) -> Tensor:
 
 
 class AdamState:
-    """Per-parameter first/second moment accumulators for Adam."""
+    """Per-parameter first/second moment accumulators for Adam.  The
+    moments come from ``np.zeros``, whose pages are not written until the
+    first step touches them."""
 
     def __init__(self, params: Sequence[Tensor]):
         self.params = list(params)
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = [np.zeros(p.shape) for p in self.params]
+        self.v = [np.zeros(p.shape) for p in self.params]
         self.step_count = 0
 
 
 def adam_step(state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update of the state's parameters; clears
-    their grads and bumps the counter."""
+    their grads and bumps the counter.
+
+    The moments and parameters are updated in place, with one temporary
+    per parameter, and each gradient array is overwritten as scratch
+    before it is cleared.  Every in-place operation rounds as the
+    out-of-place m = b1·m + (1 - b1)·g, v = b2·v + (1 - b2)·g², p -= lr·m̂
+    / (√v̂ + eps) does, so the update has the same bits.
+    """
     if lr < 0:
         raise ContractError(f"learning rate must be >= 0, got {lr}")
     if any(p.grad is None for p in state.params):
@@ -528,13 +567,23 @@ def adam_step(state: AdamState, lr: float) -> None:
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for i, p in enumerate(state.params):
+    for m, v, p in zip(state.m, state.v, state.params):
         g = p.grad
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        m_hat = state.m[i] / (1.0 - b1 ** t)
-        v_hat = state.v[i] / (1.0 - b2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        tmp = np.multiply(g, 1.0 - b1)
+        m *= b1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - b2
+        v *= b2
+        v += tmp
+        # g is spent: it takes lr·m̂, and tmp the denominator
+        np.divide(m, 1.0 - b1 ** t, out=g)
+        g *= lr
+        np.divide(v, 1.0 - b2 ** t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        g /= tmp
+        p.data -= g
         p.grad = None
 
 

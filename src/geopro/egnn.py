@@ -190,8 +190,9 @@ class GraphState:
 
 
 # Values in one (rows, N, width) block of pair activations: 2**17
-# float64 values, about 1 MB, so that a block's activations stay in cache
-# while they are built and consumed.
+# float64 values, about 1 MB.  A part's walk keeps several such arrays
+# live (see ``_scratch``), more than a 2 MB L2 cache holds; the size
+# bounds scratch memory and keeps each BLAS product large.
 _BLOCK_VALUES = 2 ** 17
 
 
@@ -228,6 +229,11 @@ def _scratch(parts, n, widths):
     """For each part, one (pairs, width) array per width, where pairs is
     the part's largest block's pair count, reused by every block of the
     part so that no block allocates arrays of its own.
+
+    A forward walk holds the arrays it still reads: 4 per part for the
+    gated messages and 2 for the coordinate step, since each silu writes
+    its output over its own tanh array.  A backward walk needs every
+    activation for the slopes, 6 and 3.
 
     A part's arrays are views of one flat allocation, made by the calling
     thread, so that no pool thread draws large arrays from a glibc arena
@@ -475,6 +481,23 @@ class _PairGrad:
         self.g_coords[b0:b1] -= total.sum(axis=1)
 
 
+def _message_grad(d_logit, gate, w_gate, g_rows, out):
+    """Write d(loss)/d(m_ij) = d_logit_ij * gate_w + gate_ij * g_i into
+    ``out``, (graphs, rows, N, M), and return it.
+
+    ``d_logit`` is d(loss)/d(gate logit) and ``gate`` the gates, both
+    (graphs, rows, N), and ``g_rows`` d(loss)/d(output) of the block's
+    receiving rows, (graphs, rows, M).  Each receiving row is one (N, 2)
+    @ (2, M) product, one pass over the block where the outer product,
+    the scaled upstream gradient and their sum take three.
+    """
+    coef = np.stack([d_logit, gate], axis=3)
+    rhs = np.empty(g_rows.shape[:2] + (2, w_gate.shape[0]))
+    rhs[:, :, 0] = w_gate[:, 0]
+    rhs[:, :, 1] = g_rows
+    return np.matmul(coef, rhs, out=out)
+
+
 def _gated_messages(state, message_mlp, gate_w, gate_b):
     """sum_j gate_ij * m_ij for every node i, as one tape node, shaped
     like the node features with width M.
@@ -495,7 +518,6 @@ def _gated_messages(state, message_mlp, gate_w, gate_b):
     hidden, width = w2.shape
     _, blocks = _row_blocks(state.batch_shape, max(hidden, width))
     parts = _parts(blocks)
-    widths = [hidden] * 3 + [width] * 3
 
     def block(scratch, halves, blk):
         b0, b1, i0, i1 = blk
@@ -512,6 +534,9 @@ def _gated_messages(state, message_mlp, gate_w, gate_b):
         return diff, sq_dist, (z1, s1, u1, z2, s2, msg, gate)
 
     def forward(part, scratch, halves):
+        # u1 shares s1's array and msg s2's: nothing reads them later
+        z1, s1, z2, s2 = scratch
+        scratch = (z1, s1, s1, z2, s2, s2)
         for blk in part:
             b0, b1, i0, i1 = blk
             saved = block(scratch, halves, blk)[2]
@@ -521,8 +546,9 @@ def _gated_messages(state, message_mlp, gate_w, gate_b):
 
     out = np.empty((batch, n, width))
     halves = _halves(w2, b2)
+    scratches = _scratch(parts, n, [hidden, hidden, width, width])
     _run_parts(pool, forward, [(part, scratch, halves)
-                               for part, scratch in zip(parts, _scratch(parts, n, widths))])
+                               for part, scratch in zip(parts, scratches)])
 
     def backward(g_out):
         g_out = g_out.reshape(batch, n, width)
@@ -530,11 +556,10 @@ def _gated_messages(state, message_mlp, gate_w, gate_b):
         accs = [[np.zeros_like(w) for w in (w2, b2, w_gate, b_gate)] for _ in parts]
         tmps = [np.empty_like(w2) for _ in parts]
         pair_grads = pair.start_grad(len(parts))
-        scratches = _scratch(parts, n, widths + [width])
+        scratches = _scratch(parts, n, [hidden] * 3 + [width] * 3)
 
         def walk(part, scratch, pair_grad, acc, tmp_w2):
             g_w2, g_b2, g_w_gate, g_b_gate = acc
-            *scratch, d_z2_scratch = scratch
             for blk in part:
                 b0, b1, i0, i1 = blk
                 diff, sq_dist, saved = block(scratch, halves, blk)
@@ -546,10 +571,9 @@ def _gated_messages(state, message_mlp, gate_w, gate_b):
                 d_z3 *= (gate * (1.0 - gate)).reshape(-1, 1)
                 g_w_gate += msg.T @ d_z3
                 g_b_gate += d_z3.sum(axis=0)
-                d_z2 = np.multiply(d_z3, w_gate[:, 0], out=d_z2_scratch[:len(d_z3)])
                 slope2 = _silu_slope(z2, s2, msg)
-                np.multiply(gate[:, :, :, None], g_rows[:, :, None, :], out=msg4)
-                d_z2 += msg
+                _message_grad(d_z3.reshape(gate.shape), gate, w_gate, g_rows, out=msg4)
+                d_z2 = msg
                 d_z2 *= slope2
                 g_w2 += np.matmul(u1.T, d_z2, out=tmp_w2)
                 g_b2 += d_z2.sum(axis=0)
@@ -592,14 +616,16 @@ def _coord_step(state, coord_mlp):
         return diff, sq_dist, (y1, s1, v1, coef, dist, coef / (dist + 1.0))
 
     def forward(part, scratch):
+        # v1 shares s1's array: nothing reads it after the product
+        y1, s1 = scratch
         for blk in part:
             b0, b1, i0, i1 = blk
-            diff, _, saved = block(scratch, blk)
+            diff, _, saved = block((y1, s1, s1), blk)
             weight = saved[5]
             np.matmul(weight[:, :, None, :], diff, out=out[b0:b1, i0:i1, None, :])
 
     out = np.empty((batch, n, 3))
-    _run_parts(pool, forward, list(zip(parts, _scratch(parts, n, [hidden] * 3))))
+    _run_parts(pool, forward, list(zip(parts, _scratch(parts, n, [hidden] * 2))))
 
     def backward(g_out):
         g_out = g_out.reshape(batch, n, 3)

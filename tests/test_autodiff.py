@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -132,6 +133,41 @@ def test_leaf_gradients_are_exact_and_independent():
     # add hands both operands the same upstream array; each leaf must own its copy
     a.grad[0, 0] += 1.0
     assert not np.array_equal(a.grad, b.grad)
+
+
+def test_backward_peak_stays_near_one_copy_of_the_parameters():
+    # A leaf takes its first gradient contribution as its array, so the
+    # backward pass of a wide layer holds about one gradient per parameter
+    # and no zero-filled array beside it.
+    rng = np.random.default_rng(8)
+    x = ad.Tensor(rng.normal(size=(4, 2000)))
+    w = ad.Tensor(rng.normal(size=(2000, 500)), requires_grad=True)
+    b = ad.Tensor(np.zeros(500), requires_grad=True)
+    with ad.Tape() as tape:
+        loss = ad.tsum(ad.add(ad.matmul(x, w), b))
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert np.allclose(w.grad, x.data.sum(axis=0)[:, None], rtol=1e-12, atol=1e-12)
+    assert np.array_equal(b.grad, np.full(500, 4.0))
+    assert peak < 2.5 * (w.data.nbytes + b.data.nbytes)
+
+
+@pytest.mark.parametrize("indices", [[3, 0, 5, 1], [[2, 4], [0, 1]], [1, 3, 1, 1, 0], []])
+def test_gather_rows_gradient_matches_scatter_add(indices):
+    # distinct indices are written by assignment, repeated ones scatter-added
+    rng = np.random.default_rng(9)
+    a = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    idx = np.asarray(indices, dtype=np.intp)
+    probe = rng.normal(size=idx.shape + (3,))
+    with ad.Tape() as tape:
+        tape.backward(ad.tsum(ad.mul(ad.gather_rows(a, idx), probe)))
+    want = np.zeros((6, 3))
+    np.add.at(want, idx, probe)
+    assert np.array_equal(a.grad, want)
 
 
 def test_sigmoid_and_silu_exact_and_quiet_on_wide_range():
@@ -327,6 +363,43 @@ def test_adam_matches_scalar_recurrence():
         p.grad = np.array([g])
         ad.adam_step(state, lr=lr)
     assert abs(p.data[0] - ref_p) < 1e-12
+
+
+def test_fresh_adam_moments_are_exact_zeros():
+    params = [ad.Tensor(np.ones(shape), requires_grad=True) for shape in [(1,), (7,), (13, 5)]]
+    state = ad.AdamState(params)
+    for m, v, p in zip(state.m, state.v, params):
+        assert m.shape == v.shape == p.shape and m.dtype == v.dtype == np.float64
+        assert not np.any(np.signbit(m)) and not np.any(np.signbit(v))
+        assert np.array_equal(m, np.zeros(p.shape)) and np.array_equal(v, np.zeros(p.shape))
+
+
+def test_adam_step_has_the_bits_of_the_out_of_place_update():
+    rng = np.random.default_rng(12)
+    shapes = [(1,), (7,), (13, 5)]
+    start = [rng.normal(size=shape) for shape in shapes]
+    params = [ad.Tensor(p.copy(), requires_grad=True) for p in start]
+    state = ad.AdamState(params)
+    ref_p = [p.copy() for p in start]
+    ref_m = [np.zeros(shape) for shape in shapes]
+    ref_v = [np.zeros(shape) for shape in shapes]
+    b1, b2 = ad.ADAM_BETA1, ad.ADAM_BETA2
+    for t, lr in zip((1, 2, 3), (1e-2, 3e-3, 1e-3)):
+        grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3) for shape in shapes]
+        for p, g in zip(params, grads):
+            p.grad = g.copy()
+        ad.adam_step(state, lr)
+        for i, g in enumerate(grads):
+            ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
+            ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * (g * g)
+            m_hat = ref_m[i] / (1.0 - b1 ** t)
+            v_hat = ref_v[i] / (1.0 - b2 ** t)
+            ref_p[i] -= lr * m_hat / (np.sqrt(v_hat) + ad.ADAM_EPS)
+        for i, p in enumerate(params):
+            assert p.data.tobytes() == ref_p[i].tobytes()
+            assert state.m[i].tobytes() == ref_m[i].tobytes()
+            assert state.v[i].tobytes() == ref_v[i].tobytes()
+            assert p.grad is None
 
 
 def test_adam_missing_grad_is_state_error():

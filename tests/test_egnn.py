@@ -456,6 +456,79 @@ def test_pooled_gradients_repeat_bit_for_bit_under_fast_thread_switching(monkeyp
         sys.setswitchinterval(interval)
 
 
+def _reference_blocks(state, layer):
+    # The two kernels' forward walks with a separate array for every
+    # activation, each block built from ``_PairInput.block``: the
+    # reference for the forward walks, which write u1 over s1 and msg
+    # over s2 (v1 over s1 in the coordinate step).
+    batch, n = state.batch_shape
+    messages = np.empty((batch, n, layer.message_width))
+    shifts = np.empty((batch, n, 3))
+    for mlp, out in ((layer.message, messages), (layer.coord, shifts)):
+        pair = egnn._PairInput(state, mlp)
+        w2, b2 = mlp.w2.data, mlp.b2.data
+        hidden, width = w2.shape
+        for blk in egnn._row_blocks(state.batch_shape, max(hidden, width))[1]:
+            b0, b1, i0, i1 = blk
+            count = (b1 - b0) * (i1 - i0) * n
+            z1, s1, u1 = (np.empty((count, hidden)) for _ in range(3))
+            diff, sq_dist = pair.block(blk, out=z1)
+            egnn._silu(z1, s1, u1)
+            diag = np.arange(i1 - i0)
+            if out is messages:
+                half_w2, half_b2 = egnn._halves(w2, b2)
+                z2, s2, msg = (np.empty((count, width)) for _ in range(3))
+                np.matmul(u1, half_w2, out=z2)
+                z2 += half_b2
+                egnn._silu(z2, s2, msg)
+                gate = ad._sigmoid(msg @ layer.gate_w.data + layer.gate_b.data)
+                gate = gate.reshape(sq_dist.shape)
+                gate[:, diag, diag + i0] = 0.0
+                rows = np.matmul(gate[:, :, None, :], msg.reshape(gate.shape + (width,)))
+            else:
+                coef = (u1 @ w2 + b2).reshape(sq_dist.shape)
+                weight = coef / (np.sqrt(sq_dist) + 1.0)
+                rows = np.matmul(weight[:, :, None, :], diff)
+            out[b0:b1, i0:i1] = rows[:, :, 0, :]
+    return messages, shifts
+
+
+def test_aliased_forward_walks_match_separate_arrays_bit_for_bit(monkeypatch):
+    n, width = 35, 8
+    blocks = _several_blocks(monkeypatch, n=n, width=width, rows=5)
+    assert len(blocks) == 7
+    layer, coords, feats, _ = _layer_case(33, n=n, feat_width=width, message_width=width)
+    state = egnn.GraphState(ad.Tensor(coords[None]), ad.Tensor(feats[None]))
+    messages = egnn._gated_messages(state, layer.message, layer.gate_w, layer.gate_b)
+    shifts = egnn._coord_step(state, layer.coord)
+    want_messages, want_shifts = _reference_blocks(state, layer)
+    assert messages.data.tobytes() == want_messages.tobytes()
+    assert shifts.data.tobytes() == want_shifts.tobytes()
+
+
+def test_rank_two_message_gradient_matches_three_passes(monkeypatch):
+    # d(msg) = d_logit * gate_w + gate * g_i as one (N, 2) @ (2, M)
+    # product per receiving row, against the outer product, the scaled
+    # upstream gradient and their sum, in every block of the backward walk
+    n, width = 30, 8
+    blocks = _several_blocks(monkeypatch, n=n, width=width, rows=6)
+    layer, coords, feats, probe = _layer_case(34, n=n, feat_width=width, message_width=width)
+    seen = []
+    rank_two = egnn._message_grad
+
+    def compare(d_logit, gate, w_gate, g_rows, out):
+        three_passes = d_logit[:, :, :, None] * w_gate[:, 0]
+        three_passes += gate[:, :, :, None] * g_rows[:, :, None, :]
+        got = rank_two(d_logit, gate, w_gate, g_rows, out)
+        seen.append(np.linalg.norm(got - three_passes) / np.linalg.norm(three_passes))
+        return got
+
+    monkeypatch.setattr(egnn, "_message_grad", compare)
+    _layer_outputs_and_grads(egnn.egcl_forward, layer, coords, feats, probe)
+    assert len(seen) == len(blocks)
+    assert max(seen) < 1e-15
+
+
 def test_layer_gradients_finite_for_coincident_nodes_in_several_blocks(monkeypatch):
     # The parts run on pool threads; numpy's error state must reach them.
     n = 5
