@@ -19,6 +19,11 @@ two-thread pool.  The first kernel call of any size sets numpy's OpenBLAS
 to one thread before its first product, so that BLAS rounds the same way
 in every call of the process; a call with one block runs on the calling
 thread.
+
+A layer may be given the rows that its caller reads (``egcl_forward``):
+its blocks then list only those receiving rows, and every other row
+receives no messages.  ``egnn_forward`` gives such a mask to its last
+layer only.
 """
 
 import contextvars
@@ -196,25 +201,67 @@ class GraphState:
 _BLOCK_VALUES = 2 ** 17
 
 
-def _row_blocks(batch_shape, width):
-    """Receiving rows per block, and the blocks of the B graphs of N
-    nodes of ``batch_shape`` = (B, N), each as (b0, b1, i0, i1): rows
-    i0:i1 of graphs b0:b1.
+def _row_blocks(receive, width):
+    """Receiving rows per block, and the blocks that walk the receiving
+    rows of ``receive``, a (B, N) bool mask over the nodes of B graphs of
+    N nodes each that is True at the rows that receive messages.
 
-    A block takes as many whole graphs as fit in it, so that small graphs
-    share one block; a graph with more rows than fit is walked one block
-    of rows at a time.
+    Each block is (b0, b1, rows, keep) for graphs b0:b1: ``rows`` is a
+    (b1 - b0, r) int array of each graph's receiving rows, and ``keep``, a
+    bool array of the same shape, is False at padding rows.  A block takes
+    as many whole graphs as fit in it, so that small graphs share one
+    block; each graph lists its receiving rows first, in index order, and
+    the block pads every list to its longest with rows that receive
+    nothing, whose outputs and upstream gradients the kernels zero.  A
+    graph with more rows than fit is walked one block of its receiving rows
+    at a time.  No block is made where no row receives.  With every row
+    receiving, a block's rows are i0:i1 of each of its graphs.
     """
-    batch, n = batch_shape
+    batch, n = receive.shape
     rows = max(1, _BLOCK_VALUES // max(1, n * width))
     if n == 0:
         return rows, []
+    order = np.argsort(~receive, axis=1, kind="stable")
+    counts = receive.sum(axis=1)
     if rows >= n:
         graphs = rows // n
-        return rows, [(b, min(b + graphs, batch), 0, n) for b in range(0, batch, graphs)]
-    return rows, [
-        (b, b + 1, i, min(i + rows, n)) for b in range(batch) for i in range(0, n, rows)
-    ]
+        spans = [(b, min(b + graphs, batch), 0, counts[b:b + graphs].max())
+                 for b in range(0, batch, graphs)]
+    else:
+        spans = [(b, b + 1, i, min(i + rows, counts[b]))
+                 for b in range(batch) for i in range(0, counts[b], rows)]
+    return rows, [(b0, b1, order[b0:b1, i0:i1], np.arange(i0, i1) < counts[b0:b1, None])
+                  for b0, b1, i0, i1 in spans if i1 > i0]
+
+
+def _pick(rows):
+    """Index of a block's receiving ``rows``, (graphs, r), into the
+    block's (graphs, N, ·) node arrays."""
+    return np.arange(rows.shape[0])[:, None], rows
+
+
+def _diagonal(rows):
+    """Index of the pairs (i, i) of a block's receiving ``rows`` into its
+    (graphs, r, N) pair arrays."""
+    graphs, count = rows.shape
+    return np.arange(graphs)[:, None], np.arange(count), rows
+
+
+def _put_rows(out, blk, sums):
+    """Write a block's output rows, (graphs, r, ·), into their rows of
+    ``out``, (B, N, ·), with the padding rows' outputs zeroed."""
+    b0, b1, rows, keep = blk
+    sums[~keep] = 0.0
+    out[b0:b1][_pick(rows)] = sums
+
+
+def _grad_rows(g_out, blk):
+    """d(loss)/d(output) of a block's receiving rows, (graphs, r, ·), read
+    from ``g_out``, (B, N, ·), with the padding rows' gradients zeroed."""
+    b0, b1, rows, keep = blk
+    g_rows = g_out[b0:b1][_pick(rows)]
+    g_rows[~keep] = 0.0
+    return g_rows
 
 
 def _parts(blocks):
@@ -249,7 +296,7 @@ def _scratch(parts, n, widths):
     """
     out = []
     for part in parts:
-        count = n * max([(b1 - b0) * (i1 - i0) for b0, b1, i0, i1 in part], default=0)
+        count = n * max([blk[2].size for blk in part], default=0)
         flat = np.empty(count * sum(widths))
         arrays = np.split(flat, np.cumsum([count * width for width in widths[:-1]]))
         out.append([a.reshape(count, width) for a, width in zip(arrays, widths)])
@@ -383,10 +430,11 @@ class _PairInput:
 
     Its product with ``w1`` splits into ``h_i @ w1[:d]``, ``h_j @
     w1[d:2d]`` and ``d² * w1[2d]``: the node terms cost B·N rows of
-    matmul, not B·N².  A block is a (b0, b1, i0, i1) of ``_row_blocks``,
-    and its pair arrays are (graphs, rows, N, ·).  A block holds half the
-    pre-activations, the input ``_silu`` takes; the node terms are halved
-    once, and the gradient is of the whole pre-activations.
+    matmul, not B·N².  A block is a (b0, b1, rows, keep) of
+    ``_row_blocks``, and its pair arrays are (graphs, r, N, ·).  A block
+    holds half the pre-activations, the input ``_silu`` takes; the node
+    terms are halved once, and the gradient is of the whole
+    pre-activations.
     """
 
     def __init__(self, state, mlp):
@@ -405,21 +453,20 @@ class _PairInput:
 
     def block(self, blk, out):
         """Write half the first-layer pre-activations of block ``blk`` into
-        ``out``, (graphs * rows * N, H), and return the difference vectors
-        x_i - x_j, (graphs, rows, N, 3), and d², (graphs, rows, N).
+        ``out``, (graphs * r * N, H), and return the difference vectors
+        x_i - x_j, (graphs, r, N, 3), and d², (graphs, r, N).
 
         The diagonal pair (i, i) gets d² = 1, so that ``sqrt`` never sees
         a zero; its difference vector is exactly zero.
         """
-        b0, b1, i0, i1 = blk
+        b0, b1, rows, _ = blk
         coords = self.coords[b0:b1]
-        diff = coords[:, i0:i1, None, :] - coords[:, None, :, :]
+        diff = coords[_pick(rows)][:, :, None, :] - coords[:, None, :, :]
         sq_dist = (diff * diff).sum(axis=3)
-        rows = np.arange(i1 - i0)
-        sq_dist[:, rows, rows + i0] = 1.0
+        sq_dist[_diagonal(rows)] = 1.0
         out4 = out.reshape(sq_dist.shape + (-1,))
         np.multiply(sq_dist[:, :, :, None], self.half_dist, out=out4)
-        out4 += self.from_i[b0:b1, i0:i1, None, :]
+        out4 += self.from_i[b0:b1][_pick(rows)][:, :, None, :]
         out4 += self.from_j[b0:b1, None, :, :]
         return diff, sq_dist
 
@@ -458,16 +505,16 @@ class _PairGrad:
     def add_grad(self, blk, diff, sq_dist, d_out, d_sq_dist=None, d_diff=None):
         """Accumulate the gradient of block ``blk``, given what
         ``_PairInput.block`` returned for it, d(loss)/d(pre-activations)
-        ``d_out``, (graphs * rows * N, H), and any gradient that reaches d²
+        ``d_out``, (graphs * r * N, H), and any gradient that reaches d²
         or the difference vectors another way.  A block kept on the
         instance instead would outlive the forward pass on the tape: that
         raised the peak RSS of width-32 training (bench ``train-toy``, 2
         cores) from 63 to 69 MB.  On the diagonal the difference vector is
         zero, so d² passes nothing.
         """
-        b0, b1, i0, i1 = blk
+        b0, b1, rows, _ = blk
         d_out4 = d_out.reshape(sq_dist.shape + (-1,))
-        d_out4.sum(axis=2, out=self.pair.g_i[b0:b1, i0:i1])
+        self.pair.g_i[b0:b1][_pick(rows)] = d_out4.sum(axis=2)
         self.g_j[b0:b1] += d_out4.sum(axis=1, out=self._sum_i[b0:b1])
         self.g_dist += sq_dist.reshape(1, -1) @ d_out
         d_sq = (d_out @ self.pair.w_dist.T).reshape(sq_dist.shape)
@@ -477,7 +524,7 @@ class _PairGrad:
         total *= 2.0
         if d_diff is not None:
             total += d_diff
-        self.g_coords[b0:b1, i0:i1] += total.sum(axis=2)
+        self.g_coords[b0:b1][_pick(rows)] += total.sum(axis=2)
         self.g_coords[b0:b1] -= total.sum(axis=1)
 
 
@@ -498,9 +545,10 @@ def _message_grad(d_logit, gate, w_gate, g_rows, out):
     return np.matmul(coef, rhs, out=out)
 
 
-def _gated_messages(state, message_mlp, gate_w, gate_b):
-    """sum_j gate_ij * m_ij for every node i, as one tape node, shaped
-    like the node features with width M.
+def _gated_messages(state, message_mlp, gate_w, gate_b, receive):
+    """sum_j gate_ij * m_ij for every node i that ``receive``, a (B, N)
+    bool mask, selects, and zero for every other node, as one tape node
+    shaped like the node features with width M.
 
     m_ij = silu(``message_mlp`` of the pair input) and gate_ij =
     sigmoid(m_ij · ``gate_w`` + ``gate_b``), a linear gate; the diagonal's
@@ -516,21 +564,19 @@ def _gated_messages(state, message_mlp, gate_w, gate_b):
     w2, b2 = message_mlp.w2.data, message_mlp.b2.data
     w_gate, b_gate = gate_w.data, gate_b.data
     hidden, width = w2.shape
-    _, blocks = _row_blocks(state.batch_shape, max(hidden, width))
+    _, blocks = _row_blocks(receive, max(hidden, width))
     parts = _parts(blocks)
 
     def block(scratch, halves, blk):
-        b0, b1, i0, i1 = blk
         half_w2, half_b2 = halves
-        z1, s1, u1, z2, s2, msg = (a[:(b1 - b0) * (i1 - i0) * n] for a in scratch)
+        z1, s1, u1, z2, s2, msg = (a[:blk[2].size * n] for a in scratch)
         diff, sq_dist = pair.block(blk, out=z1)
         _silu(z1, s1, u1)
         np.matmul(u1, half_w2, out=z2)
         z2 += half_b2
         _silu(z2, s2, msg)
         gate = ad._sigmoid(msg @ w_gate + b_gate).reshape(sq_dist.shape)
-        diag = np.arange(i1 - i0)
-        gate[:, diag, diag + i0] = 0.0
+        gate[_diagonal(blk[2])] = 0.0
         return diff, sq_dist, (z1, s1, u1, z2, s2, msg, gate)
 
     def forward(part, scratch, halves):
@@ -538,13 +584,12 @@ def _gated_messages(state, message_mlp, gate_w, gate_b):
         z1, s1, z2, s2 = scratch
         scratch = (z1, s1, s1, z2, s2, s2)
         for blk in part:
-            b0, b1, i0, i1 = blk
             saved = block(scratch, halves, blk)[2]
             gate = saved[6]
             msg = saved[5].reshape(gate.shape + (width,))
-            np.matmul(gate[:, :, None, :], msg, out=out[b0:b1, i0:i1, None, :])
+            _put_rows(out, blk, np.matmul(gate[:, :, None, :], msg)[:, :, 0])
 
-    out = np.empty((batch, n, width))
+    out = np.zeros((batch, n, width))
     halves = _halves(w2, b2)
     scratches = _scratch(parts, n, [hidden, hidden, width, width])
     _run_parts(pool, forward, [(part, scratch, halves)
@@ -561,10 +606,9 @@ def _gated_messages(state, message_mlp, gate_w, gate_b):
         def walk(part, scratch, pair_grad, acc, tmp_w2):
             g_w2, g_b2, g_w_gate, g_b_gate = acc
             for blk in part:
-                b0, b1, i0, i1 = blk
                 diff, sq_dist, saved = block(scratch, halves, blk)
                 z1, s1, u1, z2, s2, msg, gate = saved
-                g_rows = g_out[b0:b1, i0:i1]
+                g_rows = _grad_rows(g_out, blk)
                 msg4 = msg.reshape(gate.shape + (width,))
                 # the zeroed diagonal gate has zero slope, so it passes nothing back
                 d_z3 = np.matmul(msg4, g_rows[:, :, :, None]).reshape(-1, 1)
@@ -590,10 +634,11 @@ def _gated_messages(state, message_mlp, gate_w, gate_b):
     return ad.record_op(out, inputs, backward, "egnn.gated_messages")
 
 
-def _coord_step(state, coord_mlp):
-    """sum_j (x_i - x_j) * c_ij / (d_ij + 1) for every node i, as one tape
-    node shaped like the coordinates, where c_ij is ``coord_mlp`` of the
-    pair input, with no output activation.
+def _coord_step(state, coord_mlp, receive):
+    """sum_j (x_i - x_j) * c_ij / (d_ij + 1) for every node i that
+    ``receive`` selects, and zero for every other node, as one tape node
+    shaped like the coordinates, where c_ij is ``coord_mlp`` of the pair
+    input, with no output activation.
 
     Walked one block at a time like ``_gated_messages``, in the same two
     parts, and computed again block by block in the backward pass.
@@ -603,12 +648,11 @@ def _coord_step(state, coord_mlp):
     pair = _PairInput(state, coord_mlp)
     w2, b2 = coord_mlp.w2.data, coord_mlp.b2.data
     hidden = w2.shape[0]
-    _, blocks = _row_blocks(state.batch_shape, hidden)
+    _, blocks = _row_blocks(receive, hidden)
     parts = _parts(blocks)
 
     def block(scratch, blk):
-        b0, b1, i0, i1 = blk
-        y1, s1, v1 = (a[:(b1 - b0) * (i1 - i0) * n] for a in scratch)
+        y1, s1, v1 = (a[:blk[2].size * n] for a in scratch)
         diff, sq_dist = pair.block(blk, out=y1)
         _silu(y1, s1, v1)
         coef = (v1 @ w2 + b2).reshape(sq_dist.shape)
@@ -619,12 +663,11 @@ def _coord_step(state, coord_mlp):
         # v1 shares s1's array: nothing reads it after the product
         y1, s1 = scratch
         for blk in part:
-            b0, b1, i0, i1 = blk
             diff, _, saved = block((y1, s1, s1), blk)
             weight = saved[5]
-            np.matmul(weight[:, :, None, :], diff, out=out[b0:b1, i0:i1, None, :])
+            _put_rows(out, blk, np.matmul(weight[:, :, None, :], diff)[:, :, 0])
 
-    out = np.empty((batch, n, 3))
+    out = np.zeros((batch, n, 3))
     _run_parts(pool, forward, list(zip(parts, _scratch(parts, n, [hidden] * 2))))
 
     def backward(g_out):
@@ -636,10 +679,9 @@ def _coord_step(state, coord_mlp):
         def walk(part, scratch, pair_grad, acc):
             g_w2, g_b2 = acc
             for blk in part:
-                b0, b1, i0, i1 = blk
                 diff, sq_dist, saved = block(scratch, blk)
                 y1, s1, v1, coef, dist, weight = saved
-                g_rows = g_out[b0:b1, i0:i1]
+                g_rows = _grad_rows(g_out, blk)
                 d_weight = np.matmul(diff, g_rows[:, :, :, None])[:, :, :, 0]
                 d_diff = weight[:, :, :, None] * g_rows[:, :, None, :]
                 denom = dist + 1.0
@@ -663,8 +705,16 @@ def _coord_step(state, coord_mlp):
     return ad.record_op(out.reshape(state.coords.shape), inputs, backward, "egnn.coord_step")
 
 
-def egcl_forward(state, params):
+def egcl_forward(state, params, receive=None):
     """One message-passing layer; returns the updated graph state.
+
+    ``receive``, a bool mask shaped like the coordinates without their
+    last axis, selects the nodes that receive messages; None selects every
+    node.  A node outside the mask gets a zero message sum, so its new
+    features are the feature MLP of its features alone, and a zero
+    coordinate step, so its coordinates pass through unchanged.  It still
+    sends messages to the nodes inside the mask, whose updates are those
+    of the full graph, bit for bit.
 
     The pair work is two fused tape nodes, ``_gated_messages`` and
     ``_coord_step``, for every graph of the batch at once.  Each walks
@@ -685,17 +735,33 @@ def egcl_forward(state, params):
         raise ContractError(
             "state features have width %d, layer expects %d" % (d, params.feat_width)
         )
-    gathered = _gated_messages(state, params.message, params.gate_w, params.gate_b)
+    if receive is None:
+        receive = np.ones(state.batch_shape, dtype=bool)
+    elif np.shape(receive) != state.coords.shape[:-1] or np.asarray(receive).dtype != bool:
+        raise ContractError(
+            "receive must be a bool mask of shape %s" % (state.coords.shape[:-1],)
+        )
+    receive = np.reshape(receive, state.batch_shape)
+    gathered = _gated_messages(state, params.message, params.gate_w, params.gate_b, receive)
     new_feats = mlp_forward(params.feature, ad.concat([state.feats, gathered], axis=-1))
-    new_coords = ad.add(state.coords, _coord_step(state, params.coord))
+    new_coords = ad.add(state.coords, _coord_step(state, params.coord, receive))
     return GraphState(new_coords, new_feats)
 
 
-def egnn_forward(state, model):
-    """Apply every layer of the model in order."""
+def egnn_forward(state, model, receive=None):
+    """Apply every layer of the model in order.
+
+    ``receive`` is the bool mask, shaped like the coordinates without
+    their last axis, of the rows whose outputs the caller reads; None
+    reads every row.  Only the last layer takes it (see
+    ``egcl_forward``): every earlier layer updates every row, since each of
+    them feeds the messages of the next.  So the rows inside the mask get
+    the outputs of the full graph, and the rows outside it the last
+    layer's update with no messages received.
+    """
     out = state
-    for layer in model.layers:
-        out = egcl_forward(out, layer)
+    for k, layer in enumerate(model.layers):
+        out = egcl_forward(out, layer, receive if k == len(model.layers) - 1 else None)
     return out
 
 

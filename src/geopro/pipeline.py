@@ -43,6 +43,7 @@ from .seqmodel import (
     gsd_feature_select,
     init_context_encoder,
     init_gsd_decoder,
+    kept_rows,
     motif_mask,
     sample_top_k,
     sequence_loss,
@@ -373,7 +374,7 @@ def total_loss(backbone_term, sequence_term, alpha, beta):
 # forward passes
 
 
-def refine_and_decode(features, start_coords, motif, model):
+def refine_and_decode(features, start_coords, motif, model, coords_read=None):
     """EGNN refinement and decoding of already-encoded features.
 
     Returns (revised coords, revised features, residue logits).  Taking
@@ -382,9 +383,19 @@ def refine_and_decode(features, start_coords, motif, model):
     ``start_coords`` (L, 3) and ``motif`` an (L,) bool mask that is True
     at the motif positions; a stack of B examples adds a leading axis to
     each, and to each output.
+
+    ``coords_read``, a bool mask shaped like ``motif``, marks the rows
+    whose revised coordinates the caller reads; None reads every row.
+    The last EGNN layer then updates only those rows and the rows whose
+    features ``gsd_feature_select`` keeps, which under ``as_printed`` is
+    every row.  The logits and the coordinates of those rows are the full
+    graph's; the other rows' revised coordinates and features are not.
     """
+    receive = None
+    if coords_read is not None:
+        receive = kept_rows(motif, model.config.feature_select) | coords_read
     state = GraphState(ad.as_tensor(start_coords), features)
-    out = egnn_forward(state, model.egnn)
+    out = egnn_forward(state, model.egnn, receive)
     selected = gsd_feature_select(
         out.feats, motif, model.decoder.mask_emb, model.config.feature_select
     )
@@ -462,7 +473,9 @@ def batch_losses(examples, model, rngs):
     for members in groups.values():
         stack = _stack([examples[b] for b in members], model, [rngs[b] for b in members])
         features = encode_context(stack.tokens, model.encoder)
-        coords, _, logits = refine_and_decode(features, stack.start, stack.motif, model)
+        coords, _, logits = refine_and_decode(
+            features, stack.start, stack.motif, model, ~stack.motif
+        )
         parts.append((
             backbone_loss(coords, stack.coords, stack.motif),
             sequence_loss(logits, stack.sequences, stack.motif),
@@ -634,14 +647,15 @@ def design(motif, length, n_candidates, k, model, seed, pin_motif=True):
         )
     tokens = np.full(length, MASK, dtype=np.int64)
     tokens[motif.positions] = motif.residues
-    flexible = np.setdiff1d(np.arange(length), motif.positions)
     fixed = motif_mask(motif.positions, length)
+    flexible = np.flatnonzero(~fixed)
+    coords_read = ~fixed if pin_motif else None
     features = encode_context(tokens, model.encoder)
     out = []
     for index in range(n_candidates):
         rng = substream(seed, "design-%d" % index)
         start = init_backbone_coords(motif, length, model.config.radius, rng)
-        coords, _, logits = refine_and_decode(features, start, fixed, model)
+        coords, _, logits = refine_and_decode(features, start, fixed, model, coords_read)
         row_logits = logits.data
         probs = np.exp(row_logits - row_logits.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
@@ -789,14 +803,19 @@ def make_dirs(path):
 
 
 def check_writable(path):
-    """Raise ``DataError`` unless ``write_atomic`` can write ``path``: a
-    probe file next to it is written with ``write_atomic`` and removed.
-    Lets a command refuse an output before a long run."""
+    """Raise ``DataError``, naming ``path``, unless ``write_atomic`` can
+    write it: a probe file is made next to it, where ``write_atomic``
+    makes its temporary file, and removed.  Lets a command refuse an
+    output before a long run."""
     if os.path.isdir(path):
         raise DataError("cannot write %s: it is a directory" % path)
     probe = "%s.probe" % path
-    write_atomic(probe, b"")
-    os.remove(probe)
+    try:
+        with open(probe, "wb"):
+            pass
+        os.remove(probe)
+    except OSError as exc:
+        raise DataError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
 
 
 def save_checkpoint(path, model):

@@ -275,6 +275,15 @@ def encode_context(tokens, encoder):
     return x
 
 
+def kept_rows(motif, mode):
+    """Bool mask, shaped like the bool ``motif`` mask, of the positions
+    whose features ``gsd_feature_select`` keeps under ``mode``."""
+    if mode not in FEATURE_SELECT_MODES:
+        raise ConfigError("feature_select mode must be one of %s" % (FEATURE_SELECT_MODES,))
+    motif = np.asarray(motif, dtype=bool)
+    return motif if mode == "as_printed" else ~motif
+
+
 def gsd_feature_select(features, motif, mask_emb, mode):
     """Choose which positions keep their features and which get the mask
     row.
@@ -282,16 +291,14 @@ def gsd_feature_select(features, motif, mask_emb, mode):
     ``motif`` is a bool mask shaped like ``features`` without its last
     axis, True at the motif positions.  ``as_printed`` keeps the motif
     positions and replaces every other row with the learned mask
-    embedding; ``inverted`` does the opposite.
+    embedding; ``inverted`` does the opposite (see ``kept_rows``).
     """
-    if mode not in FEATURE_SELECT_MODES:
-        raise ConfigError("feature_select mode must be one of %s" % (FEATURE_SELECT_MODES,))
-    motif = np.asarray(motif, dtype=bool)
-    if motif.shape != features.shape[:-1]:
+    keep = kept_rows(motif, mode)
+    if keep.shape != features.shape[:-1]:
         raise ContractError(
-            "motif mask shape %s does not match features %s" % (motif.shape, features.shape)
+            "motif mask shape %s does not match features %s" % (keep.shape, features.shape)
         )
-    keep = (motif if mode == "as_printed" else ~motif)[..., None].astype(np.float64)
+    keep = keep[..., None].astype(np.float64)
     return ad.add(ad.mul(features, keep), ad.mul(mask_emb, 1.0 - keep))
 
 

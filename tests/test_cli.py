@@ -171,6 +171,7 @@ PINNED_DEFAULTS = {
     "egnn.init_mlp(out_scale)",
     "egnn.init_egnn(message_width)",
     "egnn.equivariance_check(forward)",
+    "egnn.egcl_forward(receive)", "egnn.egnn_forward(receive)",
     "egnn._PairGrad.add_grad(d_sq_dist)", "egnn._PairGrad.add_grad(d_diff)",
     "geometry.random_rigid(reflect)",
     "metrics.EvalRow.__init__(plddt)",
@@ -178,6 +179,7 @@ PINNED_DEFAULTS = {
     "pipeline.build_config(file_text)", "pipeline.build_config(overrides)",
     "pipeline.train(valid_set)", "pipeline.train(checkpoint_path)",
     "pipeline.design(pin_motif)",
+    "pipeline.refine_and_decode(coords_read)",
 }
 
 
@@ -521,6 +523,7 @@ def test_train_refuses_unwritable_outputs_before_training(
     assert cli.run(argv) == 2
     err = capsys.readouterr().err
     assert "error: cannot write" in err and "Traceback" not in err
+    assert "error: cannot write %s: " % paths[flag] in err
     assert not list(tmp_path.rglob("*.probe*"))
 
 

@@ -137,17 +137,25 @@ def test_equivariance_check_catches_position_leak():
     assert corrupted > 1e-2
 
 
-def _edge_list_forward(state, params, leak=None):
-    # The layer written over the explicit list of N(N-1) ordered pairs,
-    # with row gathers and scatter-adds: the reference for the dense form.
-    # ``leak``, if given, maps (h_i, x_i) to the h_i of the pair input, so
-    # that a test can corrupt the layer on purpose.
-    n = state.node_count
-    src, dst = np.where(~np.eye(n, dtype=bool))
-    h_i = ad.gather_rows(state.feats, src)
-    h_j = ad.gather_rows(state.feats, dst)
-    x_i = ad.gather_rows(state.coords, src)
-    x_j = ad.gather_rows(state.coords, dst)
+def _edge_list_forward(state, params, leak=None, receive=None):
+    # The layer written over the explicit list of the ordered pairs (i, j),
+    # i != j, of each graph, with row gathers and scatter-adds: the
+    # reference for the dense form.  Only the pairs whose receiving node i
+    # ``receive`` selects are listed, every pair if it is None.  ``leak``,
+    # if given, maps (h_i, x_i) to the h_i of the pair input, so that a
+    # test can corrupt the layer on purpose.
+    batch, n = state.batch_shape
+    edges = np.broadcast_to(~np.eye(n, dtype=bool), (batch, n, n))
+    if receive is not None:
+        edges = edges & np.reshape(receive, (batch, n, 1))
+    graph, src, dst = np.nonzero(edges)
+    src, dst = graph * n + src, graph * n + dst
+    feats = ad.reshape(state.feats, (batch * n, state.feats.shape[-1]))
+    coords = ad.reshape(state.coords, (batch * n, 3))
+    h_i = ad.gather_rows(feats, src)
+    h_j = ad.gather_rows(feats, dst)
+    x_i = ad.gather_rows(coords, src)
+    x_j = ad.gather_rows(coords, dst)
     if leak is not None:
         h_i = leak(h_i, x_i)
     diff = ad.sub(x_i, x_j)
@@ -155,14 +163,13 @@ def _edge_list_forward(state, params, leak=None):
     pair_input = ad.concat([h_i, h_j, sq_dist], axis=1)
     messages = ad.silu(egnn.mlp_forward(params.message, pair_input))
     gate = ad.sigmoid(ad.add(ad.matmul(messages, params.gate_w), params.gate_b))
-    gathered = ad.index_add_rows(ad.mul(gate, messages), src, n)
-    new_feats = egnn.mlp_forward(
-        params.feature, ad.concat([state.feats, gathered], axis=1)
-    )
+    gathered = ad.index_add_rows(ad.mul(gate, messages), src, batch * n)
+    new_feats = egnn.mlp_forward(params.feature, ad.concat([feats, gathered], axis=1))
     dist = ad.sqrt(sq_dist)
     weight = ad.div(egnn.mlp_forward(params.coord, pair_input), ad.add(dist, 1.0))
-    new_coords = ad.add(state.coords, ad.index_add_rows(ad.mul(diff, weight), src, n))
-    return egnn.GraphState(new_coords, new_feats)
+    new_coords = ad.add(coords, ad.index_add_rows(ad.mul(diff, weight), src, batch * n))
+    return egnn.GraphState(ad.reshape(new_coords, state.coords.shape),
+                           ad.reshape(new_feats, state.feats.shape))
 
 
 def _layer_outputs_and_grads(forward, layer, coords, feats, probe):
@@ -212,8 +219,8 @@ def test_dense_layer_matches_edge_list_reference(n):
 def test_blocked_layer_matches_edge_list_reference():
     # n=100 at width 32 walks the pair grid in blocks of 40, 40 and 20 rows
     n, width = 100, 32
-    rows, blocks = egnn._row_blocks((1, n), width)
-    assert len(blocks) >= 3 and blocks[-1][3] - blocks[-1][2] < rows
+    rows, blocks = _every_row_blocks((1, n), width)
+    assert len(blocks) >= 3 and blocks[-1][2].shape[1] < rows
     rng = np.random.default_rng(20)
     layer = _draw_gates(rng, [egnn.init_egcl(rng, feat_width=width, message_width=width)])
     coords = rng.normal(scale=4.0, size=(n, 3))
@@ -233,12 +240,23 @@ def test_blocked_layer_matches_edge_list_reference():
         assert _rel_dev(got, want) < 1e-10
 
 
+def _every_row_blocks(batch_shape, width):
+    return egnn._row_blocks(np.ones(batch_shape, dtype=bool), width)
+
+
+def _block_spans(blocks):
+    # (b0, b1, rows as nested lists, keep as nested lists) of each block
+    return [(b0, b1, rows.tolist(), keep.tolist()) for b0, b1, rows, keep in blocks]
+
+
 def test_small_graphs_share_one_block():
     # four width-32 graphs of 30 nodes fit one ~1 MB block; one width-320
     # graph of 100 nodes is walked in blocks of 4 rows
-    assert egnn._row_blocks((4, 30), 32)[1] == [(0, 4, 0, 30)]
-    rows, blocks = egnn._row_blocks((1, 100), 320)
-    assert rows == 4 and len(blocks) == 25 and blocks[1] == (0, 1, 4, 8)
+    assert _block_spans(_every_row_blocks((4, 30), 32)[1]) == [
+        (0, 4, [list(range(30))] * 4, [[True] * 30] * 4)]
+    rows, blocks = _every_row_blocks((1, 100), 320)
+    assert rows == 4 and len(blocks) == 25
+    assert _block_spans(blocks)[1] == (0, 1, [[4, 5, 6, 7]], [[True] * 4])
 
 
 def test_batch_matches_each_graph_alone():
@@ -351,6 +369,25 @@ def test_permutation_equivariance():
     assert np.max(np.abs(out_p.feats.data - out.feats.data[perm])) < 1e-10
 
 
+def test_permutation_equivariance_with_the_receiving_mask_permuted():
+    rng = np.random.default_rng(7)
+    model = egnn.init_egnn(rng, depth=2, feat_width=4, message_width=5)
+    _draw_gates(rng, model.layers)
+    state = _random_state(rng, 6, 4)
+    mask = np.array([True, False, True, True, False, True])
+    out = egnn.egnn_forward(state, model, mask)
+    full = egnn.egnn_forward(state, model)
+    assert out.coords.data[mask].tobytes() == full.coords.data[mask].tobytes()
+    assert out.feats.data[mask].tobytes() == full.feats.data[mask].tobytes()
+    perm = rng.permutation(6)
+    permuted = egnn.GraphState(
+        ad.Tensor(state.coords.data[perm]), ad.Tensor(state.feats.data[perm])
+    )
+    out_p = egnn.egnn_forward(permuted, model, mask[perm])
+    assert np.max(np.abs(out_p.coords.data - out.coords.data[perm])) < 1e-10
+    assert np.max(np.abs(out_p.feats.data - out.feats.data[perm])) < 1e-10
+
+
 def test_layer_gradients_match_finite_differences():
     rng = np.random.default_rng(8)
     model = egnn.init_egnn(rng, depth=1, feat_width=4, message_width=6)
@@ -374,6 +411,9 @@ def test_width_contracts():
     layer = egnn.init_egcl(rng, feat_width=4, message_width=6)
     with pytest.raises(ContractError):
         egnn.egcl_forward(_random_state(rng, 3, 5), layer)
+    for receive in (np.ones(4, dtype=bool), np.ones((1, 3), dtype=bool), np.ones(3)):
+        with pytest.raises(ContractError):
+            egnn.egcl_forward(_random_state(rng, 3, 4), layer, receive)
     with pytest.raises(ContractError):
         egnn.EgclParams(
             message=egnn.init_mlp(rng, 9, 6, 6),
@@ -392,7 +432,7 @@ def _several_blocks(monkeypatch, n, width, rows):
     # Shrink the block size so that a small graph walks one block per
     # ``rows`` receiving rows; the tests below want an odd count, at least 5.
     monkeypatch.setattr(egnn, "_BLOCK_VALUES", n * width * rows)
-    blocks = egnn._row_blocks((1, n), width)[1]
+    blocks = _every_row_blocks((1, n), width)[1]
     assert len(blocks) >= 5 and len(blocks) % 2 == 1
     return blocks
 
@@ -468,13 +508,12 @@ def _reference_blocks(state, layer):
         pair = egnn._PairInput(state, mlp)
         w2, b2 = mlp.w2.data, mlp.b2.data
         hidden, width = w2.shape
-        for blk in egnn._row_blocks(state.batch_shape, max(hidden, width))[1]:
-            b0, b1, i0, i1 = blk
-            count = (b1 - b0) * (i1 - i0) * n
+        for blk in _every_row_blocks(state.batch_shape, max(hidden, width))[1]:
+            b0, b1, rows, _ = blk
+            count = rows.size * n
             z1, s1, u1 = (np.empty((count, hidden)) for _ in range(3))
             diff, sq_dist = pair.block(blk, out=z1)
             egnn._silu(z1, s1, u1)
-            diag = np.arange(i1 - i0)
             if out is messages:
                 half_w2, half_b2 = egnn._halves(w2, b2)
                 z2, s2, msg = (np.empty((count, width)) for _ in range(3))
@@ -483,13 +522,13 @@ def _reference_blocks(state, layer):
                 egnn._silu(z2, s2, msg)
                 gate = ad._sigmoid(msg @ layer.gate_w.data + layer.gate_b.data)
                 gate = gate.reshape(sq_dist.shape)
-                gate[:, diag, diag + i0] = 0.0
-                rows = np.matmul(gate[:, :, None, :], msg.reshape(gate.shape + (width,)))
+                gate[:, np.arange(rows.shape[1]), rows[0]] = 0.0
+                sums = np.matmul(gate[:, :, None, :], msg.reshape(gate.shape + (width,)))
             else:
                 coef = (u1 @ w2 + b2).reshape(sq_dist.shape)
                 weight = coef / (np.sqrt(sq_dist) + 1.0)
-                rows = np.matmul(weight[:, :, None, :], diff)
-            out[b0:b1, i0:i1] = rows[:, :, 0, :]
+                sums = np.matmul(weight[:, :, None, :], diff)
+            out[b0:b1, rows[0]] = sums[:, :, 0, :]
     return messages, shifts
 
 
@@ -499,8 +538,10 @@ def test_aliased_forward_walks_match_separate_arrays_bit_for_bit(monkeypatch):
     assert len(blocks) == 7
     layer, coords, feats, _ = _layer_case(33, n=n, feat_width=width, message_width=width)
     state = egnn.GraphState(ad.Tensor(coords[None]), ad.Tensor(feats[None]))
-    messages = egnn._gated_messages(state, layer.message, layer.gate_w, layer.gate_b)
-    shifts = egnn._coord_step(state, layer.coord)
+    every_row = np.ones((1, n), dtype=bool)
+    messages = egnn._gated_messages(state, layer.message, layer.gate_w, layer.gate_b,
+                                    every_row)
+    shifts = egnn._coord_step(state, layer.coord, every_row)
     want_messages, want_shifts = _reference_blocks(state, layer)
     assert messages.data.tobytes() == want_messages.tobytes()
     assert shifts.data.tobytes() == want_shifts.tobytes()
@@ -540,6 +581,82 @@ def test_layer_gradients_finite_for_coincident_nodes_in_several_blocks(monkeypat
     assert all(np.all(np.isfinite(g)) for g in grads)
 
 
+# (B, N, receiving rows of each graph, rows per block or None for the
+# default block size): one block of three graphs padded to the longest
+# list; blocks of two graphs each, one of them padded with a graph that
+# receives nothing; and graphs walked two receiving rows at a time, in
+# six blocks over two parts
+_MASKED_LAYOUTS = [
+    (3, 9, (4, 9, 0), None),
+    (5, 6, (1, 6, 3, 0, 2), 12),
+    (2, 11, (7, 3), 2),
+]
+
+
+def _masked_case(monkeypatch, batch, n, counts, rows):
+    width = 6
+    if rows is not None:
+        monkeypatch.setattr(egnn, "_BLOCK_VALUES", n * width * rows)
+    rng = np.random.default_rng(40 + n)
+    layer = _draw_gates(rng, [egnn.init_egcl(rng, feat_width=4, message_width=width)])
+    coords = rng.normal(scale=2.0, size=(batch, n, 3))
+    feats = rng.normal(size=(batch, n, 4))
+    mask = np.zeros((batch, n), dtype=bool)
+    for b, count in enumerate(counts):
+        mask[b, rng.choice(n, count, replace=False)] = True
+    probe = (rng.normal(size=(batch, n, 3)), rng.normal(size=(batch, n, 4)))
+    return layer, coords, feats, mask, probe
+
+
+@pytest.mark.parametrize("batch, n, counts, rows", _MASKED_LAYOUTS)
+def test_masked_kernels_give_the_full_rows_and_zero_elsewhere(monkeypatch, batch, n, counts,
+                                                              rows):
+    layer, coords, feats, mask, _ = _masked_case(monkeypatch, batch, n, counts, rows)
+    state = egnn.GraphState(ad.Tensor(coords), ad.Tensor(feats))
+    every_row = np.ones((batch, n), dtype=bool)
+    for kernel in (
+        lambda receive: egnn._gated_messages(state, layer.message, layer.gate_w,
+                                             layer.gate_b, receive),
+        lambda receive: egnn._coord_step(state, layer.coord, receive),
+    ):
+        full, masked = kernel(every_row).data, kernel(mask).data
+        assert masked[mask].tobytes() == full[mask].tobytes()
+        assert np.all(masked[~mask] == 0.0)
+    out = egnn.egcl_forward(state, layer, mask)
+    assert out.coords.data[~mask].tobytes() == coords[~mask].tobytes()
+    alone = egnn.mlp_forward(
+        layer.feature, ad.concat([ad.Tensor(feats), ad.Tensor(np.zeros((batch, n, 6)))], axis=-1)
+    )
+    assert out.feats.data[~mask].tobytes() == alone.data[~mask].tobytes()
+
+
+@pytest.mark.parametrize("batch, n, counts, rows", _MASKED_LAYOUTS)
+def test_masked_layer_matches_edge_list_reference(monkeypatch, batch, n, counts, rows):
+    layer, coords, feats, mask, probe = _masked_case(monkeypatch, batch, n, counts, rows)
+
+    def dense(state, params):
+        return egnn.egcl_forward(state, params, mask)
+
+    def reference(state, params):
+        return _edge_list_forward(state, params, receive=mask)
+
+    (got, got_grads), (ref, ref_grads) = [
+        _layer_outputs_and_grads(forward, layer, coords, feats, probe)
+        for forward in (dense, reference)
+    ]
+    assert _max_abs(got.coords.data - ref.coords.data) < 1e-12
+    assert _max_abs(got.feats.data - ref.feats.data) < 1e-12
+    assert len(got_grads) == 2 + 14
+    for g, want in zip(got_grads, ref_grads):
+        assert _rel_dev(g, want) < 1e-10
+    if egnn._part_pool() is not None and len(egnn._row_blocks(mask, 6)[1]) > 1:
+        pooled = [a.tobytes() for a in [got.coords.data, got.feats.data] + got_grads]
+        monkeypatch.setattr(egnn, "_pool", False)
+        inline, inline_grads = _layer_outputs_and_grads(dense, layer, coords, feats, probe)
+        assert [a.tobytes() for a in [inline.coords.data, inline.feats.data]
+                + inline_grads] == pooled
+
+
 def test_floating_point_error_in_a_part_reaches_the_caller(monkeypatch):
     _several_blocks(monkeypatch, n=7, width=6, rows=1)
     case = _layer_case(33, n=7, feat_width=4, message_width=6)
@@ -565,7 +682,7 @@ def test_one_block_never_touches_the_pool(monkeypatch):
             raise AssertionError("a one-block call reached the pool")
 
     case = _layer_case(34, n=7, feat_width=4, message_width=6)
-    assert len(egnn._row_blocks((1, 7), 6)[1]) == 1
+    assert len(_every_row_blocks((1, 7), 6)[1]) == 1
     monkeypatch.setattr(egnn, "_pool", RefusingPool())
     _layer_bytes(*case)
     _several_blocks(monkeypatch, n=7, width=6, rows=1)
@@ -590,7 +707,7 @@ def test_without_a_blas_thread_setter_the_parts_run_inline(monkeypatch, caplog):
 def test_first_one_block_call_sets_blas_to_one_thread_and_starts_no_thread(monkeypatch):
     calls = []
     case = _layer_case(36, n=7, feat_width=4, message_width=6)
-    assert len(egnn._row_blocks((1, 7), 6)[1]) == 1
+    assert len(_every_row_blocks((1, 7), 6)[1]) == 1
     monkeypatch.setattr(egnn, "_pool", None)
     monkeypatch.setattr(egnn, "_blas_thread_setter", lambda: calls.append)
     threads = threading.active_count()
@@ -620,9 +737,9 @@ def grads(seed, batch, n, width):
     return [x.grad, h.grad] + [p.grad for p in params]
 
 if sys.argv[1] == "after":
-    assert len(egnn._row_blocks((1, 150), 8)[1]) > 1
+    assert len(egnn._row_blocks(np.ones((1, 150), dtype=bool), 8)[1]) > 1
     grads(1, 1, 150, 8)
-assert len(egnn._row_blocks((2, 30), 32)[1]) == 1
+assert len(egnn._row_blocks(np.ones((2, 30), dtype=bool), 32)[1]) == 1
 print(hashlib.sha256(b"".join(g.tobytes() for g in grads(0, 2, 30, 32))).hexdigest())
 """
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from geopro import autodiff as ad
+from geopro import egnn
 from geopro import pipeline as pl
 from geopro.checks import check_grads
 from geopro.data import ProteinRecord
@@ -356,9 +357,9 @@ def test_a_mixed_length_batch_stacks_each_length_and_pads_nothing(monkeypatch):
     shapes = []
     forward = pl.egnn_forward
 
-    def recording(state, model):
+    def recording(state, model, receive):
         shapes.append(state.batch_shape)
-        return forward(state, model)
+        return forward(state, model, receive)
 
     monkeypatch.setattr(pl, "egnn_forward", recording)
     model = pl.build_model(tiny_config(width=8))
@@ -805,6 +806,87 @@ def test_design_encodes_once_and_matches_the_full_forward(monkeypatch):
         start = pl.init_backbone_coords(motif, 12, model.config.radius, rng)
         coords, _, _ = pl.forward_with_coords(tokens, start, motif.position_set(), model)
         assert np.array_equal(cand.coords, coords.data)
+
+
+def _recording_receive(monkeypatch):
+    # every receiving mask that refine_and_decode hands to egnn_forward
+    received = []
+
+    def recording(state, model, receive):
+        received.append(receive)
+        return egnn.egnn_forward(state, model, receive)
+
+    monkeypatch.setattr(pl, "egnn_forward", recording)
+    return received
+
+
+def test_batch_losses_walk_the_flexible_rows_and_equal_the_full_graph(monkeypatch):
+    examples = mixed_batch()
+    for mode in ("inverted", "as_printed"):
+        model = pl.build_model(tiny_config(width=8, egnn_depth=2, feature_select=mode))
+        received = _recording_receive(monkeypatch)
+        with ad.Tape() as tape:
+            losses = pl.batch_losses(examples, model, streams(4))
+            tape.backward(ad.tsum(losses[2]))
+        grads = [t.grad for _, t in model.named_parameters()]
+        flexible = {n: ~np.stack([pl.motif_mask(m.positions, n) for r, m in examples
+                                  if r.length == n]) for n in (12, 7, 30)}
+        for receive in received:
+            want = flexible[receive.shape[1]] if mode == "inverted" else True
+            assert np.array_equal(receive, np.broadcast_to(want, receive.shape))
+        monkeypatch.setattr(pl, "egnn_forward",
+                            lambda state, model, receive: egnn.egnn_forward(state, model))
+        with ad.Tape() as tape:
+            full = pl.batch_losses(examples, model, streams(4))
+            tape.backward(ad.tsum(full[2]))
+        for got, want in zip(losses, full):
+            assert got.data.tobytes() == want.data.tobytes()
+        for got, (_, t) in zip(grads, model.named_parameters()):
+            assert np.linalg.norm(got - t.grad) <= 1e-14 * np.linalg.norm(t.grad)
+
+
+def test_pinned_design_walks_the_flexible_rows_and_full_graph_callers_every_row(monkeypatch):
+    data = pl.generate_synthetic_dataset(1, 12, 0.3, seed=33)
+    record, motif = data[0]
+    model = pl.build_model(tiny_config(seed=34, egnn_depth=2, feature_select="inverted"))
+    received = _recording_receive(monkeypatch)
+    pinned = pl.design(motif, 12, 2, 3, model, seed=7)
+    fixed = pl.motif_mask(motif.positions, 12)
+    assert len(received) == 2 and all(np.array_equal(r, ~fixed) for r in received)
+    received.clear()
+    unpinned = pl.design(motif, 12, 2, 3, model, seed=7, pin_motif=False)
+    pl.forward_joint(record, motif, model, np.random.default_rng(0))
+    tokens = corrupt_sequence(record.sequence, motif.positions)
+    pl.forward_with_coords(tokens, record.ca_coords, motif.positions, model)
+    assert received == [None] * 4
+    for a, b in zip(pinned, unpinned):
+        assert a.sequence.tobytes() == b.sequence.tobytes()
+        assert a.token_probs.tobytes() == b.token_probs.tobytes()
+        assert a.coords[~fixed].tobytes() == b.coords[~fixed].tobytes()
+
+
+def test_a_record_whose_motif_covers_every_position_trains_and_designs(monkeypatch):
+    # under inverted the last EGNN layer then receives at no row: it walks no block
+    rng = np.random.default_rng(36)
+    record, motif = toy_example(rng, length=6, motif_positions=range(6))
+    config = tiny_config(egnn_depth=2, epochs=1, feature_select="inverted")
+    model = pl.build_model(config)
+    walked = []
+    row_blocks = egnn._row_blocks
+
+    def counting(receive, width):
+        rows, blocks = row_blocks(receive, width)
+        walked.append(len(blocks))
+        return rows, blocks
+
+    monkeypatch.setattr(egnn, "_row_blocks", counting)
+    (stats,) = pl.train([(record, motif)], config, model)
+    assert walked == [1, 1, 0, 0]
+    assert stats.train_total == 0.0
+    (candidate,) = pl.design(motif, 6, 1, 3, model, seed=0)
+    assert walked[4:] == [1, 1, 0, 0]
+    assert np.array_equal(candidate.sequence, record.sequence)
+    assert np.array_equal(candidate.coords, record.ca_coords)
 
 
 def test_design_rejects_short_length():
