@@ -13,6 +13,7 @@ import logging
 import math
 import os
 import struct
+import tempfile
 import zlib
 from dataclasses import dataclass, field
 
@@ -804,15 +805,16 @@ def make_dirs(path):
 
 def check_writable(path):
     """Raise ``DataError``, naming ``path``, unless ``write_atomic`` can
-    write it: a probe file is made next to it, where ``write_atomic``
-    makes its temporary file, and removed.  Lets a command refuse an
-    output before a long run."""
+    write it: a probe file of a fresh name is made next to it, where
+    ``write_atomic`` makes its temporary file, and removed, so that no
+    existing file is touched.  Lets a command refuse an output before a
+    long run."""
     if os.path.isdir(path):
         raise DataError("cannot write %s: it is a directory" % path)
-    probe = "%s.probe" % path
+    head, tail = os.path.split(path)
     try:
-        with open(probe, "wb"):
-            pass
+        handle, probe = tempfile.mkstemp(prefix="%s.probe." % tail, dir=head or ".")
+        os.close(handle)
         os.remove(probe)
     except OSError as exc:
         raise DataError("cannot write %s: %s" % (path, exc.strerror or exc)) from None

@@ -15,6 +15,7 @@ from geopro.data import ProteinRecord
 from geopro.errors import (
     ConfigError,
     ContractError,
+    DataError,
     DomainError,
     GenerationError,
     NumericError,
@@ -463,6 +464,16 @@ def test_train_checkpoints_best_validation_weights(tmp_path):
 
 # ---------------------------------------------------------------------------
 # checkpoints
+
+
+def test_check_writable_touches_no_existing_file(tmp_path):
+    kept = tmp_path / "m.ckpt.probe"
+    kept.write_text("user data")
+    pl.check_writable(str(tmp_path / "m.ckpt"))
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt.probe"]
+    assert kept.read_text() == "user data"
+    with pytest.raises(DataError, match="cannot write %s: " % (tmp_path / "missing" / "m")):
+        pl.check_writable(str(tmp_path / "missing" / "m"))
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
