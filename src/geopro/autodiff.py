@@ -393,6 +393,28 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     return record_op(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), bwd, "concat")
 
 
+def split(a, sizes: Sequence[int], axis: int) -> list:
+    """Cut ``a`` along ``axis`` into consecutive pieces of the given
+    ``sizes``: the inverse of ``concat``.  Each piece is an op of its own,
+    whose gradient is zero outside the piece's slice."""
+    a = as_tensor(a)
+    if any(size < 0 for size in sizes) or sum(sizes) != a.shape[axis]:
+        raise DimensionError(f"split: sizes {list(sizes)} do not add up to {a.shape[axis]}")
+    ends = np.cumsum(sizes, dtype=int)
+    return [_piece(a, axis, end - size, end) for size, end in zip(sizes, ends)]
+
+
+def _piece(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    index = (slice(None),) * (axis % a.ndim) + (slice(start, stop),)
+
+    def bwd(g):
+        ga = np.zeros(a.shape)
+        ga[index] = g
+        return (ga,)
+
+    return record_op(a.data[index], (a,), bwd, "split")
+
+
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
 
@@ -454,11 +476,10 @@ def index_add_rows(src, indices, num_rows: int) -> Tensor:
 # nonlinearities
 
 
-def _sigmoid(x, out=None):
+def _sigmoid(x):
     """Logistic function as 0.5 * (1 + tanh(x / 2)): one branch-free pass
-    that neither overflows nor yields subnormals for any finite input.
-    Written into ``out`` when given."""
-    y = np.tanh(np.multiply(x, 0.5, out=out), out=out)
+    that neither overflows nor yields subnormals for any finite input."""
+    y = np.tanh(np.multiply(x, 0.5))
     y += 1.0
     y *= 0.5
     return y

@@ -8,17 +8,19 @@ graphs of N nodes each is the arrays of one graph with a leading batch
 axis, (B, N, 3) coordinates and (B, N, d) features, and runs through
 each layer at once.
 
-The pair work of a layer is two fused tape nodes written in numpy: the
-gated message sum and the coordinate step.  Each walks the dense pair
-grids one block of receiving rows at a time, sized so that a (rows, N, H)
-array is about 1 MB, keeps nothing of size N² between forward and
-backward, and computes every block again in its backward pass (gradient
-checkpointing, Chen et al. 2016).  Memory therefore grows with N·H, not
-N²·H.  The blocks are dealt into two parts that run on a module-level
-two-thread pool.  The first kernel call of any size sets numpy's OpenBLAS
-to one thread before its first product, so that BLAS rounds the same way
-in every call of the process; a call with one block runs on the calling
-thread.
+The pair work of a layer is one fused tape node written in numpy, which
+computes the gated message sum and the coordinate step from one pair
+input.  It walks the dense pair grids one block of receiving rows at a
+time, sized so that a (rows, N, H) array is about 1 MB: both pair MLPs
+read the block's one geometry, and the coordinate MLP runs in the
+message MLP's spent arrays.  It keeps nothing of size N² between forward
+and backward, and computes every block again in its backward pass
+(gradient checkpointing, Chen et al. 2016).  Memory therefore grows with
+N·H, not N²·H.  The blocks are dealt into two parts that run on a
+module-level two-thread pool.  The first kernel call of any size sets
+numpy's OpenBLAS to one thread before its first product, so that BLAS
+rounds the same way in every call of the process; a call with one block
+runs on the calling thread.
 
 A layer may be given the rows that its caller reads (``egcl_forward``):
 its blocks then list only those receiving rows, and every other row
@@ -112,8 +114,9 @@ class EgclParams:
     ``feature`` maps a node's features plus its aggregated messages back
     to the feature width; and ``coord`` produces the scalar weight on
     each pair difference vector in the coordinate update.  The output
-    activations of the pair MLPs are fixed by ``_gated_messages`` and
-    ``_coord_step``.
+    activations of the pair MLPs are fixed by ``_pair_update``, which runs
+    the coordinate MLP in the message MLP's arrays: the two share one
+    hidden width.
     """
 
     message: MlpParams
@@ -134,6 +137,7 @@ class EgclParams:
             (self.feature.width_in, self.feat_width + self.message_width, "feature input width"),
             (self.feature.width_out, self.feat_width, "feature output width"),
             (self.coord.width_in, pair_width, "coordinate input width"),
+            (self.coord.w1.shape[1], self.message.w1.shape[1], "coordinate hidden width"),
             (self.coord.width_out, 1, "coordinate output width"),
         ]
         for got, want, what in checks:
@@ -189,10 +193,6 @@ class GraphState:
         nodes in each."""
         return int(np.prod(self.coords.shape[:-2])), self.coords.shape[-2]
 
-    @property
-    def node_count(self):
-        return self.batch_shape[1]
-
 
 # Values in one (rows, N, width) block of pair activations: 2**17
 # float64 values, about 1 MB.  A part's walk keeps several such arrays
@@ -212,7 +212,7 @@ def _row_blocks(receive, width):
     as many whole graphs as fit in it, so that small graphs share one
     block; each graph lists its receiving rows first, in index order, and
     the block pads every list to its longest with rows that receive
-    nothing, whose outputs and upstream gradients the kernels zero.  A
+    nothing, whose outputs and upstream gradients the kernel zeroes.  A
     graph with more rows than fit is walked one block of its receiving rows
     at a time.  No block is made where no row receives.  With every row
     receiving, a block's rows are i0:i1 of each of its graphs.
@@ -277,10 +277,10 @@ def _scratch(parts, n, widths):
     the part's largest block's pair count, reused by every block of the
     part so that no block allocates arrays of its own.
 
-    A forward walk holds the arrays it still reads: 4 per part for the
-    gated messages and 2 for the coordinate step, since each silu writes
-    its output over its own tanh array.  A backward walk needs every
-    activation for the slopes, 6 and 3.
+    A forward walk holds the arrays it still reads, 4 per part, since
+    each silu writes its output over its own tanh array.  A backward walk
+    needs every activation for the slopes, 6.  The coordinate MLP runs in
+    the message MLP's first-layer arrays once they are spent.
 
     A part's arrays are views of one flat allocation, made by the calling
     thread, so that no pool thread draws large arrays from a glibc arena
@@ -313,7 +313,7 @@ def _sum_parts(per_part):
     return first
 
 
-# The pool that runs the parts of a kernel: None until the first kernel
+# The pool that runs the parts of the pair kernel: None until its first
 # call, False if that call found no OpenBLAS thread setter.
 _pool = None
 _pool_lock = threading.Lock()
@@ -347,7 +347,7 @@ def _part_pool():
     Made at the first call, which also sets OpenBLAS to one thread: with
     two pool threads, BLAS threads only contend for the same cores, and
     with one block BLAS's second thread spins in every small product.
-    Each kernel calls this at entry, before its first product, so that
+    The kernel calls this at entry, before its first product, so that
     every kernel product rounds the same way whatever ran before it.  The
     executor starts its threads only at its first ``submit``.  Without a
     setter the pool is never made, and one INFO record says so.
@@ -358,7 +358,7 @@ def _part_pool():
             setter = _blas_thread_setter()
             if setter is None:
                 log.info("no OpenBLAS thread setter in numpy.libs: the EGNN pair "
-                         "kernels run on one thread")
+                         "kernel runs on one thread")
                 _pool = False
             else:
                 from concurrent.futures import ThreadPoolExecutor
@@ -424,6 +424,21 @@ def _halves(*arrays):
     return [0.5 * a for a in arrays]
 
 
+def _geometry(coords, blk):
+    """The difference vectors x_i - x_j, (graphs, r, N, 3), and d²,
+    (graphs, r, N), of block ``blk`` of ``coords``, (B, N, 3).
+
+    The diagonal pair (i, i) gets d² = 1, so that ``sqrt`` never sees a
+    zero; its difference vector is exactly zero.
+    """
+    b0, b1, rows, _ = blk
+    coords = coords[b0:b1]
+    diff = coords[_pick(rows)][:, :, None, :] - coords[:, None, :, :]
+    sq_dist = (diff * diff).sum(axis=3)
+    sq_dist[_diagonal(rows)] = 1.0
+    return diff, sq_dist
+
+
 class _PairInput:
     """The pair input ``[h_i, h_j, d²_ij]`` of one pair MLP, built one
     block of receiving rows at a time, and its gradient.
@@ -439,7 +454,6 @@ class _PairInput:
 
     def __init__(self, state, mlp):
         batch, n = state.batch_shape
-        self.coords = state.coords.data.reshape(batch, n, 3)
         d = state.feats.shape[-1]
         self.feats = state.feats.data.reshape(-1, d)
         w1 = mlp.w1.data
@@ -451,24 +465,14 @@ class _PairInput:
         self.from_j = (self.feats @ self.w_j + mlp.b1.data).reshape(shape)
         self.from_j *= 0.5
 
-    def block(self, blk, out):
-        """Write half the first-layer pre-activations of block ``blk`` into
-        ``out``, (graphs * r * N, H), and return the difference vectors
-        x_i - x_j, (graphs, r, N, 3), and d², (graphs, r, N).
-
-        The diagonal pair (i, i) gets d² = 1, so that ``sqrt`` never sees
-        a zero; its difference vector is exactly zero.
-        """
+    def block(self, blk, sq_dist, out):
+        """Write half the first-layer pre-activations of block ``blk``, of
+        squared distances ``sq_dist``, into ``out``, (graphs * r * N, H)."""
         b0, b1, rows, _ = blk
-        coords = self.coords[b0:b1]
-        diff = coords[_pick(rows)][:, :, None, :] - coords[:, None, :, :]
-        sq_dist = (diff * diff).sum(axis=3)
-        sq_dist[_diagonal(rows)] = 1.0
         out4 = out.reshape(sq_dist.shape + (-1,))
         np.multiply(sq_dist[:, :, :, None], self.half_dist, out=out4)
         out4 += self.from_i[b0:b1][_pick(rows)][:, :, None, :]
         out4 += self.from_j[b0:b1, None, :, :]
-        return diff, sq_dist
 
     def start_grad(self, count):
         """One ``_PairGrad`` for each of ``count`` parts, all sharing
@@ -477,55 +481,42 @@ class _PairInput:
         return [_PairGrad(self) for _ in range(count)]
 
     def grads(self, part_grads):
-        """(d coords, d feats, d w1, d b1) once every part has added its
-        blocks."""
-        g_coords, g_j, g_dist = _sum_parts([(p.g_coords, p.g_j, p.g_dist) for p in part_grads])
+        """(d feats, d w1, d b1) once every part has added its blocks."""
+        g_j, g_dist = _sum_parts([(p.g_j, p.g_dist) for p in part_grads])
         width = self.g_i.shape[2]
         g_i, g_j = self.g_i.reshape(-1, width), g_j.reshape(-1, width)
         g_feats = g_i @ self.w_i.T + g_j @ self.w_j.T
         g_w1 = np.concatenate([self.feats.T @ g_i, self.feats.T @ g_j, g_dist])
-        return g_coords.reshape(-1, 3), g_feats, g_w1, g_j.sum(axis=0)
+        return g_feats, g_w1, g_j.sum(axis=0)
 
 
 class _PairGrad:
     """One part's gradient accumulators of a ``_PairInput``.
 
-    Every block adds into ``g_coords``, ``g_j`` and ``g_dist``, so each
-    part has its own; a block writes only its own rows of the shared
-    ``g_i``.
+    Every block adds into ``g_j`` and ``g_dist``, so each part has its
+    own; a block writes only its own rows of the shared ``g_i``.
     """
 
     def __init__(self, pair):
         self.pair = pair
-        self.g_coords = np.zeros_like(pair.coords)
         self.g_j = np.zeros_like(pair.from_j)
         self.g_dist = np.zeros_like(pair.w_dist)
         self._sum_i = np.empty_like(pair.from_j)
 
-    def add_grad(self, blk, diff, sq_dist, d_out, d_sq_dist=None, d_diff=None):
-        """Accumulate the gradient of block ``blk``, given what
-        ``_PairInput.block`` returned for it, d(loss)/d(pre-activations)
-        ``d_out``, (graphs * r * N, H), and any gradient that reaches d²
-        or the difference vectors another way.  A block kept on the
-        instance instead would outlive the forward pass on the tape: that
-        raised the peak RSS of width-32 training (bench ``train-toy``, 2
-        cores) from 63 to 69 MB.  On the diagonal the difference vector is
-        zero, so d² passes nothing.
+    def add_grad(self, blk, sq_dist, d_out):
+        """Accumulate the gradient of block ``blk``, of squared distances
+        ``sq_dist``, given d(loss)/d(pre-activations) ``d_out``, (graphs *
+        r * N, H), and return d(loss)/d(d²), (graphs, r, N).  A block kept
+        on the instance instead would outlive the forward pass on the
+        tape: that raised the peak RSS of width-32 training (bench
+        ``train-toy``, 2 cores) from 63 to 69 MB.
         """
         b0, b1, rows, _ = blk
         d_out4 = d_out.reshape(sq_dist.shape + (-1,))
         self.pair.g_i[b0:b1][_pick(rows)] = d_out4.sum(axis=2)
         self.g_j[b0:b1] += d_out4.sum(axis=1, out=self._sum_i[b0:b1])
         self.g_dist += sq_dist.reshape(1, -1) @ d_out
-        d_sq = (d_out @ self.pair.w_dist.T).reshape(sq_dist.shape)
-        if d_sq_dist is not None:
-            d_sq += d_sq_dist
-        total = d_sq[:, :, :, None] * diff
-        total *= 2.0
-        if d_diff is not None:
-            total += d_diff
-        self.g_coords[b0:b1][_pick(rows)] += total.sum(axis=2)
-        self.g_coords[b0:b1] -= total.sum(axis=1)
+        return (d_out @ self.pair.w_dist.T).reshape(sq_dist.shape)
 
 
 def _message_grad(d_logit, gate, w_gate, g_rows, out):
@@ -545,70 +536,89 @@ def _message_grad(d_logit, gate, w_gate, g_rows, out):
     return np.matmul(coef, rhs, out=out)
 
 
-def _gated_messages(state, message_mlp, gate_w, gate_b, receive):
-    """sum_j gate_ij * m_ij for every node i that ``receive``, a (B, N)
-    bool mask, selects, and zero for every other node, as one tape node
-    shaped like the node features with width M.
+def _pair_update(state, params, receive):
+    """The pair work of layer ``params`` as one tape node of shape (…, N,
+    M + 3): for each node i that ``receive``, a (B, N) bool mask, selects,
+    the gated message sum sum_j gate_ij * m_ij, then the moved coordinates
+    x_i + sum_j (x_i - x_j) * c_ij / (d_ij + 1).  Every other node gets a
+    zero message sum and its own coordinates.
 
-    m_ij = silu(``message_mlp`` of the pair input) and gate_ij =
-    sigmoid(m_ij · ``gate_w`` + ``gate_b``), a linear gate; the diagonal's
-    gate is zero.  These output activations belong to the layer, since
-    ``mlp_forward`` ends linearly.  The pairs are walked one block at a
-    time and nothing of size N² is kept: the backward pass computes each
-    block again.  Each part of the blocks has its own scratch and gradient
+    m_ij = silu(``params.message`` of the pair input) and gate_ij =
+    sigmoid(m_ij · ``gate_w`` + ``gate_b``), a linear gate; c_ij is
+    ``params.coord`` of the pair input, with no output activation.  These
+    output activations belong to the layer, since ``mlp_forward`` ends
+    linearly.  The diagonal pairs (i, i) are computed along with the rest:
+    their gate is zeroed and their difference vector is exactly zero, so
+    they add nothing to either sum, and their d² of 1 passes no gradient
+    back.  Each part of the blocks has its own scratch and gradient
     accumulators, allocated here before the parts run.
     """
     pool = _part_pool()
     batch, n = state.batch_shape
-    pair = _PairInput(state, message_mlp)
-    w2, b2 = message_mlp.w2.data, message_mlp.b2.data
-    w_gate, b_gate = gate_w.data, gate_b.data
+    coords = state.coords.data.reshape(batch, n, 3)
+    message, coord = _PairInput(state, params.message), _PairInput(state, params.coord)
+    w2, b2 = params.message.w2.data, params.message.b2.data
+    c_w2, c_b2 = params.coord.w2.data, params.coord.b2.data
+    w_gate, b_gate = params.gate_w.data, params.gate_b.data
     hidden, width = w2.shape
     _, blocks = _row_blocks(receive, max(hidden, width))
     parts = _parts(blocks)
 
-    def block(scratch, halves, blk):
+    def messages(blk, sq_dist, halves, z1, s1, u1, z2, s2, msg):
         half_w2, half_b2 = halves
-        z1, s1, u1, z2, s2, msg = (a[:blk[2].size * n] for a in scratch)
-        diff, sq_dist = pair.block(blk, out=z1)
+        message.block(blk, sq_dist, out=z1)
         _silu(z1, s1, u1)
         np.matmul(u1, half_w2, out=z2)
         z2 += half_b2
         _silu(z2, s2, msg)
         gate = ad._sigmoid(msg @ w_gate + b_gate).reshape(sq_dist.shape)
         gate[_diagonal(blk[2])] = 0.0
-        return diff, sq_dist, (z1, s1, u1, z2, s2, msg, gate)
+        return gate
+
+    def shifts(blk, sq_dist, y1, s1, v1):
+        coord.block(blk, sq_dist, out=y1)
+        _silu(y1, s1, v1)
+        coef = (v1 @ c_w2 + c_b2).reshape(sq_dist.shape)
+        dist = np.sqrt(sq_dist)
+        return coef, dist, coef / (dist + 1.0)
 
     def forward(part, scratch, halves):
-        # u1 shares s1's array and msg s2's: nothing reads them later
-        z1, s1, z2, s2 = scratch
-        scratch = (z1, s1, s1, z2, s2, s2)
         for blk in part:
-            saved = block(scratch, halves, blk)[2]
-            gate = saved[6]
-            msg = saved[5].reshape(gate.shape + (width,))
-            _put_rows(out, blk, np.matmul(gate[:, :, None, :], msg)[:, :, 0])
+            # u1 is written over s1 and msg over s2, since nothing reads s1
+            # or s2 later; the coordinate MLP then runs in the spent z1 and s1
+            z1, s1, z2, s2 = (a[:blk[2].size * n] for a in scratch)
+            diff, sq_dist = _geometry(coords, blk)
+            gate = messages(blk, sq_dist, halves, z1, s1, s1, z2, s2, s2)
+            msg = s2.reshape(gate.shape + (width,))
+            _put_rows(out[..., :width], blk, np.matmul(gate[:, :, None, :], msg)[:, :, 0])
+            weight = shifts(blk, sq_dist, z1, s1, s1)[2]
+            _put_rows(out[..., width:], blk, np.matmul(weight[:, :, None, :], diff)[:, :, 0])
 
-    out = np.zeros((batch, n, width))
+    out = np.zeros((batch, n, width + 3))
     halves = _halves(w2, b2)
     scratches = _scratch(parts, n, [hidden, hidden, width, width])
     _run_parts(pool, forward, [(part, scratch, halves)
                                for part, scratch in zip(parts, scratches)])
+    out[..., width:] += coords
 
     def backward(g_out):
-        g_out = g_out.reshape(batch, n, width)
+        g_out = g_out.reshape(batch, n, width + 3)
+        g_sums, g_moved = g_out[..., :width], g_out[..., width:]
         halves = _halves(w2, b2)
-        accs = [[np.zeros_like(w) for w in (w2, b2, w_gate, b_gate)] for _ in parts]
+        accs = [[np.zeros_like(a) for a in (coords, w2, b2, w_gate, b_gate, c_w2, c_b2)]
+                for _ in parts]
         tmps = [np.empty_like(w2) for _ in parts]
-        pair_grads = pair.start_grad(len(parts))
+        message_grads = message.start_grad(len(parts))
+        coord_grads = coord.start_grad(len(parts))
         scratches = _scratch(parts, n, [hidden] * 3 + [width] * 3)
 
-        def walk(part, scratch, pair_grad, acc, tmp_w2):
-            g_w2, g_b2, g_w_gate, g_b_gate = acc
+        def walk(part, scratch, message_grad, coord_grad, acc, tmp_w2):
+            g_coords, g_w2, g_b2, g_w_gate, g_b_gate, g_c_w2, g_c_b2 = acc
             for blk in part:
-                diff, sq_dist, saved = block(scratch, halves, blk)
-                z1, s1, u1, z2, s2, msg, gate = saved
-                g_rows = _grad_rows(g_out, blk)
+                z1, s1, u1, z2, s2, msg = (a[:blk[2].size * n] for a in scratch)
+                diff, sq_dist = _geometry(coords, blk)
+                gate = messages(blk, sq_dist, halves, z1, s1, u1, z2, s2, msg)
+                g_rows = _grad_rows(g_sums, blk)
                 msg4 = msg.reshape(gate.shape + (width,))
                 # the zeroed diagonal gate has zero slope, so it passes nothing back
                 d_z3 = np.matmul(msg4, g_rows[:, :, :, None]).reshape(-1, 1)
@@ -624,85 +634,49 @@ def _gated_messages(state, message_mlp, gate_w, gate_b, receive):
                 slope1 = _silu_slope(z1, s1, u1)
                 d_z1 = np.matmul(d_z2, w2.T, out=u1)
                 d_z1 *= slope1
-                pair_grad.add_grad(blk, diff, sq_dist, d_z1)
+                d_sq = message_grad.add_grad(blk, sq_dist, d_z1)
 
-        _run_parts(pool, walk, list(zip(parts, scratches, pair_grads, accs, tmps)))
-        return pair.grads(pair_grads) + tuple(_sum_parts(accs))
-
-    inputs = (state.coords, state.feats, *message_mlp.tensors(), gate_w, gate_b)
-    out = out.reshape(state.feats.shape[:-1] + (width,))
-    return ad.record_op(out, inputs, backward, "egnn.gated_messages")
-
-
-def _coord_step(state, coord_mlp, receive):
-    """sum_j (x_i - x_j) * c_ij / (d_ij + 1) for every node i that
-    ``receive`` selects, and zero for every other node, as one tape node
-    shaped like the coordinates, where c_ij is ``coord_mlp`` of the pair
-    input, with no output activation.
-
-    Walked one block at a time like ``_gated_messages``, in the same two
-    parts, and computed again block by block in the backward pass.
-    """
-    pool = _part_pool()
-    batch, n = state.batch_shape
-    pair = _PairInput(state, coord_mlp)
-    w2, b2 = coord_mlp.w2.data, coord_mlp.b2.data
-    hidden = w2.shape[0]
-    _, blocks = _row_blocks(receive, hidden)
-    parts = _parts(blocks)
-
-    def block(scratch, blk):
-        y1, s1, v1 = (a[:blk[2].size * n] for a in scratch)
-        diff, sq_dist = pair.block(blk, out=y1)
-        _silu(y1, s1, v1)
-        coef = (v1 @ w2 + b2).reshape(sq_dist.shape)
-        dist = np.sqrt(sq_dist)
-        return diff, sq_dist, (y1, s1, v1, coef, dist, coef / (dist + 1.0))
-
-    def forward(part, scratch):
-        # v1 shares s1's array: nothing reads it after the product
-        y1, s1 = scratch
-        for blk in part:
-            diff, _, saved = block((y1, s1, s1), blk)
-            weight = saved[5]
-            _put_rows(out, blk, np.matmul(weight[:, :, None, :], diff)[:, :, 0])
-
-    out = np.zeros((batch, n, 3))
-    _run_parts(pool, forward, list(zip(parts, _scratch(parts, n, [hidden] * 2))))
-
-    def backward(g_out):
-        g_out = g_out.reshape(batch, n, 3)
-        accs = [[np.zeros_like(w2), np.zeros_like(b2)] for _ in parts]
-        pair_grads = pair.start_grad(len(parts))
-        scratches = _scratch(parts, n, [hidden] * 3)
-
-        def walk(part, scratch, pair_grad, acc):
-            g_w2, g_b2 = acc
-            for blk in part:
-                diff, sq_dist, saved = block(scratch, blk)
-                y1, s1, v1, coef, dist, weight = saved
-                g_rows = _grad_rows(g_out, blk)
+                # the coordinate MLP runs in the spent z1, s1 and u1
+                coef, dist, weight = shifts(blk, sq_dist, z1, s1, u1)
+                g_rows = _grad_rows(g_moved, blk)
                 d_weight = np.matmul(diff, g_rows[:, :, :, None])[:, :, :, 0]
-                d_diff = weight[:, :, :, None] * g_rows[:, :, None, :]
                 denom = dist + 1.0
                 d_coef = d_weight / denom
                 # weight = coef / (sqrt(d²) + 1), differentiated in d²; where two
                 # distinct nodes share a point, d² = 0 and d_coef = 0: the term is 0
-                d_sq_dist = -d_coef * coef
-                np.divide(d_sq_dist, denom * 2.0 * dist, out=d_sq_dist, where=dist > 0.0)
+                d_dist = -d_coef * coef
+                np.divide(d_dist, denom * 2.0 * dist, out=d_dist, where=dist > 0.0)
+                d_sq += d_dist
                 d_coef = d_coef.reshape(-1, 1)
-                g_w2 += v1.T @ d_coef
-                g_b2 += d_coef.sum(axis=0)
-                d_y1 = _silu_slope(y1, s1, v1)
+                g_c_w2 += u1.T @ d_coef
+                g_c_b2 += d_coef.sum(axis=0)
+                d_y1 = _silu_slope(z1, s1, u1)
                 d_y1 *= d_coef
-                d_y1 *= w2[:, 0]
-                pair_grad.add_grad(blk, diff, sq_dist, d_y1, d_sq_dist, d_diff)
+                d_y1 *= c_w2[:, 0]
+                d_sq += coord_grad.add_grad(blk, sq_dist, d_y1)
 
-        _run_parts(pool, walk, list(zip(parts, scratches, pair_grads, accs)))
-        return pair.grads(pair_grads) + tuple(_sum_parts(accs))
+                # d(loss)/d(x_i - x_j), through d² and the coordinate step
+                d_diff = d_sq[:, :, :, None] * diff
+                d_diff *= 2.0
+                d_diff += weight[:, :, :, None] * g_rows[:, :, None, :]
+                b0, b1, rows, _ = blk
+                g_coords[b0:b1][_pick(rows)] += d_diff.sum(axis=2)
+                g_coords[b0:b1] -= d_diff.sum(axis=1)
 
-    inputs = (state.coords, state.feats, *coord_mlp.tensors())
-    return ad.record_op(out.reshape(state.coords.shape), inputs, backward, "egnn.coord_step")
+        _run_parts(pool, walk, list(zip(parts, scratches, message_grads, coord_grads, accs,
+                                        tmps)))
+        g_coords, g_w2, g_b2, g_w_gate, g_b_gate, g_c_w2, g_c_b2 = _sum_parts(accs)
+        g_coords += g_moved
+        g_feats, *g_message = message.grads(message_grads)
+        g_coord_feats, *g_coord = coord.grads(coord_grads)
+        g_feats += g_coord_feats
+        return (g_coords, g_feats, *g_message, g_w2, g_b2, g_w_gate, g_b_gate,
+                *g_coord, g_c_w2, g_c_b2)
+
+    inputs = (state.coords, state.feats, *params.message.tensors(), params.gate_w,
+              params.gate_b, *params.coord.tensors())
+    out = out.reshape(state.feats.shape[:-1] + (width + 3,))
+    return ad.record_op(out, inputs, backward, "egnn.pair_update")
 
 
 def egcl_forward(state, params, receive=None):
@@ -716,19 +690,11 @@ def egcl_forward(state, params, receive=None):
     sends messages to the nodes inside the mask, whose updates are those
     of the full graph, bit for bit.
 
-    The pair work is two fused tape nodes, ``_gated_messages`` and
-    ``_coord_step``, for every graph of the batch at once.  Each walks
-    the dense (N, N) pair grids one block of receiving rows at a time,
-    about 1 MB per (rows, N, H) array, keeps
-    nothing of size N², and computes each block again in its backward
-    pass, in the manner of gradient checkpointing.  The forward code is
-    the same with and without a tape.  The diagonal pairs (i, i) are
-    computed along with the rest: their gate is zeroed, and their
-    difference vector is exactly zero, so they add nothing to either
-    update.  Their squared distance is set to 1 so that ``sqrt``
-    never sees a zero, and it passes no gradient back.  The feature MLP,
-    its input concat and the final coordinate add are ordinary ops on the
-    node rows.
+    The pair work of every graph of the batch is one tape node,
+    ``_pair_update``, whose output ``ad.split`` cuts into the gated
+    message sums and the moved coordinates.  The feature MLP and its input
+    concat are ordinary ops on the node rows.  The forward code is the
+    same with and without a tape.
     """
     d = state.feats.shape[-1]
     if d != params.feat_width:
@@ -742,9 +708,9 @@ def egcl_forward(state, params, receive=None):
             "receive must be a bool mask of shape %s" % (state.coords.shape[:-1],)
         )
     receive = np.reshape(receive, state.batch_shape)
-    gathered = _gated_messages(state, params.message, params.gate_w, params.gate_b, receive)
+    pairs = _pair_update(state, params, receive)
+    gathered, new_coords = ad.split(pairs, [params.message_width, 3], axis=-1)
     new_feats = mlp_forward(params.feature, ad.concat([state.feats, gathered], axis=-1))
-    new_coords = ad.add(state.coords, _coord_step(state, params.coord, receive))
     return GraphState(new_coords, new_feats)
 
 

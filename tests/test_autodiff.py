@@ -240,6 +240,8 @@ def _op_cases(rng):
         "mean_all": ([a], lambda: ad.tmean(ad.square(a))),
         "mean_axis": ([a], lambda: ad.tsum(ad.square(ad.tmean(a, axis=1)))),
         "concat": ([a, b], lambda: ad.tsum(ad.square(ad.concat([a, b], axis=0)))),
+        "split": ([a], lambda: ad.add(*(ad.tsum(ad.mul(ad.square(piece), k + 1.0))
+                                        for k, piece in enumerate(ad.split(a, [2, 4], -1))))),
         "reshape": ([a], lambda: ad.tsum(ad.square(ad.reshape(a, (2, 12))))),
         "transpose": ([bm1], lambda: ad.tsum(ad.square(ad.transpose(bm1, (1, 0, 2))))),
         "gather_rows": ([a], lambda: ad.tsum(ad.square(ad.gather_rows(a, idx)))),
@@ -260,6 +262,22 @@ def test_every_op_matches_finite_differences():
     for name, (params, build) in _op_cases(rng).items():
         err = check_grads(build, params)
         assert err < 1e-4, f"op {name}: relative error {err:.3e}"
+
+
+def test_split_inverts_concat_bit_for_bit():
+    rng = np.random.default_rng(11)
+    parts = [rng.normal(size=(2, k, 3)) for k in (1, 0, 4)]
+    joined = ad.concat(parts, axis=1)
+    pieces = ad.split(joined, [1, 0, 4], axis=1)
+    assert [p.data.tobytes() for p in pieces] == [p.tobytes() for p in parts]
+    assert ad.concat(pieces, axis=1).data.tobytes() == joined.data.tobytes()
+
+
+def test_split_rejects_sizes_that_do_not_add_up():
+    a = ad.Tensor(np.zeros((3, 5)))
+    for sizes in ([2, 2], [3, 3], [6, -1]):
+        with pytest.raises(DimensionError):
+            ad.split(a, sizes, axis=1)
 
 
 def test_backward_linearity():

@@ -157,7 +157,6 @@ PINNED_DEFAULTS = {
     "autodiff.tsum(axis)", "autodiff.tsum(keepdims)",
     "autodiff.tmean(axis)", "autodiff.tmean(keepdims)",
     "autodiff.concat(axis)",
-    "autodiff._sigmoid(out)",
     "bound.two_cluster_coincident_instance(lip)",
     "bound.two_cluster_coincident_instance(zeta)",
     "bound.upper_bound(appendix_sign)",
@@ -172,7 +171,6 @@ PINNED_DEFAULTS = {
     "egnn.init_egnn(message_width)",
     "egnn.equivariance_check(forward)",
     "egnn.egcl_forward(receive)", "egnn.egnn_forward(receive)",
-    "egnn._PairGrad.add_grad(d_sq_dist)", "egnn._PairGrad.add_grad(d_diff)",
     "geometry.random_rigid(reflect)",
     "metrics.EvalRow.__init__(plddt)",
     "metrics.evaluate_candidates(plddt_text)",

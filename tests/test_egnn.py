@@ -297,8 +297,20 @@ def test_layer_outputs_identical_with_and_without_tape():
     assert np.array_equal(plain.feats.data, taped.feats.data)
 
 
+def test_a_layer_records_nine_tape_nodes():
+    # the pair kernel, the split of its output, the feature MLP's input
+    # concat and its five ops; a change that adds nodes to a layer shows here
+    rng = np.random.default_rng(23)
+    layer = egnn.init_egcl(rng, feat_width=4, message_width=6)
+    with ad.Tape() as tape:
+        state = egnn.GraphState(ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True),
+                                ad.Tensor(rng.normal(size=(5, 4)), requires_grad=True))
+        egnn.egcl_forward(state, layer)
+    assert len(tape) == 9
+
+
 def test_layer_memory_stays_below_a_few_pair_arrays():
-    # The fused pair kernels keep nothing of size N^2 between forward and
+    # The fused pair kernel keeps nothing of size N^2 between forward and
     # backward; one (N, N, H) float64 array is the unit of the bound.
     n, width = 200, 32
     rng = np.random.default_rng(22)
@@ -414,16 +426,24 @@ def test_width_contracts():
     for receive in (np.ones(4, dtype=bool), np.ones((1, 3), dtype=bool), np.ones(3)):
         with pytest.raises(ContractError):
             egnn.egcl_forward(_random_state(rng, 3, 4), layer, receive)
-    with pytest.raises(ContractError):
-        egnn.EgclParams(
+
+    def layer_params(gate_columns, coord_hidden):
+        return egnn.EgclParams(
             message=egnn.init_mlp(rng, 9, 6, 6),
-            gate_w=ad.Tensor(np.zeros((6, 2))),
+            gate_w=ad.Tensor(np.zeros((6, gate_columns))),
             gate_b=ad.Tensor(np.zeros(1)),
             feature=egnn.init_mlp(rng, 10, 6, 4),
-            coord=egnn.init_mlp(rng, 9, 6, 1),
+            coord=egnn.init_mlp(rng, 9, coord_hidden, 1),
             feat_width=4,
             message_width=6,
         )
+
+    layer_params(1, 6)
+    # the gate weight's shape, and the coordinate MLP's hidden width, which
+    # must be the message MLP's, since the two share the kernel's arrays
+    for gate_columns, coord_hidden in ((2, 6), (1, 5)):
+        with pytest.raises(ContractError):
+            layer_params(gate_columns, coord_hidden)
     with pytest.raises(ContractError):
         egnn.EgnnModel(layers=[layer], feat_width=5)
 
@@ -497,39 +517,39 @@ def test_pooled_gradients_repeat_bit_for_bit_under_fast_thread_switching(monkeyp
 
 
 def _reference_blocks(state, layer):
-    # The two kernels' forward walks with a separate array for every
-    # activation, each block built from ``_PairInput.block``: the
-    # reference for the forward walks, which write u1 over s1 and msg
-    # over s2 (v1 over s1 in the coordinate step).
+    # The pair kernel's forward walk with a separate array for every
+    # activation of both MLPs, each block's geometry from ``_geometry``:
+    # the reference for the forward walk, which writes u1 over s1 and msg
+    # over s2, and runs the coordinate MLP in the spent z1 and s1.
     batch, n = state.batch_shape
+    coords = state.coords.data.reshape(batch, n, 3)
     messages = np.empty((batch, n, layer.message_width))
     shifts = np.empty((batch, n, 3))
-    for mlp, out in ((layer.message, messages), (layer.coord, shifts)):
-        pair = egnn._PairInput(state, mlp)
-        w2, b2 = mlp.w2.data, mlp.b2.data
-        hidden, width = w2.shape
-        for blk in _every_row_blocks(state.batch_shape, max(hidden, width))[1]:
-            b0, b1, rows, _ = blk
-            count = rows.size * n
-            z1, s1, u1 = (np.empty((count, hidden)) for _ in range(3))
-            diff, sq_dist = pair.block(blk, out=z1)
-            egnn._silu(z1, s1, u1)
-            if out is messages:
-                half_w2, half_b2 = egnn._halves(w2, b2)
-                z2, s2, msg = (np.empty((count, width)) for _ in range(3))
-                np.matmul(u1, half_w2, out=z2)
-                z2 += half_b2
-                egnn._silu(z2, s2, msg)
-                gate = ad._sigmoid(msg @ layer.gate_w.data + layer.gate_b.data)
-                gate = gate.reshape(sq_dist.shape)
-                gate[:, np.arange(rows.shape[1]), rows[0]] = 0.0
-                sums = np.matmul(gate[:, :, None, :], msg.reshape(gate.shape + (width,)))
-            else:
-                coef = (u1 @ w2 + b2).reshape(sq_dist.shape)
-                weight = coef / (np.sqrt(sq_dist) + 1.0)
-                sums = np.matmul(weight[:, :, None, :], diff)
-            out[b0:b1, rows[0]] = sums[:, :, 0, :]
-    return messages, shifts
+    message, coord = (egnn._PairInput(state, mlp) for mlp in (layer.message, layer.coord))
+    w2, b2 = layer.message.w2.data, layer.message.b2.data
+    hidden, width = w2.shape
+    for blk in _every_row_blocks(state.batch_shape, max(hidden, width))[1]:
+        b0, b1, rows, _ = blk
+        count = rows.size * n
+        diff, sq_dist = egnn._geometry(coords, blk)
+        z1, s1, u1, y1, t1, v1 = (np.empty((count, hidden)) for _ in range(6))
+        message.block(blk, sq_dist, out=z1)
+        egnn._silu(z1, s1, u1)
+        half_w2, half_b2 = egnn._halves(w2, b2)
+        z2, s2, msg = (np.empty((count, width)) for _ in range(3))
+        np.matmul(u1, half_w2, out=z2)
+        z2 += half_b2
+        egnn._silu(z2, s2, msg)
+        gate = ad._sigmoid(msg @ layer.gate_w.data + layer.gate_b.data).reshape(sq_dist.shape)
+        gate[:, np.arange(rows.shape[1]), rows[0]] = 0.0
+        sums = np.matmul(gate[:, :, None, :], msg.reshape(gate.shape + (width,)))
+        messages[b0:b1, rows[0]] = sums[:, :, 0, :]
+        coord.block(blk, sq_dist, out=y1)
+        egnn._silu(y1, t1, v1)
+        coef = (v1 @ layer.coord.w2.data + layer.coord.b2.data).reshape(sq_dist.shape)
+        weight = coef / (np.sqrt(sq_dist) + 1.0)
+        shifts[b0:b1, rows[0]] = np.matmul(weight[:, :, None, :], diff)[:, :, 0, :]
+    return messages, coords + shifts
 
 
 def test_aliased_forward_walks_match_separate_arrays_bit_for_bit(monkeypatch):
@@ -538,13 +558,10 @@ def test_aliased_forward_walks_match_separate_arrays_bit_for_bit(monkeypatch):
     assert len(blocks) == 7
     layer, coords, feats, _ = _layer_case(33, n=n, feat_width=width, message_width=width)
     state = egnn.GraphState(ad.Tensor(coords[None]), ad.Tensor(feats[None]))
-    every_row = np.ones((1, n), dtype=bool)
-    messages = egnn._gated_messages(state, layer.message, layer.gate_w, layer.gate_b,
-                                    every_row)
-    shifts = egnn._coord_step(state, layer.coord, every_row)
-    want_messages, want_shifts = _reference_blocks(state, layer)
-    assert messages.data.tobytes() == want_messages.tobytes()
-    assert shifts.data.tobytes() == want_shifts.tobytes()
+    pairs = egnn._pair_update(state, layer, np.ones((1, n), dtype=bool)).data
+    want_messages, want_coords = _reference_blocks(state, layer)
+    assert pairs[..., :width].tobytes() == want_messages.tobytes()
+    assert pairs[..., width:].tobytes() == want_coords.tobytes()
 
 
 def test_rank_two_message_gradient_matches_three_passes(monkeypatch):
@@ -613,15 +630,11 @@ def test_masked_kernels_give_the_full_rows_and_zero_elsewhere(monkeypatch, batch
                                                               rows):
     layer, coords, feats, mask, _ = _masked_case(monkeypatch, batch, n, counts, rows)
     state = egnn.GraphState(ad.Tensor(coords), ad.Tensor(feats))
-    every_row = np.ones((batch, n), dtype=bool)
-    for kernel in (
-        lambda receive: egnn._gated_messages(state, layer.message, layer.gate_w,
-                                             layer.gate_b, receive),
-        lambda receive: egnn._coord_step(state, layer.coord, receive),
-    ):
-        full, masked = kernel(every_row).data, kernel(mask).data
-        assert masked[mask].tobytes() == full[mask].tobytes()
-        assert np.all(masked[~mask] == 0.0)
+    full, masked = (egnn._pair_update(state, layer, receive).data
+                    for receive in (np.ones((batch, n), dtype=bool), mask))
+    assert masked[mask].tobytes() == full[mask].tobytes()
+    assert np.all(masked[~mask][:, :6] == 0.0)
+    assert masked[~mask][:, 6:].tobytes() == coords[~mask].tobytes()
     out = egnn.egcl_forward(state, layer, mask)
     assert out.coords.data[~mask].tobytes() == coords[~mask].tobytes()
     alone = egnn.mlp_forward(
