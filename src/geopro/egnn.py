@@ -272,6 +272,12 @@ def _parts(blocks):
     return [blocks[0::2]] + ([blocks[1::2]] if len(blocks) > 1 else [])
 
 
+# Each thread's kernel workspace: one flat float64 array per part (see
+# ``_scratch``).  Per thread, so that kernels called from two threads at
+# once never share scratch.
+_workspace = threading.local()
+
+
 def _scratch(parts, n, widths):
     """For each part, one (pairs, width) array per width, where pairs is
     the part's largest block's pair count, reused by every block of the
@@ -282,23 +288,34 @@ def _scratch(parts, n, widths):
     needs every activation for the slopes, 6.  The coordinate MLP runs in
     the message MLP's first-layer arrays once they are spent.
 
-    A part's arrays are views of one flat allocation, made by the calling
-    thread, so that no pool thread draws large arrays from a glibc arena
-    of its own.  glibc reuses the same pages of such an allocation from
-    call to call, where separate arrays of this size were returned to the
-    system and faulted in again on every call (1317 minor page faults
-    against 0 per forward and backward of a two-layer width-32 EGNN at
-    N=30).  One allocation for both parts would be twice as large, and
-    glibc would then serve the allocations below that size from its heap
-    and keep them: over four width-320 training steps at L=100 on a
-    2-core Xeon, peak RSS read 277 MB that way, against 268 MB with one
-    allocation per part and 256 MB with a single part.
+    A part's arrays are views of one flat array of the calling thread's
+    workspace, kept from call to call and grown only when a call needs
+    more, so that the kernel's scratch is allocated, and its pages
+    faulted in, once per thread, not once per call.  A flat array freed
+    at the end of each call is not reused from call to call: glibc maps
+    an allocation of this size (4 to 6 MB per part at width 320, L=100)
+    afresh and unmaps it when freed, until the process frees a mapped
+    block larger than it, and no larger than 32 MB, which raises glibc's
+    mmap threshold to that block's size.  In a process that never did,
+    every call faulted its scratch in again: 7,873 minor page faults per
+    ``design-paper`` bench op (two width-320 candidates at L=100, 2-core
+    Xeon), against 906 with the workspace.  The workspace holds about
+    12 MB at width 320, L=100, for the life of the thread.  The pool
+    threads draw nothing from glibc arenas of their own, since the
+    calling thread makes the arrays.
     """
+    flats = vars(_workspace).setdefault("flats", [])
     out = []
-    for part in parts:
+    for index, part in enumerate(parts):
         count = n * max([blk[2].size for blk in part], default=0)
-        flat = np.empty(count * sum(widths))
-        arrays = np.split(flat, np.cumsum([count * width for width in widths[:-1]]))
+        size = count * sum(widths)
+        if index == len(flats):
+            flats.append(np.empty(0))
+        if flats[index].size < size:
+            flats[index] = np.empty(0)  # free the smaller array before the larger is made
+            flats[index] = np.empty(size)
+        arrays = np.split(flats[index][:size],
+                          np.cumsum([count * width for width in widths[:-1]]))
         out.append([a.reshape(count, width) for a, width in zip(arrays, widths)])
     return out
 
@@ -550,8 +567,9 @@ def _pair_update(state, params, receive):
     linearly.  The diagonal pairs (i, i) are computed along with the rest:
     their gate is zeroed and their difference vector is exactly zero, so
     they add nothing to either sum, and their d² of 1 passes no gradient
-    back.  Each part of the blocks has its own scratch and gradient
-    accumulators, allocated here before the parts run.
+    back.  Each part of the blocks has its own scratch, drawn from the
+    calling thread's workspace, and its own gradient accumulators,
+    allocated here before the parts run.
     """
     pool = _part_pool()
     batch, n = state.batch_shape

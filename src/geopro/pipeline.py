@@ -773,23 +773,47 @@ def _unit(v):
 
 
 def write_atomic(path, content):
-    """Write text (as UTF-8) or bytes to ``path`` through a temporary file
-    and a rename, so that no reader sees a partial file.
+    """Write ``content`` to ``path`` through a temporary file and a rename,
+    so that no reader sees a partial file.
 
-    An ``OSError`` becomes a ``DataError``, and the temporary file is
-    removed.
+    ``content`` is text, written as UTF-8, a bytes-like object, or an
+    iterable of bytes-like pieces, written in order, so that a large file
+    is never joined in memory.  The temporary file gets a fresh name next
+    to ``path`` from ``tempfile.mkstemp``, so that no existing file is
+    touched, and the mode ``open`` would give a new file, not mkstemp's
+    0600.  An ``OSError`` becomes a ``DataError``; on any error the
+    temporary file is removed.
     """
     if isinstance(content, str):
         content = content.encode("utf-8")
-    tmp = "%s.tmp.%d" % (path, os.getpid())
+    if isinstance(content, (bytes, bytearray, memoryview)):
+        content = [content]
+    head, tail = os.path.split(path)
+    done = False
     try:
-        with open(tmp, "wb") as handle:
-            handle.write(content)
-        os.replace(tmp, path)
+        handle, tmp = tempfile.mkstemp(prefix="%s.tmp." % tail, dir=head or ".")
+        try:
+            with os.fdopen(handle, "wb") as out:
+                os.fchmod(out.fileno(), 0o666 & ~_umask())
+                for piece in content:
+                    out.write(piece)
+            os.replace(tmp, path)
+            done = True
+        finally:
+            if not done:
+                with contextlib.suppress(OSError):
+                    os.remove(tmp)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise DataError("cannot write %s: %s" % (path, exc)) from None
+        raise DataError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
+
+
+def _umask():
+    """The process's file mode creation mask.  It can only be read by
+    setting it, so it is set to the strictest mask for that instant: a
+    file another thread creates then gets fewer permissions, never more."""
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
 
 
 def make_dirs(path):
@@ -821,58 +845,105 @@ def check_writable(path):
 
 
 def save_checkpoint(path, model):
-    """Write all parameters plus the architecture hash, atomically."""
+    """Write all parameters plus the architecture hash, atomically.
+
+    Each tensor's header and then its array go to ``write_atomic`` one
+    tensor at a time; an array that is C-contiguous little-endian
+    float64, as the model's are, is written without a copy.
+    """
     named = model.named_parameters()
-    blob = [CHECKPOINT_MAGIC, struct.pack("<I", len(named))]
-    for name, tensor in named:
-        encoded = name.encode("utf-8")
-        arr = np.ascontiguousarray(tensor.data, dtype="<f8")
-        blob.append(struct.pack("<H", len(encoded)))
-        blob.append(encoded)
-        blob.append(struct.pack("<B", arr.ndim))
-        blob.append(struct.pack("<%dI" % arr.ndim, *arr.shape))
-        blob.append(arr.tobytes())
-    blob.append(struct.pack("<I", model.config.arch_hash()))
-    write_atomic(path, b"".join(blob))
+
+    def pieces():
+        yield CHECKPOINT_MAGIC + struct.pack("<I", len(named))
+        for name, tensor in named:
+            encoded = name.encode("utf-8")
+            arr = np.ascontiguousarray(tensor.data, dtype="<f8")
+            yield (struct.pack("<H", len(encoded)) + encoded
+                   + struct.pack("<B%dI" % arr.ndim, arr.ndim, *arr.shape))
+            yield memoryview(arr)
+        yield struct.pack("<I", model.config.arch_hash())
+
+    write_atomic(path, pieces())
     log.info("saved checkpoint with %d tensors to %s", len(named), path)
 
 
+# Values per read of the finiteness check of ``load_checkpoint``: 64 KB.
+_CHECK_VALUES = 2 ** 13
+
+
 def load_checkpoint(path, model):
-    """Load parameters saved for the same architecture into the model."""
+    """Load parameters saved for the same architecture into the model.
+
+    All or nothing, in about one model's memory.  A first pass over the
+    file checks everything before any model array is written: the
+    headers, each tensor's size against the bytes left in the file, the
+    finiteness of every value, read through one small buffer, then the
+    architecture hash, the names and the shapes.  A second pass reads
+    each tensor into the model's own array, or into a fresh one where that
+    array is not a writable, C-contiguous float64 array; it can fail only
+    if the file changes, or its reads fail, between the two passes.
+    """
     try:
         with open(path, "rb") as handle:
-            payload = handle.read()
+            tensors = _check_checkpoint(handle, model)
+            for name, tensor in model.named_parameters():
+                start, dims, _ = tensors[name]
+                arr = tensor.data
+                if not (arr.flags.writeable and arr.flags.c_contiguous
+                        and arr.dtype == np.dtype("<f8")):
+                    arr = np.empty(dims, dtype="<f8")
+                handle.seek(start)
+                # short only if the file changed since the first pass
+                if handle.readinto(arr) != arr.nbytes:
+                    raise ParseError("checkpoint file is truncated")
+                tensor.data = arr
     except OSError as exc:
         raise DataError("cannot read checkpoint %s: %s" % (path, exc)) from None
-    view = memoryview(payload)
-    if bytes(view[:8]) != CHECKPOINT_MAGIC:
+    return model
+
+
+def _check_checkpoint(handle, model):
+    """The first pass of ``load_checkpoint`` over the open file: raise a
+    ``ParseError``, ``ConfigError`` or ``DimensionError`` unless the file
+    holds the model's tensors, else return {name: (offset, dims, finite)}.
+
+    Tensor sizes are Python ints, checked against the bytes left in the
+    file before anything is read, so that no header can claim a size that
+    wraps around or that is allocated.  A name that occurs twice takes its
+    last tensor.
+    """
+    file_size = os.fstat(handle.fileno()).st_size
+    if handle.read(8) != CHECKPOINT_MAGIC:
         raise ParseError("not a checkpoint file: bad magic bytes")
-    offset = 8
+    buffer = np.empty(0, dtype="<f8")
+    tensors = {}
     try:
-        (count,) = struct.unpack_from("<I", view, offset)
-        offset += 4
-        loaded = {}
+        (count,) = struct.unpack("<I", handle.read(4))
         for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", view, offset)
-            offset += 2
-            name = bytes(view[offset:offset + name_len]).decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<B", view, offset)
-            offset += 1
-            dims = struct.unpack_from("<%dI" % rank, view, offset)
-            offset += 4 * rank
-            size = int(np.prod(dims)) if rank else 1
-            arr = np.frombuffer(view, dtype="<f8", count=size, offset=offset)
-            offset += 8 * size
-            loaded[name] = arr.reshape(dims).astype(np.float64)
-        (stored_hash,) = struct.unpack_from("<I", view, offset)
-        offset += 4
-    except (struct.error, ValueError):
+            (name_len,) = struct.unpack("<H", handle.read(2))
+            name = handle.read(name_len).decode("utf-8")
+            (rank,) = struct.unpack("<B", handle.read(1))
+            dims = struct.unpack("<%dI" % rank, handle.read(4 * rank))
+            start, left = handle.tell(), math.prod(dims)
+            if 8 * left > file_size - start:
+                raise ParseError("checkpoint file is truncated")
+            if buffer.size < min(left, _CHECK_VALUES):
+                buffer = np.empty(min(left, _CHECK_VALUES), dtype="<f8")
+            finite = True
+            while left:
+                chunk = buffer[:min(left, buffer.size)]
+                if handle.readinto(chunk) != chunk.nbytes:
+                    raise ParseError("checkpoint file is truncated")
+                finite = finite and bool(np.isfinite(chunk).all())
+                left -= chunk.size
+            tensors[name] = (start, dims, finite)
+        (stored_hash,) = struct.unpack("<I", handle.read(4))
+    except (struct.error, UnicodeDecodeError):
         raise ParseError("checkpoint file is truncated") from None
-    if offset != len(payload):
-        raise ParseError("checkpoint has %d trailing bytes" % (len(payload) - offset))
-    for name, arr in loaded.items():
-        if not np.isfinite(arr).all():
+    if handle.tell() != file_size:
+        raise ParseError("checkpoint has %d trailing bytes" % (file_size - handle.tell()))
+    for name, (_, _, finite) in tensors.items():
+        if not finite:
             raise ParseError("checkpoint tensor %r holds non-finite values" % name)
     if stored_hash != model.config.arch_hash():
         raise ConfigError(
@@ -880,18 +951,18 @@ def load_checkpoint(path, model):
             % (stored_hash, model.config.arch_hash())
         )
     named = dict(model.named_parameters())
-    if set(named) != set(loaded):
-        missing = sorted(set(named) - set(loaded))
-        extra = sorted(set(loaded) - set(named))
+    if set(named) != set(tensors):
+        missing = sorted(set(named) - set(tensors))
+        extra = sorted(set(tensors) - set(named))
         raise ConfigError(
             "checkpoint tensors do not match model: missing %s, unexpected %s"
             % (missing, extra)
         )
     for name, tensor in named.items():
-        if loaded[name].shape != tensor.data.shape:
+        _, dims, _ = tensors[name]
+        if dims != tensor.data.shape:
             raise DimensionError(
                 "tensor %r has shape %s in checkpoint, model expects %s"
-                % (name, loaded[name].shape, tensor.data.shape)
+                % (name, dims, tensor.data.shape)
             )
-        tensor.data = np.ascontiguousarray(loaded[name])
-    return model
+    return tensors

@@ -516,6 +516,79 @@ def test_pooled_gradients_repeat_bit_for_bit_under_fast_thread_switching(monkeyp
         sys.setswitchinterval(interval)
 
 
+def test_a_second_call_of_the_same_size_allocates_no_scratch():
+    # a fresh thread starts with an empty workspace of its own
+    n, width = 60, 64
+    layer, coords, feats, _ = _layer_case(37, n=n, feat_width=width, message_width=width)
+    state = egnn.GraphState(ad.Tensor(coords), ad.Tensor(feats))
+    receive = np.ones((1, n), dtype=bool)
+    parts = egnn._parts(egnn._row_blocks(receive, width)[1])
+    assert len(parts) == 2
+    # a forward walk's four (pairs, width) arrays per part
+    scratch = sum(n * max(blk[2].size for blk in part) for part in parts) * 4 * width * 8
+    peaks = []
+
+    def calls():
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                egnn._pair_update(state, layer, receive)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+    thread = threading.Thread(target=calls)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert peaks[0] > scratch
+    assert peaks[1] < 0.1 * scratch
+
+
+def test_nothing_a_call_returns_shares_the_workspace(monkeypatch):
+    _several_blocks(monkeypatch, n=30, width=8, rows=6)
+    out, grads = _layer_outputs_and_grads(
+        egnn.egcl_forward, *_layer_case(38, n=30, feat_width=8, message_width=8)
+    )
+    returned = [out.coords.data, out.feats.data] + grads
+    kept = [a.tobytes() for a in returned]
+    _layer_bytes(*_layer_case(39, n=30, feat_width=8, message_width=8))
+    assert [a.tobytes() for a in returned] == kept
+
+
+def test_layers_run_at_once_on_two_threads_get_the_bits_of_a_serial_run(monkeypatch):
+    # Each thread has a workspace of its own; a shared one would mix the
+    # two threads' blocks.  Forward only, since the tape stack is shared
+    # by every thread of the process.
+    _several_blocks(monkeypatch, n=30, width=8, rows=6)
+    cases = [_layer_case(seed, n=30, feat_width=8, message_width=8) for seed in (40, 41)]
+
+    def forward(case):
+        layer, coords, feats, _ = case
+        out = egnn.egcl_forward(egnn.GraphState(coords, feats), layer)
+        return [out.coords.data.tobytes(), out.feats.data.tobytes()]
+
+    serial = [forward(case) for case in cases]
+    seen = [[], []]
+
+    def run(k):
+        for _ in range(10):
+            seen[k].append(forward(cases[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [[serial[0]] * 10, [serial[1]] * 10]
+
+
 def _reference_blocks(state, layer):
     # The pair kernel's forward walk with a separate array for every
     # activation of both MLPs, each block's geometry from ``_geometry``:

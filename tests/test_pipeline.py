@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import os
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -455,8 +457,7 @@ def test_train_checkpoints_best_validation_weights(tmp_path):
     model = pl.build_model(cfg)
     path = str(tmp_path / "best.ckpt")
     history = pl.train(data[:3], cfg, model, valid_set=data[3:], checkpoint_path=path)
-    assert os.path.exists(path)
-    assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+    assert os.listdir(tmp_path) == ["best.ckpt"]
     best = min(h.valid_total for h in history)
     restored = pl.load_checkpoint(path, pl.build_model(cfg))
     assert pl.evaluate_loss(data[3:], restored) == pytest.approx(best, abs=1e-9)
@@ -491,6 +492,114 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     pl.load_checkpoint(path, other)
     for name, tensor in other.named_parameters():
         assert np.array_equal(tensor.data, trained[name].data)
+
+
+def test_save_checkpoint_touches_no_existing_file(tmp_path):
+    # a file named like the temporary file of an older write_atomic
+    kept = tmp_path / ("m.ckpt.tmp.%d" % os.getpid())
+    kept.write_text("user data")
+    pl.save_checkpoint(str(tmp_path / "m.ckpt"), pl.build_model(tiny_config()))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", kept.name]
+    assert kept.read_text() == "user data"
+
+
+def test_write_atomic_writes_pieces_in_order_with_the_mode_open_gives(tmp_path):
+    path = str(tmp_path / "out")
+    pl.write_atomic(path, iter([b"ab", bytearray(b"c"), memoryview(np.arange(2.0))]))
+    assert open(path, "rb").read() == b"abc" + np.arange(2.0).tobytes()
+    with open(str(tmp_path / "plain"), "wb"):
+        pass
+    assert os.stat(path).st_mode == os.stat(str(tmp_path / "plain")).st_mode
+
+    def failing():
+        yield b"partial"
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        pl.write_atomic(path, failing())
+    assert open(path, "rb").read() == b"abc" + np.arange(2.0).tobytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "plain"]
+
+
+def _parameter_bytes(model):
+    return sum(t.data.nbytes for _, t in model.named_parameters())
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkpoint_save_and_load_need_no_copy_of_the_weights(tmp_path):
+    cfg = tiny_config(width=128)
+    model, other = pl.build_model(cfg), pl.build_model(tiny_config(width=128, seed=4))
+    size = _parameter_bytes(model)
+    assert size > 3e6
+    path = str(tmp_path / "model.ckpt")
+    assert _traced_peak(lambda: pl.save_checkpoint(path, model)) < 0.1 * size
+    arrays = [t.data for _, t in other.named_parameters()]
+    assert _traced_peak(lambda: pl.load_checkpoint(path, other)) < 0.1 * size
+    # read into the model's own arrays
+    assert all(t.data is a for (_, t), a in zip(other.named_parameters(), arrays))
+    for (_, got), (_, want) in zip(other.named_parameters(), model.named_parameters()):
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_checkpoint_loads_into_fresh_arrays_where_the_model_cannot_take_it(tmp_path):
+    cfg = tiny_config(seed=5)
+    model = pl.build_model(cfg)
+    path = str(tmp_path / "model.ckpt")
+    pl.save_checkpoint(path, model)
+    other = pl.build_model(tiny_config(seed=6))
+    frozen = other.encoder.token_emb.data
+    frozen.setflags(write=False)
+    before = frozen.copy()
+    other.decoder.head_w.data = np.asfortranarray(other.decoder.head_w.data)
+    other.decoder.head_b.data = other.decoder.head_b.data.astype(np.float32)
+    pl.load_checkpoint(path, other)
+    assert np.array_equal(frozen, before)
+    for (_, got), (_, want) in zip(other.named_parameters(), model.named_parameters()):
+        assert got.data.dtype == np.float64 and got.data.flags.c_contiguous
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_checkpoint_that_fails_in_its_last_tensor_changes_no_model_array(tmp_path):
+    cfg = tiny_config(seed=7)
+    path = str(tmp_path / "model.ckpt")
+    pl.save_checkpoint(path, pl.build_model(cfg))
+    payload = open(path, "rb").read()
+    # the file ends with the last tensor, decoder.head_b (20,), then the hash
+    nan_last = payload[:-12] + np.array([np.nan], dtype="<f8").tobytes() + payload[-4:]
+    for name, broken, match in (("nan.ckpt", nan_last, "decoder.head_b"),
+                                ("short.ckpt", payload[:-4 - 80], "truncated")):
+        bad = str(tmp_path / name)
+        open(bad, "wb").write(broken)
+        model = pl.build_model(tiny_config(seed=8))
+        before = [(t.data, t.data.tobytes()) for _, t in model.named_parameters()]
+        with pytest.raises(ParseError, match=match):
+            pl.load_checkpoint(bad, model)
+        for (_, t), (arr, data) in zip(model.named_parameters(), before):
+            assert t.data is arr and arr.tobytes() == data
+
+
+def test_checkpoint_header_claiming_more_than_the_file_holds_allocates_nothing(tmp_path):
+    name = b"encoder.token_emb"
+    path = str(tmp_path / "huge.ckpt")
+    open(path, "wb").write(
+        pl.CHECKPOINT_MAGIC + struct.pack("<IH", 1, len(name)) + name
+        + struct.pack("<B2I", 2, 2 ** 32 - 1, 2 ** 32 - 1) + bytes(64)
+    )
+    model = pl.build_model(tiny_config())
+
+    def load():
+        with pytest.raises(ParseError, match="truncated"):
+            pl.load_checkpoint(path, model)
+
+    assert _traced_peak(load) < 2 ** 20
 
 
 def _mlp_shapes(prefix, width_in, hidden, width_out):
