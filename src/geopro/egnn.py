@@ -16,11 +16,11 @@ read the block's one geometry, and the coordinate MLP runs in the
 message MLP's spent arrays.  It keeps nothing of size N² between forward
 and backward, and computes every block again in its backward pass
 (gradient checkpointing, Chen et al. 2016).  Memory therefore grows with
-N·H, not N²·H.  The blocks are dealt into two parts that run on a
-module-level two-thread pool.  The first kernel call of any size sets
-numpy's OpenBLAS to one thread before its first product, so that BLAS
-rounds the same way in every call of the process; a call with one block
-runs on the calling thread.
+N·H, not N²·H.  The blocks are dealt into two parts that run on the
+two-thread pool of ``geopro.pool``.  The first kernel call of any size
+sets numpy's OpenBLAS to one thread before its first product, so that
+BLAS rounds the same way in every call of the process; a call with one
+block runs on the calling thread.
 
 A layer may be given the rows that its caller reads (``egcl_forward``):
 its blocks then list only those receiving rows, and every other row
@@ -28,10 +28,6 @@ receives no messages.  ``egnn_forward`` gives such a mask to its last
 layer only.
 """
 
-import contextvars
-import ctypes
-import logging
-import os
 import threading
 from dataclasses import dataclass
 
@@ -40,8 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ContractError, DimensionError
 from .geometry import apply_rigid, random_rigid
-
-log = logging.getLogger(__name__)
+from .pool import part_pool, run_parts
 
 
 @dataclass
@@ -330,83 +325,6 @@ def _sum_parts(per_part):
     return first
 
 
-# The pool that runs the parts of the pair kernel: None until its first
-# call, False if that call found no OpenBLAS thread setter.
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _blas_thread_setter():
-    """The thread-count setter of numpy's bundled OpenBLAS, or None.
-
-    numpy has no API for it, so it is looked up by name in ``numpy.libs``.
-    """
-    # imported here and in _part_pool, so that importing geopro does not
-    # pay for modules that only the pool needs
-    import glob
-
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
-        try:
-            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-        return setter
-    return None
-
-
-def _part_pool():
-    """The module's pool of min(2, usable cores) threads, or None when the
-    parts must run inline.
-
-    Made at the first call, which also sets OpenBLAS to one thread: with
-    two pool threads, BLAS threads only contend for the same cores, and
-    with one block BLAS's second thread spins in every small product.
-    The kernel calls this at entry, before its first product, so that
-    every kernel product rounds the same way whatever ran before it.  The
-    executor starts its threads only at its first ``submit``.  Without a
-    setter the pool is never made, and one INFO record says so.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            setter = _blas_thread_setter()
-            if setter is None:
-                log.info("no OpenBLAS thread setter in numpy.libs: the EGNN pair "
-                         "kernel runs on one thread")
-                _pool = False
-            else:
-                from concurrent.futures import ThreadPoolExecutor
-
-                setter(1)
-                _pool = ThreadPoolExecutor(
-                    min(2, len(os.sched_getaffinity(0))), thread_name_prefix="geopro-egnn"
-                )
-        return _pool or None
-
-
-def _run_parts(pool, work, jobs):
-    """Call ``work(*job)`` for each job, one per part.
-
-    Two or more jobs go to ``pool``, the kernel's ``_part_pool()``, each in
-    a copy of the caller's context, since numpy's error state is a context
-    variable; every job is waited for, and the first job's error is raised.
-    A single job runs inline on the calling thread and is never submitted,
-    and so do all jobs when ``pool`` is None.
-    """
-    if pool is None or len(jobs) == 1:
-        for job in jobs:
-            work(*job)
-        return
-    futures = [pool.submit(contextvars.copy_context().run, work, *job) for job in jobs]
-    errors = [future.exception() for future in futures]  # waits for every job
-    for error in errors:
-        if error is not None:
-            raise error
-
-
 def _silu(h, t, u):
     """Given h = z/2, write 1 + tanh(h) into ``t`` and silu(z) = h * t into
     ``u``.
@@ -571,7 +489,7 @@ def _pair_update(state, params, receive):
     calling thread's workspace, and its own gradient accumulators,
     allocated here before the parts run.
     """
-    pool = _part_pool()
+    pool = part_pool()
     batch, n = state.batch_shape
     coords = state.coords.data.reshape(batch, n, 3)
     message, coord = _PairInput(state, params.message), _PairInput(state, params.coord)
@@ -615,8 +533,8 @@ def _pair_update(state, params, receive):
     out = np.zeros((batch, n, width + 3))
     halves = _halves(w2, b2)
     scratches = _scratch(parts, n, [hidden, hidden, width, width])
-    _run_parts(pool, forward, [(part, scratch, halves)
-                               for part, scratch in zip(parts, scratches)])
+    run_parts(pool, forward, [(part, scratch, halves)
+                              for part, scratch in zip(parts, scratches)])
     out[..., width:] += coords
 
     def backward(g_out):
@@ -681,8 +599,8 @@ def _pair_update(state, params, receive):
                 g_coords[b0:b1][_pick(rows)] += d_diff.sum(axis=2)
                 g_coords[b0:b1] -= d_diff.sum(axis=1)
 
-        _run_parts(pool, walk, list(zip(parts, scratches, message_grads, coord_grads, accs,
-                                        tmps)))
+        run_parts(pool, walk, list(zip(parts, scratches, message_grads, coord_grads, accs,
+                                       tmps)))
         g_coords, g_w2, g_b2, g_w_gate, g_b_gate, g_c_w2, g_c_b2 = _sum_parts(accs)
         g_coords += g_moved
         g_feats, *g_message = message.grads(message_grads)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
 import weakref
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from geopro import autodiff as ad
+from geopro import pool
 from geopro.checks import check_grads
 from geopro.errors import ConfigError, ContractError, DimensionError, NumericError, StateError
 
@@ -390,13 +392,49 @@ def test_fresh_adam_moments_are_exact_zeros():
         assert m.shape == v.shape == p.shape and m.dtype == v.dtype == np.float64
         assert not np.any(np.signbit(m)) and not np.any(np.signbit(v))
         assert np.array_equal(m, np.zeros(p.shape)) and np.array_equal(v, np.zeros(p.shape))
+    # each moment is views of one flat buffer, in parameter order
+    for moment in (state.m, state.v):
+        flat = moment[0].base
+        assert flat.shape == (state.size,) == (1 + 7 + 65,)
+        assert all(a.base is flat for a in moment)
+        assert [a.ctypes.data - flat.ctypes.data for a in moment] == [0, 8, 64]
+    assert not np.shares_memory(state.m[0].base, state.v[0].base)
 
 
-def test_adam_step_has_the_bits_of_the_out_of_place_update():
+# (shape, layout of the data, layout of the gradient), where a layout is
+# "C", "F" for Fortran order, "T" for a transposed view of another array or
+# "S" for a strided slice of one.  (300, 250) is three pieces; the
+# non-contiguous (180, 200) is more than a piece, and is walked whole.
+_ADAM_CASES = [((1,), "C", "C"), ((7,), "C", "C"), ((13, 5), "F", "C"),
+               ((300, 250), "C", "C"), ((180, 200), "T", "C"), ((20, 9), "C", "F"),
+               ((6, 11), "S", "S")]
+
+
+def _laid_out(a, layout):
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "T":
+        return a.T.copy().T
+    if layout == "S":
+        wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+        wide[..., ::2] = a
+        return wide[..., ::2]
+    return a.copy()
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_adam_step_has_the_bits_of_the_out_of_place_update(monkeypatch, pooled):
+    if pooled:
+        # the parts run on the pool, and the first part ends inside (300, 250)
+        monkeypatch.setattr(ad, "_ADAM_POOL_VALUES", 1000)
     rng = np.random.default_rng(12)
-    shapes = [(1,), (7,), (13, 5)]
+    shapes = [shape for shape, _, _ in _ADAM_CASES]
     start = [rng.normal(size=shape) for shape in shapes]
-    params = [ad.Tensor(p.copy(), requires_grad=True) for p in start]
+    params = [ad.Tensor(np.zeros(shape), requires_grad=True) for shape in shapes]
+    for p, value, (_, layout, _) in zip(params, start, _ADAM_CASES):
+        p.data = _laid_out(value, layout)
+    assert [p.data.flags.c_contiguous for p in params] == [
+        layout == "C" for _, layout, _ in _ADAM_CASES]
     state = ad.AdamState(params)
     ref_p = [p.copy() for p in start]
     ref_m = [np.zeros(shape) for shape in shapes]
@@ -404,8 +442,8 @@ def test_adam_step_has_the_bits_of_the_out_of_place_update():
     b1, b2 = ad.ADAM_BETA1, ad.ADAM_BETA2
     for t, lr in zip((1, 2, 3), (1e-2, 3e-3, 1e-3)):
         grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3) for shape in shapes]
-        for p, g in zip(params, grads):
-            p.grad = g.copy()
+        for p, g, (_, _, layout) in zip(params, grads, _ADAM_CASES):
+            p.grad = _laid_out(g, layout)
         ad.adam_step(state, lr)
         for i, g in enumerate(grads):
             ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
@@ -418,6 +456,77 @@ def test_adam_step_has_the_bits_of_the_out_of_place_update():
             assert state.m[i].tobytes() == ref_m[i].tobytes()
             assert state.v[i].tobytes() == ref_v[i].tobytes()
             assert p.grad is None
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -1e-3])
+def test_adam_refuses_a_learning_rate_that_is_not_finite_and_nonnegative(lr):
+    # with a zero gradient, nan·0 and inf·0 would write NaN into the parameter
+    p = ad.Tensor([2.5, -1.0], requires_grad=True)
+    state = ad.AdamState([p])
+    p.grad = np.array([0.0, 0.5])
+    with pytest.raises(ContractError, match="learning rate"):
+        ad.adam_step(state, lr)
+    assert np.array_equal(p.data, [2.5, -1.0]) and state.step_count == 0
+    assert not state.m[0].any() and not state.v[0].any()
+
+
+def test_a_small_adam_state_never_touches_the_pool(monkeypatch):
+    class RefusingPool:
+        def submit(self, *args, **kwargs):
+            raise AssertionError("a small Adam state reached the pool")
+
+    monkeypatch.setattr(pool, "_pool", RefusingPool())
+    p = ad.Tensor(np.ones((300, 250)), requires_grad=True)
+    state = ad.AdamState([p])
+    p.grad = np.ones(p.shape)
+    ad.adam_step(state, 0.1)
+    monkeypatch.setattr(ad, "_ADAM_POOL_VALUES", 1000)
+    p.grad = np.ones(p.shape)
+    with pytest.raises(AssertionError, match="small Adam state"):
+        ad.adam_step(state, 0.1)
+
+
+def test_floating_point_error_in_a_pooled_adam_part_reaches_the_caller(monkeypatch):
+    if pool.part_pool() is None:
+        pytest.skip("no OpenBLAS thread setter: the parts always run inline")
+    monkeypatch.setattr(ad, "_ADAM_POOL_VALUES", 1000)
+    threads = set()
+    adam_part = ad._adam_part
+
+    def recording_part(*args):
+        threads.add(threading.current_thread())
+        adam_part(*args)
+
+    monkeypatch.setattr(ad, "_adam_part", recording_part)
+    params = [ad.Tensor(np.zeros(2000), requires_grad=True) for _ in range(2)]
+    state = ad.AdamState(params)
+    params[0].grad = np.ones(2000)
+    params[1].grad = np.full(2000, 1e200)  # g² overflows in the second part
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        ad.adam_step(state, 0.1)
+    assert len(threads) >= 1 and threading.current_thread() not in threads
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_adam_step_peak_stays_under_two_pieces_per_part(monkeypatch, pooled):
+    # a temporary of the largest parameter's size would be 4.5 MB here
+    if pooled:
+        monkeypatch.setattr(ad, "_ADAM_POOL_VALUES", 1000)
+    parts = 2 if pooled and pool.part_pool() is not None else 1
+    params = [ad.Tensor(np.ones((800, 700)), requires_grad=True),
+              ad.Tensor(np.ones(5000), requires_grad=True)]
+    state = ad.AdamState(params)
+    assert state.m[0].base.nbytes >= 4 * 2 ** 20
+    for p in params:
+        p.grad = np.full(p.shape, 0.5)
+    tracemalloc.start()
+    try:
+        ad.adam_step(state, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(params[0].data < 1.0) and np.all(params[1].data < 1.0)
+    assert peak < 2 * parts * ad._ADAM_PIECE * 8
 
 
 def test_adam_missing_grad_is_state_error():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from geopro import autodiff as ad
-from geopro import egnn
+from geopro import egnn, pool
 from geopro.checks import check_grads
 from geopro.errors import ContractError, DimensionError
 from geopro.geometry import apply_rigid, random_rigid
@@ -475,10 +475,10 @@ def _layer_bytes(layer, coords, feats, probe):
 def test_parts_give_the_same_bits_on_the_pool_and_inline(monkeypatch):
     _several_blocks(monkeypatch, n=7, width=6, rows=1)
     case = _layer_case(30, n=7, feat_width=4, message_width=6)
-    if egnn._part_pool() is None:
+    if pool.part_pool() is None:
         pytest.skip("no OpenBLAS thread setter: the parts always run inline")
     pooled = _layer_bytes(*case)
-    monkeypatch.setattr(egnn, "_pool", False)
+    monkeypatch.setattr(pool, "_pool", False)
     assert _layer_bytes(*case) == pooled
 
 
@@ -735,9 +735,9 @@ def test_masked_layer_matches_edge_list_reference(monkeypatch, batch, n, counts,
     assert len(got_grads) == 2 + 14
     for g, want in zip(got_grads, ref_grads):
         assert _rel_dev(g, want) < 1e-10
-    if egnn._part_pool() is not None and len(egnn._row_blocks(mask, 6)[1]) > 1:
+    if pool.part_pool() is not None and len(egnn._row_blocks(mask, 6)[1]) > 1:
         pooled = [a.tobytes() for a in [got.coords.data, got.feats.data] + got_grads]
-        monkeypatch.setattr(egnn, "_pool", False)
+        monkeypatch.setattr(pool, "_pool", False)
         inline, inline_grads = _layer_outputs_and_grads(dense, layer, coords, feats, probe)
         assert [a.tobytes() for a in [inline.coords.data, inline.feats.data]
                 + inline_grads] == pooled
@@ -746,7 +746,7 @@ def test_masked_layer_matches_edge_list_reference(monkeypatch, batch, n, counts,
 def test_floating_point_error_in_a_part_reaches_the_caller(monkeypatch):
     _several_blocks(monkeypatch, n=7, width=6, rows=1)
     case = _layer_case(33, n=7, feat_width=4, message_width=6)
-    if egnn._part_pool() is None:
+    if pool.part_pool() is None:
         pytest.skip("no OpenBLAS thread setter: the parts always run inline")
     threads = set()
     silu = egnn._silu
@@ -769,7 +769,7 @@ def test_one_block_never_touches_the_pool(monkeypatch):
 
     case = _layer_case(34, n=7, feat_width=4, message_width=6)
     assert len(_every_row_blocks((1, 7), 6)[1]) == 1
-    monkeypatch.setattr(egnn, "_pool", RefusingPool())
+    monkeypatch.setattr(pool, "_pool", RefusingPool())
     _layer_bytes(*case)
     _several_blocks(monkeypatch, n=7, width=6, rows=1)
     with pytest.raises(AssertionError, match="one-block"):
@@ -780,13 +780,13 @@ def test_without_a_blas_thread_setter_the_parts_run_inline(monkeypatch, caplog):
     _several_blocks(monkeypatch, n=7, width=6, rows=1)
     case = _layer_case(35, n=7, feat_width=4, message_width=6)
     expected = _layer_bytes(*case)
-    monkeypatch.setattr(egnn, "_pool", None)
-    monkeypatch.setattr(egnn, "_blas_thread_setter", lambda: None)
-    caplog.set_level(logging.INFO, logger=egnn.__name__)
+    monkeypatch.setattr(pool, "_pool", None)
+    monkeypatch.setattr(pool, "_blas_thread_setter", lambda: None)
+    caplog.set_level(logging.INFO, logger=pool.__name__)
     assert _layer_bytes(*case) == expected
     assert _layer_bytes(*case) == expected
-    assert egnn._pool is False
-    records = [r for r in caplog.records if r.name == egnn.__name__]
+    assert pool._pool is False
+    records = [r for r in caplog.records if r.name == pool.__name__]
     assert [r.levelno for r in records] == [logging.INFO]
 
 
@@ -794,8 +794,8 @@ def test_first_one_block_call_sets_blas_to_one_thread_and_starts_no_thread(monke
     calls = []
     case = _layer_case(36, n=7, feat_width=4, message_width=6)
     assert len(_every_row_blocks((1, 7), 6)[1]) == 1
-    monkeypatch.setattr(egnn, "_pool", None)
-    monkeypatch.setattr(egnn, "_blas_thread_setter", lambda: calls.append)
+    monkeypatch.setattr(pool, "_pool", None)
+    monkeypatch.setattr(pool, "_blas_thread_setter", lambda: calls.append)
     threads = threading.active_count()
     _layer_bytes(*case)
     assert calls == [1]
@@ -844,9 +844,13 @@ def test_one_block_gradients_do_not_depend_on_an_earlier_multi_block_call():
 
 
 def test_importing_geopro_starts_no_thread():
+    # nor does building an Adam state and stepping one below the pool limit
     src = os.path.dirname(os.path.dirname(egnn.__file__))
-    code = ("import threading, geopro.cli, geopro.egnn; "
-            "print(threading.active_count(), geopro.egnn._pool)")
+    code = ("import threading, numpy as np, geopro.cli, geopro.egnn, geopro.pool; "
+            "from geopro import autodiff as ad; "
+            "p = ad.Tensor(np.ones((300, 250)), requires_grad=True); "
+            "state = ad.AdamState([p]); p.grad = np.ones(p.shape); ad.adam_step(state, 0.1); "
+            "print(threading.active_count(), geopro.pool._pool)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
     assert done.stdout.split() == ["1", "None"]
