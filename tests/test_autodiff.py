@@ -422,11 +422,14 @@ def _laid_out(a, layout):
     return a.copy()
 
 
-@pytest.mark.parametrize("pooled", [False, True])
-def test_adam_step_has_the_bits_of_the_out_of_place_update(monkeypatch, pooled):
-    if pooled:
-        # the parts run on the pool, and the first part ends inside (300, 250)
-        monkeypatch.setattr(ad, "_ADAM_POOL_VALUES", 1000)
+def test_adam_step_has_the_bits_of_the_out_of_place_update(monkeypatch):
+    _check_adam_bits()
+    # the parts run on the pool, and the first part ends inside (300, 250)
+    monkeypatch.setattr(ad, "_ADAM_POOL_VALUES", 1000)
+    _check_adam_bits()
+
+
+def _check_adam_bits():
     rng = np.random.default_rng(12)
     shapes = [shape for shape, _, _ in _ADAM_CASES]
     start = [rng.normal(size=shape) for shape in shapes]
