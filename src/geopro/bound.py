@@ -61,8 +61,7 @@ class TheoremInstance:
         _, counts = np.unique(self.labels, return_counts=True)
         if counts.min() != counts.max():
             raise ContractError("cluster sizes differ: %s" % counts.tolist())
-        diff = self.embeddings[:, None, :] - self.embeddings[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
+        dist = self.pairwise_distances()
         same = self.labels[:, None] == self.labels[None, :]
         off_diag = ~np.eye(self.n, dtype=bool)
         within = dist[same & off_diag]

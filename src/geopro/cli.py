@@ -24,7 +24,6 @@ from . import checks as ck
 from . import data as dt
 from . import metrics as mx
 from . import pipeline as pl
-from . import seqmodel as sm
 from .errors import ConfigError, DataError, GeoproError
 
 log = logging.getLogger(__name__)
@@ -272,19 +271,16 @@ def _cmd_train(args):
         parse_positions_file(_read_text(args.motif_file)) if args.motif_file else None
     )
     curve_path = args.curve or "%s.curve.csv" % args.out
-    for path in (args.out, curve_path):
+    sidecar = "%s.config" % args.out
+    for path in (args.out, curve_path, sidecar):
         pl.check_writable(path)
     examples, splits = read_dataset(args.data, motif_positions)
     train_set, valid_set = _split_examples(examples, splits)
     model = pl.build_model(config)
     history = pl.train(
-        train_set, config, model,
-        valid_set=valid_set or None,
-        checkpoint_path=args.out if valid_set else None,
+        train_set, config, model, valid_set=valid_set, checkpoint_path=args.out
     )
-    if not valid_set:
-        pl.save_checkpoint(args.out, model)
-    pl.write_atomic("%s.config" % args.out, pl.format_config(config))
+    pl.write_atomic(sidecar, pl.format_config(config))
     rows = ["epoch,train_total,train_backbone,train_sequence,valid_total"]
     for h in history:
         valid_cell = "" if math.isnan(h.valid_total) else "%.10g" % h.valid_total
@@ -441,8 +437,6 @@ _CONFIG_FLAGS = {
     "--beta": dict(type=float, help="sequence loss weight"),
     "--topk": dict(dest="top_k", type=int, help="sampling pool size"),
     "--radius": dict(type=float, help="initialization sphere radius"),
-    "--feature-select": dict(choices=sm.FEATURE_SELECT_MODES,
-                             help="decoder input selection mode"),
     "--seed": dict(type=_seed, help="seed of the initial weights, example order "
                                   "and initial coordinates"),
 }
@@ -492,8 +486,7 @@ def build_parser():
     p.add_argument("--curve", help="loss curve CSV path")
     p.add_argument("--motif-file",
                    help="shared motif positions when motifs.csv is absent")
-    _add_config_flags(p, "--alpha", "--beta", "--topk", "--radius",
-                      "--feature-select", "--seed")
+    _add_config_flags(p, "--alpha", "--beta", "--topk", "--radius", "--seed")
     p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("design", help="sample candidates from a checkpoint")

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .geometry import sample_sphere_point
 from .seqmodel import (
-    FEATURE_SELECT_MODES,
     MASK,
     RESIDUE_COUNT,
     ContextEncoder,
@@ -44,7 +43,6 @@ from .seqmodel import (
     gsd_feature_select,
     init_context_encoder,
     init_gsd_decoder,
-    kept_rows,
     motif_mask,
     sample_top_k,
     sequence_loss,
@@ -140,7 +138,10 @@ class TrainingConfig:
     warmup_steps: int = 4000
     epochs: int = 10
     seed: int = 0
-    feature_select: str = "as_printed"
+    # Retired, like edge_attrs below: "inverted" is the only value.  The
+    # decoder has no positional embedding, so "as_printed", which gave every
+    # flexible row the mask row, gave every flexible row the same logits.
+    feature_select: str = "inverted"
     egnn_depth: int = 2
     width: int = 320
     top_k: int = 3
@@ -172,10 +173,10 @@ class TrainingConfig:
             raise ConfigError("epochs must be non-negative")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.feature_select not in FEATURE_SELECT_MODES:
+        if self.feature_select != "inverted":
             raise ConfigError(
-                "feature_select must be one of %s, got %r"
-                % (FEATURE_SELECT_MODES, self.feature_select)
+                "feature_select is retired and accepts only 'inverted', got %r; a "
+                "model trained under another value must be retrained" % self.feature_select
             )
         if self.edge_attrs != "none":
             raise ConfigError(
@@ -387,19 +388,15 @@ def refine_and_decode(features, start_coords, motif, model, coords_read=None):
 
     ``coords_read``, a bool mask shaped like ``motif``, marks the rows
     whose revised coordinates the caller reads; None reads every row.
-    The last EGNN layer then updates only those rows and the rows whose
-    features ``gsd_feature_select`` keeps, which under ``as_printed`` is
-    every row.  The logits and the coordinates of those rows are the full
-    graph's; the other rows' revised coordinates and features are not.
+    The last EGNN layer then updates only those rows and the flexible
+    rows, whose features ``gsd_feature_select`` keeps.  The logits and the
+    coordinates of those rows are the full graph's; the other rows'
+    revised coordinates and features are not.
     """
-    receive = None
-    if coords_read is not None:
-        receive = kept_rows(motif, model.config.feature_select) | coords_read
+    receive = None if coords_read is None else ~motif | coords_read
     state = GraphState(ad.as_tensor(start_coords), features)
     out = egnn_forward(state, model.egnn, receive)
-    selected = gsd_feature_select(
-        out.feats, motif, model.decoder.mask_emb, model.config.feature_select
-    )
+    selected = gsd_feature_select(out.feats, motif, model.decoder.mask_emb)
     return out.coords, out.feats, decode_logits(selected, model.decoder)
 
 
@@ -535,9 +532,11 @@ def train(train_set, config, model, valid_set=None, checkpoint_path=None):
 
     Each step runs a mini-batch as one stacked forward pass
     (``batch_losses``), averages its joint losses, backpropagates once,
-    and applies one optimizer update at the scheduled rate.  When
-    a validation set and a checkpoint path are given, the best
-    validation loss decides which weights get saved.
+    and applies one optimizer update at the scheduled rate.  Given a
+    checkpoint path, the run always leaves a checkpoint there: the
+    weights of the epoch with the best validation loss when there is a
+    validation set and at least one epoch, else the final weights.  A
+    non-finite validation loss raises ``NumericError``.
     """
     if not train_set:
         raise ContractError("training set is empty")
@@ -546,8 +545,6 @@ def train(train_set, config, model, valid_set=None, checkpoint_path=None):
     steps_per_epoch = math.ceil(len(train_set) / config.batch_size)
     total_steps = config.epochs * steps_per_epoch
     history = []
-    if total_steps == 0:
-        return history
     lr_of = _schedule(config, total_steps)
     order_rng = substream(config.seed, "train-order")
     step = 0
@@ -581,10 +578,14 @@ def train(train_set, config, model, valid_set=None, checkpoint_path=None):
         )
         if valid_set:
             stats.valid_total = evaluate_loss(valid_set, model)
+            if not math.isfinite(stats.valid_total):
+                raise NumericError("non-finite validation loss after epoch %d" % epoch)
             if checkpoint_path is not None and stats.valid_total < best_valid:
                 best_valid = stats.valid_total
                 save_checkpoint(checkpoint_path, model)
         history.append(stats)
+    if checkpoint_path is not None and not (valid_set and history):
+        save_checkpoint(checkpoint_path, model)
     return history
 
 
@@ -657,12 +658,10 @@ def design(motif, length, n_candidates, k, model, seed, pin_motif=True):
         rng = substream(seed, "design-%d" % index)
         start = init_backbone_coords(motif, length, model.config.radius, rng)
         coords, _, logits = refine_and_decode(features, start, fixed, model, coords_read)
-        row_logits = logits.data
-        probs = np.exp(row_logits - row_logits.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs = ad.softmax(logits).data
         sequence = tokens.copy()
         for j in flexible:
-            sequence[j] = sample_top_k(row_logits[j], k, rng)
+            sequence[j] = sample_top_k(logits.data[j], k, rng)
         final_coords = coords.data.copy()
         if pin_motif:
             final_coords[motif.positions] = motif.coords

@@ -20,7 +20,6 @@ AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 MASK = 20
 VOCAB_SIZE = 21
 RESIDUE_COUNT = 20
-FEATURE_SELECT_MODES = ("as_printed", "inverted")  # of gsd_feature_select
 
 _RESIDUE_TO_INDEX = {ch: i for i, ch in enumerate(AMINO_ACIDS)}
 _LN_EPS = 1e-5
@@ -275,30 +274,21 @@ def encode_context(tokens, encoder):
     return x
 
 
-def kept_rows(motif, mode):
-    """Bool mask, shaped like the bool ``motif`` mask, of the positions
-    whose features ``gsd_feature_select`` keeps under ``mode``."""
-    if mode not in FEATURE_SELECT_MODES:
-        raise ConfigError("feature_select mode must be one of %s" % (FEATURE_SELECT_MODES,))
-    motif = np.asarray(motif, dtype=bool)
-    return motif if mode == "as_printed" else ~motif
-
-
-def gsd_feature_select(features, motif, mask_emb, mode):
-    """Choose which positions keep their features and which get the mask
-    row.
+def gsd_feature_select(features, motif, mask_emb):
+    """Give the decoder the features of the flexible positions and the
+    learned mask row at the motif positions.
 
     ``motif`` is a bool mask shaped like ``features`` without its last
-    axis, True at the motif positions.  ``as_printed`` keeps the motif
-    positions and replaces every other row with the learned mask
-    embedding; ``inverted`` does the opposite (see ``kept_rows``).
+    axis, True at the motif positions.  The decoder has no positional
+    embedding, so the flexible rows must keep their features: with the
+    mask row there, every flexible row would get the same logits.
     """
-    keep = kept_rows(motif, mode)
-    if keep.shape != features.shape[:-1]:
+    motif = np.asarray(motif, dtype=bool)
+    if motif.shape != features.shape[:-1]:
         raise ContractError(
-            "motif mask shape %s does not match features %s" % (keep.shape, features.shape)
+            "motif mask shape %s does not match features %s" % (motif.shape, features.shape)
         )
-    keep = keep[..., None].astype(np.float64)
+    keep = (~motif)[..., None].astype(np.float64)
     return ad.add(ad.mul(features, keep), ad.mul(mask_emb, 1.0 - keep))
 
 

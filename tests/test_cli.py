@@ -125,7 +125,7 @@ PINNED_FLAGS = {
     "motif": {"--alignment", "--reference", "--lambda", "--out"},
     "synth": {"--n", "--length", "--motif-frac", "--out", "--seed"},
     "train": {"--data", "--out", "--curve", "--motif-file", "--config", "--alpha",
-              "--beta", "--topk", "--radius", "--feature-select", "--seed"},
+              "--beta", "--topk", "--radius", "--seed"},
     "design": {"--checkpoint", "--data", "--record-id", "--n", "--length", "--out",
                "--pin-motif", "--config", "--topk", "--radius", "--seed"},
     "eval": {"--data", "--record-id", "--candidates", "--plddt", "--out"},
@@ -145,7 +145,7 @@ def test_subcommand_flags_are_pinned():
         for name, p in sub.choices.items()
     }
     assert flags == PINNED_FLAGS
-    assert sum(len(v) for v in flags.values()) == 53
+    assert sum(len(v) for v in flags.values()) == 52
 
 
 # Every parameter with a default in the package, as
@@ -211,6 +211,7 @@ def test_defaulted_parameters_are_pinned():
     ["export-emb", "--checkpoint", "c", "--data", "d", "--out", "o", "--topk", "2"],
     ["eval", "--data", "d", "--record-id", "r", "--candidates", "c", "--out", "o",
      "--seed", "1"],
+    ["train", "--data", "d", "--out", "o", "--feature-select", "inverted"],
 ])
 def test_removed_flag_is_usage_error(argv, capsys):
     assert cli.run(argv) == 1
@@ -486,6 +487,23 @@ def test_retired_edge_attributes_in_a_config_file_exit_two(trained, tmp_path, ca
     assert not os.path.exists(str(tmp_path / "m.ckpt"))
 
 
+def test_retired_feature_selection_in_a_sidecar_exits_two(trained, tmp_path, capsys):
+    # a checkpoint trained while "as_printed" was the default
+    _, ds, ck = trained
+    old = str(tmp_path / "old.ckpt")
+    with open(ck, "rb") as handle:
+        (tmp_path / "old.ckpt").write_bytes(handle.read())
+    with open("%s.config" % ck) as handle:
+        sidecar = handle.read().replace("feature_select = inverted",
+                                        "feature_select = as_printed")
+    (tmp_path / "old.ckpt.config").write_text(sidecar)
+    assert cli.run(["design", "--checkpoint", old, "--data", ds,
+                    "--record-id", "syn001", "--out", str(tmp_path / "d")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "retired" in lines[0]
+    assert not os.path.exists(str(tmp_path / "d"))
+
+
 @pytest.mark.parametrize("command", ["synth", "design"])
 def test_unmakeable_output_directory_exits_two(trained, tmp_path, capsys, command):
     # a regular file stands where the output directory's parent should be
@@ -501,10 +519,14 @@ def test_unmakeable_output_directory_exits_two(trained, tmp_path, capsys, comman
     assert "error: cannot create directory" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("where", ["missing/file", "afile/file", "a_directory"])
-@pytest.mark.parametrize("flag", ["--out", "--curve"])
+@pytest.mark.parametrize("flag,where", [
+    (flag, where) for flag in ("--curve", "--out")
+    for where in ("a_directory", "afile/file", "missing/file")
+] + [("sidecar", "a_directory")])
 def test_train_refuses_unwritable_outputs_before_training(
         trained, tmp_path, capsys, monkeypatch, flag, where):
+    # the sidecar, <out>.config, sits next to the checkpoint, so only a
+    # directory in its place can make it unwritable on its own
     _, ds, _ = trained
     (tmp_path / "afile").write_text("")
     (tmp_path / "a_directory").mkdir()
@@ -514,14 +536,18 @@ def test_train_refuses_unwritable_outputs_before_training(
 
     monkeypatch.setattr(pl, "train", must_not_train)
     paths = {"--out": str(tmp_path / "m.ckpt"), "--curve": str(tmp_path / "c.csv")}
-    paths[flag] = str(tmp_path / where)
+    if flag == "sidecar":
+        bad = paths["--out"] + ".config"
+        os.mkdir(bad)
+    else:
+        paths[flag] = bad = str(tmp_path / where)
     argv = ["train", "--data", ds, "--config", write_config(tmp_path)]
     for name, path in paths.items():
         argv += [name, path]
     assert cli.run(argv) == 2
     err = capsys.readouterr().err
     assert "error: cannot write" in err and "Traceback" not in err
-    assert "error: cannot write %s: " % paths[flag] in err
+    assert "error: cannot write %s: " % bad in err
     assert not list(tmp_path.rglob("*.probe*"))
 
 
@@ -536,6 +562,19 @@ def test_train_honors_split_manifest(tmp_path):
         rows = handle.read().splitlines()[1:]
     for row in rows:
         assert row.split(",")[4] != "", "valid_total column should be filled"
+
+
+def test_train_with_a_split_manifest_and_no_epochs_leaves_its_checkpoint(tmp_path, capsys):
+    ds = make_dataset(tmp_path)
+    with open(os.path.join(ds, "splits.csv"), "w") as handle:
+        handle.write("id,split\nsyn000,train\nsyn001,train\nsyn002,valid\n")
+    ck = str(tmp_path / "m.ckpt")
+    assert cli.run(["train", "--data", ds, "--out", ck,
+                    "--config", write_config(tmp_path, "epochs = 0\n")]) == 0
+    assert "no training steps requested; checkpoint %s" % ck in capsys.readouterr().out
+    assert os.path.exists(ck)
+    assert cli.run(["design", "--checkpoint", ck, "--data", ds, "--record-id", "syn001",
+                    "--n", "1", "--out", str(tmp_path / "d")]) == 0
 
 
 def test_design_outputs_and_determinism(trained):

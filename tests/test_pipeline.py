@@ -321,7 +321,7 @@ def _rel_dev(got, want):
 
 def test_batch_losses_and_gradients_equal_the_per_example_sum():
     examples = mixed_batch()
-    model = pl.build_model(tiny_config(width=8, egnn_depth=2, feature_select="inverted"))
+    model = pl.build_model(tiny_config(width=8, egnn_depth=2))
     params = [t for _, t in model.named_parameters()]
     with ad.Tape() as tape:
         batched = pl.batch_losses(examples, model, streams(4))
@@ -392,15 +392,20 @@ def test_training_step_tape_does_not_grow_with_the_batch(monkeypatch):
 # training
 
 
-def test_train_zero_epochs_leaves_model_unchanged():
-    data = pl.generate_synthetic_dataset(1, 8, 0.3, seed=0)
+def test_train_zero_epochs_leaves_model_unchanged(tmp_path):
+    data = pl.generate_synthetic_dataset(2, 8, 0.3, seed=0)
     cfg = tiny_config(epochs=0)
     model = pl.build_model(cfg)
     before = {n: t.data.copy() for n, t in model.named_parameters()}
-    history = pl.train(data, cfg, model)
+    # with a validation set no epoch ever saves, so the run saves at its end
+    path = str(tmp_path / "m.ckpt")
+    history = pl.train(data[:1], cfg, model, valid_set=data[1:], checkpoint_path=path)
     assert history == []
-    for name, tensor in model.named_parameters():
+    restored = pl.load_checkpoint(path, pl.build_model(tiny_config(seed=4)))
+    for (name, tensor), (_, saved) in zip(model.named_parameters(),
+                                          restored.named_parameters()):
         assert np.array_equal(tensor.data, before[name])
+        assert np.array_equal(saved.data, before[name])
     with pytest.raises(ContractError):
         pl.train([], cfg, model)
 
@@ -423,7 +428,7 @@ def test_model_is_well_scaled_at_init():
     positions = motif.position_set()
     for seed in range(7, 13):
         cfg = pl.TrainingConfig(width=32, egnn_depth=2, enc_depth=2, dec_depth=2,
-                                n_heads=4, seed=seed, feature_select="inverted")
+                                n_heads=4, seed=seed)
         rng = np.random.default_rng(seed)
         start = pl.init_backbone_coords(motif, record.length, cfg.radius, rng)
         coords, feats, logits = pl.forward_with_coords(
@@ -434,12 +439,23 @@ def test_model_is_well_scaled_at_init():
         assert np.linalg.norm(coords.data - start, axis=1).max() < 5.0, seed
 
 
+def test_default_model_gives_flexible_rows_distinct_logits_at_init():
+    # the decoder has no positional embedding, so the flexible rows' logits
+    # differ only if their features reach the decoder
+    (record, motif), = pl.generate_synthetic_dataset(1, 30, 0.3, seed=2026)
+    _, _, logits = pl.forward_joint(record, motif, pl.build_model(pl.TrainingConfig()),
+                                    np.random.default_rng(0))
+    flexible = logits.data[~pl.motif_mask(motif.positions, record.length)]
+    assert len({row.tobytes() for row in flexible}) == len(flexible) == 21
+    assert np.ptp(flexible, axis=0).max() > 1e-3
+
+
 def test_train_smoke_reduces_sequence_loss():
     data = pl.generate_synthetic_dataset(2, 12, 0.3, seed=5)
     # warmup_steps deliberately longer than the run to exercise the
     # schedule shortening path.
     cfg = tiny_config(width=12, epochs=40, batch_size=2, warmup_steps=4000,
-                      feature_select="inverted", seed=1)
+                      seed=1)
     model = pl.build_model(cfg)
     history = pl.train(data, cfg, model)
     assert len(history) == 40
@@ -461,6 +477,15 @@ def test_train_checkpoints_best_validation_weights(tmp_path):
     best = min(h.valid_total for h in history)
     restored = pl.load_checkpoint(path, pl.build_model(cfg))
     assert pl.evaluate_loss(data[3:], restored) == pytest.approx(best, abs=1e-9)
+
+
+def test_train_aborts_on_non_finite_validation_loss(tmp_path, monkeypatch):
+    data = pl.generate_synthetic_dataset(3, 8, 0.3, seed=9)
+    cfg = tiny_config(epochs=1)
+    monkeypatch.setattr(pl, "evaluate_loss", lambda dataset, model: math.nan)
+    with pytest.raises(NumericError, match="validation loss after epoch 0"):
+        pl.train(data[:2], cfg, pl.build_model(cfg), valid_set=data[2:],
+                 checkpoint_path=str(tmp_path / "m.ckpt"))
 
 
 # ---------------------------------------------------------------------------
@@ -727,12 +752,12 @@ def test_config_file_override_precedence():
 def test_config_with_every_field_changed_round_trips():
     changed = pl.TrainingConfig(
         alpha=0.25, beta=0.5, batch_size=3, base_lr=2.5e-4, warmup_steps=7,
-        epochs=5, seed=11, feature_select="inverted", egnn_depth=3, width=12,
+        epochs=5, seed=11, egnn_depth=3, width=12,
         top_k=5, enc_depth=3, dec_depth=1, n_heads=3, max_len=100, radius=4.5,
     )
     for f in dataclasses.fields(pl.TrainingConfig):
-        # edge_attrs has one legal value, its default
-        if f.name != "edge_attrs":
+        # the retired keys have one legal value, their default
+        if f.name not in ("feature_select", "edge_attrs"):
             assert getattr(changed, f.name) != f.default, f.name
     again = pl.build_config(file_text=pl.format_config(changed))
     assert again == changed
@@ -751,6 +776,8 @@ def test_config_validation_errors():
         pl.TrainingConfig(top_k=21)
     with pytest.raises(ConfigError):
         pl.TrainingConfig(feature_select="sideways")
+    with pytest.raises(ConfigError, match="retired"):
+        pl.TrainingConfig(feature_select="as_printed")
     with pytest.raises(ConfigError):
         pl.TrainingConfig(edge_attrs="distance")
     with pytest.raises(ConfigError, match="retired"):
@@ -769,8 +796,9 @@ def test_arch_hash_tracks_shape_knobs_only(monkeypatch):
     assert pl.TrainingConfig().arch_hash() == pl.TrainingConfig().arch_hash()
     assert pl.TrainingConfig(alpha=0.9).arch_hash() == pl.TrainingConfig().arch_hash()
     assert pl.TrainingConfig(width=64).arch_hash() != pl.TrainingConfig().arch_hash()
+    # the one legal value of feature_select is its default
     assert (pl.TrainingConfig(feature_select="inverted").arch_hash()
-            != pl.TrainingConfig().arch_hash())
+            == pl.TrainingConfig().arch_hash())
     current = pl.TrainingConfig().arch_hash()
     monkeypatch.setattr(pl, "LAYOUT_VERSION", pl.LAYOUT_VERSION + 1)
     assert pl.TrainingConfig().arch_hash() != current
@@ -778,11 +806,12 @@ def test_arch_hash_tracks_shape_knobs_only(monkeypatch):
 
 def test_default_arch_hash_is_pinned(monkeypatch):
     # every checkpoint of the default architecture saved at this layout
-    # carries this hash; a change to it orphans them
-    assert pl.TrainingConfig().arch_hash() == 0x715bc35c
+    # carries this hash; a change to it orphans them.  It is the hash that
+    # "feature_select = inverted" gave while "as_printed" was the default.
+    assert pl.TrainingConfig().arch_hash() == 0x6d57d018
     # and layout 1, before the linear EGNN gate, wrote this one
     monkeypatch.setattr(pl, "LAYOUT_VERSION", 1)
-    assert pl.TrainingConfig().arch_hash() == 0x2353931d
+    assert pl.TrainingConfig().arch_hash() == 0x6faeb687
 
 
 # ---------------------------------------------------------------------------
@@ -942,33 +971,31 @@ def _recording_receive(monkeypatch):
 
 def test_batch_losses_walk_the_flexible_rows_and_equal_the_full_graph(monkeypatch):
     examples = mixed_batch()
-    for mode in ("inverted", "as_printed"):
-        model = pl.build_model(tiny_config(width=8, egnn_depth=2, feature_select=mode))
-        received = _recording_receive(monkeypatch)
-        with ad.Tape() as tape:
-            losses = pl.batch_losses(examples, model, streams(4))
-            tape.backward(ad.tsum(losses[2]))
-        grads = [t.grad for _, t in model.named_parameters()]
-        flexible = {n: ~np.stack([pl.motif_mask(m.positions, n) for r, m in examples
-                                  if r.length == n]) for n in (12, 7, 30)}
-        for receive in received:
-            want = flexible[receive.shape[1]] if mode == "inverted" else True
-            assert np.array_equal(receive, np.broadcast_to(want, receive.shape))
-        monkeypatch.setattr(pl, "egnn_forward",
-                            lambda state, model, receive: egnn.egnn_forward(state, model))
-        with ad.Tape() as tape:
-            full = pl.batch_losses(examples, model, streams(4))
-            tape.backward(ad.tsum(full[2]))
-        for got, want in zip(losses, full):
-            assert got.data.tobytes() == want.data.tobytes()
-        for got, (_, t) in zip(grads, model.named_parameters()):
-            assert np.linalg.norm(got - t.grad) <= 1e-14 * np.linalg.norm(t.grad)
+    model = pl.build_model(tiny_config(width=8, egnn_depth=2))
+    received = _recording_receive(monkeypatch)
+    with ad.Tape() as tape:
+        losses = pl.batch_losses(examples, model, streams(4))
+        tape.backward(ad.tsum(losses[2]))
+    grads = [t.grad for _, t in model.named_parameters()]
+    flexible = {n: ~np.stack([pl.motif_mask(m.positions, n) for r, m in examples
+                              if r.length == n]) for n in (12, 7, 30)}
+    for receive in received:
+        assert np.array_equal(receive, flexible[receive.shape[1]])
+    monkeypatch.setattr(pl, "egnn_forward",
+                        lambda state, model, receive: egnn.egnn_forward(state, model))
+    with ad.Tape() as tape:
+        full = pl.batch_losses(examples, model, streams(4))
+        tape.backward(ad.tsum(full[2]))
+    for got, want in zip(losses, full):
+        assert got.data.tobytes() == want.data.tobytes()
+    for got, (_, t) in zip(grads, model.named_parameters()):
+        assert np.linalg.norm(got - t.grad) <= 1e-14 * np.linalg.norm(t.grad)
 
 
 def test_pinned_design_walks_the_flexible_rows_and_full_graph_callers_every_row(monkeypatch):
     data = pl.generate_synthetic_dataset(1, 12, 0.3, seed=33)
     record, motif = data[0]
-    model = pl.build_model(tiny_config(seed=34, egnn_depth=2, feature_select="inverted"))
+    model = pl.build_model(tiny_config(seed=34, egnn_depth=2))
     received = _recording_receive(monkeypatch)
     pinned = pl.design(motif, 12, 2, 3, model, seed=7)
     fixed = pl.motif_mask(motif.positions, 12)
@@ -986,10 +1013,10 @@ def test_pinned_design_walks_the_flexible_rows_and_full_graph_callers_every_row(
 
 
 def test_a_record_whose_motif_covers_every_position_trains_and_designs(monkeypatch):
-    # under inverted the last EGNN layer then receives at no row: it walks no block
+    # the last EGNN layer then receives at no row: it walks no block
     rng = np.random.default_rng(36)
     record, motif = toy_example(rng, length=6, motif_positions=range(6))
-    config = tiny_config(egnn_depth=2, epochs=1, feature_select="inverted")
+    config = tiny_config(egnn_depth=2, epochs=1)
     model = pl.build_model(config)
     walked = []
     row_blocks = egnn._row_blocks

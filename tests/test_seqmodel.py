@@ -66,34 +66,30 @@ def test_feature_select_modes():
     feats = ad.Tensor(rng.normal(size=(4, 6)))
     mask_emb = ad.Tensor(rng.normal(size=6))
 
-    kept = sm.gsd_feature_select(feats, np.ones(4, dtype=bool), mask_emb, "as_printed")
+    kept = sm.gsd_feature_select(feats, np.zeros(4, dtype=bool), mask_emb)
     assert np.array_equal(kept.data, feats.data)
 
-    blanked = sm.gsd_feature_select(feats, np.zeros(4, dtype=bool), mask_emb, "as_printed")
+    blanked = sm.gsd_feature_select(feats, np.ones(4, dtype=bool), mask_emb)
     assert np.array_equal(blanked.data, np.tile(mask_emb.data, (4, 1)))
 
     single = ad.Tensor(rng.normal(size=(1, 6)))
-    as_printed = sm.gsd_feature_select(single, [True], mask_emb, "as_printed")
-    inverted = sm.gsd_feature_select(single, [True], mask_emb, "inverted")
-    assert np.array_equal(as_printed.data, single.data)
-    assert np.array_equal(inverted.data, mask_emb.data.reshape(1, 6))
+    masked = sm.gsd_feature_select(single, [True], mask_emb)
+    assert np.array_equal(masked.data, mask_emb.data.reshape(1, 6))
 
-    mixed = sm.gsd_feature_select(feats, sm.motif_mask({1, 3}, 4), mask_emb, "inverted")
+    mixed = sm.gsd_feature_select(feats, sm.motif_mask({1, 3}, 4), mask_emb)
     assert np.array_equal(mixed.data[0], feats.data[0])
     assert np.array_equal(mixed.data[1], mask_emb.data)
 
     # a stack of two is each sequence alone
     stack = ad.Tensor(np.stack([feats.data, feats.data[::-1]]))
     masks = np.stack([sm.motif_mask({1, 3}, 4), sm.motif_mask({0}, 4)])
-    both = sm.gsd_feature_select(stack, masks, mask_emb, "inverted")
+    both = sm.gsd_feature_select(stack, masks, mask_emb)
     for b in range(2):
-        alone = sm.gsd_feature_select(ad.Tensor(stack.data[b]), masks[b], mask_emb, "inverted")
+        alone = sm.gsd_feature_select(ad.Tensor(stack.data[b]), masks[b], mask_emb)
         assert np.array_equal(both.data[b], alone.data)
 
-    with pytest.raises(ConfigError):
-        sm.gsd_feature_select(feats, np.ones(4, dtype=bool), mask_emb, "both")
     with pytest.raises(ContractError):
-        sm.gsd_feature_select(feats, np.ones(5, dtype=bool), mask_emb, "as_printed")
+        sm.gsd_feature_select(feats, np.ones(5, dtype=bool), mask_emb)
 
 
 def test_feature_select_trains_the_mask_row():
@@ -101,7 +97,7 @@ def test_feature_select_trains_the_mask_row():
     feats = ad.Tensor(rng.normal(size=(4, 6)))
     mask_emb = ad.Tensor(rng.normal(size=6), requires_grad=True)
     with ad.Tape() as tape:
-        out = sm.gsd_feature_select(feats, sm.motif_mask({0}, 4), mask_emb, "as_printed")
+        out = sm.gsd_feature_select(feats, sm.motif_mask({0}, 4), mask_emb)
         tape.backward(ad.tsum(ad.square(out)))
     assert np.max(np.abs(mask_emb.grad)) > 0.0
 
@@ -195,7 +191,7 @@ def test_model_gradients_match_finite_differences():
     def build_loss():
         feats = sm.encode_context(corrupted, enc)
         motif = sm.motif_mask({0}, 4)
-        selected = sm.gsd_feature_select(feats, motif, dec.mask_emb, "inverted")
+        selected = sm.gsd_feature_select(feats, motif, dec.mask_emb)
         logits = sm.decode_logits(selected, dec)
         return sm.sequence_loss(logits, target, motif)
 
