@@ -277,10 +277,12 @@ def _cmd_train(args):
     examples, splits = read_dataset(args.data, motif_positions)
     train_set, valid_set = _split_examples(examples, splits)
     model = pl.build_model(config)
+    # before training, so that a run that fails after saving a checkpoint
+    # still leaves that checkpoint loadable without --config
+    pl.write_atomic(sidecar, pl.format_config(config))
     history = pl.train(
         train_set, config, model, valid_set=valid_set, checkpoint_path=args.out
     )
-    pl.write_atomic(sidecar, pl.format_config(config))
     rows = ["epoch,train_total,train_backbone,train_sequence,valid_total"]
     for h in history:
         valid_cell = "" if math.isnan(h.valid_total) else "%.10g" % h.valid_total
@@ -336,15 +338,20 @@ def _cmd_export_emb(args):
     model = _load_model(args)
     examples, _ = read_dataset(args.data)
     wanted = args.record_id or sorted(examples)
-    blocks = []
+    blocks = {}
     for rec_id in wanted:
         if rec_id not in examples:
             raise DataError("record %r not in %s" % (rec_id, args.data))
-        record, motif = examples[rec_id]
+        if rec_id in blocks:
+            raise DataError("record %r is given more than once" % rec_id)
         rng = pl.substream(args.stream_seed, "export-%s" % rec_id)
-        _, feats, _ = pl.forward_joint(record, motif, model, rng)
-        blocks.append((rec_id, feats.data))
-    pl.write_atomic(args.out, mx.export_embeddings(blocks))
+        stack = pl._stack([examples[rec_id]], model, [rng])
+        features = pl.encode_context(stack.tokens[0], model.encoder)
+        # every row's features are exported, the motif rows' too
+        _, feats, _ = pl.refine_and_decode(features, stack.start[0], stack.motif[0],
+                                           model, every_row=True)
+        blocks[rec_id] = feats.data
+    pl.write_atomic(args.out, mx.export_embeddings(list(blocks.items())))
     print("exported %d feature blocks to %s" % (len(blocks), args.out))
     return EXIT_OK
 

@@ -376,8 +376,9 @@ def total_loss(backbone_term, sequence_term, alpha, beta):
 # forward passes
 
 
-def refine_and_decode(features, start_coords, motif, model, coords_read=None):
-    """EGNN refinement and decoding of already-encoded features.
+def refine_and_decode(features, start_coords, motif, model, *, every_row=False):
+    """EGNN refinement and decoding of already-encoded features: the one
+    forward below the encoder.
 
     Returns (revised coords, revised features, residue logits).  Taking
     the realized starting coordinates as an argument lets callers apply
@@ -386,16 +387,14 @@ def refine_and_decode(features, start_coords, motif, model, coords_read=None):
     at the motif positions; a stack of B examples adds a leading axis to
     each, and to each output.
 
-    ``coords_read``, a bool mask shaped like ``motif``, marks the rows
-    whose revised coordinates the caller reads; None reads every row.
-    The last EGNN layer then updates only those rows and the flexible
-    rows, whose features ``gsd_feature_select`` keeps.  The logits and the
-    coordinates of those rows are the full graph's; the other rows'
-    revised coordinates and features are not.
+    The last EGNN layer updates only the flexible rows, whose features
+    ``gsd_feature_select`` keeps, as training does: the logits and the
+    flexible rows' coordinates and features are the full graph's, and the
+    motif rows' are not.  ``every_row`` updates every row, for a caller
+    that reads the motif rows' coordinates or features.
     """
-    receive = None if coords_read is None else ~motif | coords_read
     state = GraphState(ad.as_tensor(start_coords), features)
-    out = egnn_forward(state, model.egnn, receive)
+    out = egnn_forward(state, model.egnn, None if every_row else ~motif)
     selected = gsd_feature_select(out.feats, motif, model.decoder.mask_emb)
     return out.coords, out.feats, decode_logits(selected, model.decoder)
 
@@ -403,7 +402,7 @@ def refine_and_decode(features, start_coords, motif, model, coords_read=None):
 def forward_with_coords(corrupted_tokens, start_coords, motif_positions, model):
     """Encode one example's (L,) corrupted tokens, then ``refine_and_decode``
     from its (L, 3) start coordinates with the motif at
-    ``motif_positions``."""
+    ``motif_positions``, on the path that training runs."""
     features = encode_context(corrupted_tokens, model.encoder)
     motif = motif_mask(motif_positions, features.shape[-2])
     return refine_and_decode(features, start_coords, motif, model)
@@ -446,14 +445,6 @@ def _stack(examples, model, rngs):
     )
 
 
-def forward_joint(record, motif, model, rng):
-    """Mask, initialize, and run the full model for one record: a stack
-    of one, without its batch axis."""
-    stack = _stack([(record, motif)], model, [rng])
-    features = encode_context(stack.tokens[0], model.encoder)
-    return refine_and_decode(features, stack.start[0], stack.motif[0], model)
-
-
 def batch_losses(examples, model, rngs):
     """(backbone, sequence, total) losses of B (record, motif) examples,
     each a (B,) tensor in the order of ``examples``.
@@ -471,9 +462,7 @@ def batch_losses(examples, model, rngs):
     for members in groups.values():
         stack = _stack([examples[b] for b in members], model, [rngs[b] for b in members])
         features = encode_context(stack.tokens, model.encoder)
-        coords, _, logits = refine_and_decode(
-            features, stack.start, stack.motif, model, ~stack.motif
-        )
+        coords, _, logits = refine_and_decode(features, stack.start, stack.motif, model)
         parts.append((
             backbone_loss(coords, stack.coords, stack.motif),
             sequence_loss(logits, stack.sequences, stack.motif),
@@ -641,7 +630,8 @@ def design(motif, length, n_candidates, k, model, seed, pin_motif=True):
     sequence, and independent per-position draws from the renormalized
     top-k of each flexible logit row.  Motif residues are copied verbatim;
     ``pin_motif`` also copies the motif coordinates over the predicted
-    ones.
+    ones.  Without it the motif rows' predicted coordinates are output,
+    so the forward updates every row.
     """
     if length < motif.span:
         raise ContractError(
@@ -651,13 +641,13 @@ def design(motif, length, n_candidates, k, model, seed, pin_motif=True):
     tokens[motif.positions] = motif.residues
     fixed = motif_mask(motif.positions, length)
     flexible = np.flatnonzero(~fixed)
-    coords_read = ~fixed if pin_motif else None
     features = encode_context(tokens, model.encoder)
     out = []
     for index in range(n_candidates):
         rng = substream(seed, "design-%d" % index)
         start = init_backbone_coords(motif, length, model.config.radius, rng)
-        coords, _, logits = refine_and_decode(features, start, fixed, model, coords_read)
+        coords, _, logits = refine_and_decode(features, start, fixed, model,
+                                              every_row=not pin_motif)
         probs = ad.softmax(logits).data
         sequence = tokens.copy()
         for j in flexible:

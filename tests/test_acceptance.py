@@ -149,7 +149,9 @@ def test_criterion_07_toy_convergence(capsys):
     scored = 0
     for record, motif in examples:
         rng = pl.example_rng(config.seed, record)
-        _, _, logits = pl.forward_joint(record, motif, model, rng)
+        x0 = pl.init_backbone_coords(motif, record.length, config.radius, rng)
+        tokens = sm.corrupt_sequence(record.sequence, motif.positions)
+        _, _, logits = pl.forward_with_coords(tokens, x0, motif.positions, model)
         flex = np.setdiff1d(np.arange(record.length), motif.positions)
         pred = logits.data[flex].argmax(axis=1)
         correct += int((pred == record.sequence[flex]).sum())

@@ -177,7 +177,7 @@ PINNED_DEFAULTS = {
     "pipeline.build_config(file_text)", "pipeline.build_config(overrides)",
     "pipeline.train(valid_set)", "pipeline.train(checkpoint_path)",
     "pipeline.design(pin_motif)",
-    "pipeline.refine_and_decode(coords_read)",
+    "pipeline.refine_and_decode(every_row)",
 }
 
 
@@ -203,6 +203,34 @@ def test_defaulted_parameters_are_pinned():
         found += _defaulted_parameters(tree.body, path.stem + ".")
     assert len(found) == len(set(found))
     assert set(found) == PINNED_DEFAULTS
+
+
+# The model stages below the encoder.  Every forward reads them through
+# one call site, so that a change to the forward, such as its precision,
+# is made once.
+ONE_PATH_STAGES = ("egnn_forward", "gsd_feature_select", "decode_logits")
+
+
+def _stage_callers(body, prefix):
+    for node in body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _stage_callers(node.body, "%s%s." % (prefix, node.name))
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call):
+                func = sub.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ONE_PATH_STAGES:
+                    yield name, prefix.rstrip(".")
+
+
+def test_only_refine_and_decode_calls_the_model_stages():
+    callers = {name: set() for name in ONE_PATH_STAGES}
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, caller in _stage_callers(tree.body, path.stem + "."):
+            callers[name].add(caller)
+    assert callers == {name: {"pipeline.refine_and_decode"} for name in ONE_PATH_STAGES}
 
 
 @pytest.mark.parametrize("argv", [
@@ -564,6 +592,23 @@ def test_train_honors_split_manifest(tmp_path):
         assert row.split(",")[4] != "", "valid_total column should be filled"
 
 
+def test_a_run_that_fails_after_saving_leaves_the_sidecar(tmp_path, monkeypatch, capsys):
+    # a finite validation loss after epoch 0 saves a checkpoint; a NaN one
+    # after epoch 1 then ends the run
+    ds = make_dataset(tmp_path)
+    with open(os.path.join(ds, "splits.csv"), "w") as handle:
+        handle.write("id,split\nsyn000,train\nsyn001,train\nsyn002,valid\n")
+    losses = iter([1.0, float("nan")])
+    monkeypatch.setattr(pl, "evaluate_loss", lambda dataset, model: next(losses))
+    ck = str(tmp_path / "m.ckpt")
+    assert cli.run(["train", "--data", ds, "--out", ck,
+                    "--config", write_config(tmp_path)]) == 2
+    assert "non-finite validation loss after epoch 1" in capsys.readouterr().err
+    assert os.path.exists(ck) and os.path.exists(ck + ".config")
+    assert cli.run(["design", "--checkpoint", ck, "--data", ds, "--record-id", "syn001",
+                    "--n", "1", "--out", str(tmp_path / "d")]) == 0
+
+
 def test_train_with_a_split_manifest_and_no_epochs_leaves_its_checkpoint(tmp_path, capsys):
     ds = make_dataset(tmp_path)
     with open(os.path.join(ds, "splits.csv"), "w") as handle:
@@ -724,6 +769,28 @@ def test_export_embeddings_shape(trained):
                     "--record-id", "syn000", "--out", again,
                     "--seed", "3"]) == 0
     assert open(out).read() == open(again).read()
+
+
+def test_export_embeddings_refuses_a_repeated_record(trained, capsys):
+    tmp_path, ds, ck = trained
+    out = str(tmp_path / "twice.csv")
+    assert cli.run(["export-emb", "--checkpoint", ck, "--data", ds, "--record-id",
+                    "syn000", "--record-id", "syn001", "--record-id", "syn000",
+                    "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "error: record 'syn000' is given more than once" in err
+    assert "Traceback" not in err and not os.path.exists(out)
+
+
+def test_export_embeddings_refuses_an_overlong_record(trained, tmp_path, capsys):
+    _, _, ck = trained
+    long_ds = make_dataset(tmp_path, n=1, length=65)
+    out = str(tmp_path / "long.csv")
+    assert cli.run(["export-emb", "--checkpoint", ck, "--data", long_ds,
+                    "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "error: record 'syn000' length 65 exceeds max_len 64" in err
+    assert "Traceback" not in err and not os.path.exists(out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from geopro import autodiff as ad
+from geopro import cli
 from geopro import egnn
 from geopro import pipeline as pl
 from geopro.checks import check_grads
@@ -215,42 +216,43 @@ def test_gaussian_log_density_matches_backbone_loss():
 # forward passes
 
 
-def test_forward_joint_zero_depth_is_identity_stack():
+def test_zero_depth_forward_is_the_identity_stack():
     rng = np.random.default_rng(1)
     record, motif = toy_example(rng)
     cfg = tiny_config(egnn_depth=0)
     model = pl.build_model(cfg)
-    coords, feats, logits = pl.forward_joint(
-        record, motif, model, np.random.default_rng(9)
-    )
     start = pl.init_backbone_coords(
         motif, record.length, cfg.radius, np.random.default_rng(9)
     )
-    assert np.array_equal(coords.data, start)
     corrupted = corrupt_sequence(record.sequence, motif.position_set())
     h0 = encode_context(corrupted, model.encoder)
-    assert np.array_equal(feats.data, h0.data)
-    assert logits.shape == (record.length, 20)
+    fixed = pl.motif_mask(motif.positions, record.length)
+    for coords, feats, logits in (
+        pl.forward_with_coords(corrupted, start, motif.positions, model),
+        pl.refine_and_decode(h0, start, fixed, model, every_row=True),
+    ):
+        assert np.array_equal(coords.data, start)
+        assert np.array_equal(feats.data, h0.data)
+        assert logits.shape == (record.length, 20)
 
 
-def test_forward_joint_deterministic_per_seed():
+def test_batch_losses_are_deterministic_per_seed():
     rng = np.random.default_rng(2)
-    record, motif = toy_example(rng)
+    example = toy_example(rng)
     model = pl.build_model(tiny_config())
-    out1 = pl.forward_joint(record, motif, model, np.random.default_rng(4))
-    out2 = pl.forward_joint(record, motif, model, np.random.default_rng(4))
+    out1, out2, out3 = (pl.batch_losses([example], model, [np.random.default_rng(seed)])
+                        for seed in (4, 4, 5))
     for a, b in zip(out1, out2):
-        assert np.array_equal(a.data, b.data)
-    out3 = pl.forward_joint(record, motif, model, np.random.default_rng(5))
-    assert not np.array_equal(out1[0].data, out3[0].data)
+        assert a.data.tobytes() == b.data.tobytes()
+    assert out1[0].data.tobytes() != out3[0].data.tobytes()
 
 
-def test_forward_joint_rejects_overlong_record():
+def test_batch_losses_reject_an_overlong_record():
     rng = np.random.default_rng(3)
     record, motif = toy_example(rng, length=12)
     model = pl.build_model(tiny_config(max_len=10))
-    with pytest.raises(ContractError):
-        pl.forward_joint(record, motif, model, np.random.default_rng(0))
+    with pytest.raises(ContractError, match="'toy' length 12 exceeds max_len 10"):
+        pl.batch_losses([(record, motif)], model, [np.random.default_rng(0)])
 
 
 def test_joint_loss_and_logits_invariant_under_rigid_motion():
@@ -443,8 +445,10 @@ def test_default_model_gives_flexible_rows_distinct_logits_at_init():
     # the decoder has no positional embedding, so the flexible rows' logits
     # differ only if their features reach the decoder
     (record, motif), = pl.generate_synthetic_dataset(1, 30, 0.3, seed=2026)
-    _, _, logits = pl.forward_joint(record, motif, pl.build_model(pl.TrainingConfig()),
-                                    np.random.default_rng(0))
+    start = pl.init_backbone_coords(motif, record.length, 3.75, np.random.default_rng(0))
+    _, _, logits = pl.forward_with_coords(corrupt_sequence(record.sequence, motif.positions),
+                                          start, motif.positions,
+                                          pl.build_model(pl.TrainingConfig()))
     flexible = logits.data[~pl.motif_mask(motif.positions, record.length)]
     assert len({row.tobytes() for row in flexible}) == len(flexible) == 21
     assert np.ptp(flexible, axis=0).max() > 1e-3
@@ -949,11 +953,12 @@ def test_design_encodes_once_and_matches_the_full_forward(monkeypatch):
     monkeypatch.setattr(pl, "encode_context", counted)
     candidates = pl.design(motif, 12, 3, 3, model, seed=7, pin_motif=False)
     assert len(calls) == 1
-    tokens = calls[0][0]
+    features = encode_context(*calls[0])
+    fixed = pl.motif_mask(motif.positions, 12)
     for index, cand in enumerate(candidates):
         rng = pl.substream(7, "design-%d" % index)
         start = pl.init_backbone_coords(motif, 12, model.config.radius, rng)
-        coords, _, _ = pl.forward_with_coords(tokens, start, motif.position_set(), model)
+        coords, _, _ = pl.refine_and_decode(features, start, fixed, model, every_row=True)
         assert np.array_equal(cand.coords, coords.data)
 
 
@@ -992,20 +997,44 @@ def test_batch_losses_walk_the_flexible_rows_and_equal_the_full_graph(monkeypatc
         assert np.linalg.norm(got - t.grad) <= 1e-14 * np.linalg.norm(t.grad)
 
 
-def test_pinned_design_walks_the_flexible_rows_and_full_graph_callers_every_row(monkeypatch):
+def test_forward_with_coords_walks_the_flexible_rows_and_equals_the_full_graph(monkeypatch):
+    # criterion 02 and `geopro check` read this path, the one training runs
+    (record, motif), = pl.generate_synthetic_dataset(1, 12, 0.3, seed=33)
+    model = pl.build_model(tiny_config(seed=34, egnn_depth=2))
+    tokens = corrupt_sequence(record.sequence, motif.positions)
+    start = pl.init_backbone_coords(motif, 12, 3.75, np.random.default_rng(35))
+    flexible = ~pl.motif_mask(motif.positions, 12)
+    received = _recording_receive(monkeypatch)
+    masked = pl.forward_with_coords(tokens, start, motif.positions, model)
+    full = pl.refine_and_decode(encode_context(tokens, model.encoder), start, ~flexible,
+                                model, every_row=True)
+    assert np.array_equal(received[0], flexible) and received[1:] == [None]
+    assert masked[2].data.tobytes() == full[2].data.tobytes()
+    for got, want in zip(masked[:2], full[:2]):
+        assert got.data[flexible].tobytes() == want.data[flexible].tobytes()
+
+
+def test_pinned_design_walks_the_flexible_rows_and_full_graph_callers_every_row(
+        monkeypatch, tmp_path):
     data = pl.generate_synthetic_dataset(1, 12, 0.3, seed=33)
     record, motif = data[0]
     model = pl.build_model(tiny_config(seed=34, egnn_depth=2))
     received = _recording_receive(monkeypatch)
     pinned = pl.design(motif, 12, 2, 3, model, seed=7)
-    fixed = pl.motif_mask(motif.positions, 12)
-    assert len(received) == 2 and all(np.array_equal(r, ~fixed) for r in received)
-    received.clear()
-    unpinned = pl.design(motif, 12, 2, 3, model, seed=7, pin_motif=False)
-    pl.forward_joint(record, motif, model, np.random.default_rng(0))
     tokens = corrupt_sequence(record.sequence, motif.positions)
     pl.forward_with_coords(tokens, record.ca_coords, motif.positions, model)
-    assert received == [None] * 4
+    fixed = pl.motif_mask(motif.positions, 12)
+    assert len(received) == 3 and all(np.array_equal(r, ~fixed) for r in received)
+    received.clear()
+    # only unpinned design and export-emb read the motif rows
+    unpinned = pl.design(motif, 12, 2, 3, model, seed=7, pin_motif=False)
+    ck, ds = str(tmp_path / "m.ckpt"), str(tmp_path / "ds")
+    pl.save_checkpoint(ck, model)
+    pl.write_atomic(ck + ".config", pl.format_config(model.config))
+    cli.write_dataset(ds, data)
+    assert cli.run(["export-emb", "--checkpoint", ck, "--data", ds,
+                    "--out", str(tmp_path / "e.csv")]) == 0
+    assert received == [None] * 3
     for a, b in zip(pinned, unpinned):
         assert a.sequence.tobytes() == b.sequence.tobytes()
         assert a.token_probs.tobytes() == b.token_probs.tobytes()
