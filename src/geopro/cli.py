@@ -64,28 +64,14 @@ def _read_text(path):
         raise DataError("cannot read %s: %s" % (path, exc)) from None
 
 
-def _format_positions(positions):
-    return ";".join(str(int(p)) for p in positions)
-
-
-def _parse_positions(text):
-    try:
-        return [int(tok) for tok in text.split(";") if tok.strip() != ""]
-    except ValueError:
-        raise DataError("bad position list %r" % text) from None
-
-
 def parse_positions_file(text):
     """Motif positions, one per line; '#' starts a comment."""
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in dt.content_lines(text):
         try:
             out.append(int(line))
         except ValueError:
-            raise DataError("line %d: %r is not a position" % (lineno, raw)) from None
+            raise DataError("line %d: %r is not a position" % (lineno, line)) from None
     return out
 
 
@@ -127,20 +113,13 @@ def write_dataset(out_dir, examples, splits=None):
     """
     records = [record for record, _ in examples]
     write_records(out_dir, "sequences.fasta", records, [r.record_id for r in records])
-    motif_rows = ["id,positions"] + [
-        "%s,%s" % (record.record_id, _format_positions(motif.positions))
-        for record, motif in examples if motif is not None
-    ]
-    if len(motif_rows) > 1:
-        pl.write_atomic(
-            os.path.join(out_dir, "motifs.csv"), "\n".join(motif_rows) + "\n"
-        )
+    motif_rows = [(record.record_id, ";".join(str(int(p)) for p in motif.positions))
+                  for record, motif in examples if motif is not None]
+    if motif_rows:
+        pl.write_atomic(os.path.join(out_dir, "motifs.csv"),
+                        dt.format_csv([("id", "positions")] + motif_rows))
     if splits is not None:
-        train, valid, test = splits
-        pl.write_atomic(
-            os.path.join(out_dir, "splits.csv"),
-            dt.format_split_manifest(train, valid, test),
-        )
+        pl.write_atomic(os.path.join(out_dir, "splits.csv"), dt.format_split_manifest(*splits))
 
 
 def read_dataset(dir_path, motif_positions=None):
@@ -152,14 +131,9 @@ def read_dataset(dir_path, motif_positions=None):
     motif_map = {}
     motif_path = os.path.join(dir_path, "motifs.csv")
     if os.path.exists(motif_path):
-        lines = _read_text(motif_path).splitlines()
-        if not lines or lines[0].strip() != "id,positions":
-            raise DataError("%s must start with an 'id,positions' header" % motif_path)
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            rec_id, _, tail = line.partition(",")
-            motif_map[rec_id] = _parse_positions(tail)
+        motif_map = dt.parse_table(
+            _read_text(motif_path), "positions",
+            lambda cell: [int(tok) for tok in cell.split(";") if tok.strip() != ""])
     examples = {}
     for record in read_records(dir_path, "sequences.fasta"):
         rec_id = record.record_id
@@ -214,7 +188,7 @@ def _config_from_args(args, fallback_path=None):
 
 
 def _load_model(args):
-    sidecar = "%s.config" % args.checkpoint
+    sidecar = args.checkpoint + pl.SIDECAR_SUFFIX
     if not args.config and not os.path.exists(sidecar):
         raise ConfigError(
             "no config available: pass --config or keep the checkpoint's "
@@ -271,25 +245,18 @@ def _cmd_train(args):
         parse_positions_file(_read_text(args.motif_file)) if args.motif_file else None
     )
     curve_path = args.curve or "%s.curve.csv" % args.out
-    sidecar = "%s.config" % args.out
-    for path in (args.out, curve_path, sidecar):
+    for path in (args.out, curve_path, args.out + pl.SIDECAR_SUFFIX):
         pl.check_writable(path)
     examples, splits = read_dataset(args.data, motif_positions)
     train_set, valid_set = _split_examples(examples, splits)
     model = pl.build_model(config)
-    # before training, so that a run that fails after saving a checkpoint
-    # still leaves that checkpoint loadable without --config
-    pl.write_atomic(sidecar, pl.format_config(config))
     history = pl.train(
         train_set, config, model, valid_set=valid_set, checkpoint_path=args.out
     )
-    rows = ["epoch,train_total,train_backbone,train_sequence,valid_total"]
-    for h in history:
-        valid_cell = "" if math.isnan(h.valid_total) else "%.10g" % h.valid_total
-        rows.append("%d,%.10g,%.10g,%.10g,%s" % (
-            h.epoch, h.train_total, h.train_backbone, h.train_sequence, valid_cell,
-        ))
-    pl.write_atomic(curve_path, "\n".join(rows) + "\n")
+    rows = [("epoch", "train_total", "train_backbone", "train_sequence", "valid_total")]
+    rows += [(h.epoch, h.train_total, h.train_backbone, h.train_sequence,
+              None if math.isnan(h.valid_total) else h.valid_total) for h in history]
+    pl.write_atomic(curve_path, dt.format_csv(rows))
     if history:
         print("trained %d epochs; final train loss %.6g; checkpoint %s"
               % (len(history), history[-1].train_total, args.out))
@@ -313,7 +280,7 @@ def _cmd_design(args):
     write_records(
         args.out, "candidates.fasta",
         [dt.ProteinRecord(i, c.sequence, c.coords) for i, c in zip(ids, candidates)],
-        ["%s seed=%d p=%.4f" % (i, c.seed, float(c.token_probs.mean()))
+        ["%s seed=%d p=%.4f model=%s" % (i, c.seed, c.token_probs.mean(), c.model_version)
          for i, c in zip(ids, candidates)],
     )
     print("wrote %d candidates for %s to %s" % (args.n, args.record_id, args.out))

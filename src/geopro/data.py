@@ -1,9 +1,12 @@
-"""Ingestion: backbone extraction, FASTA, alignments, motifs, splits.
+"""Ingestion: backbone extraction, FASTA, alignments, motifs, splits,
+and the reader and writer of every table and line list.
 
 Everything here is pure text-in / objects-out; file IO and path handling
 belong to the command-line layer.
 """
 
+import csv
+import io
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -154,9 +157,10 @@ def parse_fasta(text):
     """Parse FASTA text into (id, sequence) pairs; an id is the first
     word of its header, and a header without one raises.
 
-    A letter outside ``FASTA_ALPHABET`` raises with its line number.
+    A letter outside ``FASTA_ALPHABET`` or a repeated id raises with its line number.
     """
     records = []
+    seen = set()
     current_id = None
     parts = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -169,7 +173,10 @@ def parse_fasta(text):
             words = line[1:].split()
             if not words:
                 raise ParseError("line %d: FASTA header has no id" % lineno)
+            if words[0] in seen:
+                raise ParseError("line %d: repeated id %r" % (lineno, words[0]))
             current_id = words[0]
+            seen.add(current_id)
             parts = []
             continue
         if current_id is None:
@@ -291,33 +298,74 @@ def filter_and_split(records, min_len, seed):
 
 def parse_allow_list(text):
     """Ids from an allow-list: one per line, '#' starts a comment."""
-    out = []
-    for raw in text.splitlines():
-        entry = raw.split("#", 1)[0].strip()
-        if entry:
-            out.append(entry)
-    return set(out)
+    return {line for _, line in content_lines(text)}
 
 
 def format_split_manifest(train, valid, test):
     """CSV manifest recording which split each record landed in."""
-    lines = ["id,split"]
-    for name, group in (("train", train), ("valid", valid), ("test", test)):
-        for record in group:
-            lines.append("%s,%s" % (record.record_id, name))
-    return "\n".join(lines) + "\n"
+    return format_csv([("id", "split")] + [
+        (record.record_id, name)
+        for name, group in (("train", train), ("valid", valid), ("test", test))
+        for record in group
+    ])
+
+
+def _split_name(cell):
+    if cell not in ("train", "valid", "test"):
+        raise ValueError(cell)
+    return cell
 
 
 def parse_split_manifest(text):
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "id,split":
-        raise ParseError("split manifest must start with an 'id,split' header")
+    return parse_table(text, "split", _split_name)
+
+
+def content_lines(text):
+    """(line number, text before any '#', stripped) of each line with such text."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def parse_table(text, column, convert):
+    """{id: convert(cell)} from an ``id,<column>`` CSV with that header,
+    skipping blank lines.  A line that is not two fields, a cell ``convert``
+    refuses with ``ValueError`` or a repeated id raises naming its line."""
+    reader = csv.reader(io.StringIO(text))
     out = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2 or parts[1] not in ("train", "valid", "test"):
-            raise ParseError("line %d: expected 'id,split_name'" % lineno)
-        out[parts[0]] = parts[1]
+    try:
+        if [cell.strip() for cell in next(reader, [])] != ["id", column]:
+            raise ParseError("line 1: expected the header 'id,%s'" % column)
+        for row in reader:
+            lineno = reader.line_num
+            if len(row) < 2 and not "".join(row).strip():
+                continue
+            if len(row) != 2:
+                raise ParseError("line %d: expected two fields, got %d" % (lineno, len(row)))
+            rec_id, cell = (field.strip() for field in row)
+            if rec_id in out:
+                raise ParseError("line %d: repeated id %r" % (lineno, rec_id))
+            try:
+                out[rec_id] = convert(cell)
+            except ValueError:
+                raise ParseError("line %d: bad %s %r" % (lineno, column, cell)) from None
+    except csv.Error as exc:
+        raise ParseError("line %d: %s" % (reader.line_num, exc)) from None
     return out
+
+
+def format_cell(value):
+    """A table cell: a float as %.10g, None as empty, else ``str(value)``."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return "%.10g" % value
+    return str(value)
+
+
+def format_csv(rows):
+    """CSV text of ``rows``, each cell through ``format_cell``, '\\n' line ends."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([format_cell(v) for v in row] for row in rows)
+    return out.getvalue()

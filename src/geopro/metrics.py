@@ -6,14 +6,13 @@ anchored frame and after optimal superposition, TM-score, and an
 optional externally computed confidence joined from a CSV file.
 """
 
-import csv
-import io
 import logging
 import statistics
 
 import numpy as np
 
-from .errors import ContractError, DataError, ParseError
+from .data import format_cell, format_csv, parse_table
+from .errors import ContractError, DataError
 from .geometry import coordinate_rmsd, superposed_rmsd, tm_score
 
 METRIC_COLUMNS = (
@@ -99,25 +98,16 @@ class EvalReport:
         return out
 
 
+def _confidence(cell):
+    value = float(cell)
+    if not np.isfinite(value):
+        raise ValueError(cell)
+    return value
+
+
 def parse_plddt_csv(text):
-    """Parse an `id,plddt` CSV with header into an id -> float mapping."""
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or [c.strip() for c in rows[0]] != ["id", "plddt"]:
-        raise ParseError("line 1: expected header 'id,plddt'")
-    out = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError("line %d: expected two fields, got %d" % (lineno, len(row)))
-        try:
-            out[row[0].strip()] = float(row[1])
-        except ValueError:
-            raise ParseError(
-                "line %d: confidence %r is not a number" % (lineno, row[1])
-            ) from None
-    return out
+    """Parse an `id,plddt` CSV with header into an id -> finite float mapping."""
+    return parse_table(text, "plddt", _confidence)
 
 
 def evaluate_candidates(candidates, record, motif, plddt_text=None):
@@ -155,36 +145,27 @@ def evaluate_candidates(candidates, record, motif, plddt_text=None):
 # report output
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    return "%.10g" % value
-
-
 def _report_rows(report):
-    """Header, then one row per candidate, then mean and median rows."""
+    """Header, then one row per candidate, then mean and median rows;
+    a cell with no value is None."""
     rows = [("id",) + METRIC_COLUMNS]
     for row in report.rows:
-        rows.append([row.row_id] + [_fmt(row.values()[c]) for c in METRIC_COLUMNS])
+        rows.append([row.row_id] + [row.values()[c] for c in METRIC_COLUMNS])
     summary = report.summary()
     for stat, pick in (("mean", 0), ("median", 1)):
-        rows.append(
-            [stat]
-            + [_fmt(summary[c][pick]) if c in summary else "" for c in METRIC_COLUMNS]
-        )
+        rows.append([stat] + [summary[c][pick] if c in summary else None
+                              for c in METRIC_COLUMNS])
     return rows
 
 
 def report_csv(report):
     """One CSV row per candidate, then mean and median summary rows."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(_report_rows(report))
-    return out.getvalue()
+    return format_csv(_report_rows(report))
 
 
 def report_text(report):
     """Fixed-width table for terminals."""
-    rows = _report_rows(report)
+    rows = [[format_cell(value) for value in row] for row in _report_rows(report)]
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     rows.insert(1, ["-" * w for w in widths])
     return "".join("  ".join(v.ljust(w) for v, w in zip(r, widths)) + "\n" for r in rows)
@@ -196,9 +177,7 @@ def export_embeddings(named_features):
     if not named_features:
         raise ContractError("nothing to export")
     width = np.asarray(named_features[0][1]).shape[1]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["id", "pos"] + ["dim%d" % i for i in range(width)])
+    rows = [["id", "pos"] + ["dim%d" % i for i in range(width)]]
     for name, features in named_features:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != width:
@@ -206,6 +185,5 @@ def export_embeddings(named_features):
                 "feature block %r has shape %s, expected (*, %d)"
                 % (name, features.shape, width)
             )
-        for pos in range(features.shape[0]):
-            writer.writerow([name, pos] + [_fmt(v) for v in features[pos]])
-    return out.getvalue()
+        rows += [[name, pos] + list(row) for pos, row in enumerate(features)]
+    return format_csv(rows)

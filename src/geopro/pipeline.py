@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .data import ProteinRecord
+from .data import ProteinRecord, content_lines
 from .egnn import EgnnModel, GraphState, egnn_forward, init_egnn
 from .errors import (
     ConfigError,
@@ -52,6 +52,7 @@ from . import __version__
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"GEOPRO01"
+SIDECAR_SUFFIX = ".config"  # <checkpoint>.config holds the config it was trained under
 SYNTH_CLASH_DISTANCE = 3.0
 SYNTH_MAX_RESTARTS = 200
 
@@ -210,12 +211,9 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainingConfig)}
 def parse_config_text(text):
     """Parse 'key = value' lines; blank lines and '#' comments allowed."""
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if "=" not in line:
-            raise ConfigError("line %d: expected 'key = value', got %r" % (lineno, raw))
+            raise ConfigError("line %d: expected 'key = value', got %r" % (lineno, line))
         key, value = (part.strip() for part in line.split("=", 1))
         out[key] = value
     return out
@@ -524,8 +522,10 @@ def train(train_set, config, model, valid_set=None, checkpoint_path=None):
     and applies one optimizer update at the scheduled rate.  Given a
     checkpoint path, the run always leaves a checkpoint there: the
     weights of the epoch with the best validation loss when there is a
-    validation set and at least one epoch, else the final weights.  A
-    non-finite validation loss raises ``NumericError``.
+    validation set and at least one epoch, else the final weights.  Each
+    save writes ``config`` to the sidecar first, so that a run that fails
+    before its first save leaves any older checkpoint with its own sidecar.
+    A non-finite validation loss raises ``NumericError``.
     """
     if not train_set:
         raise ContractError("training set is empty")
@@ -571,11 +571,16 @@ def train(train_set, config, model, valid_set=None, checkpoint_path=None):
                 raise NumericError("non-finite validation loss after epoch %d" % epoch)
             if checkpoint_path is not None and stats.valid_total < best_valid:
                 best_valid = stats.valid_total
-                save_checkpoint(checkpoint_path, model)
+                _save_with_sidecar(checkpoint_path, config, model)
         history.append(stats)
     if checkpoint_path is not None and not (valid_set and history):
-        save_checkpoint(checkpoint_path, model)
+        _save_with_sidecar(checkpoint_path, config, model)
     return history
+
+
+def _save_with_sidecar(path, config, model):
+    write_atomic(path + SIDECAR_SUFFIX, format_config(config))
+    save_checkpoint(path, model)
 
 
 def evaluate_loss(dataset, model):

@@ -233,6 +233,22 @@ def test_only_refine_and_decode_calls_the_model_stages():
     assert callers == {name: {"pipeline.refine_and_decode"} for name in ONE_PATH_STAGES}
 
 
+def test_only_the_data_module_imports_csv():
+    # every table is read by data.parse_table and written by data.format_csv
+    importers = set()
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "csv" in names:
+                importers.add(path.stem)
+    assert importers == {"data"}
+
+
 @pytest.mark.parametrize("argv", [
     ["design", "--checkpoint", "c", "--data", "d", "--record-id", "r", "--out", "o",
      "--alpha", "5"],
@@ -314,6 +330,28 @@ def test_read_dataset_rejects_sequence_mismatch(tmp_path):
         handle.write("\n".join(lines) + "\n")
     with pytest.raises(Exception, match="mismatch"):
         cli.read_dataset(ds)
+
+
+@pytest.mark.parametrize("name, line", [
+    ("sequences.fasta", 7), ("motifs.csv", 5), ("splits.csv", 5),
+])
+def test_a_repeated_id_in_a_dataset_file_exits_two(tmp_path, capsys, name, line):
+    ds = make_dataset(tmp_path)
+    path = os.path.join(ds, name)
+    with open(os.path.join(ds, "splits.csv"), "w") as handle:
+        handle.write("id,split\nsyn000,train\nsyn001,train\nsyn002,valid\n")
+    with open(path) as handle:
+        text = handle.read()
+    repeat = {"sequences.fasta": "".join(text.splitlines(True)[:2]),
+              "motifs.csv": "syn000,0\n", "splits.csv": "syn000,valid\n"}[name]
+    with open(path, "w") as handle:
+        handle.write(text + repeat)
+    ck = str(tmp_path / "m.ckpt")
+    assert cli.run(["train", "--data", ds, "--out", ck,
+                    "--config", write_config(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: line %d: repeated id 'syn000'" % line]
+    assert not os.path.exists(ck)
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +647,28 @@ def test_a_run_that_fails_after_saving_leaves_the_sidecar(tmp_path, monkeypatch,
                     "--n", "1", "--out", str(tmp_path / "d")]) == 0
 
 
+def test_a_failed_rerun_leaves_the_old_checkpoint_beside_its_sidecar(
+        tmp_path, monkeypatch, capsys):
+    ds = make_dataset(tmp_path)
+    ck = str(tmp_path / "m.ckpt")
+    argv = ["train", "--data", ds, "--out", ck, "--config", write_config(tmp_path)]
+    assert cli.run(argv + ["--topk", "3"]) == 0
+    saved = {}
+    for path in (ck, ck + ".config"):
+        with open(path, "rb") as handle:
+            saved[path] = handle.read()
+
+    def fail(*args, **kwargs):
+        raise NumericError("non-finite loss")
+
+    monkeypatch.setattr(pl, "batch_losses", fail)
+    assert cli.run(argv + ["--topk", "5"]) == 2
+    assert "error: non-finite loss" in capsys.readouterr().err
+    for path, content in saved.items():
+        with open(path, "rb") as handle:
+            assert handle.read() == content, path
+
+
 def test_train_with_a_split_manifest_and_no_epochs_leaves_its_checkpoint(tmp_path, capsys):
     ds = make_dataset(tmp_path)
     with open(os.path.join(ds, "splits.csv"), "w") as handle:
@@ -693,6 +753,12 @@ def test_eval_report(trained, capsys):
                     "--record-id", "syn001", "--n", "3",
                     "--out", d1, "--seed", "11"]) == 0
     capsys.readouterr()
+    with open(ck + ".config") as handle:
+        version = pl.build_model(pl.build_config(file_text=handle.read())).version
+    with open(os.path.join(d1, "candidates.fasta")) as handle:
+        headers = [line for line in handle.read().splitlines() if line.startswith(">")]
+    assert len(headers) == 3
+    assert all(h.endswith(" model=%s" % version) for h in headers), headers
     report = str(tmp_path / "report.csv")
     plddt = tmp_path / "plddt.csv"
     plddt.write_text("id,plddt\ncand000,81.5\ncand001,60.5\n")
@@ -709,6 +775,30 @@ def test_eval_report(trained, capsys):
     plddt_col = lines[0].split(",").index("plddt")
     assert float(lines[1].split(",")[plddt_col]) == 81.5
     assert lines[3].split(",")[plddt_col] == ""
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("cand000,%s\n" % ("9" * 200000), "line 2: field larger than field limit"),
+    ("cand000,nan\n", "line 2: bad plddt 'nan'"),
+    ("cand000,inf\n", "line 2: bad plddt 'inf'"),
+    ("cand000,1e400\n", "line 2: bad plddt '1e400'"),
+    ("cand000,81.5\ncand000,60.5\n", "line 3: repeated id 'cand000'"),
+], ids=["overlong-field", "nan", "inf", "overflow", "repeated-id"])
+def test_eval_refuses_a_bad_plddt_csv(trained, tmp_path, capsys, rows, message):
+    _, ds, ck = trained
+    cands = str(tmp_path / "d")
+    assert cli.run(["design", "--checkpoint", ck, "--data", ds,
+                    "--record-id", "syn001", "--n", "1", "--out", cands]) == 0
+    plddt = tmp_path / "plddt.csv"
+    plddt.write_text("id,plddt\n" + rows)
+    capsys.readouterr()
+    report = tmp_path / "r.csv"
+    assert cli.run(["eval", "--data", ds, "--record-id", "syn001", "--candidates",
+                    cands, "--plddt", str(plddt), "--out", str(report)]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and message in errors[0], errors
+    assert "Traceback" not in err and not report.exists()
 
 
 def test_eval_unknown_record_is_data_error(trained, capsys):

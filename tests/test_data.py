@@ -271,3 +271,12 @@ def test_split_manifest_round_trip():
         data.parse_split_manifest("wrong,header\nx,train\n")
     with pytest.raises(ParseError):
         data.parse_split_manifest("id,split\nx,weird\n")
+
+
+def test_tables_honour_csv_quoting_and_skip_blank_lines():
+    train, valid = _toy_records(2)
+    train.record_id = 'a,"b"'
+    text = data.format_split_manifest([train], [valid], [])
+    assert text == 'id,split\n"a,""b""",train\nrec01,valid\n'
+    assert data.parse_split_manifest(text.replace("\n", "\n\n  \n")) == {
+        'a,"b"': "train", "rec01": "valid"}

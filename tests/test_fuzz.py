@@ -12,6 +12,7 @@ import pytest
 
 from geopro import cli
 from geopro import data as dt
+from geopro import metrics as mx
 from geopro import pipeline as pl
 from geopro.errors import GeoproError
 
@@ -92,12 +93,25 @@ def _cases(tmp_path):
         "motif-table": (
             str(tmp_path / "ds" / "motifs.csv"), lambda path: cli.read_dataset(dataset)
         ),
+        "plddt": (
+            text_file("plddt.csv", 'id,plddt\ncand000,81.5\n\n"cand,001",60\n'),
+            reading(mx.parse_plddt_csv),
+        ),
+        "allow-list": (
+            text_file("allow.txt", "# ids\nsyn000\n  syn001  # x\n\nsyn002\n"),
+            reading(dt.parse_allow_list),
+        ),
+        "alignment": (
+            text_file("aln.fasta", ">ref\nACD-EF\n>h1\nACDYEF\n>h2\nACW-EF\n"),
+            reading(lambda text: dt.extract_motif(dt.parse_alignment(text, "ref"), 0.6)),
+        ),
         "checkpoint": (checkpoint, lambda path: pl.load_checkpoint(path, model)),
     }
 
 
 @pytest.mark.parametrize("name", ["config", "fasta", "pdb", "positions", "manifest",
-                                  "motif-table", "checkpoint"])
+                                  "motif-table", "plddt", "allow-list", "alignment",
+                                  "checkpoint"])
 def test_mutated_input_parses_or_raises_a_geopro_error(name, tmp_path):
     path, parse = _cases(tmp_path)[name]
     with open(path, "rb") as handle:

@@ -477,7 +477,8 @@ def test_train_checkpoints_best_validation_weights(tmp_path):
     model = pl.build_model(cfg)
     path = str(tmp_path / "best.ckpt")
     history = pl.train(data[:3], cfg, model, valid_set=data[3:], checkpoint_path=path)
-    assert os.listdir(tmp_path) == ["best.ckpt"]
+    assert sorted(os.listdir(tmp_path)) == ["best.ckpt", "best.ckpt.config"]
+    assert pl.build_config(file_text=(tmp_path / "best.ckpt.config").read_text()) == cfg
     best = min(h.valid_total for h in history)
     restored = pl.load_checkpoint(path, pl.build_model(cfg))
     assert pl.evaluate_loss(data[3:], restored) == pytest.approx(best, abs=1e-9)
