@@ -56,12 +56,18 @@ class _Parser(argparse.ArgumentParser):
 # small file helpers
 
 
-def _read_text(path):
+def _parse_file(path, parse):
+    """``parse`` applied to the text of the file at ``path``; a
+    ``GeoproError`` it raises keeps its class and gains the path."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError("cannot read %s: %s" % (path, exc)) from None
+    try:
+        return parse(text)
+    except GeoproError as exc:
+        raise type(exc)("%s: %s" % (path, exc)) from None
 
 
 def parse_positions_file(text):
@@ -95,9 +101,10 @@ def read_records(dir_path, fasta_name):
     """The records ``write_records`` wrote, in FASTA order; a record whose
     PDB residues differ from its FASTA letters raises ``DataError``."""
     records = []
-    for rec_id, letters in dt.parse_fasta(_read_text(os.path.join(dir_path, fasta_name))):
-        text = _read_text(os.path.join(dir_path, "%s.pdb" % rec_id))
-        record = dt.parse_pdb_ca(text, chain=dt.PDB_CHAIN, record_id=rec_id)
+    for rec_id, letters in _parse_file(os.path.join(dir_path, fasta_name), dt.parse_fasta):
+        record = _parse_file(
+            os.path.join(dir_path, "%s.pdb" % rec_id),
+            lambda text: dt.parse_pdb_ca(text, chain=dt.PDB_CHAIN, record_id=rec_id))
         if record.residue_string != letters:
             raise DataError("sequence mismatch for %r between %s and its PDB file"
                             % (rec_id, fasta_name))
@@ -131,9 +138,9 @@ def read_dataset(dir_path, motif_positions=None):
     motif_map = {}
     motif_path = os.path.join(dir_path, "motifs.csv")
     if os.path.exists(motif_path):
-        motif_map = dt.parse_table(
-            _read_text(motif_path), "positions",
-            lambda cell: [int(tok) for tok in cell.split(";") if tok.strip() != ""])
+        motif_map = _parse_file(motif_path, lambda text: dt.parse_table(
+            text, "positions",
+            lambda cell: [int(tok) for tok in cell.split(";") if tok.strip() != ""]))
     examples = {}
     for record in read_records(dir_path, "sequences.fasta"):
         rec_id = record.record_id
@@ -149,7 +156,7 @@ def read_dataset(dir_path, motif_positions=None):
     splits = None
     split_path = os.path.join(dir_path, "splits.csv")
     if os.path.exists(split_path):
-        splits = dt.parse_split_manifest(_read_text(split_path))
+        splits = _parse_file(split_path, dt.parse_split_manifest)
     return examples, splits
 
 
@@ -182,9 +189,11 @@ def _config_from_args(args, fallback_path=None):
         f.name: getattr(args, f.name) for f in dataclasses.fields(pl.TrainingConfig)
         if getattr(args, f.name, None) is not None
     }
-    return pl.build_config(
-        file_text=_read_text(path) if path else None, overrides=overrides
-    )
+    # flags checked alone first, so that a bad flag is not blamed on the file
+    config = pl.build_config(overrides=overrides)
+    if path:
+        config = _parse_file(path, lambda text: pl.build_config(text, overrides))
+    return config
 
 
 def _load_model(args):
@@ -204,11 +213,12 @@ def _load_model(args):
 
 
 def _cmd_prepare(args):
-    allowed = sorted(dt.parse_allow_list(_read_text(args.allow_list)))
-    records = []
-    for rec_id in allowed:
-        text = _read_text(os.path.join(args.pdb_dir, "%s.pdb" % rec_id))
-        records.append(dt.parse_pdb_ca(text, chain=args.chain, record_id=rec_id))
+    allowed = sorted(_parse_file(args.allow_list, dt.parse_allow_list))
+    records = [
+        _parse_file(os.path.join(args.pdb_dir, "%s.pdb" % rec_id),
+                    lambda text: dt.parse_pdb_ca(text, chain=args.chain, record_id=rec_id))
+        for rec_id in allowed
+    ]
     train, valid, test = dt.filter_and_split(records, args.min_len, seed=args.seed)
     kept = train + valid + test
     write_dataset(args.out, [(record, None) for record in kept],
@@ -221,8 +231,8 @@ def _cmd_prepare(args):
 
 
 def _cmd_motif(args):
-    aln = dt.parse_alignment(_read_text(args.alignment), args.reference)
-    positions = dt.extract_motif(aln, args.conservation)
+    positions = _parse_file(args.alignment, lambda text: dt.extract_motif(
+        dt.parse_alignment(text, args.reference), args.conservation))
     body = "".join("%d\n" % p for p in positions)
     pl.write_atomic(args.out, body)
     print("%d conserved positions -> %s" % (len(positions), args.out))
@@ -242,7 +252,7 @@ def _cmd_synth(args):
 def _cmd_train(args):
     config = _config_from_args(args)
     motif_positions = (
-        parse_positions_file(_read_text(args.motif_file)) if args.motif_file else None
+        _parse_file(args.motif_file, parse_positions_file) if args.motif_file else None
     )
     curve_path = args.curve or "%s.curve.csv" % args.out
     for path in (args.out, curve_path, args.out + pl.SIDECAR_SUFFIX):
@@ -294,10 +304,10 @@ def _cmd_eval(args):
     record, motif = examples[args.record_id]
     candidates = [(c.record_id, c.sequence, c.ca_coords)
                   for c in read_records(args.candidates, "candidates.fasta")]
-    plddt_text = _read_text(args.plddt) if args.plddt else None
-    report = mx.evaluate_candidates(candidates, record, motif, plddt_text)
-    pl.write_atomic(args.out, mx.report_csv(report))
-    print(mx.report_text(report), end="")
+    plddt = _parse_file(args.plddt, mx.parse_plddt_csv) if args.plddt else None
+    table = mx.evaluate_candidates(candidates, record, motif, plddt)
+    pl.write_atomic(args.out, dt.format_csv(table))
+    print(mx.report_text(table), end="")
     return EXIT_OK
 
 

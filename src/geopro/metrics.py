@@ -1,8 +1,8 @@
 """Sequence and structure evaluation: recovery and deviation.
 
-Collects per-candidate rows of sequence recovery (over all positions
-and over the designed positions only), coordinate deviation in the
-anchored frame and after optimal superposition, TM-score, and an
+Scores each candidate in one table row: sequence recovery (over all
+positions and over the designed positions only), coordinate deviation in
+the anchored frame and after optimal superposition, TM-score, and an
 optional externally computed confidence joined from a CSV file.
 """
 
@@ -50,54 +50,6 @@ def aar(designed, target, scored):
     return float(np.mean(designed[scored] == target[scored]))
 
 
-class EvalRow:
-    """One candidate's metrics."""
-
-    __slots__ = ("row_id",) + METRIC_COLUMNS
-
-    def __init__(self, row_id, aar_all, aar_nonmotif, rmsd_superposed,
-                 rmsd_anchored, tm, plddt=None):
-        if not 0.0 <= aar_all <= 1.0 or not 0.0 <= aar_nonmotif <= 1.0:
-            raise ContractError("recovery rates must lie in [0, 1]")
-        if rmsd_superposed < 0.0 or rmsd_anchored < 0.0:
-            raise ContractError("deviations must be non-negative")
-        if not 0.0 < tm <= 1.0:
-            raise ContractError("TM-score must lie in (0, 1]")
-        self.row_id = row_id
-        self.aar_all = aar_all
-        self.aar_nonmotif = aar_nonmotif
-        self.rmsd_superposed = rmsd_superposed
-        self.rmsd_anchored = rmsd_anchored
-        self.tm_score = tm
-        self.plddt = plddt
-
-    def values(self):
-        return {name: getattr(self, name) for name in METRIC_COLUMNS}
-
-
-class EvalReport:
-    """Rows sorted by id plus mean/median summaries computed from them."""
-
-    def __init__(self, rows):
-        self.rows = sorted(rows, key=lambda r: r.row_id)
-        seen = set()
-        for row in self.rows:
-            if row.row_id in seen:
-                raise ContractError("duplicate candidate id %r" % row.row_id)
-            seen.add(row.row_id)
-
-    def summary(self):
-        """{column: (mean, median)} over rows; confidence only if present."""
-        out = {}
-        for name in METRIC_COLUMNS:
-            values = [
-                getattr(r, name) for r in self.rows if getattr(r, name) is not None
-            ]
-            if values:
-                out[name] = (statistics.fmean(values), statistics.median(values))
-        return out
-
-
 def _confidence(cell):
     value = float(cell)
     if not np.isfinite(value):
@@ -110,14 +62,15 @@ def parse_plddt_csv(text):
     return parse_table(text, "plddt", _confidence)
 
 
-def evaluate_candidates(candidates, record, motif, plddt_text=None):
-    """Score (id, sequence, coords) candidates against the reference
-    ``record`` they were designed for under ``motif``.
+def evaluate_candidates(candidates, record, motif, plddt=None):
+    """The report of (id, sequence, coords) candidates scored against the
+    reference ``record`` they were designed for under ``motif``.
 
-    A confidence CSV, when given, joins by id; ids it does not cover keep
-    an empty confidence field.
+    The header row, then one row per candidate in id order, then ``mean``
+    and ``median`` rows over each column's values.  ``plddt`` maps ids to
+    an external confidence; a cell with no value is None.
     """
-    plddt = parse_plddt_csv(plddt_text) if plddt_text is not None else {}
+    plddt = plddt or {}
     length = record.length
     flexible = np.setdiff1d(np.arange(length), motif.positions)
     rows = []
@@ -127,45 +80,29 @@ def evaluate_candidates(candidates, record, motif, plddt_text=None):
                 "candidate %r length %d does not match target length %d"
                 % (cand_id, sequence.shape[0], length)
             )
-        rows.append(
-            EvalRow(
-                row_id=cand_id,
-                aar_all=aar(sequence, record.sequence, range(length)),
-                aar_nonmotif=aar(sequence, record.sequence, flexible),
-                rmsd_superposed=superposed_rmsd(coords, record.ca_coords),
-                rmsd_anchored=coordinate_rmsd(coords, record.ca_coords),
-                tm=tm_score(coords, record.ca_coords, length),
-                plddt=plddt.get(cand_id),
-            )
-        )
-    return EvalReport(rows)
+        rows.append([
+            cand_id,
+            aar(sequence, record.sequence, range(length)),
+            aar(sequence, record.sequence, flexible),
+            superposed_rmsd(coords, record.ca_coords),
+            coordinate_rmsd(coords, record.ca_coords),
+            tm_score(coords, record.ca_coords, length),
+            plddt.get(cand_id),
+        ])
+    rows.sort(key=lambda row: row[0])
+    for row, after in zip(rows, rows[1:]):
+        if row[0] == after[0]:
+            raise ContractError("duplicate candidate id %r" % row[0])
+    columns = [[row[i] for row in rows if row[i] is not None]
+               for i in range(1, len(METRIC_COLUMNS) + 1)]
+    summary = [[name] + [stat(values) if values else None for values in columns]
+               for name, stat in (("mean", statistics.fmean), ("median", statistics.median))]
+    return [("id",) + METRIC_COLUMNS] + rows + summary
 
 
-# ---------------------------------------------------------------------------
-# report output
-
-
-def _report_rows(report):
-    """Header, then one row per candidate, then mean and median rows;
-    a cell with no value is None."""
-    rows = [("id",) + METRIC_COLUMNS]
-    for row in report.rows:
-        rows.append([row.row_id] + [row.values()[c] for c in METRIC_COLUMNS])
-    summary = report.summary()
-    for stat, pick in (("mean", 0), ("median", 1)):
-        rows.append([stat] + [summary[c][pick] if c in summary else None
-                              for c in METRIC_COLUMNS])
-    return rows
-
-
-def report_csv(report):
-    """One CSV row per candidate, then mean and median summary rows."""
-    return format_csv(_report_rows(report))
-
-
-def report_text(report):
-    """Fixed-width table for terminals."""
-    rows = [[format_cell(value) for value in row] for row in _report_rows(report)]
+def report_text(table):
+    """``evaluate_candidates``' table as fixed-width text for terminals."""
+    rows = [[format_cell(value) for value in row] for row in table]
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     rows.insert(1, ["-" * w for w in widths])
     return "".join("  ".join(v.ljust(w) for v, w in zip(r, widths)) + "\n" for r in rows)

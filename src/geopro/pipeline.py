@@ -109,7 +109,8 @@ def motif_from_record(record, positions):
     outside = positions[(positions < 0) | (positions >= record.length)]
     if outside.size:
         raise ContractError(
-            "motif position %d out of range for length %d" % (outside[0], record.length)
+            "record %r: motif position %d out of range for length %d"
+            % (record.record_id, outside[0], record.length)
         )
     return Motif(
         positions=positions,

@@ -172,8 +172,7 @@ PINNED_DEFAULTS = {
     "egnn.equivariance_check(forward)",
     "egnn.egcl_forward(receive)", "egnn.egnn_forward(receive)",
     "geometry.random_rigid(reflect)",
-    "metrics.EvalRow.__init__(plddt)",
-    "metrics.evaluate_candidates(plddt_text)",
+    "metrics.evaluate_candidates(plddt)",
     "pipeline.build_config(file_text)", "pipeline.build_config(overrides)",
     "pipeline.train(valid_set)", "pipeline.train(checkpoint_path)",
     "pipeline.design(pin_motif)",
@@ -350,8 +349,54 @@ def test_a_repeated_id_in_a_dataset_file_exits_two(tmp_path, capsys, name, line)
     assert cli.run(["train", "--data", ds, "--out", ck,
                     "--config", write_config(tmp_path)]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert lines == ["error: line %d: repeated id 'syn000'" % line]
+    assert lines == ["error: %s: line %d: repeated id 'syn000'" % (path, line)]
     assert not os.path.exists(ck)
+
+
+@pytest.mark.parametrize("name", ["pdb", "config", "sidecar"])
+def test_an_input_file_error_names_the_file(tmp_path, capsys, name):
+    ds = make_dataset(tmp_path)
+    cfg = write_config(tmp_path)
+    ck = str(tmp_path / "m.ckpt")
+    argv = ["train", "--data", ds, "--out", ck, "--config", cfg]
+    if name == "pdb":
+        path = os.path.join(ds, "syn001.pdb")
+        lines = open(path).read().splitlines(True)
+        lines[2] = lines[2][:30] + "   X0.61" + lines[2][38:]
+        text, message = "".join(lines), "line 3: bad coordinate field '   X0.61'"
+    elif name == "config":
+        path = cfg
+        text, message = TINY_CONFIG + "foo\n", "line 11: expected 'key = value', got 'foo'"
+    else:
+        assert cli.run(argv) == 0
+        path = ck + ".config"
+        text, message = open(path).read() + "foo\n", "line 18: expected 'key = value', got 'foo'"
+        argv = ["design", "--checkpoint", ck, "--data", ds, "--record-id", "syn001",
+                "--out", str(tmp_path / "d")]
+    with open(path, "w") as handle:
+        handle.write(text)
+    capsys.readouterr()
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: %s: %s" % (path, message)]
+
+
+def test_a_bad_config_flag_is_not_blamed_on_the_config_file(tmp_path, capsys):
+    ds = make_dataset(tmp_path)
+    assert cli.run(["train", "--data", ds, "--out", str(tmp_path / "m.ckpt"),
+                    "--config", write_config(tmp_path), "--topk", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: top_k must be in [1, 20]"]
+
+
+def test_a_motif_position_out_of_range_names_the_record(tmp_path, capsys):
+    ds = make_dataset(tmp_path, length=12)
+    os.remove(os.path.join(ds, "motifs.csv"))
+    positions = tmp_path / "motif.txt"
+    positions.write_text("1\n15\n")
+    assert cli.run(["train", "--data", ds, "--out", str(tmp_path / "m.ckpt"),
+                    "--config", write_config(tmp_path),
+                    "--motif-file", str(positions)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: record 'syn000': motif position 15 out of range for length 12"]
 
 
 # ---------------------------------------------------------------------------
@@ -775,6 +820,69 @@ def test_eval_report(trained, capsys):
     plddt_col = lines[0].split(",").index("plddt")
     assert float(lines[1].split(",")[plddt_col]) == 81.5
     assert lines[3].split(",")[plddt_col] == ""
+
+
+GOLDEN_TARGET = [[0.0, 0.0, 0.0], [3.8, 0.0, 0.0], [3.8, 3.8, 0.0],
+                 [0.0, 3.8, 1.0], [1.9, 1.9, 3.0]]
+# id, residues, offset from the target's coordinates; none is a rigid
+# motion of the target, so no deviation is rounding noise around zero
+GOLDEN_CANDIDATES = [
+    ("c2", "ACDEA", [[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.3, 0.0],
+                     [0.0, 0.0, -0.4], [0.2, 0.1, 0.0]]),
+    ("c1", "ACDEF", [[0.0, 0.2, 0.0], [0.1, 0.0, 0.0], [0.0, 0.0, 0.0],
+                     [0.3, 0.0, 0.0], [0.0, 0.0, 0.5]]),
+    ("c3", "GCDKF", [[1.0, 0.0, 0.0], [1.0, 0.1, 0.0], [1.2, 0.0, 0.0],
+                     [1.0, 0.0, 0.0], [1.0, 0.0, -0.3]]),
+]
+GOLDEN_CSV = """\
+id,aar_all,aar_nonmotif,rmsd_superposed,rmsd_anchored,tm_score,plddt
+c1,1,1,0.2354511451,0.2792848009,0.8419527036,77.5
+c2,0.8,0.6666666667,0.2264403277,0.331662479,0.8351169932,
+c3,0.6,0.3333333333,0.1475951275,1.052615789,0.9238599914,61.25
+mean,0.8,0.6666666667,0.2031622001,0.5545210231,0.8669765627,69.375
+median,0.8,0.6666666667,0.2264403277,0.331662479,0.8419527036,69.375
+"""
+# the terminal table pads every cell, the last column's too
+GOLDEN_TEXT = (
+    "id      aar_all  aar_nonmotif  rmsd_superposed  rmsd_anchored  tm_score      plddt \n"
+    "------  -------  ------------  ---------------  -------------  ------------  ------\n"
+    "c1      1        1             0.2354511451     0.2792848009   0.8419527036  77.5  \n"
+    "c2      0.8      0.6666666667  0.2264403277     0.331662479    0.8351169932        \n"
+    "c3      0.6      0.3333333333  0.1475951275     1.052615789    0.9238599914  61.25 \n"
+    "mean    0.8      0.6666666667  0.2031622001     0.5545210231   0.8669765627  69.375\n"
+    "median  0.8      0.6666666667  0.2264403277     0.331662479    0.8419527036  69.375\n"
+)
+GOLDEN_EMPTY_CSV = "id,aar_all,aar_nonmotif,rmsd_superposed,rmsd_anchored,tm_score,plddt\n" \
+    "mean,,,,,,\nmedian,,,,,,\n"
+GOLDEN_EMPTY_TEXT = (
+    "id      aar_all  aar_nonmotif  rmsd_superposed  rmsd_anchored  tm_score  plddt\n"
+    "------  -------  ------------  ---------------  -------------  --------  -----\n"
+    "%-78s\n%-78s\n" % ("mean", "median")
+)
+
+def test_eval_report_golden(tmp_path, capsys):
+    target = dt.ProteinRecord.from_parts("t", "ACDEF", GOLDEN_TARGET)
+    ds = str(tmp_path / "ds")
+    cli.write_dataset(ds, [(target, pl.motif_from_record(target, [1, 2]))])
+    cands = str(tmp_path / "cands")
+    records = [dt.ProteinRecord.from_parts(i, s, np.add(GOLDEN_TARGET, d))
+               for i, s, d in GOLDEN_CANDIDATES]
+    cli.write_records(cands, "candidates.fasta", records, [r.record_id for r in records])
+    plddt = tmp_path / "plddt.csv"
+    plddt.write_text("id,plddt\nc1,77.5\nc3,61.25\n")
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "candidates.fasta").write_text("")
+    for cand_dir, extra, csv_text, table in (
+        (cands, ["--plddt", str(plddt)], GOLDEN_CSV, GOLDEN_TEXT),
+        (str(empty), [], GOLDEN_EMPTY_CSV, GOLDEN_EMPTY_TEXT),
+    ):
+        report = tmp_path / "report.csv"
+        capsys.readouterr()
+        assert cli.run(["eval", "--data", ds, "--record-id", "t", "--candidates",
+                        cand_dir, "--out", str(report)] + extra) == 0
+        assert capsys.readouterr().out == table
+        assert report.read_bytes() == csv_text.encode("utf-8")
 
 
 @pytest.mark.parametrize("rows, message", [

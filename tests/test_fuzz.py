@@ -4,7 +4,8 @@ Each parser reads a valid input with random byte edits applied, through
 the same file-reading path as the command line.  Every mutated input must
 either parse or raise a ``GeoproError``, which the command line turns into
 one ``error:`` line and exit code 2; any other exception would reach the
-user as a traceback.
+user as a traceback.  The error of a parser that reads one text file
+names that file.
 """
 
 import numpy as np
@@ -65,7 +66,7 @@ def _cases(tmp_path):
         return str(path)
 
     def reading(parse):
-        return lambda path: parse(cli._read_text(path))
+        return lambda path: cli._parse_file(path, parse)
 
     return {
         "config": (
@@ -109,9 +110,12 @@ def _cases(tmp_path):
     }
 
 
-@pytest.mark.parametrize("name", ["config", "fasta", "pdb", "positions", "manifest",
-                                  "motif-table", "plddt", "allow-list", "alignment",
-                                  "checkpoint"])
+# the parsers that read one text file each, through cli._parse_file
+ONE_FILE = ["config", "fasta", "pdb", "positions", "manifest", "plddt", "allow-list",
+            "alignment"]
+
+
+@pytest.mark.parametrize("name", ONE_FILE + ["motif-table", "checkpoint"])
 def test_mutated_input_parses_or_raises_a_geopro_error(name, tmp_path):
     path, parse = _cases(tmp_path)[name]
     with open(path, "rb") as handle:
@@ -124,8 +128,10 @@ def test_mutated_input_parses_or_raises_a_geopro_error(name, tmp_path):
             handle.write(mutated)
         try:
             parse(path)
-        except GeoproError:
-            pass
+        except GeoproError as exc:
+            if name in ONE_FILE and path not in str(exc):
+                pytest.fail("mutation %d of the %s input raised %r, which does not "
+                            "name the file" % (k, name, exc))
         except Exception as exc:
             pytest.fail("mutation %d of the %s input raised %r on %r"
                         % (k, name, exc, mutated[:300]))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from geopro import metrics as mx
-from geopro.data import ProteinRecord
+from geopro.data import ProteinRecord, format_csv
 from geopro.errors import ContractError, DataError, ParseError
 from geopro.geometry import apply_rigid, random_rigid
 from geopro.pipeline import Motif
@@ -76,54 +76,74 @@ def toy_setup():
     return candidates, record, motif
 
 
+def rows_by_id(table):
+    """{id: {column: value}} of a report table, summary rows included."""
+    header = table[0]
+    assert header == ("id",) + mx.METRIC_COLUMNS
+    return {row[0]: dict(zip(header[1:], row[1:])) for row in table[1:]}
+
+
 def test_evaluate_identical_and_translated_and_edited():
     candidates, record, motif = toy_setup()
-    plddt = "id,plddt\nc1,77.34\nc3,62.73\nnot-here,50\n"
-    report = mx.evaluate_candidates(candidates, record, motif, plddt_text=plddt)
-    rows = {r.row_id: r for r in report.rows}
+    plddt = mx.parse_plddt_csv("id,plddt\nc1,77.34\nc3,62.73\nnot-here,50\n")
+    rows = rows_by_id(mx.evaluate_candidates(candidates, record, motif, plddt))
 
     r1 = rows["c1"]
-    assert r1.aar_all == 1.0 and r1.aar_nonmotif == 1.0
-    assert r1.rmsd_anchored == 0.0 and r1.rmsd_superposed < 1e-12
-    assert r1.tm_score == 1.0
-    assert r1.plddt == 77.34
+    assert r1["aar_all"] == 1.0 and r1["aar_nonmotif"] == 1.0
+    assert r1["rmsd_anchored"] == 0.0 and r1["rmsd_superposed"] < 1e-12
+    assert r1["tm_score"] == 1.0
+    assert r1["plddt"] == 77.34
 
     # A pure translation: anchored deviation is the shift, superposition
     # removes it entirely.
     r2 = rows["c2"]
-    assert r2.rmsd_anchored == pytest.approx(2.0, abs=1e-12)
-    assert r2.rmsd_superposed < 1e-9
-    assert r2.tm_score == pytest.approx(1.0, abs=1e-9)
-    assert r2.plddt is None
+    assert r2["rmsd_anchored"] == pytest.approx(2.0, abs=1e-12)
+    assert r2["rmsd_superposed"] < 1e-9
+    assert r2["tm_score"] == pytest.approx(1.0, abs=1e-9)
+    assert r2["plddt"] is None
 
     # One edited residue at a flexible position.
     r3 = rows["c3"]
-    assert r3.aar_all == pytest.approx(3.0 / 4.0, abs=1e-12)
-    assert r3.aar_nonmotif == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert r3.plddt == 62.73
+    assert r3["aar_all"] == pytest.approx(3.0 / 4.0, abs=1e-12)
+    assert r3["aar_nonmotif"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert r3["plddt"] == 62.73
 
-    summary = report.summary()
-    assert summary["aar_all"][0] == pytest.approx((1 + 1 + 0.75) / 3, abs=1e-9)
-    assert summary["aar_all"][1] == pytest.approx(1.0, abs=1e-9)
-    assert summary["aar_nonmotif"][0] == pytest.approx((2 + 2 / 3) / 3, abs=1e-9)
-    assert summary["rmsd_anchored"][0] == pytest.approx(2.0 / 3.0, abs=1e-9)
-    assert summary["rmsd_anchored"][1] == pytest.approx(0.0, abs=1e-9)
-    assert summary["tm_score"][0] == pytest.approx(1.0, abs=1e-9)
-    assert summary["plddt"][0] == pytest.approx(70.035, abs=1e-9)
-    assert summary["plddt"][1] == pytest.approx(70.035, abs=1e-9)
+    mean, median = rows["mean"], rows["median"]
+    assert mean["aar_all"] == pytest.approx((1 + 1 + 0.75) / 3, abs=1e-9)
+    assert median["aar_all"] == pytest.approx(1.0, abs=1e-9)
+    assert mean["aar_nonmotif"] == pytest.approx((2 + 2 / 3) / 3, abs=1e-9)
+    assert mean["rmsd_anchored"] == pytest.approx(2.0 / 3.0, abs=1e-9)
+    assert median["rmsd_anchored"] == pytest.approx(0.0, abs=1e-9)
+    assert mean["tm_score"] == pytest.approx(1.0, abs=1e-9)
+    assert mean["plddt"] == pytest.approx(70.035, abs=1e-9)
+    assert median["plddt"] == pytest.approx(70.035, abs=1e-9)
 
 
 def test_evaluate_errors_and_order_invariance():
     candidates, record, motif = toy_setup()
-    report_fwd = mx.evaluate_candidates(candidates, record, motif)
-    report_rev = mx.evaluate_candidates(candidates[::-1], record, motif)
-    assert [r.row_id for r in report_fwd.rows] == ["c1", "c2", "c3"]
-    for a, b in zip(report_fwd.rows, report_rev.rows):
-        assert a.row_id == b.row_id and a.values() == b.values()
+    table_fwd = mx.evaluate_candidates(candidates, record, motif)
+    table_rev = mx.evaluate_candidates(candidates[::-1], record, motif)
+    assert [row[0] for row in table_fwd[1:]] == ["c1", "c2", "c3", "mean", "median"]
+    assert table_fwd == table_rev
 
     short = [make_candidate("c1", [0, 1], np.zeros((2, 3)))]
     with pytest.raises(DataError):
         mx.evaluate_candidates(short, record, motif)
+
+
+def test_evaluate_refuses_a_repeated_candidate_id():
+    candidates, record, motif = toy_setup()
+    with pytest.raises(ContractError, match="duplicate candidate id 'c2'"):
+        mx.evaluate_candidates(candidates + candidates[1:2], record, motif)
+
+
+def test_evaluate_no_candidates_has_empty_summary_rows():
+    _, record, motif = toy_setup()
+    assert mx.evaluate_candidates([], record, motif) == [
+        ("id",) + mx.METRIC_COLUMNS,
+        ["mean"] + [None] * len(mx.METRIC_COLUMNS),
+        ["median"] + [None] * len(mx.METRIC_COLUMNS),
+    ]
 
 
 def test_superposed_metrics_invariant_under_rigid_motion():
@@ -134,13 +154,12 @@ def test_superposed_metrics_invariant_under_rigid_motion():
     for _ in range(10):
         transform = random_rigid(rng)
         moved = make_candidate("c", TARGET_SEQ, apply_rigid(transform, base[2]))
-        reports = [
-            mx.evaluate_candidates([cand], record, motif)
+        r0, r1 = (
+            rows_by_id(mx.evaluate_candidates([cand], record, motif))["c"]
             for cand in (base, moved)
-        ]
-        r0, r1 = (rep.rows[0] for rep in reports)
-        assert abs(r0.rmsd_superposed - r1.rmsd_superposed) < 1e-9
-        assert abs(r0.tm_score - r1.tm_score) < 1e-9
+        )
+        assert abs(r0["rmsd_superposed"] - r1["rmsd_superposed"]) < 1e-9
+        assert abs(r0["tm_score"] - r1["tm_score"]) < 1e-9
 
 
 def test_plddt_csv_errors():
@@ -153,29 +172,14 @@ def test_plddt_csv_errors():
     assert mx.parse_plddt_csv("id,plddt\nc1,50.5\n") == {"c1": 50.5}
 
 
-def test_eval_row_range_validation():
-    with pytest.raises(ContractError):
-        mx.EvalRow("x", 1.2, 0.5, 0.0, 0.0, 1.0)
-    with pytest.raises(ContractError):
-        mx.EvalRow("x", 0.5, 0.5, -0.1, 0.0, 1.0)
-    with pytest.raises(ContractError):
-        mx.EvalRow("x", 0.5, 0.5, 0.0, 0.0, 0.0)
-    with pytest.raises(ContractError):
-        mx.EvalReport([
-            mx.EvalRow("x", 0.5, 0.5, 0.0, 0.0, 1.0),
-            mx.EvalRow("x", 0.5, 0.5, 0.0, 0.0, 1.0),
-        ])
-
-
 # ---------------------------------------------------------------------------
 # report output
 
 
-def test_report_csv_summary_recomputable():
+def test_report_table_summary_recomputable_from_its_csv():
     candidates, record, motif = toy_setup()
-    plddt = "id,plddt\nc1,77.34\nc3,62.73\n"
-    report = mx.evaluate_candidates(candidates, record, motif, plddt_text=plddt)
-    text = mx.report_csv(report)
+    plddt = mx.parse_plddt_csv("id,plddt\nc1,77.34\nc3,62.73\n")
+    text = format_csv(mx.evaluate_candidates(candidates, record, motif, plddt))
     rows = list(csv.reader(io.StringIO(text)))
     header = rows[0]
     assert header == ["id"] + list(mx.METRIC_COLUMNS)
@@ -198,8 +202,7 @@ def test_report_csv_summary_recomputable():
 
 def test_report_text_contains_everything():
     candidates, record, motif = toy_setup()
-    report = mx.evaluate_candidates(candidates, record, motif)
-    text = mx.report_text(report)
+    text = mx.report_text(mx.evaluate_candidates(candidates, record, motif))
     for token in ("id", "aar_all", "c1", "c2", "c3", "mean", "median"):
         assert token in text
 
