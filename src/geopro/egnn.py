@@ -22,6 +22,10 @@ sets numpy's OpenBLAS to one thread before its first product, so that
 BLAS rounds the same way in every call of the process; a call with one
 block runs on the calling thread.
 
+Each layer's feature MLP is one tape node as well, ``mlp_forward``,
+which also serves as the feed-forward of every transformer block in
+``seqmodel``; it and the pair kernel share the one silu of ``autodiff``.
+
 A layer may be given the rows that its caller reads (``egcl_forward``):
 its blocks then list only those receiving rows, and every other row
 receives no messages.  ``egnn_forward`` gives such a mask to its last
@@ -94,8 +98,38 @@ def init_mlp(rng, width_in, width_hidden, width_out, out_scale=1.0):
 
 
 def mlp_forward(params, x):
-    hidden = ad.silu(ad.add(ad.matmul(x, params.w1), params.b1))
-    return ad.add(ad.matmul(hidden, params.w2), params.b2)
+    """silu(x @ w1 + b1) @ w2 + b2 over the last axis of ``x`` as one tape
+    node, ``"mlp"``: every transformer block's feed-forward and every EGNN
+    layer's feature MLP.
+
+    Every row of ``x`` runs through one 2-D product per layer, as in
+    ``ad.matmul``, and the hidden layer has the bits of ``ad.silu``.  The
+    node keeps only half the hidden pre-activations, z/2, and computes
+    the silu again in its backward pass.
+    """
+    w1, b1, w2, b2 = (t.data for t in params.tensors())
+    rows = x.data.reshape(-1, x.shape[-1])
+    half = rows @ w1
+    half += b1
+    half *= 0.5
+    hidden = np.empty_like(half)
+    ad._silu(half, hidden, hidden)
+    out = hidden @ w2
+    out += b2
+
+    def backward(g):
+        g = g.reshape(-1, w2.shape[1])
+        t, u = np.empty_like(half), np.empty_like(half)
+        ad._silu(half, t, u)
+        g_w2 = u.T @ g
+        g_z = g @ w2.T
+        # the node runs backward once, so the slope may overwrite half
+        g_z *= ad._silu_slope(half, t, u)
+        g_x = (g_z @ w1.T).reshape(x.shape)
+        return g_x, rows.T @ g_z, g_z.sum(axis=0), g_w2, g.sum(axis=0)
+
+    out = out.reshape(x.shape[:-1] + (w2.shape[1],))
+    return ad.record_op(out, (x, *params.tensors()), backward, "mlp")
 
 
 @dataclass
@@ -325,36 +359,8 @@ def _sum_parts(per_part):
     return first
 
 
-def _silu(h, t, u):
-    """Given h = z/2, write 1 + tanh(h) into ``t`` and silu(z) = h * t into
-    ``u``.
-
-    1 + tanh(z/2) is 2 * sigmoid(z), so ``u`` has the bits of
-    z * sigmoid(z): scaling by two is exact.  Three passes over the block,
-    where z * sigmoid(z) takes five.
-    """
-    np.tanh(h, out=t)
-    t += 1.0
-    np.multiply(h, t, out=u)
-
-
-def _silu_slope(h, t, u):
-    """Overwrite ``h`` with d silu(z)/dz, given h = z/2 and ``t`` and ``u``
-    from ``_silu``.
-
-    With z = 2h and s = t/2 = sigmoid(z), both exact, the slope is
-    s * (1 + z * (1 - s)), and z * (1 - s) is z - u.
-    """
-    h *= 2.0
-    t *= 0.5
-    h -= u
-    h += 1.0
-    h *= t
-    return h
-
-
 def _halves(*arrays):
-    """Each array times 1/2: the weights whose products feed a ``_silu``,
+    """Each array times 1/2: the weights whose products feed an ``ad._silu``,
     so that a block builds h = z/2 directly."""
     return [0.5 * a for a in arrays]
 
@@ -382,7 +388,7 @@ class _PairInput:
     w1[d:2d]`` and ``d² * w1[2d]``: the node terms cost B·N rows of
     matmul, not B·N².  A block is a (b0, b1, rows, keep) of
     ``_row_blocks``, and its pair arrays are (graphs, r, N, ·).  A block
-    holds half the pre-activations, the input ``_silu`` takes; the node
+    holds half the pre-activations, the input ``ad._silu`` takes; the node
     terms are halved once, and the gradient is of the whole
     pre-activations.
     """
@@ -503,17 +509,17 @@ def _pair_update(state, params, receive):
     def messages(blk, sq_dist, halves, z1, s1, u1, z2, s2, msg):
         half_w2, half_b2 = halves
         message.block(blk, sq_dist, out=z1)
-        _silu(z1, s1, u1)
+        ad._silu(z1, s1, u1)
         np.matmul(u1, half_w2, out=z2)
         z2 += half_b2
-        _silu(z2, s2, msg)
+        ad._silu(z2, s2, msg)
         gate = ad._sigmoid(msg @ w_gate + b_gate).reshape(sq_dist.shape)
         gate[_diagonal(blk[2])] = 0.0
         return gate
 
     def shifts(blk, sq_dist, y1, s1, v1):
         coord.block(blk, sq_dist, out=y1)
-        _silu(y1, s1, v1)
+        ad._silu(y1, s1, v1)
         coef = (v1 @ c_w2 + c_b2).reshape(sq_dist.shape)
         dist = np.sqrt(sq_dist)
         return coef, dist, coef / (dist + 1.0)
@@ -561,13 +567,13 @@ def _pair_update(state, params, receive):
                 d_z3 *= (gate * (1.0 - gate)).reshape(-1, 1)
                 g_w_gate += msg.T @ d_z3
                 g_b_gate += d_z3.sum(axis=0)
-                slope2 = _silu_slope(z2, s2, msg)
+                slope2 = ad._silu_slope(z2, s2, msg)
                 _message_grad(d_z3.reshape(gate.shape), gate, w_gate, g_rows, out=msg4)
                 d_z2 = msg
                 d_z2 *= slope2
                 g_w2 += np.matmul(u1.T, d_z2, out=tmp_w2)
                 g_b2 += d_z2.sum(axis=0)
-                slope1 = _silu_slope(z1, s1, u1)
+                slope1 = ad._silu_slope(z1, s1, u1)
                 d_z1 = np.matmul(d_z2, w2.T, out=u1)
                 d_z1 *= slope1
                 d_sq = message_grad.add_grad(blk, sq_dist, d_z1)
@@ -586,7 +592,7 @@ def _pair_update(state, params, receive):
                 d_coef = d_coef.reshape(-1, 1)
                 g_c_w2 += u1.T @ d_coef
                 g_c_b2 += d_coef.sum(axis=0)
-                d_y1 = _silu_slope(z1, s1, u1)
+                d_y1 = ad._silu_slope(z1, s1, u1)
                 d_y1 *= d_coef
                 d_y1 *= c_w2[:, 0]
                 d_sq += coord_grad.add_grad(blk, sq_dist, d_y1)
@@ -628,8 +634,9 @@ def egcl_forward(state, params, receive=None):
 
     The pair work of every graph of the batch is one tape node,
     ``_pair_update``, whose output ``ad.split`` cuts into the gated
-    message sums and the moved coordinates.  The feature MLP and its input
-    concat are ordinary ops on the node rows.  The forward code is the
+    message sums and the moved coordinates.  The feature MLP is one
+    ``"mlp"`` node (``mlp_forward``) on the node rows, after the ordinary
+    concat of its input: five tape nodes a layer.  The forward code is the
     same with and without a tape.
     """
     d = state.feats.shape[-1]

@@ -6,6 +6,14 @@ logits.  Everything runs on the autodiff tensor type so training can
 differentiate through it.  A stack of B sequences of one length L is
 the arrays of one sequence with a leading batch axis: (B, L) tokens and
 motif masks, (B, L, d) features, (B, L, 20) logits.
+
+Each transformer block records few tape nodes: its two layer norms
+(``layer_norm``), its attention between the Q, K, V and output
+projections (``_attention``) and its feed-forward (``egnn.mlp_forward``)
+are one fused node each, with a hand-written backward pass that
+computes again what the forward pass did not keep.  The attention keeps
+no (heads, L, L) map: its memory between forward and backward grows
+with L·d, not heads·L².
 """
 
 from dataclasses import dataclass
@@ -23,6 +31,12 @@ RESIDUE_COUNT = 20
 
 _RESIDUE_TO_INDEX = {ch: i for i, ch in enumerate(AMINO_ACIDS)}
 _LN_EPS = 1e-5
+# Scores in one (B, heads, rows, L) block of query rows of the attention
+# node: 2**16 float64 values, 512 KB.  A block's backward holds two such
+# arrays.  With OpenBLAS 0.3.31 (Haswell kernels), blocks of 32 rows and
+# more gave the bits of one product over every row up to L=512; narrower
+# blocks, which only B·heads·L above 2048 makes, may round differently.
+_SCORE_VALUES = 2 ** 16
 
 
 def encode_sequence(residues):
@@ -220,29 +234,114 @@ def init_gsd_decoder(rng, width, depth, n_heads):
 
 
 def layer_norm(x, params):
-    centered = ad.sub(x, ad.tmean(x, axis=-1, keepdims=True))
-    variance = ad.tmean(ad.square(centered), axis=-1, keepdims=True)
-    normalized = ad.div(centered, ad.sqrt(ad.add(variance, _LN_EPS)))
-    return ad.add(ad.mul(normalized, params.gamma), params.beta)
+    """Layer norm over the last axis as one tape node, ``"layer_norm"``,
+    which keeps each row's mean and standard deviation for its backward
+    pass."""
+    gamma, beta = params.gamma.data, params.beta.data
+    mean = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mean
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + _LN_EPS)
+    out = centered / std
+    out *= gamma
+    out += beta
+
+    def backward(g):
+        width = g.shape[-1]
+        normalized = (x.data - mean) / std
+        g_gamma = (g * normalized).reshape(-1, width).sum(axis=0)
+        g_norm = g * gamma
+        g_x = g_norm - g_norm.mean(axis=-1, keepdims=True)
+        g_norm *= normalized
+        normalized *= g_norm.mean(axis=-1, keepdims=True)
+        g_x -= normalized
+        g_x /= std
+        return g_x, g_gamma, g.reshape(-1, width).sum(axis=0)
+
+    return ad.record_op(out, (x, params.gamma, params.beta), backward, "layer_norm")
+
+
+def _heads(a, heads):
+    """A C-ordered copy of ``a``, (L, d) or (B, L, d), split into (B, heads,
+    L, d / heads)."""
+    length, width = a.shape[-2:]
+    return np.ascontiguousarray(
+        a.reshape(-1, length, heads, width // heads).transpose(0, 2, 1, 3))
+
+
+def _merge(a, shape):
+    """The inverse of ``_heads``: (B, heads, L, d / heads) back to
+    ``shape``, (L, d) or (B, L, d)."""
+    return a.transpose(0, 2, 1, 3).reshape(shape)
+
+
+def _attention(q, k, v, heads):
+    """softmax(q kᵀ / √w) v within each head, with the heads split from and
+    merged back into the last axis, as one tape node, ``"attention"``.
+
+    ``q``, ``k`` and ``v`` are (L, d), or (B, L, d), and w = d / heads.
+    The node walks blocks of query rows, each of at most ``_SCORE_VALUES``
+    scores, and keeps only each softmax row's max and sum between forward
+    and backward; its backward pass computes every block's probabilities
+    again from q, k and those statistics (memory-efficient attention, Rabe
+    & Staats 2021; FlashAttention, Dao et al. 2022).  So no (heads, L, L)
+    map outlives a block.  Each block runs the numpy operations of the
+    composed attention in their order, on C-ordered copies of the heads.
+    """
+    length = q.shape[-2]
+    scale = 1.0 / np.sqrt(q.shape[-1] // heads)
+    q4, v4 = _heads(q.data, heads), _heads(v.data, heads)
+    k_t = np.ascontiguousarray(_heads(k.data, heads).transpose(0, 1, 3, 2))
+    batch, _, _, width = q4.shape
+    rows = max(1, _SCORE_VALUES // max(1, batch * heads * length))
+    blocks = [slice(i, i + rows) for i in range(0, length, rows)]
+    row_max = np.empty((batch, heads, length, 1))
+    row_sum = np.empty_like(row_max)
+
+    def probs(blk, forward):
+        # the forward pass writes the row statistics that backward reads
+        s = np.matmul(q4[:, :, blk], k_t)
+        s *= scale
+        if forward:
+            s.max(axis=-1, keepdims=True, out=row_max[:, :, blk])
+        s -= row_max[:, :, blk]
+        np.exp(s, out=s)
+        if forward:
+            s.sum(axis=-1, keepdims=True, out=row_sum[:, :, blk])
+        s /= row_sum[:, :, blk]
+        return s
+
+    out = np.empty((batch, length, heads, width))
+    for blk in blocks:
+        out[:, blk] = np.matmul(probs(blk, forward=True), v4).transpose(0, 2, 1, 3)
+
+    def backward(g):
+        g4 = _heads(g, heads)
+        # sum_j dP_ij P_ij, the row's gradient dotted with its output
+        dots = (g.reshape(out.shape) * out).sum(axis=-1).transpose(0, 2, 1)[..., None]
+        g_q, g_k, g_v = np.empty_like(q4), np.zeros_like(q4), np.zeros_like(q4)
+        for blk in blocks:
+            p = probs(blk, forward=False)
+            g_v += np.matmul(p.transpose(0, 1, 3, 2), g4[:, :, blk])
+            d_s = np.matmul(g4[:, :, blk], v4.transpose(0, 1, 3, 2))
+            d_s -= dots[:, :, blk]
+            d_s *= p
+            d_s *= scale
+            g_q[:, :, blk] = np.matmul(d_s, k_t.transpose(0, 1, 3, 2))
+            g_k += np.matmul(d_s.transpose(0, 1, 3, 2), q4[:, :, blk])
+        return _merge(g_q, q.shape), _merge(g_k, q.shape), _merge(g_v, q.shape)
+
+    return ad.record_op(out.reshape(q.shape), (q, k, v), backward, "attention")
 
 
 def attention_forward(x, params):
     """Multi-head self-attention within each sequence: ``x`` is (L, d), or
-    (B, L, d) for a stack of sequences."""
-    length, width = x.shape[-2:]
-    heads = params.n_heads
-    head_width = width // heads
-
-    def split(t):
-        return ad.transpose(ad.reshape(t, (-1, length, heads, head_width)), (0, 2, 1, 3))
-
-    q = split(ad.add(ad.matmul(x, params.wq), params.bq))
-    k = split(ad.matmul(x, params.wk))
-    v = split(ad.add(ad.matmul(x, params.wv), params.bv))
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_width))
-    mixed = ad.matmul(ad.softmax(scores), v)
-    merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), x.shape)
-    return ad.add(ad.matmul(merged, params.wo), params.bo)
+    (B, L, d) for a stack of sequences.  The Q, K, V and output projections
+    are ordinary ops around one ``_attention`` node."""
+    q = ad.add(ad.matmul(x, params.wq), params.bq)
+    k = ad.matmul(x, params.wk)
+    v = ad.add(ad.matmul(x, params.wv), params.bv)
+    mixed = _attention(q, k, v, params.n_heads)
+    return ad.add(ad.matmul(mixed, params.wo), params.bo)
 
 
 def block_forward(x, block):

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles_blocks
 from geopro import autodiff as ad
+from geopro import egnn
 from geopro import seqmodel as sm
 from geopro.checks import check_grads
 from geopro.errors import ConfigError, ContractError, DataError
@@ -248,3 +252,104 @@ def test_top3_sampling_frequencies():
     for cls in range(3):
         sigma = np.sqrt(draws * probs[cls] * (1.0 - probs[cls]))
         assert abs(counts[cls] - draws * probs[cls]) < 3.0 * sigma
+
+
+# ---------------------------------------------------------------------------
+# the fused transformer sub-layers against the composed oracles
+
+
+def _sublayers(block):
+    """(name, fused, composed, parameters) of each sub-layer of ``block``."""
+    att, ln, ff = block.attention, block.ln1, block.feedforward
+    return [
+        ("attention", lambda x: sm.attention_forward(x, att),
+         lambda x: oracles_blocks.attention(x, att),
+         [att.wq, att.bq, att.wk, att.wv, att.bv, att.wo, att.bo]),
+        ("layer_norm", lambda x: sm.layer_norm(x, ln),
+         lambda x: oracles_blocks.layer_norm(x, ln), [ln.gamma, ln.beta]),
+        ("mlp", lambda x: egnn.mlp_forward(ff, x),
+         lambda x: oracles_blocks.mlp(ff, x), ff.tensors()),
+    ]
+
+
+def _drawn_block(rng, width, heads):
+    block = sm._init_block(rng, width, heads)
+    # the initial gamma of ones and beta of zeros would hide a mix-up
+    block.ln1.gamma.data = rng.normal(size=width)
+    block.ln1.beta.data = rng.normal(size=width)
+    return block
+
+
+def _output_and_grads(forward, x, params, probe):
+    x = ad.Tensor(x, requires_grad=True)
+    with ad.Tape() as tape:
+        out = forward(x)
+        tape.backward(ad.tsum(ad.mul(out, probe)))
+    return out.data, [x.grad] + [p.grad for p in params]
+
+
+def _rel(got, want):
+    return np.abs(got - want).max(initial=0.0) / max(np.abs(want).max(initial=0.0), 1e-300)
+
+
+@pytest.mark.parametrize("score_values", [None, 40])
+@pytest.mark.parametrize("shape", [(13,), (3, 11)])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("width", [8, 32, 320])
+def test_fused_sublayers_match_the_composed_ops(monkeypatch, width, heads, shape, score_values):
+    # score_values=40 walks the attention in blocks of 1 to 13 query rows
+    if score_values is not None:
+        monkeypatch.setattr(sm, "_SCORE_VALUES", score_values)
+    rng = np.random.default_rng(width + 10 * heads + len(shape))
+    block = _drawn_block(rng, width, heads)
+    x = rng.normal(size=shape + (width,))
+    probe = rng.normal(size=x.shape)
+    for name, fused, composed, params in _sublayers(block):
+        out, grads = _output_and_grads(fused, x, params, probe)
+        want_out, want_grads = _output_and_grads(composed, x, params, probe)
+        assert _rel(out, want_out) <= 1e-12, name
+        assert np.array_equal(fused(ad.Tensor(x)).data, out), name
+        for got, want in zip(grads, want_grads):
+            assert _rel(got, want) <= 1e-10, name
+
+
+def test_fused_sublayers_match_finite_differences(monkeypatch):
+    # the op sweep's tolerance, with the input among the checked tensors
+    monkeypatch.setattr(sm, "_SCORE_VALUES", 20)
+    rng = np.random.default_rng(31)
+    block = _drawn_block(rng, 8, 2)
+    x = ad.Tensor(rng.normal(size=(2, 5, 8)), requires_grad=True)
+    probe = rng.normal(size=x.shape)
+    for name, fused, _, params in _sublayers(block):
+        err = check_grads(lambda: ad.tsum(ad.mul(fused(x), probe)), [x] + params)
+        assert err < 1e-4, "%s: relative error %.3e" % (name, err)
+
+
+def test_attention_memory_stays_below_one_attention_map():
+    # The attention node keeps only each softmax row's max and sum between
+    # forward and backward, and walks the scores in blocks; a kept
+    # (heads, L, L) float64 map would exceed the bound on its own.
+    length, width, heads = 256, 32, 8
+    rng = np.random.default_rng(32)
+    params = sm._init_attention(rng, width, heads)
+    x = ad.Tensor(rng.normal(size=(length, width)), requires_grad=True)
+    probe = rng.normal(size=(length, width))
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            tape.backward(ad.tsum(ad.mul(sm.attention_forward(x, params), probe)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < heads * length * length * 8
+
+
+def test_a_transformer_block_records_thirteen_tape_nodes():
+    # two layer norms, the Q, K, V and output projections (seven ops), the
+    # attention node, the feed-forward node and two residual adds; a change
+    # that adds nodes to a block shows here
+    rng = np.random.default_rng(33)
+    block = sm._init_block(rng, 8, 2)
+    with ad.Tape() as tape:
+        sm.block_forward(ad.Tensor(rng.normal(size=(2, 5, 8)), requires_grad=True), block)
+    assert len(tape) == 13
