@@ -1,4 +1,9 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense tensors with reverse-mode automatic differentiation.
+
+Tensors are float64, except float32 ones made from float32 data: the
+EGNN weight copy that ``pipeline.design``'s pair kernel computes in
+(``egnn.cast_pair_weights``).  Training and every op's gradient run in
+float64.
 
 Operations record themselves on the active ``Tape`` whenever any operand
 requires gradients; ``Tape.backward`` then walks the recording in reverse
@@ -46,12 +51,14 @@ def _check_finite(arr: np.ndarray, opname: str) -> np.ndarray:
 
 
 class Tensor:
-    """A dense row-major float64 array, optionally tracked for gradients."""
+    """A dense row-major array, optionally tracked for gradients: float32
+    data stays float32, and anything else becomes float64."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64, order="C")
+        data = np.asarray(data, order="C")
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
 

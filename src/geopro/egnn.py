@@ -30,10 +30,24 @@ A layer may be given the rows that its caller reads (``egcl_forward``):
 its blocks then list only those receiving rows, and every other row
 receives no messages.  ``egnn_forward`` gives such a mask to its last
 layer only.
+
+The pair kernel computes in the dtype of its layer's pair weights.  A
+model's weights are float64, so training and every gradient are float64;
+``pipeline.design`` runs the kernel on a float32 copy of them
+(``cast_pair_weights``), as in mixed-precision training (Micikevicius et
+al. 2018).  Then the node terms, the pair MLPs and the block scratch are
+float32, while the geometry is computed in float64 from the float64
+coordinates before it is rounded, and the message sums and coordinate
+steps are written into the float64 output, whose steps add to the
+float64 coordinates.  The float64 differences of two inputs that differ
+only by a translation agree to about 1e-16 relative, so they nearly
+always round to the same float32 geometry, and design stays translation
+equivariant to float64 rounding: at most 7.5e-16 relative over 1,300
+translated-motif trials at widths 32 and 320 (2-core Xeon).
 """
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -224,9 +238,10 @@ class GraphState:
 
 
 # Values in one (rows, N, width) block of pair activations: 2**17
-# float64 values, about 1 MB.  A part's walk keeps several such arrays
-# live (see ``_scratch``), more than a 2 MB L2 cache holds; the size
-# bounds scratch memory and keeps each BLAS product large.
+# values, 1 MB at float64 and 512 KB at float32.  A part's walk keeps
+# several such arrays live (see ``_scratch``), more than a 2 MB L2 cache
+# holds at float64; the size bounds scratch memory and keeps each BLAS
+# product large.
 _BLOCK_VALUES = 2 ** 17
 
 
@@ -301,16 +316,16 @@ def _parts(blocks):
     return [blocks[0::2]] + ([blocks[1::2]] if len(blocks) > 1 else [])
 
 
-# Each thread's kernel workspace: one flat float64 array per part (see
-# ``_scratch``).  Per thread, so that kernels called from two threads at
-# once never share scratch.
+# Each thread's kernel workspace: for each dtype the kernel has run in,
+# one flat array of that dtype per part (see ``_scratch``).  Per thread,
+# so that kernels called from two threads at once never share scratch.
 _workspace = threading.local()
 
 
-def _scratch(parts, n, widths):
-    """For each part, one (pairs, width) array per width, where pairs is
-    the part's largest block's pair count, reused by every block of the
-    part so that no block allocates arrays of its own.
+def _scratch(parts, n, widths, dtype):
+    """For each part, one (pairs, width) array of ``dtype`` per width,
+    where pairs is the part's largest block's pair count, reused by every
+    block of the part so that no block allocates arrays of its own.
 
     A forward walk holds the arrays it still reads, 4 per part, since
     each silu writes its output over its own tanh array.  A backward walk
@@ -320,29 +335,32 @@ def _scratch(parts, n, widths):
     A part's arrays are views of one flat array of the calling thread's
     workspace, kept from call to call and grown only when a call needs
     more, so that the kernel's scratch is allocated, and its pages
-    faulted in, once per thread, not once per call.  A flat array freed
-    at the end of each call is not reused from call to call: glibc maps
-    an allocation of this size (4 to 6 MB per part at width 320, L=100)
-    afresh and unmaps it when freed, until the process frees a mapped
-    block larger than it, and no larger than 32 MB, which raises glibc's
-    mmap threshold to that block's size.  In a process that never did,
-    every call faulted its scratch in again: 7,873 minor page faults per
+    faulted in, once per thread, not once per call.  Each dtype has flat
+    arrays of its own, so that a float32 call after a float64 call does
+    not compute in the float64 arrays.  A flat array freed at the end of
+    each call is not reused from call to call: glibc maps an allocation
+    of this size (4 to 6 MB per part at width 320, L=100, float64) afresh
+    and unmaps it when freed, until the process frees a mapped block
+    larger than it, and no larger than 32 MB, which raises glibc's mmap
+    threshold to that block's size.  In a process that never did, every
+    call faulted its scratch in again: 7,873 minor page faults per
     ``design-paper`` bench op (two width-320 candidates at L=100, 2-core
-    Xeon), against 906 with the workspace.  The workspace holds about
-    12 MB at width 320, L=100, for the life of the thread.  The pool
-    threads draw nothing from glibc arenas of their own, since the
-    calling thread makes the arrays.
+    Xeon), against 906 with the workspace.  At width 320, L=100 the
+    workspace holds about 12 MB of float64 after a backward pass, and
+    4 MB of float32 after design's forward passes, for the life of the
+    thread.  The pool threads draw nothing from glibc arenas of their
+    own, since the calling thread makes the arrays.
     """
-    flats = vars(_workspace).setdefault("flats", [])
+    flats = vars(_workspace).setdefault(np.dtype(dtype), [])
     out = []
     for index, part in enumerate(parts):
         count = n * max([blk[2].size for blk in part], default=0)
         size = count * sum(widths)
         if index == len(flats):
-            flats.append(np.empty(0))
+            flats.append(np.empty(0, dtype))
         if flats[index].size < size:
-            flats[index] = np.empty(0)  # free the smaller array before the larger is made
-            flats[index] = np.empty(size)
+            flats[index] = np.empty(0, dtype)  # free the smaller array before the larger is made
+            flats[index] = np.empty(size, dtype)
         arrays = np.split(flats[index][:size],
                           np.cumsum([count * width for width in widths[:-1]]))
         out.append([a.reshape(count, width) for a, width in zip(arrays, widths)])
@@ -390,14 +408,14 @@ class _PairInput:
     ``_row_blocks``, and its pair arrays are (graphs, r, N, ·).  A block
     holds half the pre-activations, the input ``ad._silu`` takes; the node
     terms are halved once, and the gradient is of the whole
-    pre-activations.
+    pre-activations.  The features are rounded to the dtype of ``w1``.
     """
 
     def __init__(self, state, mlp):
         batch, n = state.batch_shape
         d = state.feats.shape[-1]
-        self.feats = state.feats.data.reshape(-1, d)
         w1 = mlp.w1.data
+        self.feats = state.feats.data.reshape(-1, d).astype(w1.dtype, copy=False)
         self.w_i, self.w_j, self.w_dist = w1[:d], w1[d:2 * d], w1[2 * d:]
         self.half_dist = 0.5 * self.w_dist
         shape = (batch, n, w1.shape[1])
@@ -494,12 +512,18 @@ def _pair_update(state, params, receive):
     back.  Each part of the blocks has its own scratch, drawn from the
     calling thread's workspace, and its own gradient accumulators,
     allocated here before the parts run.
+
+    The pair MLPs and the gate compute in the dtype of their weights,
+    which they share; the output is float64 (see the module docstring).
+    The backward pass is written for float64 weights: float32 ones run
+    forward only, in design.
     """
     pool = part_pool()
     batch, n = state.batch_shape
     coords = state.coords.data.reshape(batch, n, 3)
     message, coord = _PairInput(state, params.message), _PairInput(state, params.coord)
     w2, b2 = params.message.w2.data, params.message.b2.data
+    dtype = w2.dtype
     c_w2, c_b2 = params.coord.w2.data, params.coord.b2.data
     w_gate, b_gate = params.gate_w.data, params.gate_b.data
     hidden, width = w2.shape
@@ -529,7 +553,7 @@ def _pair_update(state, params, receive):
             # u1 is written over s1 and msg over s2, since nothing reads s1
             # or s2 later; the coordinate MLP then runs in the spent z1 and s1
             z1, s1, z2, s2 = (a[:blk[2].size * n] for a in scratch)
-            diff, sq_dist = _geometry(coords, blk)
+            diff, sq_dist = (a.astype(dtype, copy=False) for a in _geometry(coords, blk))
             gate = messages(blk, sq_dist, halves, z1, s1, s1, z2, s2, s2)
             msg = s2.reshape(gate.shape + (width,))
             _put_rows(out[..., :width], blk, np.matmul(gate[:, :, None, :], msg)[:, :, 0])
@@ -538,7 +562,7 @@ def _pair_update(state, params, receive):
 
     out = np.zeros((batch, n, width + 3))
     halves = _halves(w2, b2)
-    scratches = _scratch(parts, n, [hidden, hidden, width, width])
+    scratches = _scratch(parts, n, [hidden, hidden, width, width], dtype)
     run_parts(pool, forward, [(part, scratch, halves)
                               for part, scratch in zip(parts, scratches)])
     out[..., width:] += coords
@@ -552,7 +576,7 @@ def _pair_update(state, params, receive):
         tmps = [np.empty_like(w2) for _ in parts]
         message_grads = message.start_grad(len(parts))
         coord_grads = coord.start_grad(len(parts))
-        scratches = _scratch(parts, n, [hidden] * 3 + [width] * 3)
+        scratches = _scratch(parts, n, [hidden] * 3 + [width] * 3, dtype)
 
         def walk(part, scratch, message_grad, coord_grad, acc, tmp_w2):
             g_coords, g_w2, g_b2, g_w_gate, g_b_gate, g_c_w2, g_c_b2 = acc
@@ -672,6 +696,21 @@ def egnn_forward(state, model, receive=None):
     for k, layer in enumerate(model.layers):
         out = egcl_forward(out, layer, receive if k == len(model.layers) - 1 else None)
     return out
+
+
+def cast_pair_weights(model, dtype):
+    """A copy of ``model`` whose pair kernels compute in ``dtype``: each
+    layer's message MLP, gate and coordinate MLP are cast copies that take
+    no gradient, and its feature MLP is the model's own."""
+
+    def cast(t):
+        return ad.Tensor(t.data.astype(dtype))
+
+    layers = [replace(layer, message=MlpParams(*map(cast, layer.message.tensors())),
+                      gate_w=cast(layer.gate_w), gate_b=cast(layer.gate_b),
+                      coord=MlpParams(*map(cast, layer.coord.tensors())))
+              for layer in model.layers]
+    return EgnnModel(layers=layers, feat_width=model.feat_width)
 
 
 # The d² row of the pair MLPs' first layer is drawn at this fraction of

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import ProteinRecord, content_lines
-from .egnn import EgnnModel, GraphState, egnn_forward, init_egnn
+from .egnn import EgnnModel, GraphState, cast_pair_weights, egnn_forward, init_egnn
 from .errors import (
     ConfigError,
     ContractError,
@@ -638,6 +638,10 @@ def design(motif, length, n_candidates, k, model, seed, pin_motif=True):
     ``pin_motif`` also copies the motif coordinates over the predicted
     ones.  Without it the motif rows' predicted coordinates are output,
     so the forward updates every row.
+
+    The EGNN pair kernels compute in float32, on a copy of their weights
+    cast once per call (``egnn.cast_pair_weights``); the encoder, the
+    feature MLPs, the decoder and the coordinates stay float64.
     """
     if length < motif.span:
         raise ContractError(
@@ -648,11 +652,12 @@ def design(motif, length, n_candidates, k, model, seed, pin_motif=True):
     fixed = motif_mask(motif.positions, length)
     flexible = np.flatnonzero(~fixed)
     features = encode_context(tokens, model.encoder)
+    kernel_model = dataclasses.replace(model, egnn=cast_pair_weights(model.egnn, np.float32))
     out = []
     for index in range(n_candidates):
         rng = substream(seed, "design-%d" % index)
         start = init_backbone_coords(motif, length, model.config.radius, rng)
-        coords, _, logits = refine_and_decode(features, start, fixed, model,
+        coords, _, logits = refine_and_decode(features, start, fixed, kernel_model,
                                               every_row=not pin_motif)
         probs = ad.softmax(logits).data
         sequence = tokens.copy()

@@ -546,6 +546,31 @@ def test_a_second_call_of_the_same_size_allocates_no_scratch():
     assert peaks[1] < 0.1 * scratch
 
 
+def test_each_dtype_computes_in_scratch_of_its_own(monkeypatch):
+    # float64, float32 and float64 calls in one thread: a workspace shared
+    # by the dtypes would hand the float32 call the float64 arrays, in which
+    # it computes in float64 and gains nothing
+    n, width = 30, 8
+    layer, coords, feats, _ = _layer_case(42, n=n, feat_width=width, message_width=width)
+    cast = egnn.cast_pair_weights(egnn.EgnnModel([layer], width), np.float32).layers[0]
+    state = egnn.GraphState(ad.Tensor(coords[None]), ad.Tensor(feats[None]))
+    receive = np.ones((1, n), dtype=bool)
+    seen = []
+    scratch = egnn._scratch
+
+    def recording(*args):
+        out = scratch(*args)
+        seen.append({a.dtype for part in out for a in part})
+        return out
+
+    monkeypatch.setattr(egnn, "_scratch", recording)
+    outs = [egnn._pair_update(state, params, receive).data for params in (layer, cast, layer)]
+    assert seen == [{np.dtype(np.float64)}, {np.dtype(np.float32)}, {np.dtype(np.float64)}]
+    assert all(out.dtype == np.float64 for out in outs)
+    assert outs[2].tobytes() == outs[0].tobytes()
+    assert np.linalg.norm(outs[1] - outs[0]) < 1e-6 * np.linalg.norm(outs[0])
+
+
 def test_nothing_a_call_returns_shares_the_workspace(monkeypatch):
     _several_blocks(monkeypatch, n=30, width=8, rows=6)
     out, grads = _layer_outputs_and_grads(

@@ -956,11 +956,79 @@ def test_design_encodes_once_and_matches_the_full_forward(monkeypatch):
     assert len(calls) == 1
     features = encode_context(*calls[0])
     fixed = pl.motif_mask(motif.positions, 12)
+    # design's forward: the pair kernels on float32 weights
+    kernel_model = dataclasses.replace(
+        model, egnn=egnn.cast_pair_weights(model.egnn, np.float32))
     for index, cand in enumerate(candidates):
         rng = pl.substream(7, "design-%d" % index)
         start = pl.init_backbone_coords(motif, 12, model.config.radius, rng)
-        coords, _, _ = pl.refine_and_decode(features, start, fixed, model, every_row=True)
+        coords, _, _ = pl.refine_and_decode(features, start, fixed, kernel_model,
+                                            every_row=True)
         assert np.array_equal(cand.coords, coords.data)
+
+
+def _float64_designs(monkeypatch, *args, **kwargs):
+    # design with the pair kernels on the model's own float64 weights
+    with monkeypatch.context() as patch:
+        patch.setattr(pl, "cast_pair_weights", lambda model, dtype: model)
+        return pl.design(*args, **kwargs)
+
+
+def test_float32_design_samples_the_float64_sequences(monkeypatch):
+    # Measured here: coordinates within 1.4e-8 and token probabilities
+    # within 2.1e-7 relative.  A draw that lands between the two
+    # precisions' cumulative probabilities picks another residue; at
+    # width 32, L=200 one of 1,120 draws did, 2.9e-6 from its boundary.
+    model = pl.build_model(tiny_config(width=32, egnn_depth=2, seed=35))
+    _, motif = pl.generate_synthetic_dataset(1, 30, 0.3, seed=36)[0]
+    for seed in range(8):
+        for pin in (True, False):
+            args = (motif, 30, 3, 3, model)
+            float32 = pl.design(*args, seed=seed, pin_motif=pin)
+            float64 = _float64_designs(monkeypatch, *args, seed=seed, pin_motif=pin)
+            for got, want in zip(float32, float64):
+                assert np.array_equal(got.sequence, want.sequence)
+                assert _rel_dev(got.coords, want.coords) < 1e-7
+                assert np.max(np.abs(got.token_probs / want.token_probs - 1.0)) < 1e-6
+
+
+def test_design_from_a_translated_motif_is_the_translated_design():
+    # the bench's design check: the float32 pair kernels see geometry
+    # rounded from float64 differences, the same for both motifs
+    model = pl.build_model(tiny_config(width=16, egnn_depth=2, seed=37))
+    _, motif = pl.generate_synthetic_dataset(1, 30, 0.3, seed=38)[0]
+    rng = np.random.default_rng(39)
+    for seed in range(24):
+        shift = rng.uniform(-20.0, 20.0, 3)
+        moved = pl.Motif(motif.positions, motif.residues, motif.coords + shift)
+        pin = seed % 2 == 0
+        (first,) = pl.design(motif, 30, 1, 3, model, seed=seed, pin_motif=pin)
+        (shifted,) = pl.design(moved, 30, 1, 3, model, seed=seed, pin_motif=pin)
+        assert np.array_equal(shifted.sequence, first.sequence)
+        scale = max(1.0, float(np.abs(first.coords).max()))
+        assert np.abs(shifted.coords - first.coords - shift).max() / scale <= 1e-9
+
+
+def test_a_design_call_leaves_training_bit_identical():
+    examples = mixed_batch()
+    model = pl.build_model(tiny_config(width=8, egnn_depth=2))
+    params = [t for _, t in model.named_parameters()]
+
+    def step_bytes():
+        for p in params:
+            p.grad = None
+        with ad.Tape() as tape:
+            losses = pl.batch_losses(examples, model, streams(4))
+            tape.backward(ad.tsum(losses[2]))
+        return [a.data.tobytes() for a in losses] + [p.grad.tobytes() for p in params]
+
+    before = step_bytes()
+    # longer than any example, so that design grows the kernel's scratch
+    _, motif = examples[3]
+    pl.design(motif, 48, 2, 3, model, seed=40)
+    pl.design(motif, 48, 1, 3, model, seed=41, pin_motif=False)
+    assert step_bytes() == before
+    assert all(p.data.dtype == np.float64 for p in params)
 
 
 def _recording_receive(monkeypatch):
