@@ -26,8 +26,6 @@ from . import metrics as mx
 from . import pipeline as pl
 from .errors import ConfigError, DataError, GeoproError
 
-log = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -177,35 +175,29 @@ def _split_examples(examples, splits):
 # model plumbing
 
 
-def _config_from_args(args, fallback_path=None):
-    """Config from ``--config`` (else ``fallback_path``), then the flags
-    the user typed.
-
-    Every ``args`` attribute named after a ``TrainingConfig`` field is a
-    config flag; the parser leaves it None unless the flag was given.
+def _config_from_args(args, base):
+    """The config ``base`` (the defaults, or a checkpoint's own config)
+    with the values of ``--config`` and then the flags the user typed on
+    top.  Every ``args`` attribute named after a ``TrainingConfig`` field
+    is a config flag; the parser leaves it None unless the flag was given.
     """
-    path = args.config or fallback_path
-    overrides = {
-        f.name: getattr(args, f.name) for f in dataclasses.fields(pl.TrainingConfig)
-        if getattr(args, f.name, None) is not None
-    }
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(base)
+             if getattr(args, f.name, None) is not None}
     # flags checked alone first, so that a bad flag is not blamed on the file
-    config = pl.build_config(overrides=overrides)
-    if path:
-        config = _parse_file(path, lambda text: pl.build_config(text, overrides))
+    config = dataclasses.replace(base, **flags)
+    if args.config:
+        config = _parse_file(args.config, lambda text: dataclasses.replace(
+            base, **{**pl.parse_config_text(text), **flags}))
     return config
 
 
 def _load_model(args):
-    sidecar = args.checkpoint + pl.SIDECAR_SUFFIX
-    if not args.config and not os.path.exists(sidecar):
-        raise ConfigError(
-            "no config available: pass --config or keep the checkpoint's "
-            "sidecar file"
-        )
-    model = pl.build_model(_config_from_args(args, sidecar))
-    pl.load_checkpoint(args.checkpoint, model)
-    return model
+    saved = pl.read_checkpoint_config(args.checkpoint)
+    if saved is None and not args.config:
+        raise ConfigError("%s is a GEOPRO01 checkpoint, which holds no config: pass its "
+                          "old <checkpoint>.config as --config, or retrain it" % args.checkpoint)
+    model = pl.build_model(_config_from_args(args, saved or pl.TrainingConfig()))
+    return pl.load_checkpoint(args.checkpoint, model)
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +242,18 @@ def _cmd_synth(args):
 
 
 def _cmd_train(args):
-    config = _config_from_args(args)
+    config = _config_from_args(args, pl.TrainingConfig())
     motif_positions = (
         _parse_file(args.motif_file, parse_positions_file) if args.motif_file else None
     )
     curve_path = args.curve or "%s.curve.csv" % args.out
-    for path in (args.out, curve_path, args.out + pl.SIDECAR_SUFFIX):
+    for path in (args.out, curve_path):
         pl.check_writable(path)
     examples, splits = read_dataset(args.data, motif_positions)
     train_set, valid_set = _split_examples(examples, splits)
     model = pl.build_model(config)
-    history = pl.train(
-        train_set, config, model, valid_set=valid_set, checkpoint_path=args.out
-    )
+    history = pl.train(train_set, config, model, valid_set=valid_set,
+                       checkpoint_path=args.out)
     rows = [("epoch", "train_total", "train_backbone", "train_sequence", "valid_total")]
     rows += [(h.epoch, h.train_total, h.train_backbone, h.train_sequence,
               None if math.isnan(h.valid_total) else h.valid_total) for h in history]

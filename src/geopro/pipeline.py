@@ -15,7 +15,7 @@ import os
 import struct
 import tempfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import (
     DimensionError,
     DomainError,
     GenerationError,
+    GeoproError,
     NumericError,
     ParseError,
 )
@@ -51,8 +52,7 @@ from . import __version__
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_MAGIC = b"GEOPRO01"
-SIDECAR_SUFFIX = ".config"  # <checkpoint>.config holds the config it was trained under
+CHECKPOINT_MAGIC = b"GEOPRO02"
 SYNTH_CLASH_DISTANCE = 3.0
 SYNTH_MAX_RESTARTS = 200
 
@@ -152,9 +152,8 @@ class TrainingConfig:
     n_heads: int = 4
     max_len: int = 512
     radius: float = 3.75
-    # Retired: "none" is the only value.  The key stays because every sidecar
-    # written so far holds "edge_attrs = none", and stays in _ARCH_FIELDS so
-    # that arch_hash, and with it every saved checkpoint, keeps its value.
+    # Retired: "none" is the only value.  The key stays because every saved
+    # config holds it, and in _ARCH_FIELDS so that arch_hash keeps its value.
     edge_attrs: str = "none"
 
     def __post_init__(self):
@@ -210,45 +209,31 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(TrainingConfig)}
 
 
 def parse_config_text(text):
-    """Parse 'key = value' lines; blank lines and '#' comments allowed."""
+    """Values of 'key = value' lines, each of its field's type; blank
+    lines and '#' comments allowed."""
     out = {}
     for lineno, line in content_lines(text):
         if "=" not in line:
             raise ConfigError("line %d: expected 'key = value', got %r" % (lineno, line))
-        key, value = (part.strip() for part in line.split("=", 1))
-        out[key] = value
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in _FIELD_TYPES:
+            raise ConfigError("unknown config key %r" % key)
+        try:
+            out[key] = _FIELD_TYPES[key](raw)
+        except ValueError:
+            raise ConfigError("bad value %r for config key %r" % (raw, key)) from None
     return out
 
 
-def build_config(file_text=None, overrides=None):
-    """Config from defaults, then file values, then explicit overrides."""
-    values = {}
-    if file_text is not None:
-        for key, raw in parse_config_text(file_text).items():
-            values[key] = _convert_config_value(key, raw)
-    if overrides:
-        for key, val in overrides.items():
-            if key not in _FIELD_TYPES:
-                raise ConfigError("unknown config key %r" % key)
-            values[key] = val
-    return TrainingConfig(**values)
+def build_config(file_text=None):
+    """Config from defaults, then the values of ``file_text``."""
+    return TrainingConfig(**parse_config_text(file_text or ""))
 
 
 def format_config(config):
     """Render a config as `key = value` lines that build_config reparses."""
-    lines = []
-    for f in dataclasses.fields(config):
-        lines.append("%s = %s" % (f.name, getattr(config, f.name)))
-    return "\n".join(lines) + "\n"
-
-
-def _convert_config_value(key, raw):
-    if key not in _FIELD_TYPES:
-        raise ConfigError("unknown config key %r" % key)
-    try:
-        return _FIELD_TYPES[key](raw)
-    except ValueError:
-        raise ConfigError("bad value %r for config key %r" % (raw, key)) from None
+    return "".join("%s = %s\n" % (f.name, getattr(config, f.name))
+                   for f in dataclasses.fields(config))
 
 
 @dataclass
@@ -523,10 +508,9 @@ def train(train_set, config, model, valid_set=None, checkpoint_path=None):
     and applies one optimizer update at the scheduled rate.  Given a
     checkpoint path, the run always leaves a checkpoint there: the
     weights of the epoch with the best validation loss when there is a
-    validation set and at least one epoch, else the final weights.  Each
-    save writes ``config`` to the sidecar first, so that a run that fails
-    before its first save leaves any older checkpoint with its own sidecar.
-    A non-finite validation loss raises ``NumericError``.
+    validation set and at least one epoch, else the final weights; a run
+    that fails before its first save leaves any older checkpoint as it
+    was.  A non-finite validation loss raises ``NumericError``.
     """
     if not train_set:
         raise ContractError("training set is empty")
@@ -572,16 +556,11 @@ def train(train_set, config, model, valid_set=None, checkpoint_path=None):
                 raise NumericError("non-finite validation loss after epoch %d" % epoch)
             if checkpoint_path is not None and stats.valid_total < best_valid:
                 best_valid = stats.valid_total
-                _save_with_sidecar(checkpoint_path, config, model)
+                save_checkpoint(checkpoint_path, model)
         history.append(stats)
     if checkpoint_path is not None and not (valid_set and history):
-        _save_with_sidecar(checkpoint_path, config, model)
+        save_checkpoint(checkpoint_path, model)
     return history
-
-
-def _save_with_sidecar(path, config, model):
-    write_atomic(path + SIDECAR_SUFFIX, format_config(config))
-    save_checkpoint(path, model)
 
 
 def evaluate_loss(dataset, model):
@@ -845,16 +824,19 @@ def check_writable(path):
 
 
 def save_checkpoint(path, model):
-    """Write all parameters plus the architecture hash, atomically.
+    """Write the model's config (``format_config``), all parameters and
+    the architecture hash, atomically: the file alone rebuilds the model.
 
     Each tensor's header and then its array go to ``write_atomic`` one
     tensor at a time; an array that is C-contiguous little-endian
     float64, as the model's are, is written without a copy.
     """
+    config = format_config(model.config).encode("utf-8")
     named = model.named_parameters()
 
     def pieces():
-        yield CHECKPOINT_MAGIC + struct.pack("<I", len(named))
+        yield CHECKPOINT_MAGIC + struct.pack("<I", len(config)) + config
+        yield struct.pack("<I", len(named))
         for name, tensor in named:
             encoded = name.encode("utf-8")
             arr = np.ascontiguousarray(tensor.data, dtype="<f8")
@@ -865,6 +847,44 @@ def save_checkpoint(path, model):
 
     write_atomic(path, pieces())
     log.info("saved checkpoint with %d tensors to %s", len(named), path)
+
+
+@contextlib.contextmanager
+def _open_checkpoint(path):
+    """``path`` open for reading; an error raised inside names the path."""
+    try:
+        with open(path, "rb") as handle:
+            yield handle
+    except OSError as exc:
+        raise DataError("cannot read checkpoint %s: %s" % (path, exc)) from None
+    except GeoproError as exc:
+        raise type(exc)("%s: %s" % (path, exc)) from None
+
+
+def _read_config_text(handle):
+    """The config text of the open checkpoint, or None for a file without
+    one; its length is checked against the bytes left before it is read."""
+    magic = handle.read(8)
+    if magic == b"GEOPRO01":  # before the config header; drop with LAYOUT_VERSION 3
+        return None
+    if magic != CHECKPOINT_MAGIC:
+        raise ParseError("not a checkpoint file: bad magic bytes")
+    size = handle.read(4)
+    size = struct.unpack("<I", size)[0] if len(size) == 4 else math.inf
+    if size > os.fstat(handle.fileno()).st_size - handle.tell():
+        raise ParseError("checkpoint file is truncated")
+    try:
+        return handle.read(size).decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError("checkpoint config is not UTF-8 text") from None
+
+
+def read_checkpoint_config(path):
+    """The config a checkpoint was saved under, or None for a file without
+    one.  An error names ``path``."""
+    with _open_checkpoint(path) as handle:
+        text = _read_config_text(handle)
+        return None if text is None else build_config(text)
 
 
 # Values per read of the finiteness check of ``load_checkpoint``: 64 KB.
@@ -881,40 +901,33 @@ def load_checkpoint(path, model):
     architecture hash, the names and the shapes.  A second pass reads
     each tensor into the model's own array, or into a fresh one where that
     array is not a writable, C-contiguous float64 array; it can fail only
-    if the file changes, or its reads fail, between the two passes.
+    if the file changes, or its reads fail, between the two passes.  An
+    error names ``path``.
     """
-    try:
-        with open(path, "rb") as handle:
-            tensors = _check_checkpoint(handle, model)
-            for name, tensor in model.named_parameters():
-                start, dims, _ = tensors[name]
-                arr = tensor.data
-                if not (arr.flags.writeable and arr.flags.c_contiguous
-                        and arr.dtype == np.dtype("<f8")):
-                    arr = np.empty(dims, dtype="<f8")
-                handle.seek(start)
-                # short only if the file changed since the first pass
-                if handle.readinto(arr) != arr.nbytes:
-                    raise ParseError("checkpoint file is truncated")
-                tensor.data = arr
-    except OSError as exc:
-        raise DataError("cannot read checkpoint %s: %s" % (path, exc)) from None
+    with _open_checkpoint(path) as handle:
+        tensors = _check_checkpoint(handle, model)
+        for name, tensor in model.named_parameters():
+            start, dims = tensors[name]
+            arr = tensor.data
+            if not (arr.flags.writeable and arr.flags.c_contiguous
+                    and arr.dtype == np.dtype("<f8")):
+                arr = np.empty(dims, dtype="<f8")
+            handle.seek(start)
+            # short only if the file changed since the first pass
+            if handle.readinto(arr) != arr.nbytes:
+                raise ParseError("checkpoint file is truncated")
+            tensor.data = arr
     return model
 
 
 def _check_checkpoint(handle, model):
-    """The first pass of ``load_checkpoint`` over the open file: raise a
-    ``ParseError``, ``ConfigError`` or ``DimensionError`` unless the file
-    holds the model's tensors, else return {name: (offset, dims, finite)}.
-
-    Tensor sizes are Python ints, checked against the bytes left in the
-    file before anything is read, so that no header can claim a size that
-    wraps around or that is allocated.  A name that occurs twice takes its
-    last tensor.
-    """
+    """The first pass of ``load_checkpoint``: {name: (offset, dims)} of the
+    model's finite tensors, each named once in the file.  Tensor sizes are
+    Python ints, checked against the bytes left in the file before anything
+    is read, so that no header can claim a size that wraps around or that
+    is allocated."""
     file_size = os.fstat(handle.fileno()).st_size
-    if handle.read(8) != CHECKPOINT_MAGIC:
-        raise ParseError("not a checkpoint file: bad magic bytes")
+    _read_config_text(handle)
     buffer = np.empty(0, dtype="<f8")
     tensors = {}
     try:
@@ -922,6 +935,8 @@ def _check_checkpoint(handle, model):
         for _ in range(count):
             (name_len,) = struct.unpack("<H", handle.read(2))
             name = handle.read(name_len).decode("utf-8")
+            if name in tensors:
+                raise ParseError("checkpoint tensor %r appears twice" % name)
             (rank,) = struct.unpack("<B", handle.read(1))
             dims = struct.unpack("<%dI" % rank, handle.read(4 * rank))
             start, left = handle.tell(), math.prod(dims)
@@ -929,22 +944,19 @@ def _check_checkpoint(handle, model):
                 raise ParseError("checkpoint file is truncated")
             if buffer.size < min(left, _CHECK_VALUES):
                 buffer = np.empty(min(left, _CHECK_VALUES), dtype="<f8")
-            finite = True
             while left:
                 chunk = buffer[:min(left, buffer.size)]
                 if handle.readinto(chunk) != chunk.nbytes:
                     raise ParseError("checkpoint file is truncated")
-                finite = finite and bool(np.isfinite(chunk).all())
+                if not np.isfinite(chunk).all():
+                    raise ParseError("checkpoint tensor %r holds non-finite values" % name)
                 left -= chunk.size
-            tensors[name] = (start, dims, finite)
+            tensors[name] = (start, dims)
         (stored_hash,) = struct.unpack("<I", handle.read(4))
     except (struct.error, UnicodeDecodeError):
         raise ParseError("checkpoint file is truncated") from None
     if handle.tell() != file_size:
         raise ParseError("checkpoint has %d trailing bytes" % (file_size - handle.tell()))
-    for name, (_, _, finite) in tensors.items():
-        if not finite:
-            raise ParseError("checkpoint tensor %r holds non-finite values" % name)
     if stored_hash != model.config.arch_hash():
         raise ConfigError(
             "checkpoint architecture hash %08x does not match model %08x"
@@ -952,14 +964,11 @@ def _check_checkpoint(handle, model):
         )
     named = dict(model.named_parameters())
     if set(named) != set(tensors):
-        missing = sorted(set(named) - set(tensors))
-        extra = sorted(set(tensors) - set(named))
-        raise ConfigError(
-            "checkpoint tensors do not match model: missing %s, unexpected %s"
-            % (missing, extra)
-        )
+        missing, extra = sorted(set(named) - set(tensors)), sorted(set(tensors) - set(named))
+        raise ConfigError("checkpoint tensors do not match model: missing %s, unexpected %s"
+                          % (missing, extra))
     for name, tensor in named.items():
-        _, dims, _ = tensors[name]
+        _, dims = tensors[name]
         if dims != tensor.data.shape:
             raise DimensionError(
                 "tensor %r has shape %s in checkpoint, model expects %s"

@@ -6,9 +6,11 @@ output, and produced files can all be checked directly.
 
 import argparse
 import ast
+import dataclasses
 import logging
 import os
 import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -164,7 +166,6 @@ PINNED_DEFAULTS = {
     "checks.bound_excess(appendix_sign)",
     "cli.write_dataset(splits)",
     "cli.read_dataset(motif_positions)",
-    "cli._config_from_args(fallback_path)",
     "data.parse_pdb_ca(record_id)",
     "egnn.glorot_uniform(scale)",
     "egnn.init_mlp(out_scale)",
@@ -173,7 +174,7 @@ PINNED_DEFAULTS = {
     "egnn.egcl_forward(receive)", "egnn.egnn_forward(receive)",
     "geometry.random_rigid(reflect)",
     "metrics.evaluate_candidates(plddt)",
-    "pipeline.build_config(file_text)", "pipeline.build_config(overrides)",
+    "pipeline.build_config(file_text)",
     "pipeline.train(valid_set)", "pipeline.train(checkpoint_path)",
     "pipeline.design(pin_motif)",
     "pipeline.refine_and_decode(every_row)",
@@ -232,8 +233,11 @@ def test_only_refine_and_decode_calls_the_model_stages():
     assert callers == {name: {"pipeline.refine_and_decode"} for name in ONE_PATH_STAGES}
 
 
-def test_only_the_data_module_imports_csv():
-    # every table is read by data.parse_table and written by data.format_csv
+# Each file format has one owner: every table is read by data.parse_table
+# and written by data.format_csv, and the checkpoint layout is written by
+# pipeline.save_checkpoint and read by pipeline.load_checkpoint.
+@pytest.mark.parametrize("module,owner", [("csv", "data"), ("struct", "pipeline")])
+def test_each_format_has_one_owner(module, owner):
     importers = set()
     for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -243,9 +247,9 @@ def test_only_the_data_module_imports_csv():
                 names = [node.module]
             else:
                 continue
-            if "csv" in names:
+            if module in names:
                 importers.add(path.stem)
-    assert importers == {"data"}
+    assert importers == {owner}
 
 
 @pytest.mark.parametrize("argv", [
@@ -353,7 +357,22 @@ def test_a_repeated_id_in_a_dataset_file_exits_two(tmp_path, capsys, name, line)
     assert not os.path.exists(ck)
 
 
-@pytest.mark.parametrize("name", ["pdb", "config", "sidecar"])
+def _split_checkpoint(path):
+    """The config text of the checkpoint at ``path`` and the bytes after
+    it: the tensor section and the hash."""
+    with open(path, "rb") as handle:
+        payload = handle.read()
+    (size,) = struct.unpack("<I", payload[8:12])
+    return payload[12:12 + size], payload[12 + size:]
+
+
+def _write_checkpoint(path, config, rest):
+    with open(path, "wb") as handle:
+        handle.write(pl.CHECKPOINT_MAGIC + struct.pack("<I", len(config)) + config + rest)
+
+
+@pytest.mark.parametrize("name", ["pdb", "config", "checkpoint-config",
+                                  "checkpoint-encoding"])
 def test_an_input_file_error_names_the_file(tmp_path, capsys, name):
     ds = make_dataset(tmp_path)
     cfg = write_config(tmp_path)
@@ -363,18 +382,24 @@ def test_an_input_file_error_names_the_file(tmp_path, capsys, name):
         path = os.path.join(ds, "syn001.pdb")
         lines = open(path).read().splitlines(True)
         lines[2] = lines[2][:30] + "   X0.61" + lines[2][38:]
-        text, message = "".join(lines), "line 3: bad coordinate field '   X0.61'"
+        pathlib.Path(path).write_text("".join(lines))
+        message = "line 3: bad coordinate field '   X0.61'"
     elif name == "config":
         path = cfg
-        text, message = TINY_CONFIG + "foo\n", "line 11: expected 'key = value', got 'foo'"
+        pathlib.Path(path).write_text(TINY_CONFIG + "foo\n")
+        message = "line 11: expected 'key = value', got 'foo'"
     else:
         assert cli.run(argv) == 0
-        path = ck + ".config"
-        text, message = open(path).read() + "foo\n", "line 18: expected 'key = value', got 'foo'"
+        path = ck
+        config, rest = _split_checkpoint(path)
+        if name == "checkpoint-config":
+            _write_checkpoint(path, config + b"foo\n", rest)
+            message = "line 18: expected 'key = value', got 'foo'"
+        else:
+            _write_checkpoint(path, config.replace(b"width", b"w\xffdth"), rest)
+            message = "checkpoint config is not UTF-8 text"
         argv = ["design", "--checkpoint", ck, "--data", ds, "--record-id", "syn001",
                 "--out", str(tmp_path / "d")]
-    with open(path, "w") as handle:
-        handle.write(text)
     capsys.readouterr()
     assert cli.run(argv) == 2
     assert capsys.readouterr().err.splitlines() == ["error: %s: %s" % (path, message)]
@@ -460,12 +485,11 @@ def trained(tmp_path_factory):
     return tmp_path, ds, ck
 
 
-def test_train_writes_checkpoint_sidecar_and_curve(trained):
+def test_train_writes_only_the_checkpoint_and_the_curve(trained):
     tmp_path, ds, ck = trained
-    assert os.path.exists(ck)
-    with open("%s.config" % ck) as handle:
-        sidecar = handle.read()
-    config = pl.build_config(file_text=sidecar)
+    assert sorted(p.name for p in tmp_path.glob("model.ckpt*")) == [
+        "model.ckpt", "model.ckpt.curve.csv"]
+    config = pl.read_checkpoint_config(ck)
     assert config.width == 8 and config.epochs == 2 and config.seed == 3
     with open("%s.curve.csv" % ck) as handle:
         lines = handle.read().splitlines()
@@ -490,8 +514,7 @@ def test_config_file_seed_is_honoured(trained, tmp_path):
     assert from_file == train("flag.ckpt", "", "--seed", "5")
     assert from_file == train("both.ckpt", "seed = 0\n", "--seed", "5")
     assert from_file != train("zero.ckpt", "seed = 0\n")
-    with open(str(tmp_path / "file.ckpt.config")) as handle:
-        assert pl.build_config(file_text=handle.read()).seed == 5
+    assert pl.read_checkpoint_config(str(tmp_path / "file.ckpt")).seed == 5
 
 
 @pytest.mark.parametrize("line", [
@@ -553,7 +576,7 @@ def test_unloadable_checkpoint_exits_two(trained, tmp_path, capsys, monkeypatch,
 
 
 def _save_layout_one_checkpoint(path, model, monkeypatch):
-    # what layout 1 wrote: each EGNN layer's two-layer attention MLP where
+    # layout 1's parameters: each EGNN layer's two-layer attention MLP where
     # layout 2 has gate_w and gate_b, and layout 1's architecture hash
     named = []
     for name, tensor in model.named_parameters():
@@ -567,10 +590,8 @@ def _save_layout_one_checkpoint(path, model, monkeypatch):
             named.append((name, tensor))
     with monkeypatch.context() as patch:
         patch.setattr(pl, "LAYOUT_VERSION", 1)
-        stored_hash = model.config.arch_hash()
-    old = argparse.Namespace(named_parameters=lambda: named,
-                             config=argparse.Namespace(arch_hash=lambda: stored_hash))
-    pl.save_checkpoint(path, old)
+        pl.save_checkpoint(path, argparse.Namespace(named_parameters=lambda: named,
+                                                    config=model.config))
 
 
 def test_layout_one_checkpoint_exits_two(trained, tmp_path, capsys, monkeypatch):
@@ -599,20 +620,21 @@ def test_retired_edge_attributes_in_a_config_file_exit_two(trained, tmp_path, ca
 
 
 def test_retired_feature_selection_in_a_sidecar_exits_two(trained, tmp_path, capsys):
-    # a checkpoint trained while "as_printed" was the default
+    # a model trained while "as_printed" was the default: its config is in
+    # the checkpoint, or in the sidecar passed as --config of a GEOPRO01 file
     _, ds, ck = trained
-    old = str(tmp_path / "old.ckpt")
-    with open(ck, "rb") as handle:
-        (tmp_path / "old.ckpt").write_bytes(handle.read())
-    with open("%s.config" % ck) as handle:
-        sidecar = handle.read().replace("feature_select = inverted",
-                                        "feature_select = as_printed")
-    (tmp_path / "old.ckpt.config").write_text(sidecar)
-    assert cli.run(["design", "--checkpoint", old, "--data", ds,
-                    "--record-id", "syn001", "--out", str(tmp_path / "d")]) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and "retired" in lines[0]
-    assert not os.path.exists(str(tmp_path / "d"))
+    inside, old = str(tmp_path / "inside.ckpt"), str(tmp_path / "old.ckpt")
+    config, rest = _split_checkpoint(ck)
+    config = config.replace(b"feature_select = inverted", b"feature_select = as_printed")
+    _write_checkpoint(inside, config, rest)
+    (tmp_path / "old.ckpt").write_bytes(b"GEOPRO01" + rest)
+    (tmp_path / "old.ckpt.config").write_bytes(config)
+    for path, flags in ((inside, []), (old, ["--config", old + ".config"])):
+        assert cli.run(["design", "--checkpoint", path, "--data", ds, *flags,
+                        "--record-id", "syn001", "--out", str(tmp_path / "d")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "retired" in lines[0]
+        assert not os.path.exists(str(tmp_path / "d"))
 
 
 @pytest.mark.parametrize("command", ["synth", "design"])
@@ -633,11 +655,9 @@ def test_unmakeable_output_directory_exits_two(trained, tmp_path, capsys, comman
 @pytest.mark.parametrize("flag,where", [
     (flag, where) for flag in ("--curve", "--out")
     for where in ("a_directory", "afile/file", "missing/file")
-] + [("sidecar", "a_directory")])
+])
 def test_train_refuses_unwritable_outputs_before_training(
         trained, tmp_path, capsys, monkeypatch, flag, where):
-    # the sidecar, <out>.config, sits next to the checkpoint, so only a
-    # directory in its place can make it unwritable on its own
     _, ds, _ = trained
     (tmp_path / "afile").write_text("")
     (tmp_path / "a_directory").mkdir()
@@ -647,11 +667,7 @@ def test_train_refuses_unwritable_outputs_before_training(
 
     monkeypatch.setattr(pl, "train", must_not_train)
     paths = {"--out": str(tmp_path / "m.ckpt"), "--curve": str(tmp_path / "c.csv")}
-    if flag == "sidecar":
-        bad = paths["--out"] + ".config"
-        os.mkdir(bad)
-    else:
-        paths[flag] = bad = str(tmp_path / where)
+    paths[flag] = bad = str(tmp_path / where)
     argv = ["train", "--data", ds, "--config", write_config(tmp_path)]
     for name, path in paths.items():
         argv += [name, path]
@@ -675,7 +691,8 @@ def test_train_honors_split_manifest(tmp_path):
         assert row.split(",")[4] != "", "valid_total column should be filled"
 
 
-def test_a_run_that_fails_after_saving_leaves_the_sidecar(tmp_path, monkeypatch, capsys):
+def test_a_run_that_fails_after_saving_leaves_a_loadable_checkpoint(
+        tmp_path, monkeypatch, capsys):
     # a finite validation loss after epoch 0 saves a checkpoint; a NaN one
     # after epoch 1 then ends the run
     ds = make_dataset(tmp_path)
@@ -687,21 +704,18 @@ def test_a_run_that_fails_after_saving_leaves_the_sidecar(tmp_path, monkeypatch,
     assert cli.run(["train", "--data", ds, "--out", ck,
                     "--config", write_config(tmp_path)]) == 2
     assert "non-finite validation loss after epoch 1" in capsys.readouterr().err
-    assert os.path.exists(ck) and os.path.exists(ck + ".config")
+    assert sorted(p.name for p in tmp_path.glob("m.ckpt*")) == ["m.ckpt"]
     assert cli.run(["design", "--checkpoint", ck, "--data", ds, "--record-id", "syn001",
                     "--n", "1", "--out", str(tmp_path / "d")]) == 0
 
 
-def test_a_failed_rerun_leaves_the_old_checkpoint_beside_its_sidecar(
-        tmp_path, monkeypatch, capsys):
+def test_a_failed_rerun_leaves_the_old_checkpoint(tmp_path, monkeypatch, capsys):
     ds = make_dataset(tmp_path)
     ck = str(tmp_path / "m.ckpt")
     argv = ["train", "--data", ds, "--out", ck, "--config", write_config(tmp_path)]
     assert cli.run(argv + ["--topk", "3"]) == 0
-    saved = {}
-    for path in (ck, ck + ".config"):
-        with open(path, "rb") as handle:
-            saved[path] = handle.read()
+    with open(ck, "rb") as handle:
+        saved = handle.read()
 
     def fail(*args, **kwargs):
         raise NumericError("non-finite loss")
@@ -709,9 +723,9 @@ def test_a_failed_rerun_leaves_the_old_checkpoint_beside_its_sidecar(
     monkeypatch.setattr(pl, "batch_losses", fail)
     assert cli.run(argv + ["--topk", "5"]) == 2
     assert "error: non-finite loss" in capsys.readouterr().err
-    for path, content in saved.items():
-        with open(path, "rb") as handle:
-            assert handle.read() == content, path
+    with open(ck, "rb") as handle:
+        assert handle.read() == saved
+    assert pl.read_checkpoint_config(ck).top_k == 3
 
 
 def test_train_with_a_split_manifest_and_no_epochs_leaves_its_checkpoint(tmp_path, capsys):
@@ -781,14 +795,48 @@ def test_every_design_run_logs_to_its_own_stderr(trained, capsys):
 
 
 def test_design_needs_config_source(trained, tmp_path, capsys):
+    # a GEOPRO01 checkpoint is a GEOPRO02 one without the config text,
+    # which was in the sidecar <checkpoint>.config
     _, ds, ck = trained
-    bare = str(tmp_path / "bare.ckpt")
-    with open(ck, "rb") as src, open(bare, "wb") as dst:
-        dst.write(src.read())
-    assert cli.run(["design", "--checkpoint", bare, "--data", ds,
-                    "--record-id", "syn001", "--n", "1",
-                    "--out", str(tmp_path / "o")]) == 2
-    assert "config" in capsys.readouterr().err
+    config, rest = _split_checkpoint(ck)
+    old = str(tmp_path / "old.ckpt")
+    (tmp_path / "old.ckpt").write_bytes(b"GEOPRO01" + rest)
+    (tmp_path / "old.ckpt.config").write_bytes(config)
+    design = ["design", "--checkpoint", old, "--data", ds, "--record-id", "syn001",
+              "--n", "1", "--out", str(tmp_path / "o")]
+    assert cli.run(design) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: %s is a GEOPRO01 checkpoint, which holds no config: pass its old "
+        "<checkpoint>.config as --config, or retrain it" % old]
+    parser = cli.build_parser()
+    loaded = cli._load_model(parser.parse_args(design + ["--config", old + ".config"]))
+    current = cli._load_model(parser.parse_args(["design", "--checkpoint", ck,
+                                                 "--data", ds, "--record-id", "syn001",
+                                                 "--out", "o"]))
+    assert loaded.config == current.config
+    for (name, got), (_, want) in zip(loaded.named_parameters(),
+                                      current.named_parameters()):
+        assert got.data.tobytes() == want.data.tobytes(), name
+
+
+def test_a_loaded_model_keeps_its_saved_settings_unless_overridden(tmp_path):
+    ds = make_dataset(tmp_path)
+    ck = str(tmp_path / "m.ckpt")
+    config = dataclasses.replace(pl.build_config(TINY_CONFIG), top_k=7, radius=2.5)
+    pl.save_checkpoint(ck, pl.build_model(config))
+    cfg = write_config(tmp_path, "top_k = 5\nradius = 3.0\n")
+    parser = cli.build_parser()
+    base = ["--checkpoint", ck, "--data", ds, "--out", "o"]
+    for argv, top_k, radius in (
+            (["design", "--record-id", "r"], 7, 2.5),
+            (["design", "--record-id", "r", "--config", cfg], 5, 3.0),
+            (["design", "--record-id", "r", "--config", cfg, "--topk", "2"], 2, 3.0),
+            (["design", "--record-id", "r", "--radius", "4"], 7, 4.0),
+            (["export-emb"], 7, 2.5),
+            (["export-emb", "--radius", "4"], 7, 4.0)):
+        loaded = cli._load_model(parser.parse_args(argv + base)).config
+        assert (loaded.top_k, loaded.radius) == (top_k, radius), argv
+        assert dataclasses.replace(loaded, top_k=7, radius=2.5) == config, argv
 
 
 def test_eval_report(trained, capsys):
@@ -798,8 +846,7 @@ def test_eval_report(trained, capsys):
                     "--record-id", "syn001", "--n", "3",
                     "--out", d1, "--seed", "11"]) == 0
     capsys.readouterr()
-    with open(ck + ".config") as handle:
-        version = pl.build_model(pl.build_config(file_text=handle.read())).version
+    version = pl.build_model(pl.read_checkpoint_config(ck)).version
     with open(os.path.join(d1, "candidates.fasta")) as handle:
         headers = [line for line in handle.read().splitlines() if line.startswith(">")]
     assert len(headers) == 3

@@ -1,8 +1,10 @@
 """Tests for the joint model: init, losses, training, design, and I/O."""
 
+import argparse
 import dataclasses
 import math
 import os
+import re
 import struct
 import tracemalloc
 
@@ -477,8 +479,8 @@ def test_train_checkpoints_best_validation_weights(tmp_path):
     model = pl.build_model(cfg)
     path = str(tmp_path / "best.ckpt")
     history = pl.train(data[:3], cfg, model, valid_set=data[3:], checkpoint_path=path)
-    assert sorted(os.listdir(tmp_path)) == ["best.ckpt", "best.ckpt.config"]
-    assert pl.build_config(file_text=(tmp_path / "best.ckpt.config").read_text()) == cfg
+    assert os.listdir(tmp_path) == ["best.ckpt"]
+    assert pl.read_checkpoint_config(path) == cfg
     best = min(h.valid_total for h in history)
     restored = pl.load_checkpoint(path, pl.build_model(cfg))
     assert pl.evaluate_loss(data[3:], restored) == pytest.approx(best, abs=1e-9)
@@ -620,7 +622,7 @@ def test_checkpoint_header_claiming_more_than_the_file_holds_allocates_nothing(t
     name = b"encoder.token_emb"
     path = str(tmp_path / "huge.ckpt")
     open(path, "wb").write(
-        pl.CHECKPOINT_MAGIC + struct.pack("<IH", 1, len(name)) + name
+        pl.CHECKPOINT_MAGIC + struct.pack("<IIH", 0, 1, len(name)) + name
         + struct.pack("<B2I", 2, 2 ** 32 - 1, 2 ** 32 - 1) + bytes(64)
     )
     model = pl.build_model(tiny_config())
@@ -630,6 +632,78 @@ def test_checkpoint_header_claiming_more_than_the_file_holds_allocates_nothing(t
             pl.load_checkpoint(path, model)
 
     assert _traced_peak(load) < 2 ** 20
+
+
+def test_checkpoint_config_claiming_more_than_the_file_holds_allocates_nothing(tmp_path):
+    path = str(tmp_path / "huge.ckpt")
+    open(path, "wb").write(pl.CHECKPOINT_MAGIC + struct.pack("<I", 2 ** 32 - 1) + bytes(64))
+    model = pl.build_model(tiny_config())
+
+    def load():
+        for read in (pl.read_checkpoint_config, lambda p: pl.load_checkpoint(p, model)):
+            with pytest.raises(ParseError, match=re.escape(path + ": checkpoint file is trunc")):
+                read(path)
+
+    assert _traced_peak(load) < 2 ** 20
+
+
+def test_checkpoint_holds_the_config_then_the_tensors_and_the_hash(tmp_path):
+    cfg = tiny_config(seed=13, top_k=6, radius=2.0)
+    model = pl.build_model(cfg)
+    path = str(tmp_path / "m.ckpt")
+    pl.save_checkpoint(path, model)
+    payload = open(path, "rb").read()
+    text = pl.format_config(cfg).encode("utf-8")
+    assert payload[:12 + len(text)] == pl.CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text
+    assert pl.read_checkpoint_config(path) == cfg
+    named = model.named_parameters()
+    assert payload[12 + len(text):16 + len(text)] == struct.pack("<I", len(named))
+    assert payload[-4:] == struct.pack("<I", cfg.arch_hash())
+
+
+def test_a_save_that_fails_at_any_piece_leaves_the_old_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "m.ckpt")
+    pl.save_checkpoint(path, pl.build_model(tiny_config(seed=15)))
+    old = open(path, "rb").read()
+    model = pl.build_model(tiny_config(seed=16, top_k=5))
+    write_atomic = pl.write_atomic
+
+    def failing_at(k):
+        def write(target, content):
+            def pieces():
+                for index, piece in enumerate(content):
+                    if index == k:
+                        raise OSError(28, "No space left on device")
+                    yield piece
+            write_atomic(target, pieces())
+        return write
+
+    # the magic and config, the tensor count, a header and an array per
+    # tensor, and the hash
+    count = 2 + 2 * len(model.named_parameters()) + 1
+    for k in range(count):
+        monkeypatch.setattr(pl, "write_atomic", failing_at(k))
+        with pytest.raises(DataError, match="No space left on device"):
+            pl.save_checkpoint(path, model)
+        assert open(path, "rb").read() == old, k
+        assert os.listdir(tmp_path) == ["m.ckpt"], k
+    monkeypatch.setattr(pl, "write_atomic", failing_at(count))
+    pl.save_checkpoint(path, model)
+    assert pl.read_checkpoint_config(path).top_k == 5
+
+
+def test_checkpoint_with_a_repeated_tensor_name_is_refused(tmp_path):
+    # the first tensor of the name is non-finite or finite, then a finite one
+    model = pl.build_model(tiny_config(seed=17))
+    name, tensor = model.named_parameters()[-1]
+    for first, match in ((np.full(tensor.shape, np.nan), "%r holds non-finite" % name),
+                         (tensor.data + 1.0, "%r appears twice" % name)):
+        path = str(tmp_path / "twice.ckpt")
+        named = model.named_parameters()[:-1] + [(name, ad.Tensor(first)), (name, tensor)]
+        pl.save_checkpoint(path, argparse.Namespace(named_parameters=lambda: named,
+                                                    config=model.config))
+        with pytest.raises(ParseError, match=match):
+            pl.load_checkpoint(path, model)
 
 
 def _mlp_shapes(prefix, width_in, hidden, width_out):
@@ -741,17 +815,12 @@ def test_config_file_override_precedence():
     cfg = pl.build_config(file_text=text)
     assert cfg.alpha == 0.3 and cfg.width == 16
 
-    cfg = pl.build_config(file_text=text, overrides={"alpha": 0.5})
-    assert cfg.alpha == 0.5
-
     with pytest.raises(ConfigError):
         pl.build_config(file_text="bogus_knob = 3\n")
     with pytest.raises(ConfigError):
         pl.build_config(file_text="width = abc\n")
     with pytest.raises(ConfigError):
         pl.build_config(file_text="alpha\n")
-    with pytest.raises(ConfigError):
-        pl.build_config(overrides={"bogus_knob": 3})
 
 
 def test_config_with_every_field_changed_round_trips():
@@ -1099,7 +1168,6 @@ def test_pinned_design_walks_the_flexible_rows_and_full_graph_callers_every_row(
     unpinned = pl.design(motif, 12, 2, 3, model, seed=7, pin_motif=False)
     ck, ds = str(tmp_path / "m.ckpt"), str(tmp_path / "ds")
     pl.save_checkpoint(ck, model)
-    pl.write_atomic(ck + ".config", pl.format_config(model.config))
     cli.write_dataset(ds, data)
     assert cli.run(["export-emb", "--checkpoint", ck, "--data", ds,
                     "--out", str(tmp_path / "e.csv")]) == 0
