@@ -11,7 +11,8 @@ and accumulates ``.grad`` on every leaf tensor, one that no op produced.
 The op set is deliberately small and every gradient rule lives next to
 its forward formula so it can be audited line by line.  ``record_op`` is
 the one hook through which ops reach the tape, so a module can add a
-fused op with its own hand-written backward.
+fused op with its own hand-written backward.  ``adam_step`` updates the
+parameters in place, in pieces dealt into two parts by ``geopro.pool``.
 
 The transformer sub-layers (``seqmodel``'s attention and layer norm,
 ``egnn.mlp_forward``) and the EGNN pair kernel are such fused ops, so
@@ -22,7 +23,6 @@ them by name, and the op gradient sweep of the tests checks them.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 from typing import Callable, Optional, Sequence
@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError, NumericError, StateError
-from .pool import part_pool, run_parts
+from .pool import deal, part_pool, run_parts
 
 _CHECK_FINITE = False
 ADAM_BETA1 = 0.9
@@ -631,44 +631,38 @@ class AdamState:
     def __init__(self, params: Sequence[Tensor]):
         self.params = list(params)
         self.size = sum(p.size for p in self.params)
-        self.m = _views(np.zeros(self.size), self.params)
-        self.v = _views(np.zeros(self.size), self.params)
+        shapes = [p.shape for p in self.params]
+        self.m = _views(np.zeros(self.size), shapes)
+        self.v = _views(np.zeros(self.size), shapes)
         self.step_count = 0
 
 
-def _views(flat: np.ndarray, params: list) -> list:
-    """Consecutive views of ``flat``, one shaped like each parameter."""
-    ends = np.cumsum([p.size for p in params], dtype=int)
-    return [flat[end - p.size:end].reshape(p.shape) for p, end in zip(params, ends)]
+def _views(flat: np.ndarray, shapes: list) -> list:
+    """Consecutive views of ``flat`` from its start, one of each shape."""
+    sizes = [math.prod(shape) for shape in shapes]
+    return [flat[end - size:end].reshape(shape)
+            for shape, size, end in zip(shapes, sizes, np.cumsum(sizes, dtype=int))]
 
 
-def _pieces(state: AdamState, count: int) -> list:
-    """The state's (m, v, p, g) pieces dealt into ``count`` parts of equal
-    value count, in parameter order.
+def _pieces(state: AdamState) -> list:
+    """The state's (m, v, p, g) pieces, in parameter order.
 
-    A piece is at most ``_ADAM_PIECE`` values of one parameter, cut again
-    where a part ends: slices of flat views of its moments, data and
-    gradient, so that writing a piece writes the parameter.  A parameter
-    whose data or gradient is not C-contiguous is one piece in its own
-    shape, since its ``reshape(-1)`` would be a copy.
+    A piece is at most ``_ADAM_PIECE`` values of one parameter: slices of
+    flat views of its moments, data and gradient, so that writing a piece
+    writes the parameter.  A parameter whose data or gradient is not
+    C-contiguous is one piece in its own shape, since its ``reshape(-1)``
+    would be a copy.
     """
-    cuts = [state.size * k // count for k in range(1, count)]
-    parts = [[] for _ in range(count)]
-    start = 0
+    pieces = []
     for m, v, p in zip(state.m, state.v, state.params):
         arrays = (m, v, p.data, p.grad)
-        stop = start + m.size
         if p.data.flags.c_contiguous and p.grad.flags.c_contiguous:
             flats = [a.reshape(-1) for a in arrays]
-            edges = sorted({*range(start, stop, _ADAM_PIECE),
-                            *(cut for cut in cuts if start < cut < stop)})
-            for i0, i1 in zip(edges, edges[1:] + [stop]):
-                parts[bisect.bisect_right(cuts, i0)].append(
-                    [a[i0 - start:i1 - start] for a in flats])
+            pieces += [[a[i:i + _ADAM_PIECE] for a in flats]
+                       for i in range(0, m.size, _ADAM_PIECE)]
         elif m.size:
-            parts[bisect.bisect_right(cuts, start)].append(arrays)
-        start = stop
-    return parts
+            pieces.append(arrays)
+    return pieces
 
 
 def _adam_part(pieces: list, t: int, lr: float) -> None:
@@ -700,14 +694,15 @@ def adam_step(state: AdamState, lr: float) -> None:
     their grads and bumps the counter.
 
     The moments and parameters are updated in place, piece by piece (see
-    ``_pieces``), with one reusable temporary per part, and each gradient
-    array is overwritten as scratch before it is cleared.  Every
-    in-place operation rounds as the out-of-place m = b1·m + (1 - b1)·g,
-    v = b2·v + (1 - b2)·g², p -= lr·m̂ / (√v̂ + eps) does, so the update has
-    the same bits however the values are cut.  A state of more than
-    ``_ADAM_POOL_VALUES`` values runs its two parts on the two-thread pool
-    of ``geopro.pool``, whose first request sets OpenBLAS to one thread;
-    a smaller one runs inline and never asks for the pool.
+    ``_pieces``), in two parts (``geopro.pool.deal``) with one reusable
+    temporary each, and each gradient array is overwritten as scratch
+    before it is cleared.  Every in-place operation rounds as the
+    out-of-place m = b1·m + (1 - b1)·g, v = b2·v + (1 - b2)·g², p -= lr·m̂
+    / (√v̂ + eps) does, so the update has the same bits however the values
+    are cut.  A state of more than ``_ADAM_POOL_VALUES`` values runs its
+    two parts on the two-thread pool of ``geopro.pool``, whose first
+    request sets OpenBLAS to one thread; a smaller one runs them inline
+    and never asks for the pool.
     """
     if not (math.isfinite(lr) and lr >= 0):
         raise ContractError(f"learning rate must be finite and >= 0, got {lr}")
@@ -716,8 +711,7 @@ def adam_step(state: AdamState, lr: float) -> None:
 
     state.step_count += 1
     pool = part_pool() if state.size > _ADAM_POOL_VALUES else None
-    parts = _pieces(state, 1 if pool is None else 2)
-    run_parts(pool, _adam_part, [(part, state.step_count, lr) for part in parts])
+    run_parts(pool, _adam_part, [(part, state.step_count, lr) for part in deal(_pieces(state))])
     for p in state.params:
         p.grad = None
 

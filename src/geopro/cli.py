@@ -24,7 +24,7 @@ from . import checks as ck
 from . import data as dt
 from . import metrics as mx
 from . import pipeline as pl
-from .errors import ConfigError, DataError, GeoproError
+from .errors import ConfigError, DataError, GeoproError, NumericError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -318,6 +318,8 @@ def _cmd_export_emb(args):
         # every row's features are exported, the motif rows' too
         _, feats, _ = pl.refine_and_decode(features, stack.start[0], stack.motif[0],
                                            model, every_row=True)
+        if not np.isfinite(feats.data).all():
+            raise NumericError("record %r has non-finite features" % rec_id)
         blocks[rec_id] = feats.data
     pl.write_atomic(args.out, mx.export_embeddings(list(blocks.items())))
     print("exported %d feature blocks to %s" % (len(blocks), args.out))

@@ -16,8 +16,10 @@ read the block's one geometry, and the coordinate MLP runs in the
 message MLP's spent arrays.  It keeps nothing of size N² between forward
 and backward, and computes every block again in its backward pass
 (gradient checkpointing, Chen et al. 2016).  Memory therefore grows with
-N·H, not N²·H.  The blocks are dealt into two parts that run on the
-two-thread pool of ``geopro.pool``.  The first kernel call of any size
+N·H, not N²·H.  The blocks are dealt into two parts (``geopro.pool.deal``)
+that run on the two-thread pool of ``geopro.pool`` in scratch from the
+calling thread's workspace; the backward pass adds the second part's
+zeroed gradient sums into the first's.  The first kernel call of any size
 sets numpy's OpenBLAS to one thread before its first product, so that
 BLAS rounds the same way in every call of the process; a call with one
 block runs on the calling thread.
@@ -54,7 +56,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ContractError, DimensionError
 from .geometry import apply_rigid, random_rigid
-from .pool import part_pool, run_parts
+from .pool import deal, part_pool, run_parts
 
 
 @dataclass
@@ -308,79 +310,43 @@ def _grad_rows(g_out, blk):
     return g_rows
 
 
-def _parts(blocks):
-    """The blocks dealt round-robin into two parts, or one part when there
-    is at most one block.  The split does not depend on the worker count,
-    so sums over the parts take one order whether they run on two threads
-    or one after the other."""
-    return [blocks[0::2]] + ([blocks[1::2]] if len(blocks) > 1 else [])
-
-
-# Each thread's kernel workspace: for each dtype the kernel has run in,
-# one flat array of that dtype per part (see ``_scratch``).  Per thread,
-# so that kernels called from two threads at once never share scratch.
+# Each thread's kernel workspace (see ``_scratch``): per thread, so that
+# kernels called from two threads at once never share scratch.
 _workspace = threading.local()
 
 
-def _scratch(parts, n, widths, dtype):
-    """For each part, one (pairs, width) array of ``dtype`` per width,
-    where pairs is the part's largest block's pair count, reused by every
-    block of the part so that no block allocates arrays of its own.
+def _scratch(dtype, *layouts):
+    """For each layout, a list of shapes, views of those shapes carved
+    (``ad._views``) from one flat array of ``dtype`` of the calling
+    thread's workspace.
 
-    A forward walk holds the arrays it still reads, 4 per part, since
-    each silu writes its output over its own tanh array.  A backward walk
-    needs every activation for the slopes, 6.  The coordinate MLP runs in
-    the message MLP's first-layer arrays once they are spent.
+    The kernel asks for one layout per part, of (pairs, width) arrays that
+    every block of the part reuses, pairs being the part's largest block's
+    pair count: 4 in a forward walk, whose silus write over their own tanh
+    arrays, and 6 in a backward walk, which needs every activation for the
+    slopes, and then a (H, M) product and (B, N, H) row sums.  A backward
+    pass asks for one more layout, the pair inputs' shared d(loss)/d(h_i).
 
-    A part's arrays are views of one flat array of the calling thread's
-    workspace, kept from call to call and grown only when a call needs
-    more, so that the kernel's scratch is allocated, and its pages
-    faulted in, once per thread, not once per call.  Each dtype has flat
-    arrays of its own, so that a float32 call after a float64 call does
-    not compute in the float64 arrays.  A flat array freed at the end of
-    each call is not reused from call to call: glibc maps an allocation
-    of this size (4 to 6 MB per part at width 320, L=100, float64) afresh
-    and unmaps it when freed, until the process frees a mapped block
-    larger than it, and no larger than 32 MB, which raises glibc's mmap
-    threshold to that block's size.  In a process that never did, every
-    call faulted its scratch in again: 7,873 minor page faults per
-    ``design-paper`` bench op (two width-320 candidates at L=100, 2-core
-    Xeon), against 906 with the workspace.  At width 320, L=100 the
-    workspace holds about 12 MB of float64 after a backward pass, and
-    4 MB of float32 after design's forward passes, for the life of the
-    thread.  The pool threads draw nothing from glibc arenas of their
-    own, since the calling thread makes the arrays.
+    The flat arrays are kept for the life of the thread and grown only
+    when a call needs more, one set per dtype, so that a float32 call after
+    a float64 call does not compute in float64.  glibc maps an allocation
+    of this size afresh and unmaps it when freed, until the process frees
+    a mapped block larger than it of up to 32 MB, so arrays freed at the
+    end of each call cost 7,873 minor page faults per ``design-paper``
+    bench op (two width-320 candidates at L=100, 2-core Xeon), against 906
+    with the workspace.  At width 320, L=100 the workspace holds 15 MB of
+    float64 after a backward pass, and 4 MB of float32 after design's
+    forward passes.  The pool threads draw nothing from glibc arenas of
+    their own, since the calling thread makes the arrays.
     """
     flats = vars(_workspace).setdefault(np.dtype(dtype), [])
-    out = []
-    for index, part in enumerate(parts):
-        count = n * max([blk[2].size for blk in part], default=0)
-        size = count * sum(widths)
-        if index == len(flats):
-            flats.append(np.empty(0, dtype))
+    flats += [np.empty(0, dtype)] * (len(layouts) - len(flats))
+    for index, shapes in enumerate(layouts):
+        size = sum(int(np.prod(shape)) for shape in shapes)
         if flats[index].size < size:
             flats[index] = np.empty(0, dtype)  # free the smaller array before the larger is made
             flats[index] = np.empty(size, dtype)
-        arrays = np.split(flats[index][:size],
-                          np.cumsum([count * width for width in widths[:-1]]))
-        out.append([a.reshape(count, width) for a, width in zip(arrays, widths)])
-    return out
-
-
-def _sum_parts(per_part):
-    """Add each part's arrays into the first part's, in part order, and
-    return the first part's."""
-    first, *rest = per_part
-    for other in rest:
-        for total, value in zip(first, other):
-            total += value
-    return first
-
-
-def _halves(*arrays):
-    """Each array times 1/2: the weights whose products feed an ``ad._silu``,
-    so that a block builds h = z/2 directly."""
-    return [0.5 * a for a in arrays]
+    return [ad._views(flat, shapes) for flat, shapes in zip(flats, layouts)]
 
 
 def _geometry(coords, blk):
@@ -433,49 +399,32 @@ class _PairInput:
         out4 += self.from_i[b0:b1][_pick(rows)][:, :, None, :]
         out4 += self.from_j[b0:b1, None, :, :]
 
-    def start_grad(self, count):
-        """One ``_PairGrad`` for each of ``count`` parts, all sharing
-        ``g_i``."""
-        self.g_i = np.zeros_like(self.from_i)
-        return [_PairGrad(self) for _ in range(count)]
+    def add_grad(self, blk, sq_dist, d_out, grad, row_sums):
+        """Accumulate the gradient of block ``blk``, of squared distances
+        ``sq_dist``, given d(loss)/d(pre-activations) ``d_out``, (graphs *
+        r * N, H), into ``grad``, and return d(loss)/d(d²), (graphs, r, N).
+        ``grad`` is (g_i, g_j, g_dist): the block writes its own rows of
+        g_i, which the parts share, and adds into its part's g_j and g_dist
+        through its part's (B, N, H) ``row_sums``.  A block kept on the
+        instance instead would outlive the forward pass on the tape: that
+        raised the peak RSS of width-32 training (bench ``train-toy``, 2
+        cores) from 63 to 69 MB.
+        """
+        g_i, g_j, g_dist = grad
+        b0, b1, rows, _ = blk
+        d_out4 = d_out.reshape(sq_dist.shape + (-1,))
+        g_i[b0:b1][_pick(rows)] = d_out4.sum(axis=2)
+        g_j[b0:b1] += d_out4.sum(axis=1, out=row_sums[b0:b1])
+        g_dist += sq_dist.reshape(1, -1) @ d_out
+        return (d_out @ self.w_dist.T).reshape(sq_dist.shape)
 
-    def grads(self, part_grads):
+    def grads(self, g_i, g_j, g_dist):
         """(d feats, d w1, d b1) once every part has added its blocks."""
-        g_j, g_dist = _sum_parts([(p.g_j, p.g_dist) for p in part_grads])
-        width = self.g_i.shape[2]
-        g_i, g_j = self.g_i.reshape(-1, width), g_j.reshape(-1, width)
+        width = g_i.shape[2]
+        g_i, g_j = g_i.reshape(-1, width), g_j.reshape(-1, width)
         g_feats = g_i @ self.w_i.T + g_j @ self.w_j.T
         g_w1 = np.concatenate([self.feats.T @ g_i, self.feats.T @ g_j, g_dist])
         return g_feats, g_w1, g_j.sum(axis=0)
-
-
-class _PairGrad:
-    """One part's gradient accumulators of a ``_PairInput``.
-
-    Every block adds into ``g_j`` and ``g_dist``, so each part has its
-    own; a block writes only its own rows of the shared ``g_i``.
-    """
-
-    def __init__(self, pair):
-        self.pair = pair
-        self.g_j = np.zeros_like(pair.from_j)
-        self.g_dist = np.zeros_like(pair.w_dist)
-        self._sum_i = np.empty_like(pair.from_j)
-
-    def add_grad(self, blk, sq_dist, d_out):
-        """Accumulate the gradient of block ``blk``, of squared distances
-        ``sq_dist``, given d(loss)/d(pre-activations) ``d_out``, (graphs *
-        r * N, H), and return d(loss)/d(d²), (graphs, r, N).  A block kept
-        on the instance instead would outlive the forward pass on the
-        tape: that raised the peak RSS of width-32 training (bench
-        ``train-toy``, 2 cores) from 63 to 69 MB.
-        """
-        b0, b1, rows, _ = blk
-        d_out4 = d_out.reshape(sq_dist.shape + (-1,))
-        self.pair.g_i[b0:b1][_pick(rows)] = d_out4.sum(axis=2)
-        self.g_j[b0:b1] += d_out4.sum(axis=1, out=self._sum_i[b0:b1])
-        self.g_dist += sq_dist.reshape(1, -1) @ d_out
-        return (d_out @ self.pair.w_dist.T).reshape(sq_dist.shape)
 
 
 def _message_grad(d_logit, gate, w_gate, g_rows, out):
@@ -509,9 +458,7 @@ def _pair_update(state, params, receive):
     linearly.  The diagonal pairs (i, i) are computed along with the rest:
     their gate is zeroed and their difference vector is exactly zero, so
     they add nothing to either sum, and their d² of 1 passes no gradient
-    back.  Each part of the blocks has its own scratch, drawn from the
-    calling thread's workspace, and its own gradient accumulators,
-    allocated here before the parts run.
+    back.
 
     The pair MLPs and the gate compute in the dtype of their weights,
     which they share; the output is float64 (see the module docstring).
@@ -528,10 +475,12 @@ def _pair_update(state, params, receive):
     w_gate, b_gate = params.gate_w.data, params.gate_b.data
     hidden, width = w2.shape
     _, blocks = _row_blocks(receive, max(hidden, width))
-    parts = _parts(blocks)
+    parts = deal(blocks)
+    pairs = [n * max([blk[2].size for blk in part], default=0) for part in parts]
+    # halved, so that a block builds the h = z/2 that ``ad._silu`` takes
+    half_w2, half_b2 = 0.5 * w2, 0.5 * b2
 
-    def messages(blk, sq_dist, halves, z1, s1, u1, z2, s2, msg):
-        half_w2, half_b2 = halves
+    def messages(blk, sq_dist, z1, s1, u1, z2, s2, msg):
         message.block(blk, sq_dist, out=z1)
         ad._silu(z1, s1, u1)
         np.matmul(u1, half_w2, out=z2)
@@ -548,42 +497,48 @@ def _pair_update(state, params, receive):
         dist = np.sqrt(sq_dist)
         return coef, dist, coef / (dist + 1.0)
 
-    def forward(part, scratch, halves):
+    def forward(part, scratch):
         for blk in part:
             # u1 is written over s1 and msg over s2, since nothing reads s1
             # or s2 later; the coordinate MLP then runs in the spent z1 and s1
             z1, s1, z2, s2 = (a[:blk[2].size * n] for a in scratch)
             diff, sq_dist = (a.astype(dtype, copy=False) for a in _geometry(coords, blk))
-            gate = messages(blk, sq_dist, halves, z1, s1, s1, z2, s2, s2)
+            gate = messages(blk, sq_dist, z1, s1, s1, z2, s2, s2)
             msg = s2.reshape(gate.shape + (width,))
             _put_rows(out[..., :width], blk, np.matmul(gate[:, :, None, :], msg)[:, :, 0])
             weight = shifts(blk, sq_dist, z1, s1, s1)[2]
             _put_rows(out[..., width:], blk, np.matmul(weight[:, :, None, :], diff)[:, :, 0])
 
     out = np.zeros((batch, n, width + 3))
-    halves = _halves(w2, b2)
-    scratches = _scratch(parts, n, [hidden, hidden, width, width], dtype)
-    run_parts(pool, forward, [(part, scratch, halves)
-                              for part, scratch in zip(parts, scratches)])
+    scratches = _scratch(dtype, *[[(count, hidden)] * 2 + [(count, width)] * 2
+                                  for count in pairs])
+    run_parts(pool, forward, list(zip(parts, scratches)))
     out[..., width:] += coords
 
     def backward(g_out):
         g_out = g_out.reshape(batch, n, width + 3)
         g_sums, g_moved = g_out[..., :width], g_out[..., width:]
-        halves = _halves(w2, b2)
-        accs = [[np.zeros_like(a) for a in (coords, w2, b2, w_gate, b_gate, c_w2, c_b2)]
-                for _ in parts]
-        tmps = [np.empty_like(w2) for _ in parts]
-        message_grads = message.start_grad(len(parts))
-        coord_grads = coord.start_grad(len(parts))
-        scratches = _scratch(parts, n, [hidden] * 3 + [width] * 3, dtype)
+        nodes = (batch, n, hidden)
+        *scratches, (g_i,) = _scratch(dtype, *[[(count, hidden)] * 3 + [(count, width)] * 3
+                                               + [w2.shape, nodes] for count in pairs],
+                                      [(2,) + nodes])
+        g_i.fill(0.0)
+        # each part's sums: g_j and g_dist of each pair input (see
+        # ``_PairInput.add_grad``), then the gradients of the coordinates and
+        # of the weights after the pair MLPs' first layers
+        shapes = [nodes, (1, hidden)] * 2 + [coords.shape, w2.shape, b2.shape, w_gate.shape,
+                                             b_gate.shape, c_w2.shape, c_b2.shape]
+        flats = [np.zeros(sum(int(np.prod(shape)) for shape in shapes)) for _ in parts]
+        sums = [ad._views(flat, shapes) for flat in flats]
 
-        def walk(part, scratch, message_grad, coord_grad, acc, tmp_w2):
-            g_coords, g_w2, g_b2, g_w_gate, g_b_gate, g_c_w2, g_c_b2 = acc
+        def walk(part, scratch, sums):
+            *pair_arrays, tmp_w2, row_sums = scratch
+            message_grad, coord_grad = (g_i[0], *sums[0:2]), (g_i[1], *sums[2:4])
+            g_coords, g_w2, g_b2, g_w_gate, g_b_gate, g_c_w2, g_c_b2 = sums[4:]
             for blk in part:
-                z1, s1, u1, z2, s2, msg = (a[:blk[2].size * n] for a in scratch)
+                z1, s1, u1, z2, s2, msg = (a[:blk[2].size * n] for a in pair_arrays)
                 diff, sq_dist = _geometry(coords, blk)
-                gate = messages(blk, sq_dist, halves, z1, s1, u1, z2, s2, msg)
+                gate = messages(blk, sq_dist, z1, s1, u1, z2, s2, msg)
                 g_rows = _grad_rows(g_sums, blk)
                 msg4 = msg.reshape(gate.shape + (width,))
                 # the zeroed diagonal gate has zero slope, so it passes nothing back
@@ -600,7 +555,7 @@ def _pair_update(state, params, receive):
                 slope1 = ad._silu_slope(z1, s1, u1)
                 d_z1 = np.matmul(d_z2, w2.T, out=u1)
                 d_z1 *= slope1
-                d_sq = message_grad.add_grad(blk, sq_dist, d_z1)
+                d_sq = message.add_grad(blk, sq_dist, d_z1, message_grad, row_sums)
 
                 # the coordinate MLP runs in the spent z1, s1 and u1
                 coef, dist, weight = shifts(blk, sq_dist, z1, s1, u1)
@@ -619,7 +574,7 @@ def _pair_update(state, params, receive):
                 d_y1 = ad._silu_slope(z1, s1, u1)
                 d_y1 *= d_coef
                 d_y1 *= c_w2[:, 0]
-                d_sq += coord_grad.add_grad(blk, sq_dist, d_y1)
+                d_sq += coord.add_grad(blk, sq_dist, d_y1, coord_grad, row_sums)
 
                 # d(loss)/d(x_i - x_j), through d² and the coordinate step
                 d_diff = d_sq[:, :, :, None] * diff
@@ -629,12 +584,13 @@ def _pair_update(state, params, receive):
                 g_coords[b0:b1][_pick(rows)] += d_diff.sum(axis=2)
                 g_coords[b0:b1] -= d_diff.sum(axis=1)
 
-        run_parts(pool, walk, list(zip(parts, scratches, message_grads, coord_grads, accs,
-                                       tmps)))
-        g_coords, g_w2, g_b2, g_w_gate, g_b_gate, g_c_w2, g_c_b2 = _sum_parts(accs)
+        run_parts(pool, walk, list(zip(parts, scratches, sums)))
+        if len(flats) == 2:
+            flats[0] += flats[1]
+        g_coords, g_w2, g_b2, g_w_gate, g_b_gate, g_c_w2, g_c_b2 = sums[0][4:]
         g_coords += g_moved
-        g_feats, *g_message = message.grads(message_grads)
-        g_coord_feats, *g_coord = coord.grads(coord_grads)
+        g_feats, *g_message = message.grads(g_i[0], *sums[0][0:2])
+        g_coord_feats, *g_coord = coord.grads(g_i[1], *sums[0][2:4])
         g_feats += g_coord_feats
         return (g_coords, g_feats, *g_message, g_w2, g_b2, g_w_gate, g_b_gate,
                 *g_coord, g_c_w2, g_c_b2)

@@ -510,10 +510,16 @@ def train(train_set, config, model, valid_set=None, checkpoint_path=None):
     weights of the epoch with the best validation loss when there is a
     validation set and at least one epoch, else the final weights; a run
     that fails before its first save leaves any older checkpoint as it
-    was.  A non-finite validation loss raises ``NumericError``.
+    was.  A non-finite validation loss raises ``NumericError``.  The
+    losses and the checkpoint read ``model.config``, so a ``config`` that
+    differs from it raises a ``ContractError`` naming the fields.
     """
     if not train_set:
         raise ContractError("training set is empty")
+    differ = [key for key, value in dataclasses.asdict(config).items()
+              if getattr(model.config, key) != value]
+    if differ:
+        raise ContractError("the config differs from the model's in %s" % ", ".join(differ))
     params = [t for _, t in model.named_parameters()]
     adam = ad.AdamState(params)
     steps_per_epoch = math.ceil(len(train_set) / config.batch_size)
@@ -620,7 +626,8 @@ def design(motif, length, n_candidates, k, model, seed, pin_motif=True):
 
     The EGNN pair kernels compute in float32, on a copy of their weights
     cast once per call (``egnn.cast_pair_weights``); the encoder, the
-    feature MLPs, the decoder and the coordinates stay float64.
+    feature MLPs, the decoder and the coordinates stay float64.  A
+    candidate with non-finite logits or coordinates raises ``NumericError``.
     """
     if length < motif.span:
         raise ContractError(
@@ -638,6 +645,8 @@ def design(motif, length, n_candidates, k, model, seed, pin_motif=True):
         start = init_backbone_coords(motif, length, model.config.radius, rng)
         coords, _, logits = refine_and_decode(features, start, fixed, kernel_model,
                                               every_row=not pin_motif)
+        if not (np.isfinite(logits.data).all() and np.isfinite(coords.data).all()):
+            raise NumericError("candidate %d has non-finite logits or coordinates" % index)
         probs = ad.softmax(logits).data
         sequence = tokens.copy()
         for j in flexible:

@@ -1,9 +1,12 @@
 """The two-thread pool that runs the parts of a kernel: the EGNN pair
 kernel's row blocks and, above a size, the Adam step's pieces.
 
-The pool is made at its first request, which also sets numpy's bundled
-OpenBLAS to one thread; its threads start at its first ``submit``, so
-importing geopro starts no thread.
+Both deal their work into parts by one rule, ``deal``, whose split does
+not depend on the pool, so that sums over the parts take one order
+whether the parts run on two threads or one after the other.  The pool
+is made at its first request, which also sets numpy's bundled OpenBLAS
+to one thread; its threads start at its first ``submit``, so importing
+geopro starts no thread.
 """
 
 import contextvars
@@ -71,6 +74,12 @@ def part_pool():
                     min(2, len(os.sched_getaffinity(0))), thread_name_prefix="geopro-part"
                 )
         return _pool or None
+
+
+def deal(items):
+    """The items dealt round-robin into two parts, or into one part when
+    there is at most one item."""
+    return [items[0::2]] + ([items[1::2]] if len(items) > 1 else [])
 
 
 def run_parts(pool, work, jobs):

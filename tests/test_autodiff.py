@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from geopro import autodiff as ad
+from geopro import pipeline as pl
 from geopro import pool
 from geopro.checks import check_grads
 from geopro.errors import ConfigError, ContractError, DimensionError, NumericError, StateError
@@ -530,6 +531,17 @@ def test_adam_step_peak_stays_under_two_pieces_per_part(monkeypatch, pooled):
         tracemalloc.stop()
     assert np.all(params[0].data < 1.0) and np.all(params[1].data < 1.0)
     assert peak < 2 * parts * ad._ADAM_PIECE * 8
+
+
+def test_the_two_parts_of_the_paper_model_adam_state_differ_by_at_most_a_piece():
+    params = [t for _, t in pl.build_model(pl.TrainingConfig()).named_parameters()]
+    for p in params:
+        p.grad = np.zeros(p.shape)
+    state = ad.AdamState(params)
+    assert state.size > ad._ADAM_POOL_VALUES
+    sizes = [sum(m.size for m, _, _, _ in part) for part in pool.deal(ad._pieces(state))]
+    assert len(sizes) == 2 and sum(sizes) == state.size
+    assert abs(sizes[0] - sizes[1]) <= ad._ADAM_PIECE
 
 
 def test_adam_missing_grad_is_state_error():

@@ -233,11 +233,16 @@ def test_only_refine_and_decode_calls_the_model_stages():
     assert callers == {name: {"pipeline.refine_and_decode"} for name in ONE_PATH_STAGES}
 
 
-# Each file format has one owner: every table is read by data.parse_table
-# and written by data.format_csv, and the checkpoint layout is written by
-# pipeline.save_checkpoint and read by pipeline.load_checkpoint.
-@pytest.mark.parametrize("module,owner", [("csv", "data"), ("struct", "pipeline")])
-def test_each_format_has_one_owner(module, owner):
+# Each file format and each piece of thread machinery has one owner: every
+# table is read by data.parse_table and written by data.format_csv, the
+# checkpoint layout is written by pipeline.save_checkpoint and read by
+# pipeline.load_checkpoint, and threads, their context and the OpenBLAS
+# thread setter belong to the pool.
+@pytest.mark.parametrize("module,owner", [
+    ("csv", "data"), ("struct", "pipeline"), ("ctypes", "pool"), ("contextvars", "pool"),
+    ("concurrent.futures", "pool"),
+])
+def test_each_dependency_has_one_owner(module, owner):
     importers = set()
     for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -1035,6 +1040,23 @@ def test_export_embeddings_refuses_an_overlong_record(trained, tmp_path, capsys)
                     "--out", out]) == 2
     err = capsys.readouterr().err
     assert "error: record 'syn000' length 65 exceeds max_len 64" in err
+    assert "Traceback" not in err and not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "--record-id", "syn000", "--radius", "1e100"],
+    ["export-emb", "--radius", "1e308"],
+])
+def test_a_non_finite_output_exits_two_and_writes_nothing(trained, tmp_path, capsys, argv):
+    # both radii are finite, so the config takes them; the float32 pair
+    # kernel overflows at the first, and the float64 coordinates at the second
+    _, ds, ck = trained
+    out = str(tmp_path / "out")
+    with np.errstate(all="ignore"):
+        code = cli.run(argv + ["--checkpoint", ck, "--data", ds, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "non-finite" in err
     assert "Traceback" not in err and not os.path.exists(out)
 
 

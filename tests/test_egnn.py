@@ -523,7 +523,7 @@ def test_a_second_call_of_the_same_size_allocates_no_scratch():
     layer, coords, feats, _ = _layer_case(37, n=n, feat_width=width, message_width=width)
     state = egnn.GraphState(ad.Tensor(coords), ad.Tensor(feats))
     receive = np.ones((1, n), dtype=bool)
-    parts = egnn._parts(egnn._row_blocks(receive, width)[1])
+    parts = pool.deal(egnn._row_blocks(receive, width)[1])
     assert len(parts) == 2
     # a forward walk's four (pairs, width) arrays per part
     scratch = sum(n * max(blk[2].size for blk in part) for part in parts) * 4 * width * 8
@@ -544,6 +544,103 @@ def test_a_second_call_of_the_same_size_allocates_no_scratch():
     assert not thread.is_alive()
     assert peaks[0] > scratch
     assert peaks[1] < 0.1 * scratch
+
+
+def test_a_second_backward_pass_of_the_same_size_draws_its_scratch_from_the_workspace(
+        monkeypatch):
+    # A fresh thread starts with an empty workspace of its own.  A second
+    # backward pass then allocates each part's zeroed sums, the gradients
+    # it returns and each block's few (graphs, r, N) temporaries, but no
+    # scratch: (B, N, H) row sums or g_i, or a (H, M) product.
+    batch, n, width = 16, 16, 48
+    monkeypatch.setattr(egnn, "_BLOCK_VALUES", n * width)
+    rng = np.random.default_rng(43)
+    layer = _draw_gates(rng, [egnn.init_egcl(rng, feat_width=4, message_width=width)])
+    state = egnn.GraphState(ad.Tensor(rng.normal(size=(batch, n, 3))),
+                            ad.Tensor(rng.normal(size=(batch, n, 4))))
+    receive = np.ones((batch, n), dtype=bool)
+    parts = pool.deal(egnn._row_blocks(receive, width)[1])
+    assert len(parts) == 2
+    nodes = batch * n * width
+    # per part six (pairs, width) arrays, a (width, width) product and the
+    # row sums, and g_i of both pair inputs
+    scratch = (sum(6 * n * max(blk[2].size for blk in part) * width + width * width + nodes
+                   for part in parts) + 2 * nodes) * 8
+    # per part g_j and g_dist of both pair inputs, and the gradients of the
+    # coordinates, w2, b2, the gate and the coordinate MLP's second layer
+    sums = 2 * (2 * nodes + 2 * width + batch * n * 3 + width * width + 3 * width + 2) * 8
+    g_out = rng.normal(size=(batch, n, width + 3))
+    peaks, returned = [], []
+
+    def calls():
+        for _ in range(2):
+            with ad.Tape() as tape:
+                egnn._pair_update(state, layer, receive)
+            backward = tape._nodes[-1].backward_fn
+            tracemalloc.start()
+            try:
+                grads = backward(g_out)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            returned.append(sum(g.nbytes for g in grads if g.flags.owndata))
+
+    thread = threading.Thread(target=calls)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert peaks[0] > scratch
+    assert peaks[1] < sums + returned[1] + 0.25 * scratch
+
+
+def test_deal_gives_one_part_for_at_most_one_item_and_two_near_halves_otherwise():
+    for count in range(7):
+        parts = pool.deal(list(range(count)))
+        assert sorted(item for part in parts for item in part) == list(range(count))
+        assert len(parts) == (1 if count <= 1 else 2)
+        assert max(map(len, parts)) - min(map(len, parts)) <= 1
+
+
+def test_the_parts_are_dealt_alike_with_the_pool_and_without(monkeypatch):
+    if pool.part_pool() is None:
+        pytest.skip("no OpenBLAS thread setter: the parts always run inline")
+    _several_blocks(monkeypatch, n=7, width=6, rows=1)
+    case = _layer_case(44, n=7, feat_width=4, message_width=6)
+    monkeypatch.setattr(ad, "_ADAM_POOL_VALUES", 1000)
+    params = [ad.Tensor(np.zeros(size), requires_grad=True) for size in (40000, 9, 70000)]
+    state = ad.AdamState(params)
+    seen = []
+
+    def recording(module, describe):
+        def run_parts(pool, work, jobs):
+            seen.append((module.__name__, pool is not None,
+                         [[describe(item) for item in job[0]] for job in jobs]))
+            return real(pool, work, jobs)
+        return run_parts
+
+    real = pool.run_parts
+    # a block by its graphs and rows, an Adam piece by where its moment starts
+    monkeypatch.setattr(egnn, "run_parts", recording(egnn, lambda blk: (
+        blk[0], blk[1], blk[2].tolist())))
+    monkeypatch.setattr(ad, "run_parts", recording(ad, lambda piece: (
+        piece[0].ctypes.data, piece[0].size)))
+
+    def run():
+        _layer_bytes(*case)
+        for p in params:
+            p.grad = np.zeros(p.shape)
+        ad.adam_step(state, 0.1)
+
+    run()
+    pooled = seen[:]
+    seen.clear()
+    monkeypatch.setattr(pool, "_pool", False)
+    run()
+    assert {on_pool for _, on_pool, _ in pooled} == {True}
+    assert {on_pool for _, on_pool, _ in seen} == {False}
+    assert [(module, parts) for module, _, parts in seen] == [
+        (module, parts) for module, _, parts in pooled]
+    assert {len(parts) for _, _, parts in pooled} == {2}
 
 
 def test_each_dtype_computes_in_scratch_of_its_own(monkeypatch):
@@ -634,7 +731,7 @@ def _reference_blocks(state, layer):
         z1, s1, u1, y1, t1, v1 = (np.empty((count, hidden)) for _ in range(6))
         message.block(blk, sq_dist, out=z1)
         ad._silu(z1, s1, u1)
-        half_w2, half_b2 = egnn._halves(w2, b2)
+        half_w2, half_b2 = 0.5 * w2, 0.5 * b2
         z2, s2, msg = (np.empty((count, width)) for _ in range(3))
         np.matmul(u1, half_w2, out=z2)
         z2 += half_b2

@@ -414,6 +414,19 @@ def test_train_zero_epochs_leaves_model_unchanged(tmp_path):
         pl.train([], cfg, model)
 
 
+def test_train_refuses_a_config_other_than_its_models():
+    # the losses read alpha and beta from the model's config, so a run
+    # given other weights trained under the model's and reported nothing
+    data = pl.generate_synthetic_dataset(2, 8, 0.3, seed=1)
+    cfg = tiny_config()
+    model = pl.build_model(cfg)
+    before = [t.data.copy() for _, t in model.named_parameters()]
+    with pytest.raises(ContractError, match=r"differs from the model's in alpha, beta$"):
+        pl.train(data, dataclasses.replace(cfg, alpha=5.0, beta=0.0), model)
+    assert all(np.array_equal(t.data, b) for (_, t), b in zip(model.named_parameters(), before))
+    assert len(pl.train(data, dataclasses.replace(cfg), model)) == cfg.epochs
+
+
 def test_train_aborts_on_non_finite_loss_with_diagnostic():
     data = pl.generate_synthetic_dataset(2, 8, 0.3, seed=1)
     cfg = tiny_config()
